@@ -443,7 +443,6 @@ Status Run() {
                             scheduler.PredictBatch(kModel, row));
 
   net::NetServerConfig net_config;
-  net_config.num_completers = 2;
   RELSERVE_ASSIGN_OR_RETURN(
       auto server, net::NetServer::Start(&session, &scheduler,
                                          net_config));

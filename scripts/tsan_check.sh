@@ -16,12 +16,21 @@
 # dispatch table — exactly the constructs UBSan checks (misaligned
 # access, OOB pointer arithmetic, bad function-pointer calls).
 #
+# Leg 3 (AddressSanitizer): rebuilds with -DRELSERVE_SANITIZE=address
+# into build-asan/ and runs the TSan list plus serving_test. It checks
+# object lifetimes across threads: the completion callback that keeps
+# a network connection alive until its reply is written, the promise
+# a future adapter's callback owns, and the micro-batch chunks the
+# pipelined schedule hands from stage to stage.
+#
 # Usage: scripts/tsan_check.sh [tsan-build-dir] [ubsan-build-dir]
+#                              [asan-build-dir]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-tsan}"
 UBSAN_DIR="${2:-build-ubsan}"
+ASAN_DIR="${3:-build-asan}"
 
 # executor_test and serving_concurrency_test drive the compiled
 # PhysicalPlan stage runner (shared StageStats atomics accumulate
@@ -34,8 +43,8 @@ UBSAN_DIR="${2:-build-ubsan}"
 # selectors, asserting bit-identical output at every thread count)
 # and their SIMD dispatch tables under UBSan. net_serving_test drives
 # the epoll server's shared write path (scheduler threads encoding and
-# flushing replies directly under per-connection write mutexes, both
-# callback and completer-pool completion modes, inflight counters,
+# flushing replies directly under per-connection write mutexes from
+# the scheduler's one callback completion path, inflight counters,
 # drain-on-shutdown) under TSan, and the wire codec's memcpy-cursor
 # frame parsing over torn and corrupted frames under UBSan.
 # mvcc_test runs serve-while-ingest schedules (readers pinning
@@ -49,13 +58,16 @@ UBSAN_DIR="${2:-build-ubsan}"
 # lifecycle) under TSan, and its CRC-then-memcmp byte comparison over
 # raw page payloads under UBSan; serving_concurrency_test's churn case
 # races Deploy/Undeploy against in-flight Predicts over shared blocks.
+# pipeline_test runs the pipelined schedule: one worker thread per
+# compiled stage, all bumping the plan's shared StageStats atomics.
 TSAN_TESTS=(resource_test storage_test dedup_test block_ops_test
             kernels_test executor_test serving_concurrency_test
             chaos_test columnar_test quantized_kernels_test
-            net_serving_test mvcc_test wal_recovery_test)
+            net_serving_test mvcc_test wal_recovery_test pipeline_test)
 UBSAN_TESTS=(kernels_test tensor_test block_ops_test executor_test
             plan_text_test chaos_test columnar_test dedup_test
             quantized_kernels_test net_serving_test wal_recovery_test)
+ASAN_TESTS=("${TSAN_TESTS[@]}" serving_test)
 
 cmake -B "$BUILD_DIR" -S . -DRELSERVE_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -88,5 +100,15 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 for test in "${UBSAN_TESTS[@]}"; do
     echo "== UBSan: $test =="
     "$UBSAN_DIR/tests/$test"
+done
+
+cmake -B "$ASAN_DIR" -S . -DRELSERVE_SANITIZE=address \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build "$ASAN_DIR" -j --target "${ASAN_TESTS[@]}"
+
+export ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}"
+for test in "${ASAN_TESTS[@]}"; do
+    echo "== ASan: $test =="
+    "$ASAN_DIR/tests/$test"
 done
 echo "Sanitizer smoke checks passed."

@@ -420,39 +420,46 @@ bool IsStorageFailure(const Status& status) {
          status.IsDataLoss();
 }
 
-Result<ExecOutput> RunPlan(const PhysicalPlan& plan, Activation act,
-                           int64_t batch, ExecContext* ctx) {
+// Runs one stage with the representation fallback and the per-stage
+// accounting: wall time, rows and bytes into the plan's StageStats,
+// totals into ExecStats. Both schedules (RunPlan's whole-batch loop
+// and PipelineExecutor's micro-batch stream) go through here.
+Status ExecuteStage(const PhysicalStage& stage, int64_t batch,
+                    Activation* act, ExecContext* ctx) {
   using Clock = std::chrono::steady_clock;
   constexpr auto kRelaxed = std::memory_order_relaxed;
-  for (const std::unique_ptr<PhysicalStage>& sp : plan.stages()) {
-    const PhysicalStage& stage = *sp;
-    const Clock::time_point start = Clock::now();
-    Status s = RunStage(stage, batch, &act, ctx);
-    if (!s.ok() && stage.repr == Repr::kRelational &&
-        IsStorageFailure(s)) {
-      // Graceful degradation: the relation-centric stage hit the
-      // (failing) storage tier; re-execute just this stage
-      // UDF-centric — same math, same bits, different physical plan.
-      s = RunStageUdfFallback(stage, batch, &act, ctx);
-      if (s.ok()) {
-        ctx->stats.repr_fallbacks.fetch_add(1, kRelaxed);
-        stage.stats.fallbacks.fetch_add(1, kRelaxed);
-      }
+  const Clock::time_point start = Clock::now();
+  Status s = RunStage(stage, batch, act, ctx);
+  if (!s.ok() && stage.repr == Repr::kRelational && IsStorageFailure(s)) {
+    // Graceful degradation: the relation-centric stage hit the
+    // (failing) storage tier; re-execute just this stage UDF-centric —
+    // same math, same bits, different physical plan.
+    s = RunStageUdfFallback(stage, batch, act, ctx);
+    if (s.ok()) {
+      ctx->stats.repr_fallbacks.fetch_add(1, kRelaxed);
+      stage.stats.fallbacks.fetch_add(1, kRelaxed);
     }
-    RELSERVE_RETURN_NOT_OK(s);
-    const int64_t nanos =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now() - start)
-            .count();
-    stage.stats.invocations.fetch_add(1, kRelaxed);
-    stage.stats.nanos.fetch_add(nanos, kRelaxed);
-    stage.stats.rows.fetch_add(batch, kRelaxed);
-    stage.stats.bytes.fetch_add(
-        batch * stage.OutElemsPerRow() *
-            static_cast<int64_t>(sizeof(float)),
-        kRelaxed);
-    ctx->stats.stages_executed.fetch_add(1, kRelaxed);
-    ctx->stats.stage_nanos.fetch_add(nanos, kRelaxed);
+  }
+  RELSERVE_RETURN_NOT_OK(s);
+  const int64_t nanos =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                           start)
+          .count();
+  stage.stats.invocations.fetch_add(1, kRelaxed);
+  stage.stats.nanos.fetch_add(nanos, kRelaxed);
+  stage.stats.rows.fetch_add(batch, kRelaxed);
+  stage.stats.bytes.fetch_add(
+      batch * stage.OutElemsPerRow() * static_cast<int64_t>(sizeof(float)),
+      kRelaxed);
+  ctx->stats.stages_executed.fetch_add(1, kRelaxed);
+  ctx->stats.stage_nanos.fetch_add(nanos, kRelaxed);
+  return Status::OK();
+}
+
+Result<ExecOutput> RunPlan(const PhysicalPlan& plan, Activation act,
+                           int64_t batch, ExecContext* ctx) {
+  for (const std::unique_ptr<PhysicalStage>& stage : plan.stages()) {
+    RELSERVE_RETURN_NOT_OK(ExecuteStage(*stage, batch, &act, ctx));
   }
 
   ExecOutput out;
@@ -488,6 +495,20 @@ Result<ExecOutput> HybridExecutor::Run(const PreparedModel& prepared,
                                        const Tensor& input,
                                        ExecContext* ctx) {
   return Run(prepared.physical(), input, ctx);
+}
+
+Result<Tensor> HybridExecutor::RunChunk(const PhysicalStage& stage,
+                                        Tensor chunk, ExecContext* ctx) {
+  if (chunk.shape().ndim() < 1) {
+    return Status::InvalidArgument("chunk must have a batch dimension");
+  }
+  const int64_t rows = chunk.shape().dim(0);
+  Activation act;
+  act.tensor = std::move(chunk);
+  act.owned = true;
+  RELSERVE_RETURN_NOT_OK(ExecuteStage(stage, rows, &act, ctx));
+  RELSERVE_RETURN_NOT_OK(EnsureWhole(&act, stage.OutShape(rows), ctx));
+  return std::move(act.tensor);
 }
 
 Result<ExecOutput> HybridExecutor::RunOnStore(

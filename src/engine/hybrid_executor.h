@@ -60,6 +60,14 @@ class HybridExecutor {
   static Result<ExecOutput> Run(const PhysicalPlan& plan,
                                 const Tensor& input, ExecContext* ctx);
 
+  // Runs one stage of a compiled plan on a whole-tensor chunk
+  // ([rows, sample...], handed over so in-place epilogues may reuse
+  // it), with the same fallback and StageStats/ExecStats accounting
+  // as Run. Returns the stage's output whole. This is the entry point
+  // of the pipelined schedule (PipelineExecutor).
+  static Result<Tensor> RunChunk(const PhysicalStage& stage, Tensor chunk,
+                                 ExecContext* ctx);
+
   // Runs on an input that is already a block relation
   // ([batch, sample_width]) — used when the batch itself exceeds the
   // working arena and was streamed into the store straight from a

@@ -101,11 +101,6 @@ std::string SampleString(const std::vector<int64_t>& sample) {
   return out + "]";
 }
 
-bool IsElementwise(OpKind kind) {
-  return kind == OpKind::kBiasAdd || kind == OpKind::kRelu ||
-         kind == OpKind::kSoftmax;
-}
-
 // May `node` (an elementwise op with representation `rel`) ride
 // `open`'s epilogue? Requires a representation match, a stage kind
 // that produces a freshly writable activation, and — for softmax —
@@ -488,24 +483,6 @@ Result<std::unique_ptr<PhysicalPlan>> PhysicalPlan::Compile(
     pp->output_sample_ = pp->stages_.back()->out_sample;
   }
   return pp;
-}
-
-Result<const Tensor*> PhysicalPlan::ResidentWeight(
-    const std::string& name) const {
-  auto it = resident_.find(name);
-  if (it == resident_.end()) {
-    return Status::NotFound("resident weight '" + name + "'");
-  }
-  return &it->second;
-}
-
-Result<const BlockStore*> PhysicalPlan::BlockedWeight(
-    const std::string& name) const {
-  auto it = blocked_.find(name);
-  if (it == blocked_.end()) {
-    return Status::NotFound("blocked weight '" + name + "'");
-  }
-  return it->second.get();
 }
 
 std::string PhysicalPlan::ToString(bool analyze) const {

@@ -205,11 +205,6 @@ class PhysicalPlan {
     return output_sample_;
   }
 
-  // Whole-tensor weight bound for UDF-centric stages.
-  Result<const Tensor*> ResidentWeight(const std::string& name) const;
-  // Block relation of a relation-centric matmul weight.
-  Result<const BlockStore*> BlockedWeight(const std::string& name) const;
-
   // Deploy-time weight accounting (stable after Compile).
   const WeightFootprint& weight_footprint() const { return footprint_; }
 

@@ -7,7 +7,7 @@
 #include <thread>
 #include <vector>
 
-#include "kernels/kernels.h"
+#include "engine/hybrid_executor.h"
 #include "resource/bounded_queue.h"
 
 namespace relserve {
@@ -16,7 +16,7 @@ namespace {
 
 struct Chunk {
   int64_t row_offset = 0;
-  Tensor data;  // [rows, sample dims of the producing node]
+  Tensor data;  // [rows, sample dims of the producing stage]
 };
 
 using ChunkQueue = BoundedQueue<Chunk>;
@@ -38,60 +38,13 @@ class ErrorSlot {
   Status first_;
 };
 
-// Applies one operator to a micro-batch (whole-tensor, in place where
-// the op allows). `rows` is the chunk's batch dimension. `pool` adds
-// intra-chunk parallelism to the heavy kernels; null keeps the stage
-// serial.
-Result<Tensor> ApplyNode(const Model& model,
-                         const PreparedModel& prepared, const Node& node,
-                         Tensor chunk, int64_t rows,
-                         MemoryTracker* tracker, ThreadPool* pool) {
-  // Per-chunk shapes: cheap (O(nodes)) and exact for ragged tails.
-  RELSERVE_ASSIGN_OR_RETURN(std::vector<Shape> shapes,
-                            model.InferShapes(rows));
-  RELSERVE_ASSIGN_OR_RETURN(Tensor in,
-                            chunk.Reshape(shapes[node.input]));
-  switch (node.kind) {
-    case OpKind::kInput:
-      return Status::Internal("input node has no stage");
-    case OpKind::kMatMul: {
-      RELSERVE_ASSIGN_OR_RETURN(const Tensor* w,
-                                prepared.ResidentWeight(node.weight_name));
-      return kernels::MatMul(in, *w, /*transpose_b=*/true, tracker,
-                             pool);
-    }
-    case OpKind::kBiasAdd: {
-      RELSERVE_ASSIGN_OR_RETURN(const Tensor* bias,
-                                prepared.ResidentWeight(node.weight_name));
-      RELSERVE_RETURN_NOT_OK(kernels::BiasAddInPlace(&in, *bias));
-      return in;
-    }
-    case OpKind::kRelu:
-      kernels::ReluInPlace(&in);
-      return in;
-    case OpKind::kSoftmax:
-      RELSERVE_RETURN_NOT_OK(kernels::SoftmaxRowsInPlace(&in));
-      return in;
-    case OpKind::kConv2D: {
-      RELSERVE_ASSIGN_OR_RETURN(const Tensor* kernel,
-                                prepared.ResidentWeight(node.weight_name));
-      return kernels::Conv2D(in, *kernel, node.stride, tracker, pool);
-    }
-    case OpKind::kMaxPool:
-      return kernels::MaxPool2x2(in, tracker);
-    case OpKind::kFlatten:
-      return in.Reshape(shapes[node.id]);
-  }
-  return Status::Internal("unhandled op kind");
-}
-
 }  // namespace
 
 Result<Tensor> PipelineExecutor::Run(const PreparedModel& prepared,
                                      const Tensor& input,
                                      ExecContext* ctx,
                                      PipelineConfig config) {
-  const Model& model = prepared.model();
+  const PhysicalPlan& plan = prepared.physical();
   if (input.shape().ndim() < 1) {
     return Status::InvalidArgument("input must have a batch dimension");
   }
@@ -105,17 +58,16 @@ Result<Tensor> PipelineExecutor::Run(const PreparedModel& prepared,
           "model with the UDF representation");
     }
   }
-  const int64_t batch = input.shape().dim(0);
-  const int64_t sample_width = input.NumElements() / batch;
-  const int num_stages = static_cast<int>(model.nodes().size()) - 1;
+  const int num_stages = static_cast<int>(plan.stages().size());
   if (num_stages < 1) {
     return Status::InvalidArgument("model has no operators");
   }
-  RELSERVE_ASSIGN_OR_RETURN(std::vector<Shape> out_shapes,
-                            model.InferShapes(batch));
+  const int64_t batch = input.shape().dim(0);
+  const int64_t sample_width = input.NumElements() / batch;
+  std::vector<int64_t> out_dims = plan.output_sample();
+  out_dims.insert(out_dims.begin(), batch);
   RELSERVE_ASSIGN_OR_RETURN(
-      Tensor output,
-      Tensor::Create(out_shapes[model.output_node()], ctx->tracker));
+      Tensor output, Tensor::Create(Shape(out_dims), ctx->tracker));
   const int64_t out_width = output.NumElements() / batch;
 
   // Route kernel calls through the shared pool only when the pipeline
@@ -126,11 +78,13 @@ Result<Tensor> PipelineExecutor::Run(const PreparedModel& prepared,
   // only fans out when micro_batch_rows spans several tiles —
   // sub-tile chunks run inline on the stage thread regardless of this
   // routing. ParallelFor task groups are per-call, so concurrent
-  // stages sharing the pool stay isolated.
-  ThreadPool* stage_pool = nullptr;
-  if (ctx->pool != nullptr &&
-      num_stages < ctx->pool->num_threads()) {
-    stage_pool = ctx->pool;
+  // stages sharing the pool stay isolated. The stage workers share
+  // one context carrying that routing; UDF stages bump no ExecStats
+  // counter but the two stage totals, folded back after the join.
+  ExecContext stage_ctx = *ctx;
+  stage_ctx.stats = ExecStats();
+  if (ctx->pool != nullptr && num_stages >= ctx->pool->num_threads()) {
+    stage_ctx.pool = nullptr;
   }
 
   // One queue feeding each stage plus one carrying the final output.
@@ -169,41 +123,41 @@ Result<Tensor> PipelineExecutor::Run(const PreparedModel& prepared,
     queues[0]->Close();
   });
 
-  // One worker per operator stage.
-  for (int stage = 0; stage < num_stages; ++stage) {
-    workers.emplace_back([&, stage]() {
-      const Node& node = model.node(stage + 1);
-      while (true) {
-        std::optional<Chunk> chunk = queues[stage]->Pop();
-        if (!chunk.has_value()) break;  // upstream done or aborted
-        const int64_t rows = chunk->data.shape().dim(0);
+  // One worker per compiled stage.
+  for (int s = 0; s < num_stages; ++s) {
+    workers.emplace_back([&, s]() {
+      const PhysicalStage& stage = *plan.stages()[s];
+      while (std::optional<Chunk> chunk = queues[s]->Pop()) {
         Result<Tensor> out =
-            ApplyNode(model, prepared, node, std::move(chunk->data),
-                      rows, ctx->tracker, stage_pool);
+            HybridExecutor::RunChunk(stage, std::move(chunk->data),
+                                     &stage_ctx);
         if (!out.ok()) {
           error.Set(out.status());
           abort_all();
           return;
         }
-        if (!queues[stage + 1]->Push(
+        if (!queues[s + 1]->Push(
                 Chunk{chunk->row_offset, std::move(*out)})) {
           return;
         }
       }
-      queues[stage + 1]->Close();
+      queues[s + 1]->Close();  // upstream done (or aborted)
     });
   }
 
   // Collector (this thread): scatter finished chunks into the output.
-  while (true) {
-    std::optional<Chunk> chunk = queues[num_stages]->Pop();
-    if (!chunk.has_value()) break;
-    const int64_t rows = chunk->data.NumElements() / out_width;
+  while (std::optional<Chunk> chunk = queues[num_stages]->Pop()) {
     std::memcpy(output.data() + chunk->row_offset * out_width,
                 chunk->data.data(),
-                rows * out_width * sizeof(float));
+                chunk->data.NumElements() * sizeof(float));
   }
   for (std::thread& w : workers) w.join();
+  ctx->stats.stages_executed.fetch_add(
+      stage_ctx.stats.stages_executed.load(std::memory_order_relaxed),
+      std::memory_order_relaxed);
+  ctx->stats.stage_nanos.fetch_add(
+      stage_ctx.stats.stage_nanos.load(std::memory_order_relaxed),
+      std::memory_order_relaxed);
 
   RELSERVE_RETURN_NOT_OK(error.Get());
   return output;

@@ -1,8 +1,11 @@
 // PipelineExecutor: the paper's Sec. 5(2) — DL-style pipelining inside
-// the RDBMS. The model UDF is broken into fine-grained operator UDFs,
-// one pipeline stage per operator, connected by bounded queues of
-// micro-batches and executed by concurrent stage workers in streaming
-// fashion.
+// the RDBMS, as a second schedule over the same compiled plan the
+// stage runner executes. Each PhysicalStage of the prepared plan gets
+// one worker; workers are connected by bounded queues of micro-batches
+// and run every chunk through HybridExecutor::RunChunk, so pipelined
+// runs get the same fused epilogues, kernel arms (int8, sparse, fused
+// top-k) and EXPLAIN ANALYZE stage counters as whole-batch runs — and
+// the same bits, since every stage computes each row independently.
 //
 // This is the *other* parallelism regime the paper contrasts with the
 // RDBMS's data parallelism: peak memory is bounded by
@@ -32,7 +35,7 @@ struct PipelineConfig {
 
 class PipelineExecutor {
  public:
-  // Runs the model as a stage-per-operator stream pipeline over
+  // Runs the prepared plan as a stage-per-worker stream pipeline over
   // `input` ([batch, sample...]). Every node must have been prepared
   // with the UDF representation (stages execute whole micro-batch
   // tensors). Returns the assembled [batch, out...] prediction.

@@ -44,20 +44,6 @@ class PreparedModel {
   // this PreparedModel — stages hold pointers into it).
   const PhysicalPlan& physical() const { return *physical_; }
 
-  // Whole-tensor weight for a UDF-centric node (resident in the
-  // working arena). For Conv2D the kernel is stored in its original
-  // rank-4 layout.
-  Result<const Tensor*> ResidentWeight(const std::string& name) const {
-    return physical_->ResidentWeight(name);
-  }
-
-  // Block store of a relation-centric matmul weight ([out, in]
-  // layout).
-  Result<const BlockStore*> BlockedWeight(
-      const std::string& name) const {
-    return physical_->BlockedWeight(name);
-  }
-
  private:
   PreparedModel() = default;
 

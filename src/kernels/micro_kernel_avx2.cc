@@ -17,6 +17,8 @@
 
 #include <immintrin.h>
 
+#include <cstring>
+
 #include "common/aligned_alloc.h"
 
 namespace relserve {
@@ -85,22 +87,24 @@ void Avx2Tile(int64_t kc, const float* a_panel, const float* b_panel,
   _mm256_storeu_ps(c + 5 * ldc + 8, acc5b);
 }
 
-// Edge tiles run the full-width kernel into an aligned scratch tile
+// Edge tiles run the full-width kernel on an aligned scratch tile
 // (the panels are zero-padded to kMr x kNr, so the extra lanes compute
-// harmless zeros) and then merge the valid region into C.
+// harmless zeros) and copy the valid region back to C. When
+// accumulating, the scratch starts from C's partials, so every element
+// sees the same FMA chain as in a full tile: a row's bits never depend
+// on where the batch's tile edges fall.
 void Avx2TileEdge(int64_t kc, const float* a_panel, const float* b_panel,
                   float* c, int64_t ldc, bool accumulate, int64_t m_r,
                   int64_t n_r) {
-  alignas(kCacheLineBytes) float tile[kMr * kNr];
-  Avx2Tile(kc, a_panel, b_panel, tile, kNr, /*accumulate=*/false);
-  for (int64_t i = 0; i < m_r; ++i) {
-    float* c_row = c + i * ldc;
-    const float* t_row = tile + i * kNr;
-    if (accumulate) {
-      for (int64_t j = 0; j < n_r; ++j) c_row[j] += t_row[j];
-    } else {
-      for (int64_t j = 0; j < n_r; ++j) c_row[j] = t_row[j];
+  alignas(kCacheLineBytes) float tile[kMr * kNr] = {};
+  if (accumulate) {
+    for (int64_t i = 0; i < m_r; ++i) {
+      std::memcpy(tile + i * kNr, c + i * ldc, n_r * sizeof(float));
     }
+  }
+  Avx2Tile(kc, a_panel, b_panel, tile, kNr, accumulate);
+  for (int64_t i = 0; i < m_r; ++i) {
+    std::memcpy(c + i * ldc, tile + i * kNr, n_r * sizeof(float));
   }
 }
 

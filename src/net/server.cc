@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <optional>
 
 #include "common/failpoint.h"
 #include "common/io_util.h"
@@ -51,14 +50,6 @@ Result<std::unique_ptr<NetServer>> NetServer::Start(
     loop->thread =
         std::thread(&NetServer::LoopThread, server.get(), loop.get());
   }
-  if (config.use_completer_pool) {
-    const int completers = std::max(1, config.num_completers);
-    server->completers_.reserve(completers);
-    for (int i = 0; i < completers; ++i) {
-      server->completers_.emplace_back(&NetServer::CompleterThread,
-                                       server.get());
-    }
-  }
   return server;
 }
 
@@ -66,11 +57,7 @@ NetServer::NetServer(ServingSession* session,
                      RequestScheduler* scheduler, NetServerConfig config)
     : session_(session),
       scheduler_(scheduler),
-      config_(config),
-      // Large enough that completion handoff never blocks a loop in
-      // practice: outstanding completions are bounded by the
-      // scheduler's admission queue anyway.
-      completions_(1 << 16) {}
+      config_(config) {}
 
 NetServer::~NetServer() { Shutdown(); }
 
@@ -115,9 +102,9 @@ Status NetServer::Listen() {
   int num_loops = config_.num_loops;
   if (num_loops <= 0) {
     // One shard per ~4 cores, capped: the loops only read, decode,
-    // and re-arm (completers write replies), so a few go a long way —
-    // and on a small machine extra shards are pure context-switch
-    // overhead.
+    // and re-arm (scheduler threads write replies), so a few go a
+    // long way — and on a small machine extra shards are pure
+    // context-switch overhead.
     const unsigned hw = std::thread::hardware_concurrency();
     num_loops = std::max(1, std::min(4, static_cast<int>(hw / 4)));
   }
@@ -182,6 +169,10 @@ void NetServer::AcceptAll(EventLoop* loop) {
     if (config_.max_connections > 0 &&
         live > config_.max_connections) {
       live_conns_.fetch_sub(1, std::memory_order_acq_rel);
+      // Counted before the refusal becomes observable: a client that
+      // has read the frame and EOF must already see it in stats().
+      stats_.connections_refused.fetch_add(1,
+                                           std::memory_order_relaxed);
       // Typed refusal so the client can distinguish "server full"
       // from a network failure. Best-effort single write: if the
       // socket won't take the bytes we close regardless.
@@ -194,8 +185,6 @@ void NetServer::AcceptAll(EventLoop* loop) {
           &refusal);
       (void)io::WriteSome(fd, refusal.data(), refusal.size());
       ::close(fd);
-      stats_.connections_refused.fetch_add(1,
-                                           std::memory_order_relaxed);
       continue;
     }
     const int one = 1;
@@ -227,8 +216,8 @@ void NetServer::CloseConnection(
   if (conn->state == Connection::State::kClosed) return;
   ::epoll_ctl(conn->loop->epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
   {
-    // Under write_mu so the close can never race a completer's
-    // direct write — after this, completers see kClosed and skip.
+    // Under write_mu so the close can never race a completion's
+    // direct write — after this, completions see kClosed and skip.
     std::lock_guard<std::mutex> lock(conn->write_mu);
     conn->state = Connection::State::kClosed;
     ::close(conn->fd);
@@ -364,24 +353,10 @@ bool NetServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
         return true;
       }
       conn->inflight.fetch_add(1, std::memory_order_acq_rel);
-      if (config_.use_completer_pool) {
-        // Futures path: a completer pops the pair and blocks on the
-        // future; admission control happens inside SubmitBatch (a
-        // full queue resolves it immediately with Unavailable).
-        Completion completion;
-        completion.future =
-            scheduler_
-                ->SubmitBatch(req_or->model, std::move(*input_or),
-                              req_or->deadline_us)
-                .share();
-        completion.conn = conn;
-        completion.request_id = header.request_id;
-        completions_.Push(std::move(completion));
-        return true;
-      }
-      // Callback path: whichever scheduler thread resolves the
-      // request (worker after the batch, dispatcher/submitter for
-      // sheds) encodes and flushes the reply right there.
+      // Whichever thread resolves the request (a scheduler worker
+      // after the batch, the dispatcher for deadline sheds, this very
+      // thread for admission sheds) encodes and flushes the reply
+      // right there.
       const uint64_t request_id = header.request_id;
       callbacks_outstanding_.fetch_add(1, std::memory_order_acq_rel);
       scheduler_->SubmitBatchCallback(
@@ -510,7 +485,7 @@ void NetServer::HandleReadable(
 
 void NetServer::RearmOrClose(const std::shared_ptr<Connection>& conn) {
   if (conn->state == Connection::State::kClosed) return;
-  // Order matters: a completer appends the reply *before* it drops
+  // Order matters: a completion appends the reply *before* it drops
   // inflight, so inflight==0 observed first means every owed reply is
   // already in `out` (or flushed) by the time we check it.
   const int64_t inflight =
@@ -610,7 +585,7 @@ void NetServer::LoopThread(EventLoop* loop) {
       drain_deadline_ms = NowMs() + config_.drain_timeout_ms;
     }
     if (stopping && !accepting) {
-      // Completers flush fully-drained replies without waking the
+      // Completions flush fully-drained replies without waking the
       // loop, so drain progress (inflight hitting zero) is polled:
       // the 10ms epoll timeout below bounds the polling latency.
       std::vector<std::shared_ptr<Connection>> all;
@@ -640,7 +615,7 @@ void NetServer::LoopThread(EventLoop* loop) {
         continue;
       }
       if (tag == 1) {
-        // Clear before draining: a completer nudging after this point
+        // Clear before draining: a completion nudging after this point
         // writes a fresh byte and the next iteration picks it up.
         loop->wake_pending.store(false, std::memory_order_release);
         char sink[256];
@@ -658,7 +633,7 @@ void NetServer::LoopThread(EventLoop* loop) {
       HandleEvent(conn, events[i].events);
     }
 
-    // Completer nudges: connections with backlogged, broken, or
+    // Completion nudges: connections with backlogged, broken, or
     // drain-eligible write sides.
     std::vector<std::shared_ptr<Connection>> pending;
     {
@@ -666,7 +641,7 @@ void NetServer::LoopThread(EventLoop* loop) {
       pending.swap(loop->pending_writes);
     }
     for (const auto& conn : pending) {
-      // Cleared before the flush: a completer landing mid-flush
+      // Cleared before the flush: a completion landing mid-flush
       // re-queues the connection for the next round.
       conn->pending.store(false, std::memory_order_release);
       if (conn->state == Connection::State::kClosed) continue;
@@ -717,13 +692,6 @@ void NetServer::CompleteRequest(
       conn->loop->pending_writes.push_back(conn);
     }
     WakeLoop(conn->loop);
-  }
-}
-
-void NetServer::CompleterThread() {
-  while (std::optional<Completion> task = completions_.Pop()) {
-    Result<Tensor> result = task->future.get();
-    CompleteRequest(task->conn, task->request_id, std::move(result));
   }
 }
 
@@ -785,15 +753,11 @@ void NetServer::Shutdown() {
   for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
   }
-  completions_.Close();
-  for (std::thread& t : completers_) {
-    if (t.joinable()) t.join();
-  }
   {
-    // Callback path: wait out completions still running on scheduler
-    // threads (the scheduler resolves every admitted request in
-    // bounded time, shutdown or not). After this, no scheduler thread
-    // holds a reference into the server.
+    // Wait out completions still running on scheduler threads (the
+    // scheduler resolves every admitted request in bounded time,
+    // shutdown or not). After this, no scheduler thread holds a
+    // reference into the server.
     std::unique_lock<std::mutex> lock(cb_mu_);
     cb_cv_.wait(lock, [this] {
       return callbacks_outstanding_.load(std::memory_order_acquire) ==

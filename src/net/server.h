@@ -11,11 +11,12 @@
 // across shards and each connection lives its whole life on one loop
 // thread. Requests decoded from a connection's read ring flow through
 // admission control into the RequestScheduler, so cross-request
-// micro-batching coalesces rows *across sockets*; completions come
-// back from the scheduler's futures on a completer pool that encodes
-// reply bytes and flushes the socket directly under the connection's
-// write mutex — the event loop is only involved when the socket
-// pushes back (EPOLLOUT) or the connection is winding down.
+// micro-batching coalesces rows *across sockets*; each predict
+// completes through the scheduler's callback, on whichever scheduler
+// thread resolves it, which encodes the reply bytes and flushes the
+// socket directly under the connection's write mutex — the event loop
+// is only involved when the socket pushes back (EPOLLOUT) or the
+// connection is winding down.
 //
 // Connection lifecycle is explicit state-machine code:
 //
@@ -23,7 +24,7 @@
 //   kPeerHalfClosed  read() hit EOF (client shutdown(SHUT_WR)); no
 //                    more reads, but every in-flight request still
 //                    gets its reply flushed before close
-//   kClosed          fd closed (set under write_mu so a completer can
+//   kClosed          fd closed (set under write_mu so a completion can
 //                    never write to a recycled descriptor)
 //
 // and a connection dies immediately on: unframeable input (bad
@@ -40,7 +41,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -51,7 +51,6 @@
 #include "common/result.h"
 #include "net/buffer.h"
 #include "net/wire.h"
-#include "resource/bounded_queue.h"
 #include "serving/request_scheduler.h"
 #include "serving/serving_session.h"
 
@@ -85,16 +84,6 @@ struct NetServerConfig {
   // shards on a small machine just add context switches). Clamped to
   // >= 1.
   int num_loops = 0;
-  // Completion path. Default (false): the scheduler thread that
-  // resolves a predict invokes the server's completion callback
-  // inline — the reply is encoded and flushed with zero extra thread
-  // handoffs. True: predicts go through scheduler futures drained by
-  // a completer pool (one more handoff, but completions never borrow
-  // scheduler-thread time; useful when reply encode/flush is heavy).
-  bool use_completer_pool = false;
-  // Threads turning scheduler futures into flushed reply bytes
-  // (use_completer_pool = true only).
-  int num_completers = 2;
   // Shutdown drain budget: how long to keep flushing pending replies.
   int64_t drain_timeout_ms = 5000;
 };
@@ -138,7 +127,7 @@ struct NetServerStats {
 
 class NetServer {
  public:
-  // Binds, listens, spawns the event-loop shards + completer pool.
+  // Binds, listens, spawns the event-loop shards.
   // `session` and `scheduler` must outlive the server.
   static Result<std::unique_ptr<NetServer>> Start(
       ServingSession* session, RequestScheduler* scheduler,
@@ -171,20 +160,20 @@ class NetServer {
     EventLoop* loop = nullptr;  // owning shard, fixed at accept
     enum class State { kOpen, kPeerHalfClosed, kClosed };
     // Written by the owning loop thread (kClosed under write_mu, so
-    // close never races a completer holding the lock); read freely by
-    // the loop, under write_mu by completers.
+    // close never races a completion holding the lock); read freely
+    // by the loop, under write_mu by completions.
     State state = State::kOpen;
     Buffer in;  // owning loop thread only
-    // The write side is shared: completers encode replies into `out`
+    // The write side is shared: completions encode replies into `out`
     // and flush the socket directly — the hot path never detours
     // through the event loop. write_mu serializes out/fd writes and
     // gates them against close (fd reuse is the hazard: a write after
     // ::close could land on a recycled descriptor).
     std::mutex write_mu;
     Buffer out;
-    bool broken = false;  // fatal write error seen by a completer
+    bool broken = false;  // fatal write error seen by a completion
     // Requests submitted to the scheduler whose replies are not yet
-    // flushed; a connection can only drain-close at zero (completers
+    // flushed; a connection can only drain-close at zero (completions
     // hold a shared_ptr anyway — this gates *drain*, not lifetime).
     std::atomic<int64_t> inflight{0};
     // True while the connection sits in its loop's pending list: one
@@ -196,25 +185,19 @@ class NetServer {
 
   // One epoll shard. Its conns map, accepting flag, and drain state
   // are touched only by its own thread; the pending list is the
-  // completer → loop handoff.
+  // completion → loop handoff.
   struct EventLoop {
     int epoll_fd = -1;
     int wake_pipe[2] = {-1, -1};
     std::unordered_map<uint64_t, std::shared_ptr<Connection>> conns;
-    // Connections a completer wants the loop to look at (backlogged,
+    // Connections a completion wants the loop to look at (backlogged,
     // broken, or drain-eligible writes).
     std::mutex pending_mu;
     std::vector<std::shared_ptr<Connection>> pending_writes;
-    // Collapses completer wakeups: one self-pipe byte per loop
+    // Collapses completion wakeups: one self-pipe byte per loop
     // iteration, not one per completed request.
     std::atomic<bool> wake_pending{false};
     std::thread thread;
-  };
-
-  struct Completion {
-    std::shared_future<Result<Tensor>> future;
-    std::shared_ptr<Connection> conn;
-    uint64_t request_id = 0;
   };
 
   NetServer(ServingSession* session, RequestScheduler* scheduler,
@@ -222,12 +205,10 @@ class NetServer {
 
   Status Listen();
   void LoopThread(EventLoop* loop);
-  void CompleterThread();
   // Encodes `result` for `request_id`, flushes the socket directly
   // under conn->write_mu, and nudges the owning loop only when it has
   // work (backlog, broken socket, or a drain-eligible connection).
-  // Called by completers (futures path) or straight from scheduler
-  // threads (callback path).
+  // Called from the scheduler thread that resolved the request.
   void CompleteRequest(const std::shared_ptr<Connection>& conn,
                        uint64_t request_id, Result<Tensor> result);
 
@@ -268,11 +249,8 @@ class NetServer {
   // EPOLLEXCLUSIVE spreading accepts across loops.
   std::atomic<int64_t> live_conns_{0};
 
-  BoundedQueue<Completion> completions_;
-  std::vector<std::thread> completers_;
-
   std::atomic<bool> stopping_{false};
-  // Callback-path completions still running inside scheduler threads;
+  // Completions still running inside scheduler threads;
   // Shutdown waits for zero so a callback can never touch a freed
   // server (the scheduler may outlive us and fire late sheds).
   std::atomic<int64_t> callbacks_outstanding_{0};

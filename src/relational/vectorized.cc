@@ -574,16 +574,21 @@ Result<ColumnarScanOutput> ColumnarScan(const ColumnarTable& table,
     bool vis_filtered = false;
     // Visibility pre-selection (within-fragment offsets), computed
     // once the fragment's decoded row count is known. Fully visible
-    // fragments skip the per-row pass entirely.
+    // fragments skip the per-row pass entirely. Returns false when no
+    // row is visible: the fragment then emits an empty batch, because
+    // an empty selection handed to EvalPredicate would read as "no
+    // selection" (every row).
     auto compute_visibility = [&](int64_t rows) {
-      if (opts.visibility == nullptr) return;
-      if (opts.visibility->AllVisible(frag_start, rows,
-                                      opts.snapshot)) {
-        return;
+      if (opts.visibility == nullptr ||
+          opts.visibility->AllVisible(frag_start, rows, opts.snapshot)) {
+        return true;
       }
       opts.visibility->VisibleSelection(frag_start, rows,
                                         opts.snapshot, &vis_sel);
       vis_filtered = true;
+      if (!vis_sel.empty()) return true;
+      out.batches[f] = ColumnBatch(out.schema);
+      return false;
     };
     ColumnBatch batch;
     SelVector sel;
@@ -599,7 +604,7 @@ Result<ColumnarScanOutput> ColumnarScan(const ColumnarTable& table,
                              std::memory_order_relaxed);
       bytes_scanned.fetch_add(pred_batch.ByteSize(),
                               std::memory_order_relaxed);
-      compute_visibility(pred_batch.num_rows);
+      if (!compute_visibility(pred_batch.num_rows)) return;
       Result<SelVector> passed =
           vis_filtered
               ? EvalPredicate(*opts.predicate, pred_batch,
@@ -657,7 +662,7 @@ Result<ColumnarScanOutput> ColumnarScan(const ColumnarTable& table,
                              std::memory_order_relaxed);
       bytes_scanned.fetch_add(batch.ByteSize(),
                               std::memory_order_relaxed);
-      compute_visibility(batch.num_rows);
+      if (!compute_visibility(batch.num_rows)) return;
       if (opts.predicate != nullptr) {
         Result<SelVector> passed =
             vis_filtered

@@ -8,15 +8,6 @@
 
 namespace relserve {
 
-void RequestScheduler::Fulfill(Request& request,
-                               Result<Tensor> value) {
-  if (request.on_done) {
-    request.on_done(std::move(value));
-    return;
-  }
-  request.promise.set_value(std::move(value));
-}
-
 RequestScheduler::RequestScheduler(ServingSession* session,
                                    SchedulerConfig config)
     : session_(session),
@@ -39,86 +30,68 @@ RequestScheduler::RequestScheduler(ServingSession* session,
 
 RequestScheduler::~RequestScheduler() { Shutdown(); }
 
-std::future<Result<Tensor>> RequestScheduler::SubmitBatch(
-    const std::string& model, Tensor input, int64_t deadline_us) {
-  Request request;
-  request.kind = RequestKind::kBatch;
-  request.model = model;
-  request.input = std::move(input);
-  request.has_deadline = deadline_us != 0;
-  request.deadline = std::chrono::steady_clock::now() +
-                     std::chrono::microseconds(deadline_us);
-  return Submit(std::move(request));
-}
-
 void RequestScheduler::SubmitBatchCallback(
     const std::string& model, Tensor input, int64_t deadline_us,
     std::function<void(Result<Tensor>)> on_done) {
+  Submit(RequestKind::kBatch, model, std::move(input), deadline_us,
+         std::move(on_done));
+}
+
+std::future<Result<Tensor>> RequestScheduler::SubmitBatch(
+    const std::string& model, Tensor input, int64_t deadline_us) {
+  return SubmitFuture(RequestKind::kBatch, model, std::move(input),
+                      deadline_us);
+}
+
+std::future<Result<Tensor>> RequestScheduler::SubmitCached(
+    const std::string& model, Tensor input, int64_t deadline_us) {
+  return SubmitFuture(RequestKind::kCached, model, std::move(input),
+                      deadline_us);
+}
+
+std::future<Result<Tensor>> RequestScheduler::SubmitFuture(
+    RequestKind kind, const std::string& model, Tensor input,
+    int64_t deadline_us) {
+  // Shared: std::function needs a copyable callable.
+  auto promise = std::make_shared<std::promise<Result<Tensor>>>();
+  std::future<Result<Tensor>> future = promise->get_future();
+  Submit(kind, model, std::move(input), deadline_us,
+         [promise](Result<Tensor> result) {
+           promise->set_value(std::move(result));
+         });
+  return future;
+}
+
+void RequestScheduler::Submit(
+    RequestKind kind, const std::string& model, Tensor input,
+    int64_t deadline_us, std::function<void(Result<Tensor>)> on_done) {
   Request request;
-  request.kind = RequestKind::kBatch;
+  request.kind = kind;
   request.model = model;
   request.input = std::move(input);
   request.has_deadline = deadline_us != 0;
   request.deadline = std::chrono::steady_clock::now() +
                      std::chrono::microseconds(deadline_us);
   request.on_done = std::move(on_done);
-  // Sheds resolve through the callback too (inline, possibly on this
-  // very thread); the returned future is vacuous and dropped.
-  Submit(std::move(request));
-}
-
-std::future<Result<Tensor>> RequestScheduler::SubmitCached(
-    const std::string& model, Tensor input, int64_t deadline_us) {
-  Request request;
-  request.kind = RequestKind::kCached;
-  request.model = model;
-  request.input = std::move(input);
-  request.has_deadline = deadline_us != 0;
-  request.deadline = std::chrono::steady_clock::now() +
-                     std::chrono::microseconds(deadline_us);
-  return Submit(std::move(request));
-}
-
-std::future<Result<Tensor>> RequestScheduler::SubmitPredict(
-    const std::string& model, const std::string& table,
-    const std::string& feature_col, int64_t deadline_us) {
-  Request request;
-  request.kind = RequestKind::kTable;
-  request.model = model;
-  request.table = table;
-  request.feature_col = feature_col;
-  request.has_deadline = deadline_us != 0;
-  request.deadline = std::chrono::steady_clock::now() +
-                     std::chrono::microseconds(deadline_us);
-  return Submit(std::move(request));
-}
-
-std::future<Result<Tensor>> RequestScheduler::Submit(Request request) {
-  std::future<Result<Tensor>> future = request.promise.get_future();
   stats_.submitted.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(control_mu_);
     if (stopped_) {
-      Fulfill(request,
-              Status::Unavailable("scheduler is shut down"));
-      return future;
+      request.on_done(Status::Unavailable("scheduler is shut down"));
+      return;
     }
   }
   if (!admission_.TryPush(std::move(request))) {
-    // TryPush leaves `request` intact on failure, so the promise is
-    // still ours to resolve.
+    // TryPush leaves `request` intact on failure, so its callback is
+    // still ours to invoke.
     stats_.shed_queue_full.fetch_add(1, std::memory_order_relaxed);
-    Fulfill(request,
-            Status::Unavailable(
-                "admission queue full: serving front-end overloaded"));
+    request.on_done(Status::Unavailable(
+        "admission queue full: serving front-end overloaded"));
   }
-  return future;
 }
 
 std::string RequestScheduler::CoalesceKey(const Request& request) {
-  // Table scans are already maximal batches; rank-<2 inputs have no
-  // row axis to concatenate along.
-  if (request.kind == RequestKind::kTable) return "";
+  // Rank-<2 inputs have no row axis to concatenate along.
   if (request.input.shape().ndim() < 2) return "";
   std::string key =
       request.kind == RequestKind::kBatch ? "B|" : "C|";
@@ -132,11 +105,8 @@ std::string RequestScheduler::CoalesceKey(const Request& request) {
 }
 
 int64_t RequestScheduler::RowsOf(const Request& request) {
-  if (request.kind == RequestKind::kTable) return 0;  // unknown here
-  if (request.input.shape().ndim() < 1) return 1;
-  return request.input.shape().ndim() < 2
-             ? 1
-             : request.input.shape().dim(0);
+  return request.input.shape().ndim() < 2 ? 1
+                                          : request.input.shape().dim(0);
 }
 
 bool RequestScheduler::Expired(
@@ -146,9 +116,8 @@ bool RequestScheduler::Expired(
 
 void RequestScheduler::ShedExpired(Request request) {
   stats_.shed_deadline.fetch_add(1, std::memory_order_relaxed);
-  Fulfill(request,
-          Status::DeadlineExceeded(
-              "request deadline expired before execution"));
+  request.on_done(Status::DeadlineExceeded(
+      "request deadline expired before execution"));
 }
 
 void RequestScheduler::DispatcherLoop() {
@@ -219,28 +188,9 @@ void RequestScheduler::DispatcherLoop() {
     batch_queue_.Push(std::move(batch));
   }
 
-  // Admission closed: everything left in the stash still gets served.
-  while (!stash_.empty()) {
-    Request first = std::move(stash_.front());
-    stash_.pop_front();
-    Batch batch;
-    const std::string key = CoalesceKey(first);
-    int64_t rows = RowsOf(first);
-    batch.requests.push_back(std::move(first));
-    if (!key.empty()) {
-      for (auto it = stash_.begin();
-           it != stash_.end() && rows < config_.max_batch_rows;) {
-        if (CoalesceKey(*it) == key) {
-          rows += RowsOf(*it);
-          batch.requests.push_back(std::move(*it));
-          it = stash_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    batch_queue_.Push(std::move(batch));
-  }
+  // Only an empty stash reaches the admission Pop that ends the loop,
+  // and after Close that Pop drains every admitted request first: the
+  // batch-forming sweep above already served everything.
   batch_queue_.Close();
 }
 
@@ -319,27 +269,6 @@ Result<Tensor> RequestScheduler::RunResilient(
   return result;
 }
 
-Result<Tensor> RequestScheduler::RunSingle(Request& request) {
-  switch (request.kind) {
-    case RequestKind::kTable: {
-      RELSERVE_ASSIGN_OR_RETURN(
-          ExecOutput out,
-          session_->Predict(request.model, request.table,
-                            request.feature_col));
-      return out.ToTensor(session_->exec_context());
-    }
-    case RequestKind::kBatch: {
-      RELSERVE_ASSIGN_OR_RETURN(
-          ExecOutput out,
-          session_->PredictBatch(request.model, request.input));
-      return out.ToTensor(session_->exec_context());
-    }
-    case RequestKind::kCached:
-      return session_->PredictWithCache(request.model, request.input);
-  }
-  return Status::Internal("unknown request kind");
-}
-
 void RequestScheduler::ExecuteBatch(Batch batch) {
   // A batch may have aged in the queue; shed what is already late so
   // the engine only burns cycles on results someone still wants.
@@ -355,93 +284,67 @@ void RequestScheduler::ExecuteBatch(Batch batch) {
   }
   if (live.empty()) return;
 
-  stats_.batches.fetch_add(1, std::memory_order_relaxed);
-
-  if (live.size() == 1) {
-    Request& request = live[0];
-    bool breaker_shed = false;
-    Result<Tensor> result = RunResilient(
-        request.model, [&] { return RunSingle(request); },
-        &breaker_shed);
-    if (breaker_shed) {
-      stats_.shed_breaker.fetch_add(1, std::memory_order_relaxed);
-    }
-    int64_t rows = RowsOf(request);
-    if (rows == 0 && result.ok()) {
-      // Table scans learn their row count from the output.
-      rows = result->shape().ndim() > 0 ? result->shape().dim(0) : 1;
-    }
-    stats_.total_rows.fetch_add(rows, std::memory_order_relaxed);
-    int64_t prev = stats_.max_batch_rows_seen.load();
-    while (prev < rows &&
-           !stats_.max_batch_rows_seen.compare_exchange_weak(prev,
-                                                             rows)) {
-    }
-    Fulfill(request, std::move(result));
-    return;
-  }
-
-  // Coalesced path: every request shares kind, model, and per-row
-  // shape (the dispatcher's CoalesceKey guarantees it). Concatenate
-  // the row-major inputs into one contiguous micro-batch tensor.
   int64_t total_rows = 0;
   for (const Request& request : live) total_rows += RowsOf(request);
-  std::vector<int64_t> dims = live[0].input.shape().dims();
-  dims[0] = total_rows;
+  stats_.batches.fetch_add(1, std::memory_order_relaxed);
+  stats_.total_rows.fetch_add(total_rows, std::memory_order_relaxed);
+  int64_t prev = stats_.max_batch_rows_seen.load();
+  while (prev < total_rows &&
+         !stats_.max_batch_rows_seen.compare_exchange_weak(prev,
+                                                           total_rows)) {
+  }
 
   auto fail_all = [&live](const Status& status) {
-    for (Request& request : live) {
-      Fulfill(request, Result<Tensor>(status));
-    }
+    for (Request& request : live) request.on_done(status);
   };
 
-  Result<Tensor> merged_or = Tensor::Create(Shape(dims), nullptr);
-  if (!merged_or.ok()) {
-    fail_all(merged_or.status());
-    return;
-  }
-  Tensor merged = std::move(*merged_or);
-  {
+  // Every request shares kind, model, and per-row shape (the
+  // dispatcher's CoalesceKey guarantees it). A lone request runs on
+  // its own input and gets the engine's output as-is; a coalesced
+  // batch concatenates the row-major inputs into one contiguous
+  // micro-batch tensor and scatters the output rows back.
+  const bool coalesced = live.size() > 1;
+  Tensor merged;
+  if (!coalesced) {
+    merged = std::move(live[0].input);
+  } else {
+    std::vector<int64_t> dims = live[0].input.shape().dims();
+    dims[0] = total_rows;
+    Result<Tensor> merged_or = Tensor::Create(Shape(dims), nullptr);
+    if (!merged_or.ok()) {
+      fail_all(merged_or.status());
+      return;
+    }
+    merged = std::move(*merged_or);
     float* dst = merged.data();
     for (const Request& request : live) {
       const int64_t n = request.input.NumElements();
       std::memcpy(dst, request.input.data(), n * sizeof(float));
       dst += n;
     }
+    stats_.coalesced_requests.fetch_add(
+        static_cast<int64_t>(live.size()), std::memory_order_relaxed);
   }
 
-  stats_.coalesced_requests.fetch_add(
-      static_cast<int64_t>(live.size()), std::memory_order_relaxed);
-  stats_.total_rows.fetch_add(total_rows, std::memory_order_relaxed);
-  int64_t prev = stats_.max_batch_rows_seen.load();
-  while (prev < total_rows &&
-         !stats_.max_batch_rows_seen.compare_exchange_weak(
-             prev, total_rows)) {
-  }
-
-  Result<Tensor> out_or = Status::Internal("uninitialized");
+  const std::string& model = live[0].model;
+  const bool cached = live[0].kind == RequestKind::kCached;
   bool breaker_shed = false;
-  if (live[0].kind == RequestKind::kBatch) {
-    out_or = RunResilient(
-        live[0].model,
-        [&]() -> Result<Tensor> {
-          Result<ExecOutput> exec =
-              session_->PredictBatch(live[0].model, merged);
-          return exec.ok() ? exec->ToTensor(session_->exec_context())
-                           : Result<Tensor>(exec.status());
-        },
-        &breaker_shed);
-  } else {
-    out_or = RunResilient(
-        live[0].model,
-        [&] {
-          return session_->PredictWithCache(live[0].model, merged);
-        },
-        &breaker_shed);
-  }
+  Result<Tensor> out_or = RunResilient(
+      model,
+      [&]() -> Result<Tensor> {
+        if (cached) return session_->PredictWithCache(model, merged);
+        RELSERVE_ASSIGN_OR_RETURN(ExecOutput exec,
+                                  session_->PredictBatch(model, merged));
+        return exec.ToTensor(session_->exec_context());
+      },
+      &breaker_shed);
   if (breaker_shed) {
     stats_.shed_breaker.fetch_add(static_cast<int64_t>(live.size()),
                                   std::memory_order_relaxed);
+  }
+  if (!coalesced) {
+    live[0].on_done(std::move(out_or));
+    return;
   }
   if (!out_or.ok()) {
     fail_all(out_or.status());
@@ -465,16 +368,13 @@ void RequestScheduler::ExecuteBatch(Batch batch) {
     const int64_t rows = RowsOf(request);
     out_dims[0] = rows;
     Result<Tensor> slice_or = Tensor::Create(Shape(out_dims), nullptr);
-    if (!slice_or.ok()) {
-      Fulfill(request, std::move(slice_or));
-      offset_rows += rows;
-      continue;
+    if (slice_or.ok()) {
+      std::memcpy(slice_or->data(),
+                  out.data() + offset_rows * out_row_elems,
+                  rows * out_row_elems * sizeof(float));
     }
-    std::memcpy(slice_or->data(),
-                out.data() + offset_rows * out_row_elems,
-                rows * out_row_elems * sizeof(float));
     offset_rows += rows;
-    Fulfill(request, std::move(slice_or));
+    request.on_done(std::move(slice_or));
   }
 }
 

@@ -1,10 +1,10 @@
 // RequestScheduler: the concurrent serving front-end.
 //
-// Many client threads submit Predict / PredictBatch / PredictWithCache
-// requests; the scheduler coalesces compatible ones (same kind, same
-// model, same per-row feature shape) into adaptive micro-batches so
-// the fixed per-query cost — plan lookup, kernel dispatch, GEMM setup —
-// is amortized across requests. Batching is governed by two knobs:
+// Many client threads submit PredictBatch / PredictWithCache requests;
+// the scheduler coalesces compatible ones (same kind, same model, same
+// per-row feature shape) into adaptive micro-batches so the fixed
+// per-query cost — plan lookup, kernel dispatch, GEMM setup — is
+// amortized across requests. Batching is governed by two knobs:
 //
 //   max_batch_rows  — a batch closes as soon as it holds this many rows
 //   max_delay_us    — ... or when the oldest member has waited this long
@@ -15,14 +15,15 @@
 // and the *next* batch naturally grows — bigger batches exactly when
 // the engine is the bottleneck, minimal latency when it is idle.
 //
-// Per-row results are scattered back to callers through
-// std::promise/std::future. Coalescing is bit-transparent: the engine's
+// Every request carries one completion callback, invoked exactly once
+// with its row slice or a typed status; SubmitBatch / SubmitCached are
+// future adapters over it. Coalescing is bit-transparent: the engine's
 // per-row accumulation order is independent of batch size, so a row
 // served in a 256-row micro-batch returns the same bits as one served
 // alone (serving_concurrency_test asserts this).
 //
 // Admission control: the front queue is bounded. When it is full the
-// submit returns an already-resolved future carrying
+// request resolves inline, on the submitting thread, with
 // Status::Unavailable (shed, not stalled); a request whose deadline
 // has passed by the time a dispatcher or worker sees it resolves to
 // Status::DeadlineExceeded without touching the engine.
@@ -132,33 +133,27 @@ class RequestScheduler {
   // not executed within that many microseconds; < 0 = already expired
   // (tests use this for a deterministic shed).
 
-  // In-memory batch inference (rows coalesce across requests).
-  std::future<Result<Tensor>> SubmitBatch(const std::string& model,
-                                          Tensor input,
-                                          int64_t deadline_us = 0);
-
-  // Like SubmitBatch, but the result is delivered by invoking
-  // `on_done` inline on whichever scheduler thread resolves the
-  // request (a worker after execution; the dispatcher or even the
-  // submitting thread for sheds) instead of through a future. This is
-  // the zero-handoff completion path the network front-end uses: the
-  // callback must be cheap-ish and must not re-enter the scheduler.
+  // In-memory batch inference (rows coalesce across requests). The
+  // result is delivered by invoking `on_done` exactly once, inline on
+  // whichever thread resolves the request: a worker after execution,
+  // the dispatcher for deadline sheds, the submitting thread for
+  // admission sheds. This is the zero-handoff completion path the
+  // network front-end uses: the callback must be cheap-ish and must
+  // not re-enter the scheduler.
   void SubmitBatchCallback(
       const std::string& model, Tensor input, int64_t deadline_us,
       std::function<void(Result<Tensor>)> on_done);
 
+  // Future adapter over SubmitBatchCallback.
+  std::future<Result<Tensor>> SubmitBatch(const std::string& model,
+                                          Tensor input,
+                                          int64_t deadline_us = 0);
+
   // Cache-tier serving (rows coalesce; hits short-circuit per row
-  // inside the session).
+  // inside the session), as a future.
   std::future<Result<Tensor>> SubmitCached(const std::string& model,
                                            Tensor input,
                                            int64_t deadline_us = 0);
-
-  // Whole-table inference. Table scans never coalesce with other
-  // requests — they are already maximal batches.
-  std::future<Result<Tensor>> SubmitPredict(
-      const std::string& model, const std::string& table,
-      const std::string& feature_col = "features",
-      int64_t deadline_us = 0);
 
   // --- Synchronous conveniences -------------------------------------
 
@@ -177,9 +172,9 @@ class RequestScheduler {
   void Pause();
   void Resume();
 
-  // Closes admission, drains every already-admitted request (each gets
-  // a real result or a typed shed status — never a broken promise),
-  // joins all threads. Idempotent; later submits get Unavailable.
+  // Closes admission, drains every already-admitted request (each
+  // completes with a real result or a typed shed status), joins all
+  // threads. Idempotent; later submits complete with Unavailable.
   void Shutdown();
 
   SchedulerStats stats() const { return stats_; }
@@ -189,19 +184,16 @@ class RequestScheduler {
   CircuitBreaker* breaker(const std::string& model);
 
  private:
-  enum class RequestKind { kTable, kBatch, kCached };
+  enum class RequestKind { kBatch, kCached };
 
+  // The one request descriptor: every submit path builds one, and
+  // on_done is its only completion.
   struct Request {
     RequestKind kind;
     std::string model;
-    std::string table;        // kTable only
-    std::string feature_col;  // kTable only
-    Tensor input;             // kBatch / kCached
+    Tensor input;
     bool has_deadline = false;
     std::chrono::steady_clock::time_point deadline{};
-    std::promise<Result<Tensor>> promise;
-    // Non-empty = callback completion: resolved by calling this
-    // instead of the promise (see SubmitBatchCallback).
     std::function<void(Result<Tensor>)> on_done;
   };
 
@@ -209,13 +201,15 @@ class RequestScheduler {
     std::vector<Request> requests;
   };
 
-  std::future<Result<Tensor>> Submit(Request request);
+  void Submit(RequestKind kind, const std::string& model, Tensor input,
+              int64_t deadline_us,
+              std::function<void(Result<Tensor>)> on_done);
+  std::future<Result<Tensor>> SubmitFuture(RequestKind kind,
+                                           const std::string& model,
+                                           Tensor input,
+                                           int64_t deadline_us);
 
-  // Resolves a request: invokes on_done inline when set (callback
-  // completion), otherwise fulfills the promise.
-  static void Fulfill(Request& request, Result<Tensor> value);
-
-  // "" when the request cannot coalesce (table scans, rank-<2 inputs).
+  // "" when the request cannot coalesce (rank-<2 inputs).
   static std::string CoalesceKey(const Request& request);
   static int64_t RowsOf(const Request& request);
   static bool Expired(const Request& request,
@@ -224,7 +218,6 @@ class RequestScheduler {
   void DispatcherLoop();
   void WorkerLoop();
   void ExecuteBatch(Batch batch);
-  Result<Tensor> RunSingle(Request& request);
   void ShedExpired(Request request);
 
   // Wraps one engine execution for `model` in the resilience stack:

@@ -22,6 +22,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/column_store.h"
 #include "storage/disk_manager.h"
+#include "storage/mvcc.h"
 #include "storage/table_heap.h"
 
 namespace relserve {
@@ -203,6 +204,40 @@ TEST(ColumnarTableTest, EmptySealedFragmentsScanClean) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ASSERT_EQ(out->rows_emitted, 1);
   ExpectSameRows(out->ToRows(), {TestRow(0)});
+}
+
+TEST(ColumnarTableTest, FullyDeletedFragmentEmitsNothingUnderPredicate) {
+  // 12 rows in fragments of 4, all committed at version 1; version 2
+  // deletes every row of the middle fragment. A predicate scan at
+  // snapshot 2 must drop that fragment whole, in both the
+  // late-materialization branch (predicate columns a strict subset of
+  // the output) and the plain branch (predicate covers the output).
+  DualTable t(12, /*fragment_rows=*/4);
+  VisibilityMap visibility;
+  for (int64_t row = 0; row < 12; ++row) visibility.AppendRow(1);
+  for (int64_t row = 4; row < 8; ++row) {
+    ASSERT_TRUE(visibility.MarkDeleted(row, 2).ok());
+  }
+  for (bool late : {true, false}) {
+    SCOPED_TRACE(late ? "late materialization" : "plain");
+    ColumnarScanOptions opts;
+    opts.predicate = Expression::Binary(
+        ExprKind::kLt, Expression::Column(0),
+        Expression::Literal(Value(int64_t{100})));
+    if (!late) opts.projection = {0};
+    opts.visibility = &visibility;
+    opts.snapshot = 2;
+    auto out = ColumnarScan(t.columnar, opts);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_EQ(out->batches.size(), 3u);
+    EXPECT_EQ(out->batches[1].num_rows, 0);
+    EXPECT_EQ(out->rows_emitted, 8);
+    // The snapshot before the delete still sees all 12.
+    opts.snapshot = 1;
+    out = ColumnarScan(t.columnar, opts);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out->rows_emitted, 12);
+  }
 }
 
 TEST(ColumnarTableTest, BatchSizeEdges) {

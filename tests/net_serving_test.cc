@@ -288,41 +288,6 @@ TEST_F(NetServingTest, ConcurrentClientsAllBitIdentical) {
   EXPECT_GE(scheduler_->stats().coalesced_requests.load(), 0);
 }
 
-TEST_F(NetServingTest, CompleterPoolFallbackServesConcurrently) {
-  // The futures + completer-pool completion mode (callback completion
-  // is the default); same concurrent bit-identity contract, exercising
-  // the scheduler-future -> completer handoff instead of inline
-  // callbacks.
-  net::NetServerConfig config;
-  config.use_completer_pool = true;
-  StartServer(config);
-  auto row = workloads::GenBatch(1, Shape{16}, 21);
-  ASSERT_TRUE(row.ok());
-  auto expected = Direct(*row);
-  ASSERT_TRUE(expected.ok());
-
-  constexpr int kClients = 4;
-  constexpr int kPerClient = 12;
-  std::atomic<int> bad{0};
-  std::vector<std::thread> threads;
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&] {
-      auto client = net::NetClient::Connect("127.0.0.1",
-                                            server_->port());
-      if (!client.ok()) {
-        bad.fetch_add(kPerClient);
-        return;
-      }
-      for (int i = 0; i < kPerClient; ++i) {
-        auto got = (*client)->Predict("m", *row);
-        if (!got.ok() || got->MaxAbsDiff(*expected) != 0.0f) ++bad;
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(bad.load(), 0);
-}
-
 TEST_F(NetServingTest, BadMagicGetsProtocolErrorAndClose) {
   StartServer();
   RawConn raw(server_->port());

@@ -7,6 +7,8 @@
 #include "engine/pipeline_executor.h"
 #include "graph/model.h"
 #include "graph/model_zoo.h"
+#include "kernels/int8_gemm.h"
+#include "optimizer/optimizer.h"
 #include "resource/bounded_queue.h"
 #include "workloads/datasets.h"
 
@@ -102,7 +104,7 @@ TEST_F(PipelineTest, MatchesBatchExecutionFfnn) {
   auto piped = PipelineExecutor::Run(*prepared, *input, &ctx_, config);
   ASSERT_TRUE(piped.ok()) << piped.status();
   EXPECT_EQ(piped->shape(), batch->shape());
-  EXPECT_LT(batch->MaxAbsDiff(*piped), 1e-6f);
+  EXPECT_EQ(batch->MaxAbsDiff(*piped), 0.0f);
 }
 
 TEST_F(PipelineTest, MatchesBatchExecutionCnn) {
@@ -118,7 +120,8 @@ TEST_F(PipelineTest, MatchesBatchExecutionCnn) {
   config.micro_batch_rows = 3;
   auto piped = PipelineExecutor::Run(*prepared, *input, &ctx_, config);
   ASSERT_TRUE(piped.ok()) << piped.status();
-  EXPECT_LT(batch->MaxAbsDiff(*piped), 1e-5f);
+  EXPECT_EQ(piped->shape(), batch->shape());
+  EXPECT_EQ(batch->MaxAbsDiff(*piped), 0.0f);
 }
 
 class PipelineChunkSweep : public PipelineTest,
@@ -138,11 +141,70 @@ TEST_P(PipelineChunkSweep, AnyMicroBatchSizeIsEquivalent) {
   config.micro_batch_rows = GetParam();
   auto piped = PipelineExecutor::Run(*prepared, *input, &ctx_, config);
   ASSERT_TRUE(piped.ok());
-  EXPECT_LT(batch->MaxAbsDiff(*piped), 1e-6f);
+  EXPECT_EQ(batch->MaxAbsDiff(*piped), 0.0f);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, PipelineChunkSweep,
                          ::testing::Values(1, 2, 5, 16, 37, 64));
+
+TEST_F(PipelineTest, KernelArmsPipelineBitIdentically) {
+  // Int8 hidden layer and a fused top-k head: both quantize or select
+  // per row, so micro-batching is bit-transparent. Pin kAuto so an
+  // ambient RELSERVE_QUANTIZE cannot switch the int8 arm off.
+  const kernels::QuantizeMode previous =
+      kernels::SetActiveQuantizeMode(kernels::QuantizeMode::kAuto);
+  auto model = BuildFFNN("m", {32, 64, 200}, 7);
+  ASSERT_TRUE(model.ok());
+  OptimizerTuning tuning;
+  tuning.enable_int8 = true;
+  tuning.topk = 5;
+  auto plan = RuleBasedOptimizer(1LL << 40, nullptr, tuning)
+                  .Optimize(*model, 37);
+  ASSERT_TRUE(plan.ok());
+  auto prepared = PreparedModel::Prepare(&*model, *plan, &ctx_);
+  ASSERT_TRUE(prepared.ok());
+  bool has_int8 = false;
+  bool has_topk = false;
+  for (const auto& stage : prepared->physical().stages()) {
+    has_int8 |= stage->int8_weight != nullptr;
+    has_topk |= stage->kind == StageKind::kMatMulTopK;
+  }
+  EXPECT_TRUE(has_int8);
+  EXPECT_TRUE(has_topk);
+  auto input = workloads::GenBatch(37, Shape{32}, 3);
+  ASSERT_TRUE(input.ok());
+  auto batch = RunBatch(*prepared, *input);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(batch->shape(), (Shape{37, 10}));
+  PipelineConfig config;
+  config.micro_batch_rows = 5;
+  auto piped = PipelineExecutor::Run(*prepared, *input, &ctx_, config);
+  ASSERT_TRUE(piped.ok()) << piped.status();
+  EXPECT_EQ(piped->shape(), batch->shape());
+  EXPECT_EQ(batch->MaxAbsDiff(*piped), 0.0f);
+  kernels::SetActiveQuantizeMode(previous);
+}
+
+TEST_F(PipelineTest, EveryStageRunsOncePerMicroBatch) {
+  auto model = BuildFFNN("m", {12, 24, 5}, 3);
+  ASSERT_TRUE(model.ok());
+  auto prepared = PreparedModel::Prepare(&*model, AllUdf(*model), &ctx_);
+  ASSERT_TRUE(prepared.ok());
+  auto input = workloads::GenBatch(100, Shape{12}, 7);
+  ASSERT_TRUE(input.ok());
+  PipelineConfig config;
+  config.micro_batch_rows = 16;  // 7 micro-batches, the last ragged
+  const int64_t stages_before = ctx_.stats.stages_executed.load();
+  ASSERT_TRUE(
+      PipelineExecutor::Run(*prepared, *input, &ctx_, config).ok());
+  const auto& stages = prepared->physical().stages();
+  for (const auto& stage : stages) {
+    EXPECT_EQ(stage->stats.invocations.load(), 7) << stage->label;
+    EXPECT_EQ(stage->stats.rows.load(), 100) << stage->label;
+  }
+  EXPECT_EQ(ctx_.stats.stages_executed.load() - stages_before,
+            7 * static_cast<int64_t>(stages.size()));
+}
 
 TEST_F(PipelineTest, BoundedPeakMemory) {
   // A deep-ish model over a big batch: the pipeline's peak arena use
@@ -167,7 +229,7 @@ TEST_F(PipelineTest, BoundedPeakMemory) {
   ASSERT_TRUE(piped.ok());
   const int64_t pipe_peak = tracker_.peak_bytes();
 
-  EXPECT_LT(batch->MaxAbsDiff(*piped), 1e-4f);
+  EXPECT_EQ(batch->MaxAbsDiff(*piped), 0.0f);
   // Pipeline holds micro-batches, not whole activations (the output
   // tensor dominates its peak).
   EXPECT_LT(pipe_peak, batch_peak / 2);

@@ -1,9 +1,10 @@
 // Concurrency tests for the serving front-end: mixed multi-threaded
 // traffic through the RequestScheduler must produce bit-identical
 // results to the serial path, shedding must be typed (DeadlineExceeded
-// / Unavailable, never a hang or a broken promise), and redeploying a
-// model mid-flight must not invalidate in-flight queries (the
-// dangling-Deployment use-after-free regression).
+// / Unavailable, never a hang or a lost completion), every request's
+// callback must fire exactly once, and redeploying a model mid-flight
+// must not invalidate in-flight queries (the dangling-Deployment
+// use-after-free regression).
 //
 // This binary is part of scripts/tsan_check.sh — every assertion here
 // also runs under ThreadSanitizer.
@@ -11,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <functional>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -344,6 +348,112 @@ TEST_F(ServingConcurrencyTest, ShutdownDrainsAdmittedRequests) {
   auto late = scheduler.SubmitBatch("m", *row).get();
   ASSERT_FALSE(late.ok());
   EXPECT_TRUE(late.status().IsUnavailable());
+}
+
+// One completion per request, whatever its fate. Each on_done call is
+// recorded with its result and thread; waits are bounded so a lost
+// completion fails the test instead of hanging it.
+struct Completion {
+  std::mutex mu;
+  std::condition_variable cv;
+  int calls = 0;
+  Result<Tensor> result = Status::Internal("never completed");
+  std::thread::id thread;
+
+  std::function<void(Result<Tensor>)> Callback() {
+    return [this](Result<Tensor> r) {
+      std::lock_guard<std::mutex> lock(mu);
+      ++calls;
+      result = std::move(r);
+      thread = std::this_thread::get_id();
+      cv.notify_all();
+    };
+  }
+  bool Wait() {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(10),
+                       [this] { return calls > 0; });
+  }
+};
+
+TEST_F(ServingConcurrencyTest, CallbackFiresExactlyOncePerOutcome) {
+  LoadModel();
+  SchedulerConfig config;
+  config.start_paused = true;
+  config.queue_capacity = 3;
+  // Long enough that an opened breaker cannot go half-open mid-test.
+  config.breaker.open_cooldown_us = 60'000'000;
+  RequestScheduler scheduler(&session_, config);
+  auto row = workloads::GenBatch(1, Shape{16}, 8);
+  ASSERT_TRUE(row.ok());
+  auto expected = DirectRow("m", *row);
+  ASSERT_TRUE(expected.ok());
+
+  // Paused: a pre-expired request and two coalescible ones fill the
+  // queue, so the next submit sheds inline on this thread.
+  Completion late_deadline, co1, co2, full;
+  scheduler.SubmitBatchCallback("m", *row, -1, late_deadline.Callback());
+  scheduler.SubmitBatchCallback("m", *row, 0, co1.Callback());
+  scheduler.SubmitBatchCallback("m", *row, 0, co2.Callback());
+  scheduler.SubmitBatchCallback("m", *row, 0, full.Callback());
+  {
+    std::lock_guard<std::mutex> lock(full.mu);
+    EXPECT_EQ(full.calls, 1);
+    EXPECT_EQ(full.thread, std::this_thread::get_id());
+    EXPECT_TRUE(full.result.status().IsUnavailable());
+  }
+  scheduler.Resume();
+  ASSERT_TRUE(late_deadline.Wait());
+  ASSERT_TRUE(co1.Wait());
+  ASSERT_TRUE(co2.Wait());
+  EXPECT_TRUE(late_deadline.result.status().IsDeadlineExceeded());
+  for (Completion* c : {&co1, &co2}) {
+    ASSERT_TRUE(c->result.ok()) << c->result.status();
+    EXPECT_EQ(c->result->MaxAbsDiff(*expected), 0.0f);
+  }
+  EXPECT_EQ(scheduler.stats().coalesced_requests.load(), 2);
+
+  // Served alone: no coalescing partner, the output passes through.
+  Completion alone;
+  scheduler.SubmitBatchCallback("m", *row, 0, alone.Callback());
+  ASSERT_TRUE(alone.Wait());
+  ASSERT_TRUE(alone.result.ok()) << alone.result.status();
+  EXPECT_EQ(alone.result->MaxAbsDiff(*expected), 0.0f);
+  EXPECT_EQ(scheduler.stats().coalesced_requests.load(), 2);
+
+  // An open breaker sheds at execution with Unavailable.
+  CircuitBreaker* breaker = scheduler.breaker("m");
+  while (breaker->state() != CircuitBreaker::State::kOpen) {
+    ASSERT_TRUE(breaker->Allow());
+    breaker->RecordFailure();
+  }
+  Completion shed_breaker;
+  scheduler.SubmitBatchCallback("m", *row, 0, shed_breaker.Callback());
+  ASSERT_TRUE(shed_breaker.Wait());
+  EXPECT_TRUE(shed_breaker.result.status().IsUnavailable());
+  EXPECT_EQ(scheduler.stats().shed_breaker.load(), 1);
+
+  // After Shutdown the callback still fires, inline.
+  scheduler.Shutdown();
+  Completion after_shutdown;
+  scheduler.SubmitBatchCallback("m", *row, 0, after_shutdown.Callback());
+  {
+    std::lock_guard<std::mutex> lock(after_shutdown.mu);
+    EXPECT_EQ(after_shutdown.calls, 1);
+    EXPECT_EQ(after_shutdown.thread, std::this_thread::get_id());
+    EXPECT_TRUE(after_shutdown.result.status().IsUnavailable());
+  }
+
+  // Every thread is joined: no completion can still be in flight.
+  for (Completion* c : {&late_deadline, &co1, &co2, &full, &alone,
+                        &shed_breaker, &after_shutdown}) {
+    std::lock_guard<std::mutex> lock(c->mu);
+    EXPECT_EQ(c->calls, 1);
+  }
+  const SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.submitted.load(), 7);
+  EXPECT_EQ(stats.shed_queue_full.load(), 1);
+  EXPECT_EQ(stats.shed_deadline.load(), 1);
 }
 
 TEST_F(ServingConcurrencyTest, ConcurrentCacheTrafficIsSafe) {

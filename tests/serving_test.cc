@@ -404,20 +404,5 @@ TEST_F(ServingTest, SchedulerMatchesDirectCall) {
   EXPECT_EQ(stats.total_rows.load(), 3);
 }
 
-TEST_F(ServingTest, SchedulerServesTableRequests) {
-  LoadFraudSetup(20);
-  ASSERT_TRUE(
-      session_.Deploy("fraud", ServingMode::kAdaptive, 20).ok());
-  auto direct = session_.Predict("fraud", "tx");
-  ASSERT_TRUE(direct.ok());
-  auto expected = direct->ToTensor(session_.exec_context());
-  ASSERT_TRUE(expected.ok());
-
-  RequestScheduler scheduler(&session_, SchedulerConfig{});
-  auto got = scheduler.SubmitPredict("fraud", "tx").get();
-  ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(got->MaxAbsDiff(*expected), 0.0f);
-}
-
 }  // namespace
 }  // namespace relserve
