@@ -17,11 +17,14 @@
 # access, OOB pointer arithmetic, bad function-pointer calls).
 #
 # Leg 3 (AddressSanitizer): rebuilds with -DRELSERVE_SANITIZE=address
-# into build-asan/ and runs the TSan list plus serving_test. It checks
-# object lifetimes across threads: the completion callback that keeps
-# a network connection alive until its reply is written, the promise
-# a future adapter's callback owns, and the micro-batch chunks the
-# pipelined schedule hands from stage to stage.
+# into build-asan/ and runs the TSan list plus serving_test and
+# sql_test. It checks object lifetimes across threads: the completion
+# callback that keeps a network connection alive until its reply is
+# written, the promise a future adapter's callback owns, and the
+# micro-batch chunks the pipelined schedule hands from stage to stage.
+# serving_test and sql_test drive every table, SQL and batch predict
+# through ServingSession::Execute, whose feed reads feature rows
+# straight out of borrowed column chunks and row buffers.
 #
 # Usage: scripts/tsan_check.sh [tsan-build-dir] [ubsan-build-dir]
 #                              [asan-build-dir]
@@ -67,7 +70,7 @@ TSAN_TESTS=(resource_test storage_test dedup_test block_ops_test
 UBSAN_TESTS=(kernels_test tensor_test block_ops_test executor_test
             plan_text_test chaos_test columnar_test dedup_test
             quantized_kernels_test net_serving_test wal_recovery_test)
-ASAN_TESTS=("${TSAN_TESTS[@]}" serving_test)
+ASAN_TESTS=("${TSAN_TESTS[@]}" serving_test sql_test)
 
 cmake -B "$BUILD_DIR" -S . -DRELSERVE_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -445,12 +445,9 @@ Status ExecuteStage(const PhysicalStage& stage, int64_t batch,
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                            start)
           .count();
-  stage.stats.invocations.fetch_add(1, kRelaxed);
-  stage.stats.nanos.fetch_add(nanos, kRelaxed);
-  stage.stats.rows.fetch_add(batch, kRelaxed);
-  stage.stats.bytes.fetch_add(
-      batch * stage.OutElemsPerRow() * static_cast<int64_t>(sizeof(float)),
-      kRelaxed);
+  stage.stats.Record(
+      nanos, batch,
+      batch * stage.OutElemsPerRow() * static_cast<int64_t>(sizeof(float)));
   ctx->stats.stages_executed.fetch_add(1, kRelaxed);
   ctx->stats.stage_nanos.fetch_add(nanos, kRelaxed);
   return Status::OK();

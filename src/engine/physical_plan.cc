@@ -519,13 +519,59 @@ std::string RenderStandaloneStage(const PhysicalStage& stage,
   return out;
 }
 
+Status CheckFeatureVector(const std::string& column_name, ValueType type,
+                          int64_t row_width, int64_t width) {
+  if (type != ValueType::kFloatVector) {
+    return Status::InvalidArgument("column '" + column_name +
+                                   "' is not a feature vector");
+  }
+  if (row_width != width) {
+    return Status::InvalidArgument(
+        "column '" + column_name + "' row has width " +
+        std::to_string(row_width) + ", model expects " +
+        std::to_string(width));
+  }
+  return Status::OK();
+}
+
+Status GatherColumnar(const PhysicalStage& stage,
+                      const std::vector<ColumnBatch>& batches,
+                      int chunk_index, int64_t width,
+                      const std::string& column_name,
+                      const FeatureSink& sink) {
+  RELSERVE_RETURN_NOT_OK(failpoint::InjectedStatus("columnar.pivot"));
+  const auto t0 = std::chrono::steady_clock::now();
+  int64_t total_rows = 0;
+  for (const ColumnBatch& batch : batches) {
+    if (batch.num_rows == 0) continue;
+    const ColumnChunk& chunk = batch.columns[chunk_index];
+    const bool vectors = chunk.type == ValueType::kFloatVector;
+    for (int64_t r = 0; r < chunk.length; ++r) {
+      // Offsets exist only for float-vector chunks.
+      const int64_t row_width =
+          vectors ? chunk.vec_offsets[r + 1] - chunk.vec_offsets[r] : 0;
+      RELSERVE_RETURN_NOT_OK(
+          CheckFeatureVector(column_name, chunk.type, row_width, width));
+    }
+    // Widths validated uniform, so the chunk's flattened payload
+    // already *is* the row-major slice of `chunk.length` rows.
+    RELSERVE_RETURN_NOT_OK(sink(chunk.vec_data.data(), chunk.length));
+    total_rows += chunk.length;
+  }
+  const int64_t nanos =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count();
+  stage.stats.Record(nanos, total_rows,
+                     total_rows * width * sizeof(float));
+  return Status::OK();
+}
+
 Result<Tensor> ExecuteColumnarGather(
     const PhysicalStage& stage,
     const std::vector<ColumnBatch>& batches, int chunk_index,
     int64_t width, const std::string& column_name,
     MemoryTracker* tracker) {
-  RELSERVE_RETURN_NOT_OK(failpoint::InjectedStatus("columnar.pivot"));
-  const auto t0 = std::chrono::steady_clock::now();
   int64_t total_rows = 0;
   for (const ColumnBatch& batch : batches) {
     total_rows += batch.num_rows;
@@ -533,37 +579,13 @@ Result<Tensor> ExecuteColumnarGather(
   RELSERVE_ASSIGN_OR_RETURN(
       Tensor tile, Tensor::Create(Shape{total_rows, width}, tracker));
   float* dst = tile.data();
-  for (const ColumnBatch& batch : batches) {
-    if (batch.num_rows == 0) continue;
-    const ColumnChunk& chunk = batch.columns[chunk_index];
-    if (chunk.type != ValueType::kFloatVector) {
-      return Status::InvalidArgument("column '" + column_name +
-                                     "' is not a feature vector");
-    }
-    for (int64_t r = 0; r < chunk.length; ++r) {
-      const int64_t n = chunk.vec_offsets[r + 1] - chunk.vec_offsets[r];
-      if (n != width) {
-        return Status::InvalidArgument(
-            "column '" + column_name + "' row has width " +
-            std::to_string(n) + ", model expects " +
-            std::to_string(width));
-      }
-    }
-    // Widths validated uniform, so the chunk's flattened payload
-    // already *is* the row-major tile slice — one memcpy per chunk.
-    const int64_t elems = chunk.vec_offsets[chunk.length];
-    std::memcpy(dst, chunk.vec_data.data(), elems * sizeof(float));
-    dst += elems;
-  }
-  const int64_t nanos =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
-  stage.stats.invocations.fetch_add(1, std::memory_order_relaxed);
-  stage.stats.nanos.fetch_add(nanos, std::memory_order_relaxed);
-  stage.stats.rows.fetch_add(total_rows, std::memory_order_relaxed);
-  stage.stats.bytes.fetch_add(total_rows * width * sizeof(float),
-                              std::memory_order_relaxed);
+  RELSERVE_RETURN_NOT_OK(GatherColumnar(
+      stage, batches, chunk_index, width, column_name,
+      [&dst, width](const float* rows, int64_t count) {
+        std::memcpy(dst, rows, count * width * sizeof(float));
+        dst += count * width;
+        return Status::OK();
+      }));
   return tile;
 }
 

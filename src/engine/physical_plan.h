@@ -36,6 +36,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -91,6 +92,14 @@ struct StageStats {
   std::atomic<int64_t> bytes{0};      // activation bytes produced
   std::atomic<int64_t> fallbacks{0};  // UDF re-executions (storage
                                       // failure on the relational path)
+
+  // Adds one invocation's wall time, rows and bytes.
+  void Record(int64_t call_nanos, int64_t call_rows, int64_t call_bytes) {
+    invocations.fetch_add(1, std::memory_order_relaxed);
+    nanos.fetch_add(call_nanos, std::memory_order_relaxed);
+    rows.fetch_add(call_rows, std::memory_order_relaxed);
+    bytes.fetch_add(call_bytes, std::memory_order_relaxed);
+  }
 };
 
 struct PhysicalStage {
@@ -142,13 +151,30 @@ struct PhysicalStage {
 std::string RenderStandaloneStage(const PhysicalStage& stage,
                                   bool analyze);
 
-// The columnar -> tensor pivot: gathers a float-vector feature chunk
-// (slot `chunk_index` of each batch) straight into a packed
-// [total_rows, width] GEMM input tile — contiguous memcpys from the
-// chunks' flattened payloads, no Row/Value materialization.
-// InvalidArgument when a row's vector is not exactly `width` wide;
+// Receives validated feature rows: `count` rows of the feature
+// width, contiguous and row-major.
+using FeatureSink =
+    std::function<Status(const float* rows, int64_t count)>;
+
+// InvalidArgument unless a feature cell of `type` holding `row_width`
+// floats can feed a model whose input is `width` wide.
+Status CheckFeatureVector(const std::string& column_name, ValueType type,
+                          int64_t row_width, int64_t width);
+
+// The columnar -> tensor pivot: hands the float-vector feature chunk
+// (slot `chunk_index` of each batch) to `sink` one chunk at a time,
+// straight from the chunks' flattened payloads — no Row/Value
+// materialization. Every row is checked by CheckFeatureVector first;
 // trips the "columnar.pivot" failpoint. Stats (invocations, nanos,
 // rows, bytes) accumulate into `stage`.
+Status GatherColumnar(const PhysicalStage& stage,
+                      const std::vector<ColumnBatch>& batches,
+                      int chunk_index, int64_t width,
+                      const std::string& column_name,
+                      const FeatureSink& sink);
+
+// GatherColumnar into a packed [total_rows, width] GEMM input tile,
+// one memcpy per chunk.
 Result<Tensor> ExecuteColumnarGather(
     const PhysicalStage& stage,
     const std::vector<ColumnBatch>& batches, int chunk_index,

@@ -69,8 +69,8 @@ Result<bool> SeqScan::Next(Row* row) {
 // --- MemScan --------------------------------------------------------
 
 Result<bool> MemScan::Next(Row* row) {
-  if (index_ >= rows_.size()) return false;
-  *row = rows_[index_++];
+  if (index_ >= rows().size()) return false;
+  *row = rows()[index_++];
   return true;
 }
 

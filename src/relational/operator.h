@@ -95,6 +95,9 @@ class MemScan : public RowIterator {
  public:
   MemScan(std::vector<Row> rows, Schema schema)
       : rows_(std::move(rows)), schema_(std::move(schema)) {}
+  // Serves `*rows` in place; they must outlive the scan.
+  MemScan(const std::vector<Row>* rows, Schema schema)
+      : borrowed_(rows), schema_(std::move(schema)) {}
 
   Status Open() override {
     index_ = 0;
@@ -103,11 +106,16 @@ class MemScan : public RowIterator {
   Result<bool> Next(Row* row) override;
   const Schema& schema() const override { return schema_; }
   int64_t SizeHint() const override {
-    return static_cast<int64_t>(rows_.size());
+    return static_cast<int64_t>(rows().size());
   }
 
  private:
+  const std::vector<Row>& rows() const {
+    return borrowed_ != nullptr ? *borrowed_ : rows_;
+  }
+
   std::vector<Row> rows_;
+  const std::vector<Row>* borrowed_ = nullptr;
   Schema schema_;
   size_t index_ = 0;
 };

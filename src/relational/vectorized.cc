@@ -705,16 +705,21 @@ Result<ColumnarScanOutput> ColumnarScan(const ColumnarTable& table,
           opts.pool->num_threads());
   if (parallel) {
     // Morsel = fragment: each morsel decodes whole fragments, grains
-    // grouped by the cost model's per-fragment work estimate.
+    // grouped by the cost model's per-fragment work estimate. A running
+    // morsel pins one page at a time, so there are never more morsels
+    // than buffer-pool frames: the caller plus every worker could
+    // otherwise pin them all and fail each other's fetches.
+    const int64_t work_hint = ScanCostModel::FragmentWorkHint(
+        table.fragment_rows(), static_cast<int64_t>(needed.size()));
+    const int64_t frames = table.buffer_pool()->capacity_pages();
+    const int64_t grain = std::max(ThreadPool::kMinWorkPerMorsel / work_hint,
+                                   (nfrags + frames - 1) / frames);
     opts.pool->ParallelFor(
         0, nfrags,
         [&](int64_t lo, int64_t hi) {
           for (int64_t f = lo; f < hi; ++f) scan_fragment(f);
         },
-        /*grain=*/0,
-        ScanCostModel::FragmentWorkHint(
-            table.fragment_rows(),
-            static_cast<int64_t>(needed.size())));
+        grain);
   } else {
     int64_t emitted = 0;
     for (int64_t f = 0; f < nfrags; ++f) {

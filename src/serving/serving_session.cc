@@ -515,7 +515,6 @@ Result<ExecOutput> ServingSession::Predict(
 Result<ExecOutput> ServingSession::PredictAtSnapshot(
     const std::string& model_name, const std::string& table_name,
     const std::string& feature_col, Version snapshot) {
-  RELSERVE_ASSIGN_OR_RETURN(const Model* model, GetModel(model_name));
   RELSERVE_ASSIGN_OR_RETURN(TableInfo* table,
                             catalog_->GetTable(table_name));
   RELSERVE_ASSIGN_OR_RETURN(int col,
@@ -531,139 +530,129 @@ Result<ExecOutput> ServingSession::PredictAtSnapshot(
           ? vis->VisibleCount(0, table->num_rows(), snapshot)
           : table->num_rows();
   if (n == 0) return Status::InvalidArgument("empty table");
-  RELSERVE_ASSIGN_OR_RETURN(std::shared_ptr<Deployment> deployment,
-                            GetDeployment(model_name, n));
-  const int64_t width = model->sample_shape().NumElements();
-
-  const bool stream_input =
-      deployment->plan.decisions[0].repr == Repr::kRelational;
 
   if (table->layout == TableLayout::kColumnar) {
-    // Vectorized fast path: scan only the feature column (fragment-
-    // parallel), then move the chunks' flattened payloads straight
-    // into the model input — no Row/Value boxing anywhere.
-    ColumnarTableStages* stages = ColumnarStages(table_name);
+    // Scan only the feature column (fragment-parallel).
     ColumnarScanOptions opts;
     opts.projection = {col};
-    opts.pool = pool_.get();
-    opts.visibility = vis;
     opts.snapshot = snapshot;
     RELSERVE_ASSIGN_OR_RETURN(ColumnarScanOutput scanned,
-                              ColumnarScan(*table->columnar, opts));
-    stages->scan.stats.invocations.fetch_add(1,
-                                             std::memory_order_relaxed);
-    stages->scan.stats.nanos.fetch_add(scanned.nanos,
-                                       std::memory_order_relaxed);
-    stages->scan.stats.rows.fetch_add(scanned.rows_scanned,
-                                      std::memory_order_relaxed);
-    stages->scan.stats.bytes.fetch_add(scanned.bytes_scanned,
-                                       std::memory_order_relaxed);
-
-    if (stream_input) {
-      // Chunks feed the block relation directly; each fragment's
-      // payload is already the row-major strip AppendRow expects.
-      RELSERVE_ASSIGN_OR_RETURN(
-          blockops::MatrixStreamWriter writer,
-          blockops::MatrixStreamWriter::Create(n, width, &ctx_));
-      for (const ColumnBatch& batch : scanned.batches) {
-        if (batch.num_rows == 0) continue;
-        const ColumnChunk& chunk = batch.columns[0];
-        for (int64_t r = 0; r < chunk.length; ++r) {
-          const int64_t row_width =
-              chunk.vec_offsets[r + 1] - chunk.vec_offsets[r];
-          if (row_width != width) {
-            return Status::InvalidArgument(
-                "feature width " + std::to_string(row_width) +
-                " != model input width " + std::to_string(width));
-          }
-          RELSERVE_RETURN_NOT_OK(writer.AppendRow(
-              chunk.vec_data.data() + chunk.vec_offsets[r]));
-        }
-      }
-      RELSERVE_ASSIGN_OR_RETURN(std::unique_ptr<BlockStore> store,
-                                writer.Finish());
-      return HybridExecutor::RunOnStore(*deployment->prepared,
-                                        std::move(store), &ctx_);
-    }
-
-    RELSERVE_ASSIGN_OR_RETURN(
-        Tensor input,
-        ExecuteColumnarGather(stages->gather, scanned.batches,
-                              /*chunk_index=*/0, width, feature_col,
-                              &working_memory_));
-    std::vector<int64_t> dims = {n};
-    for (int64_t d : model->sample_shape().dims()) dims.push_back(d);
-    RELSERVE_ASSIGN_OR_RETURN(Tensor shaped,
-                              input.Reshape(Shape(std::move(dims))));
-    return HybridExecutor::Run(*deployment->prepared, shaped, &ctx_);
+                              ScanColumnar(*table, opts));
+    return Execute(model_name, {.scanned = &scanned, .table = table_name});
   }
-
   SeqScan scan(table->heap.get(), table->schema);
   scan.set_visibility(vis, snapshot);
+  scan.set_telemetry(&ctx_.stats.rows_scanned, &ctx_.stats.bytes_scanned);
+  return Execute(model_name, {.rows = &scan, .column = col, .num_rows = n});
+}
 
-  if (stream_input) {
+Result<ColumnarScanOutput> ServingSession::ScanColumnar(
+    const TableInfo& table, ColumnarScanOptions opts) {
+  opts.pool = pool_.get();
+  opts.visibility = table.visibility.get();
+  RELSERVE_ASSIGN_OR_RETURN(ColumnarScanOutput scanned,
+                            ColumnarScan(*table.columnar, opts));
+  ctx_.stats.rows_scanned.fetch_add(scanned.rows_scanned,
+                                    std::memory_order_relaxed);
+  ctx_.stats.bytes_scanned.fetch_add(scanned.bytes_scanned,
+                                     std::memory_order_relaxed);
+  ColumnarStages(table.name)
+      ->scan.stats.Record(scanned.nanos, scanned.rows_scanned,
+                          scanned.bytes_scanned);
+  return scanned;
+}
+
+Result<ExecOutput> ServingSession::Execute(const std::string& model_name,
+                                           const FeatureSource& source) {
+  int64_t n = source.num_rows;
+  if (source.dense != nullptr) {
+    if (source.dense->shape().ndim() < 1) {
+      return Status::InvalidArgument("input must have a batch dimension");
+    }
+    n = source.dense->shape().dim(0);
+  } else if (source.scanned != nullptr) {
+    n = source.scanned->rows_emitted;
+  } else if (source.rows == nullptr) {
+    return Status::InvalidArgument("feature source has no rows");
+  }
+  RELSERVE_ASSIGN_OR_RETURN(std::shared_ptr<Deployment> deployment,
+                            GetDeployment(model_name, n));
+  const PreparedModel& prepared = *deployment->prepared;
+  const Shape& sample = prepared.model().sample_shape();
+  const int64_t width = sample.NumElements();
+
+  // Hands all n feature rows, checked, to `sink`: whole chunks of a
+  // columnar scan (charged to the table's gather stage), or one row
+  // at a time from a row iterator.
+  auto feed = [&](const FeatureSink& sink) -> Status {
+    if (source.scanned != nullptr) {
+      return GatherColumnar(
+          ColumnarStages(source.table)->gather, source.scanned->batches,
+          source.column, width,
+          source.scanned->schema.column(source.column).name, sink);
+    }
+    const std::string& name =
+        source.rows->schema().column(source.column).name;
+    RELSERVE_RETURN_NOT_OK(source.rows->Open());
+    Row row;
+    int64_t fed = 0;
+    while (true) {
+      RELSERVE_ASSIGN_OR_RETURN(bool has, source.rows->Next(&row));
+      if (!has || ++fed > n) break;
+      const Value& v = row.value(source.column);
+      const bool vector = v.type() == ValueType::kFloatVector;
+      RELSERVE_RETURN_NOT_OK(CheckFeatureVector(
+          name, v.type(),
+          vector ? static_cast<int64_t>(v.AsFloatVector().size()) : 0,
+          width));
+      RELSERVE_RETURN_NOT_OK(sink(v.AsFloatVector().data(), 1));
+    }
+    return fed == n ? Status::OK()
+                    : Status::InvalidArgument("row source does not hold " +
+                                              std::to_string(n) + " rows");
+  };
+
+  Tensor input;
+  if (source.dense != nullptr) {
+    input = *source.dense;
+  } else if (deployment->plan.decisions[0].repr == Repr::kRelational) {
     // The batch never exists whole: rows go straight into a block
-    // relation through a one-block staging buffer.
+    // relation through a one-strip staging buffer.
     RELSERVE_ASSIGN_OR_RETURN(
         blockops::MatrixStreamWriter writer,
         blockops::MatrixStreamWriter::Create(n, width, &ctx_));
-    RELSERVE_RETURN_NOT_OK(scan.Open());
-    Row row;
-    while (true) {
-      RELSERVE_ASSIGN_OR_RETURN(bool has, scan.Next(&row));
-      if (!has) break;
-      const std::vector<float>& features =
-          row.value(col).AsFloatVector();
-      if (static_cast<int64_t>(features.size()) != width) {
-        return Status::InvalidArgument(
-            "feature width " + std::to_string(features.size()) +
-            " != model input width " + std::to_string(width));
-      }
-      RELSERVE_RETURN_NOT_OK(writer.AppendRow(features.data()));
-    }
+    RELSERVE_RETURN_NOT_OK(
+        feed([&writer, width](const float* rows, int64_t count) {
+          for (int64_t r = 0; r < count; ++r) {
+            RELSERVE_RETURN_NOT_OK(writer.AppendRow(rows + r * width));
+          }
+          return Status::OK();
+        }));
     RELSERVE_ASSIGN_OR_RETURN(std::unique_ptr<BlockStore> store,
                               writer.Finish());
-    return HybridExecutor::RunOnStore(*deployment->prepared,
-                                      std::move(store), &ctx_);
+    return HybridExecutor::RunOnStore(prepared, std::move(store), &ctx_);
+  } else {
+    // Whole-batch path: materialize [n, width] in the working arena.
+    RELSERVE_ASSIGN_OR_RETURN(
+        input, Tensor::Create(Shape{n, width}, &working_memory_));
+    float* dst = input.data();
+    RELSERVE_RETURN_NOT_OK(
+        feed([&dst, width](const float* rows, int64_t count) {
+          std::memcpy(dst, rows, count * width * sizeof(float));
+          dst += count * width;
+          return Status::OK();
+        }));
   }
-
-  // Whole-batch path: materialize [n, width] in the working arena.
-  RELSERVE_ASSIGN_OR_RETURN(
-      Tensor input, Tensor::Create(Shape{n, width}, &working_memory_));
-  RELSERVE_RETURN_NOT_OK(scan.Open());
-  Row row;
-  int64_t r = 0;
-  while (true) {
-    RELSERVE_ASSIGN_OR_RETURN(bool has, scan.Next(&row));
-    if (!has) break;
-    const std::vector<float>& features =
-        row.value(col).AsFloatVector();
-    if (static_cast<int64_t>(features.size()) != width) {
-      return Status::InvalidArgument(
-          "feature width " + std::to_string(features.size()) +
-          " != model input width " + std::to_string(width));
-    }
-    std::memcpy(input.data() + r * width, features.data(),
-                width * sizeof(float));
-    ++r;
-  }
-  // Feed in the model's sample shape.
+  // The model's sample shape; an input of any other width fails here.
   std::vector<int64_t> dims = {n};
-  for (int64_t d : model->sample_shape().dims()) dims.push_back(d);
-  RELSERVE_ASSIGN_OR_RETURN(Tensor shaped,
-                            input.Reshape(Shape(std::move(dims))));
-  return HybridExecutor::Run(*deployment->prepared, shaped, &ctx_);
+  dims.insert(dims.end(), sample.dims().begin(), sample.dims().end());
+  RELSERVE_ASSIGN_OR_RETURN(input, input.Reshape(Shape(std::move(dims))));
+  return HybridExecutor::Run(prepared, input, &ctx_);
 }
 
 Result<ExecOutput> ServingSession::PredictBatch(
     const std::string& model_name, const Tensor& input) {
-  if (input.shape().ndim() < 1) {
-    return Status::InvalidArgument("input must have a batch dimension");
-  }
-  RELSERVE_ASSIGN_OR_RETURN(
-      std::shared_ptr<Deployment> deployment,
-      GetDeployment(model_name, input.shape().dim(0)));
-  return HybridExecutor::Run(*deployment->prepared, input, &ctx_);
+  return Execute(model_name, {.dense = &input});
 }
 
 Status ServingSession::OffloadModel(const std::string& model_name,
@@ -776,7 +765,6 @@ Result<Tensor> ServingSession::PredictWithCache(
     return Status::NotFound("no cache enabled for model '" +
                             model_name + "'");
   }
-  RELSERVE_ASSIGN_OR_RETURN(const Model* model, GetModel(model_name));
   if (input.shape().ndim() != 2) {
     return Status::InvalidArgument(
         "PredictWithCache expects [batch, features]");
@@ -815,7 +803,9 @@ Result<Tensor> ServingSession::PredictWithCache(
 
   int64_t out_width = -1;
   Tensor miss_output;
-  if (!miss_rows.empty()) {
+  // An empty batch runs the model too, exactly like PredictBatch: no
+  // hit holds the output width.
+  if (!miss_rows.empty() || n == 0) {
     RELSERVE_ASSIGN_OR_RETURN(
         Tensor misses,
         Tensor::Create(
@@ -826,13 +816,8 @@ Result<Tensor> ServingSession::PredictWithCache(
                   input.data() + miss_rows[i] * width,
                   width * sizeof(float));
     }
-    std::vector<int64_t> dims = {
-        static_cast<int64_t>(miss_rows.size())};
-    for (int64_t d : model->sample_shape().dims()) dims.push_back(d);
-    RELSERVE_ASSIGN_OR_RETURN(Tensor shaped,
-                              misses.Reshape(Shape(std::move(dims))));
     RELSERVE_ASSIGN_OR_RETURN(ExecOutput out,
-                              PredictBatch(model_name, shaped));
+                              Execute(model_name, {.dense = &misses}));
     RELSERVE_ASSIGN_OR_RETURN(miss_output, out.ToTensor(&ctx_));
     out_width = miss_output.shape().dim(1);
     // Populate every enabled tier with the fresh predictions.

@@ -32,6 +32,7 @@
 #include "graph/model.h"
 #include "optimizer/optimizer.h"
 #include "relational/row.h"
+#include "relational/vectorized.h"
 #include "storage/catalog.h"
 #include "storage/disk_manager.h"
 #include "storage/mvcc.h"
@@ -100,6 +101,25 @@ struct WriteOp {
   int64_t ordinal = -1;
   // New row contents for kInsert/kUpdate.
   Row row;
+};
+
+// Where the feature rows of one inference come from: exactly one of
+// `dense`, `scanned` and `rows`. ServingSession::Execute turns each
+// into model input the same way.
+struct FeatureSource {
+  // A batch on dim 0, [n, width] or [n, sample...]; runs without a
+  // copy.
+  const Tensor* dense = nullptr;
+  // A columnar scan of table `table` whose output slot `column` holds
+  // the features; the pivot is charged to the table's columnar-gather
+  // stage.
+  const ColumnarScanOutput* scanned = nullptr;
+  // `num_rows` rows, not yet opened, whose value `column` holds the
+  // features.
+  RowIterator* rows = nullptr;
+  int column = 0;
+  int64_t num_rows = 0;
+  std::string table{};  // `{}` lets designated initializers omit it
 };
 
 enum class ServingMode {
@@ -238,12 +258,27 @@ class ServingSession {
   Result<std::shared_ptr<const PhysicalPlan>> DeployedPhysicalPlan(
       const std::string& model_name);
 
+  // Vectorized scan of a columnar table on the session's pool, under
+  // the table's visibility map at `opts.snapshot`. Charges the table's
+  // columnar-scan stage and the session's scanned rows/bytes.
+  Result<ColumnarScanOutput> ScanColumnar(const TableInfo& table,
+                                          ColumnarScanOptions opts);
+
   // --- In-database inference ----------------------------------------
 
+  // The one inference entry point; every Predict* call and SQL
+  // PREDICT runs through it. Resolves the deployment for the source's
+  // row count and feeds the rows in the model's sample shape; a row
+  // that is not a FLOAT_VECTOR of the model's input width is a typed
+  // InvalidArgument. A dense source runs without a copy. Other
+  // sources stream into a block relation when the plan's first stage
+  // is relation-centric, so the batch is never materialized whole,
+  // and are gathered into one tile otherwise.
+  Result<ExecOutput> Execute(const std::string& model_name,
+                             const FeatureSource& source);
+
   // Runs the deployed model over every row of `table_name`
-  // (feature_col must be a FLOAT_VECTOR column). If the plan chunks
-  // the input, rows are streamed straight into a block relation and
-  // the batch tensor is never materialized.
+  // (feature_col must be a FLOAT_VECTOR column).
   Result<ExecOutput> Predict(const std::string& model_name,
                              const std::string& table_name,
                              const std::string& feature_col = "features");

@@ -1,7 +1,6 @@
 #include "sql/query_executor.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 
 #include "engine/physical_plan.h"
@@ -71,84 +70,6 @@ Result<ExprPtr> BindPredicate(const Predicate& predicate,
     }
   }
   return Status::Internal("unhandled predicate kind");
-}
-
-// Runs a PREDICT item over a prebuilt [n, width] feature tensor;
-// returns the model output matrix [n, classes].
-Result<Tensor> RunPredictOnInput(ServingSession* session,
-                                 const SelectItem& item,
-                                 const Model* model, Tensor input,
-                                 int64_t n) {
-  std::vector<int64_t> dims = {n};
-  for (int64_t d : model->sample_shape().dims()) dims.push_back(d);
-  RELSERVE_ASSIGN_OR_RETURN(Tensor shaped,
-                            input.Reshape(Shape(std::move(dims))));
-
-  // Deploy on first use (adaptive), then reuse the deployment.
-  Result<ExecOutput> out = session->PredictBatch(item.model, shaped);
-  if (!out.ok() && out.status().IsNotFound()) {
-    RELSERVE_RETURN_NOT_OK(
-        session->Deploy(item.model, ServingMode::kAdaptive, n)
-            .status());
-    out = session->PredictBatch(item.model, shaped);
-  }
-  RELSERVE_RETURN_NOT_OK(out.status());
-  RELSERVE_ASSIGN_OR_RETURN(Tensor scores,
-                            out->ToTensor(session->exec_context()));
-  const int64_t classes = scores.NumElements() / n;
-  return scores.Reshape(Shape{n, classes});
-}
-
-// Runs a PREDICT over the qualifying rows' feature column; returns the
-// model output matrix [rows.size(), classes].
-Result<Tensor> RunPredict(ServingSession* session,
-                          const SelectItem& item, const Schema& schema,
-                          const std::vector<Row>& rows) {
-  RELSERVE_ASSIGN_OR_RETURN(int col,
-                            schema.FieldIndex(item.feature_col));
-  RELSERVE_ASSIGN_OR_RETURN(const Model* model,
-                            session->GetModel(item.model));
-  const int64_t n = static_cast<int64_t>(rows.size());
-  const int64_t width = model->sample_shape().NumElements();
-  RELSERVE_ASSIGN_OR_RETURN(
-      Tensor input,
-      Tensor::Create(Shape{n, width}, session->working_memory()));
-  for (int64_t r = 0; r < n; ++r) {
-    const Value& v = rows[r].value(col);
-    if (v.type() != ValueType::kFloatVector ||
-        static_cast<int64_t>(v.AsFloatVector().size()) != width) {
-      return Status::InvalidArgument(
-          "column '" + item.feature_col +
-          "' is not a feature vector of width " +
-          std::to_string(width));
-    }
-    std::memcpy(input.data() + r * width, v.AsFloatVector().data(),
-                width * sizeof(float));
-  }
-  return RunPredictOnInput(session, item, model, std::move(input), n);
-}
-
-// Columnar PREDICT: the filtered chunks pivot straight into the GEMM
-// input tile (one memcpy per fragment) — no Row/Value boxing.
-Result<Tensor> RunPredictOnBatches(ServingSession* session,
-                                   const SelectItem& item,
-                                   const Schema& schema,
-                                   const std::string& table_name,
-                                   const std::vector<ColumnBatch>& batches,
-                                   int64_t n) {
-  RELSERVE_ASSIGN_OR_RETURN(int col,
-                            schema.FieldIndex(item.feature_col));
-  RELSERVE_ASSIGN_OR_RETURN(const Model* model,
-                            session->GetModel(item.model));
-  const int64_t width = model->sample_shape().NumElements();
-  ServingSession::ColumnarTableStages* stages =
-      session->ColumnarStages(table_name);
-  RELSERVE_ASSIGN_OR_RETURN(
-      Tensor input,
-      ExecuteColumnarGather(stages->gather, batches, col, width,
-                            item.feature_col,
-                            session->working_memory()));
-  return RunPredictOnInput(session, item, model, std::move(input), n);
 }
 
 std::string AggName(AggregateFunc func) {
@@ -616,7 +537,6 @@ Result<QueryResult> ExecuteSelect(ServingSession* session,
   // evaluates at it, so the result is a consistent cut of history
   // even while concurrent ingest commits land.
   const Version snapshot = session->PinSnapshot();
-  const VisibilityMap* visibility = table->visibility.get();
 
   ExprPtr predicate;
   if (stmt.where != nullptr) {
@@ -630,40 +550,25 @@ Result<QueryResult> ExecuteSelect(ServingSession* session,
   ExecStats* exec_stats = &session->exec_context()->stats;
 
   std::vector<Row> base_rows;
-  // The filtered chunks of a columnar scan, kept so PREDICT items can
-  // pivot them straight into GEMM tiles below.
-  std::vector<ColumnBatch> kept_batches;
+  // A columnar scan's filtered chunks, kept so PREDICT items can pivot
+  // them straight into GEMM tiles below.
+  ColumnarScanOutput scanned;
   const bool columnar = table->layout == TableLayout::kColumnar;
   if (columnar) {
     // Vectorized path: filter + limit pushdown into the
     // fragment-parallel scan; rows are boxed once, after the filter.
     ColumnarScanOptions opts;
     opts.predicate = predicate;
-    opts.pool = session->thread_pool();
-    opts.visibility = visibility;
     opts.snapshot = snapshot;
     if (push_limit) opts.limit = *stmt.limit;
-    RELSERVE_ASSIGN_OR_RETURN(ColumnarScanOutput scanned,
-                              ColumnarScan(*table->columnar, opts));
-    constexpr auto kRelaxed = std::memory_order_relaxed;
-    exec_stats->rows_scanned.fetch_add(scanned.rows_scanned, kRelaxed);
-    exec_stats->bytes_scanned.fetch_add(scanned.bytes_scanned,
-                                        kRelaxed);
-    ServingSession::ColumnarTableStages* stages =
-        session->ColumnarStages(stmt.table);
-    stages->scan.stats.invocations.fetch_add(1, kRelaxed);
-    stages->scan.stats.nanos.fetch_add(scanned.nanos, kRelaxed);
-    stages->scan.stats.rows.fetch_add(scanned.rows_scanned, kRelaxed);
-    stages->scan.stats.bytes.fetch_add(scanned.bytes_scanned,
-                                       kRelaxed);
+    RELSERVE_ASSIGN_OR_RETURN(scanned, session->ScanColumnar(*table, opts));
     base_rows = scanned.ToRows();
-    kept_batches = std::move(scanned.batches);
   } else {
     // scan -> [filter] -> [limit]
     auto scan = std::make_unique<SeqScan>(table->heap.get(), schema);
     scan->set_telemetry(&exec_stats->rows_scanned,
                         &exec_stats->bytes_scanned);
-    scan->set_visibility(visibility, snapshot);
+    scan->set_visibility(table->visibility.get(), snapshot);
     RowIteratorPtr plan = std::move(scan);
     if (predicate != nullptr) {
       plan = std::make_unique<Filter>(std::move(plan), predicate);
@@ -688,26 +593,37 @@ Result<QueryResult> ExecuteSelect(ServingSession* session,
         Column{DefaultName(item), item.kind == ItemKind::kPredict
                                       ? ValueType::kFloatVector
                                       : ValueType::kInt64});
-    if (extended_rows.empty()) continue;
-    Result<Tensor> predicted =
-        columnar ? RunPredictOnBatches(
-                       session, item, schema, stmt.table, kept_batches,
-                       static_cast<int64_t>(extended_rows.size()))
-                 : RunPredict(session, item, schema, extended_rows);
-    RELSERVE_ASSIGN_OR_RETURN(Tensor scores, std::move(predicted));
-    const int64_t classes = scores.shape().dim(1);
-    for (size_t r = 0; r < extended_rows.size(); ++r) {
+    const int64_t n = static_cast<int64_t>(extended_rows.size());
+    if (n == 0) continue;
+    RELSERVE_ASSIGN_OR_RETURN(int col,
+                              schema.FieldIndex(item.feature_col));
+    MemScan rows(&extended_rows, schema);
+    const FeatureSource source =
+        columnar ? FeatureSource{.scanned = &scanned,
+                                 .column = col,
+                                 .table = stmt.table}
+                 : FeatureSource{.rows = &rows, .column = col, .num_rows = n};
+    // Deploy on first use (adaptive), then reuse the deployment.
+    Result<ExecOutput> out = session->Execute(item.model, source);
+    if (!out.ok() && out.status().IsNotFound()) {
+      RELSERVE_RETURN_NOT_OK(
+          session->Deploy(item.model, ServingMode::kAdaptive, n)
+              .status());
+      out = session->Execute(item.model, source);
+    }
+    RELSERVE_RETURN_NOT_OK(out.status());
+    RELSERVE_ASSIGN_OR_RETURN(Tensor scores,
+                              out->ToTensor(session->exec_context()));
+    const int64_t classes = scores.NumElements() / n;
+    for (int64_t r = 0; r < n; ++r) {
+      const float* row_scores = scores.data() + r * classes;
       if (item.kind == ItemKind::kPredict) {
-        std::vector<float> row_scores(
-            scores.data() + r * classes,
-            scores.data() + (r + 1) * classes);
-        extended_rows[r].Append(Value(std::move(row_scores)));
+        extended_rows[r].Append(
+            Value(std::vector<float>(row_scores, row_scores + classes)));
       } else {
-        int64_t best = 0;
-        for (int64_t c = 1; c < classes; ++c) {
-          if (scores.At(r, c) > scores.At(r, best)) best = c;
-        }
-        extended_rows[r].Append(Value(best));
+        extended_rows[r].Append(Value(static_cast<int64_t>(
+            std::max_element(row_scores, row_scores + classes) -
+            row_scores)));
       }
     }
   }

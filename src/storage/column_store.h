@@ -75,6 +75,7 @@ class ColumnarTable {
   Status SealActiveFragment(bool allow_empty = false);
 
   const Schema& schema() const { return schema_; }
+  BufferPool* buffer_pool() const { return pool_; }
   int64_t num_rows() const {
     return num_rows_.load(std::memory_order_acquire);
   }

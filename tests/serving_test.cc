@@ -3,6 +3,7 @@
 #include "engine/external_runtime.h"
 #include "graph/model.h"
 #include "relational/operator.h"
+#include "relational/vectorized.h"
 #include "serving/model_versions.h"
 #include "serving/join_pipeline.h"
 #include "serving/request_scheduler.h"
@@ -35,6 +36,32 @@ class ServingTest : public ::testing::Test {
     auto model = BuildFFNN("fraud", {28, 64, 2}, 2);
     ASSERT_TRUE(model.ok());
     ASSERT_TRUE(session_.RegisterModel(std::move(*model)).ok());
+  }
+
+  // LoadFraudSetup plus "tx_col", a columnar copy of "tx" holding the
+  // same rows; returns the two table names.
+  std::vector<std::string> LoadFraudSetupBothLayouts(int64_t rows) {
+    LoadFraudSetup(rows);
+    auto tx = session_.GetTable("tx");
+    auto col = session_.CreateTable("tx_col",
+                                    workloads::FeatureTableSchema(),
+                                    TableLayout::kColumnar);
+    EXPECT_TRUE(tx.ok() && col.ok());
+    SeqScan scan((*tx)->heap.get(), (*tx)->schema);
+    EXPECT_TRUE(scan.Open().ok());
+    Row row;
+    while (*scan.Next(&row)) {
+      EXPECT_TRUE((*col)->columnar->AppendRow(row).ok());
+    }
+    return {"tx", "tx_col"};
+  }
+
+  Tensor PredictTable(const std::string& table) {
+    auto out = session_.Predict("fraud", table);
+    EXPECT_TRUE(out.ok()) << table << ": " << out.status();
+    auto t = out->ToTensor(session_.exec_context());
+    EXPECT_TRUE(t.ok());
+    return *t;
   }
 
   ServingSession session_;
@@ -74,20 +101,48 @@ TEST_F(ServingTest, PredictRequiresDeploy) {
 }
 
 TEST_F(ServingTest, ForcedModesAgreeOnPredictions) {
-  LoadFraudSetup(30);
+  const auto tables = LoadFraudSetupBothLayouts(30);
   ASSERT_TRUE(session_.Deploy("fraud", ServingMode::kForceUdf, 30).ok());
-  auto udf = session_.Predict("fraud", "tx");
-  ASSERT_TRUE(udf.ok());
-  auto udf_t = udf->ToTensor(session_.exec_context());
-  ASSERT_TRUE(udf_t.ok());
-
+  const Tensor udf = PredictTable("tx");
   ASSERT_TRUE(
       session_.Deploy("fraud", ServingMode::kForceRelational, 30).ok());
-  auto rel = session_.Predict("fraud", "tx");
-  ASSERT_TRUE(rel.ok()) << rel.status();
-  auto rel_t = rel->ToTensor(session_.exec_context());
-  ASSERT_TRUE(rel_t.ok());
-  EXPECT_LT(udf_t->MaxAbsDiff(*rel_t), 1e-5f);
+  const Tensor rel = PredictTable("tx");
+  EXPECT_LT(udf.MaxAbsDiff(rel), 1e-5f);
+
+  // Each layout feeds every mode bit-identically.
+  for (const std::string& table : tables) {
+    ASSERT_TRUE(session_.Deploy("fraud", ServingMode::kForceUdf, 30).ok());
+    EXPECT_EQ(udf.MaxAbsDiff(PredictTable(table)), 0.0f) << table;
+    ASSERT_TRUE(
+        session_.Deploy("fraud", ServingMode::kForceRelational, 30).ok());
+    EXPECT_EQ(rel.MaxAbsDiff(PredictTable(table)), 0.0f) << table;
+  }
+}
+
+TEST_F(ServingTest, PredictRejectsNonVectorFeatureColumn) {
+  const auto tables = LoadFraudSetupBothLayouts(20);
+  for (const ServingMode mode :
+       {ServingMode::kForceUdf, ServingMode::kForceRelational}) {
+    ASSERT_TRUE(session_.Deploy("fraud", mode, 20).ok());
+    for (const std::string& table : tables) {
+      // "id" is INT64: a typed error, never a crash or a garbage read.
+      auto out = session_.Predict("fraud", table, "id");
+      EXPECT_TRUE(out.status().IsInvalidArgument())
+          << table << ": " << out.status();
+    }
+  }
+}
+
+TEST_F(ServingTest, StreamedColumnarPredictChargesGatherStage) {
+  LoadFraudSetupBothLayouts(40);
+  ASSERT_TRUE(
+      session_.Deploy("fraud", ServingMode::kForceRelational, 40).ok());
+  auto out = session_.Predict("fraud", "tx_col");
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_TRUE(out->blocked());
+  const StageStats& gather = session_.ColumnarStages("tx_col")->gather.stats;
+  EXPECT_EQ(gather.invocations.load(), 1);
+  EXPECT_EQ(gather.rows.load(), 40);
 }
 
 TEST_F(ServingTest, RelationalPredictStreamsInput) {
@@ -106,35 +161,36 @@ TEST_F(ServingTest, RelationalPredictStreamsInput) {
 }
 
 TEST_F(ServingTest, PredictBatchMatchesPredictOverTable) {
-  LoadFraudSetup(20);
+  const auto tables = LoadFraudSetupBothLayouts(20);
   ASSERT_TRUE(session_.Deploy("fraud", ServingMode::kForceUdf, 20).ok());
-  auto table_out = session_.Predict("fraud", "tx");
-  ASSERT_TRUE(table_out.ok());
-  auto expected = table_out->ToTensor(session_.exec_context());
-  ASSERT_TRUE(expected.ok());
+  for (const std::string& name : tables) {
+    const Tensor expected = PredictTable(name);
 
-  // Rebuild the same batch by hand.
-  auto table = session_.GetTable("tx");
-  ASSERT_TRUE(table.ok());
-  SeqScan scan((*table)->heap.get(), (*table)->schema);
-  ASSERT_TRUE(scan.Open().ok());
-  auto input = Tensor::Create(Shape{20, 28});
-  ASSERT_TRUE(input.ok());
-  Row row;
-  int64_t r = 0;
-  while (true) {
-    auto has = scan.Next(&row);
-    ASSERT_TRUE(has.ok());
-    if (!*has) break;
-    const auto& f = row.value(1).AsFloatVector();
-    std::copy(f.begin(), f.end(), input->data() + r * 28);
-    ++r;
+    // Rebuild the same batch by hand.
+    auto table = session_.GetTable(name);
+    ASSERT_TRUE(table.ok());
+    RowIteratorPtr scan = MakeTableScan((*table)->heap.get(),
+                                        (*table)->columnar.get(),
+                                        (*table)->schema);
+    ASSERT_TRUE(scan->Open().ok());
+    auto input = Tensor::Create(Shape{20, 28});
+    ASSERT_TRUE(input.ok());
+    Row row;
+    int64_t r = 0;
+    while (true) {
+      auto has = scan->Next(&row);
+      ASSERT_TRUE(has.ok());
+      if (!*has) break;
+      const auto& f = row.value(1).AsFloatVector();
+      std::copy(f.begin(), f.end(), input->data() + r * 28);
+      ++r;
+    }
+    auto batch_out = session_.PredictBatch("fraud", *input);
+    ASSERT_TRUE(batch_out.ok());
+    auto got = batch_out->ToTensor(session_.exec_context());
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(expected.MaxAbsDiff(*got), 0.0f) << name;
   }
-  auto batch_out = session_.PredictBatch("fraud", *input);
-  ASSERT_TRUE(batch_out.ok());
-  auto got = batch_out->ToTensor(session_.exec_context());
-  ASSERT_TRUE(got.ok());
-  EXPECT_LT(expected->MaxAbsDiff(*got), 1e-6f);
 }
 
 TEST_F(ServingTest, DlCentricOffloadMatchesInDatabase) {
@@ -186,6 +242,15 @@ TEST_F(ServingTest, CacheServesRepeatsAndMatchesModel) {
   auto direct_t = direct->ToTensor(session_.exec_context());
   ASSERT_TRUE(direct_t.ok());
   EXPECT_LT(first->MaxAbsDiff(*direct_t), 1e-5f);
+
+  // An empty batch: no hit, no miss, the same answer PredictBatch gives.
+  auto empty = Tensor::Create(Shape{0, 28});
+  ASSERT_TRUE(empty.ok());
+  auto cached_empty = session_.PredictWithCache("fraud", *empty);
+  ASSERT_TRUE(cached_empty.ok()) << cached_empty.status();
+  auto direct_empty = session_.PredictBatch("fraud", *empty);
+  ASSERT_TRUE(direct_empty.ok()) << direct_empty.status();
+  EXPECT_EQ(cached_empty->shape(), direct_empty->tensor.shape());
 }
 
 TEST_F(ServingTest, ExactCacheTierHasNoAccuracyCost) {

@@ -171,76 +171,87 @@ TEST_F(SqlExecTest, WhereAndLimit) {
 }
 
 TEST_F(SqlExecTest, PredictAddsScoreVector) {
-  auto result = ExecuteQuery(
-      &session_,
-      "SELECT id, PREDICT(scorer) AS p FROM tx WHERE id < 4");
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->rows.size(), 4u);
-  EXPECT_EQ(result->schema.column(1).name, "p");
-  EXPECT_EQ(result->schema.column(1).type, ValueType::kFloatVector);
-  const auto& scores = result->rows[0].value(1).AsFloatVector();
-  ASSERT_EQ(scores.size(), 3u);
-  float sum = 0;
-  for (float s : scores) sum += s;
-  EXPECT_NEAR(sum, 1.0f, 1e-4f);  // softmax row
+  for (const std::string table : {"tx", "tx_col"}) {
+    auto result = ExecuteQuery(
+        &session_,
+        "SELECT id, PREDICT(scorer) AS p FROM " + table + " WHERE id < 4");
+    ASSERT_TRUE(result.ok()) << table << ": " << result.status();
+    ASSERT_EQ(result->rows.size(), 4u);
+    EXPECT_EQ(result->schema.column(1).name, "p");
+    EXPECT_EQ(result->schema.column(1).type, ValueType::kFloatVector);
+    const auto& scores = result->rows[0].value(1).AsFloatVector();
+    ASSERT_EQ(scores.size(), 3u);
+    float sum = 0;
+    for (float s : scores) sum += s;
+    EXPECT_NEAR(sum, 1.0f, 1e-4f);  // softmax row
+  }
 }
 
 TEST_F(SqlExecTest, PredictClassMatchesPredictArgmax) {
-  auto result = ExecuteQuery(
-      &session_,
-      "SELECT PREDICT(scorer), PREDICT_CLASS(scorer) FROM tx");
-  ASSERT_TRUE(result.ok()) << result.status();
-  for (const Row& row : result->rows) {
-    const auto& scores = row.value(0).AsFloatVector();
-    const int64_t cls = row.value(1).AsInt64();
-    int64_t best = 0;
-    for (size_t c = 1; c < scores.size(); ++c) {
-      if (scores[c] > scores[best]) best = static_cast<int64_t>(c);
+  for (const std::string table : {"tx", "tx_col"}) {
+    auto result = ExecuteQuery(
+        &session_,
+        "SELECT PREDICT(scorer), PREDICT_CLASS(scorer) FROM " + table);
+    ASSERT_TRUE(result.ok()) << table << ": " << result.status();
+    for (const Row& row : result->rows) {
+      const auto& scores = row.value(0).AsFloatVector();
+      const int64_t cls = row.value(1).AsInt64();
+      int64_t best = 0;
+      for (size_t c = 1; c < scores.size(); ++c) {
+        if (scores[c] > scores[best]) best = static_cast<int64_t>(c);
+      }
+      EXPECT_EQ(cls, best);
     }
-    EXPECT_EQ(cls, best);
   }
 }
 
 TEST_F(SqlExecTest, PredicateOnPredictInput) {
-  // Inference over a filtered subset only.
-  auto all = ExecuteQuery(&session_,
-                          "SELECT PREDICT_CLASS(scorer) FROM tx");
-  auto some = ExecuteQuery(
-      &session_,
-      "SELECT PREDICT_CLASS(scorer) FROM tx WHERE id >= 10");
-  ASSERT_TRUE(all.ok() && some.ok());
-  ASSERT_EQ(some->rows.size(), 10u);
-  // Row k of the filtered result equals row k+10 of the full result.
-  for (size_t i = 0; i < some->rows.size(); ++i) {
-    EXPECT_EQ(some->rows[i].value(0).AsInt64(),
-              all->rows[i + 10].value(0).AsInt64());
+  for (const std::string table : {"tx", "tx_col"}) {
+    // Inference over a filtered subset only.
+    auto all = ExecuteQuery(&session_,
+                            "SELECT PREDICT_CLASS(scorer) FROM " + table);
+    auto some = ExecuteQuery(
+        &session_,
+        "SELECT PREDICT_CLASS(scorer) FROM " + table + " WHERE id >= 10");
+    ASSERT_TRUE(all.ok() && some.ok()) << table;
+    ASSERT_EQ(some->rows.size(), 10u);
+    // Row k of the filtered result equals row k+10 of the full result.
+    for (size_t i = 0; i < some->rows.size(); ++i) {
+      EXPECT_EQ(some->rows[i].value(0).AsInt64(),
+                all->rows[i + 10].value(0).AsInt64());
+    }
   }
 }
 
 TEST_F(SqlExecTest, EmptyResultSkipsInference) {
-  auto result = ExecuteQuery(
-      &session_,
-      "SELECT PREDICT(scorer) FROM tx WHERE amount < -1");
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(result->rows.empty());
+  for (const std::string table : {"tx", "tx_col"}) {
+    auto result = ExecuteQuery(
+        &session_,
+        "SELECT PREDICT(scorer) FROM " + table + " WHERE amount < -1");
+    ASSERT_TRUE(result.ok()) << table << ": " << result.status();
+    EXPECT_TRUE(result->rows.empty());
+  }
 }
 
 TEST_F(SqlExecTest, ErrorsAreStatuses) {
   EXPECT_TRUE(ExecuteQuery(&session_, "SELECT * FROM missing")
                   .status()
                   .IsNotFound());
-  EXPECT_TRUE(ExecuteQuery(&session_, "SELECT nope FROM tx")
-                  .status()
-                  .IsNotFound());
-  EXPECT_TRUE(
-      ExecuteQuery(&session_, "SELECT PREDICT(ghost) FROM tx")
-          .status()
-          .IsNotFound());
-  // PREDICT over a non-vector column.
-  EXPECT_TRUE(
-      ExecuteQuery(&session_, "SELECT PREDICT(scorer, amount) FROM tx")
-          .status()
-          .IsInvalidArgument());
+  for (const std::string table : {"tx", "tx_col"}) {
+    EXPECT_TRUE(ExecuteQuery(&session_, "SELECT nope FROM " + table)
+                    .status()
+                    .IsNotFound());
+    EXPECT_TRUE(
+        ExecuteQuery(&session_, "SELECT PREDICT(ghost) FROM " + table)
+            .status()
+            .IsNotFound());
+    // PREDICT over a non-vector column.
+    EXPECT_TRUE(ExecuteQuery(&session_,
+                             "SELECT PREDICT(scorer, amount) FROM " + table)
+                    .status()
+                    .IsInvalidArgument())
+        << table;
+  }
 }
 
 TEST_F(SqlExecTest, GlobalAggregates) {
@@ -531,11 +542,20 @@ TEST_F(SqlExecTest, DualPathBitIdentity) {
 }
 
 TEST_F(SqlExecTest, DualPathPredict) {
-  ExpectSameResults(
-      "SELECT id, PREDICT(scorer) AS p FROM $T WHERE id < 4");
-  ExpectSameResults(
-      "SELECT PREDICT_CLASS(scorer) AS cls, COUNT(*) AS n FROM $T "
-      "GROUP BY cls ORDER BY cls");
+  // Adaptive deploy on first use (a whole-batch first stage), then a
+  // relation-centric first stage that streams the feature rows.
+  for (const bool relational : {false, true}) {
+    if (relational) {
+      ASSERT_TRUE(session_
+                      .Deploy("scorer", ServingMode::kForceRelational, 20)
+                      .ok());
+    }
+    ExpectSameResults(
+        "SELECT id, PREDICT(scorer) AS p FROM $T WHERE id < 4");
+    ExpectSameResults(
+        "SELECT PREDICT_CLASS(scorer) AS cls, COUNT(*) AS n FROM $T "
+        "GROUP BY cls ORDER BY cls");
+  }
 }
 
 TEST_F(SqlExecTest, ColumnarCreateInsertSelectRoundTrip) {
