@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
 #include "resource/memory_tracker.h"
 #include "resource/thread_pool.h"
@@ -64,19 +63,6 @@ struct ExecStats {
     rows_scanned.store(other.rows_scanned.load(kRelaxed), kRelaxed);
     bytes_scanned.store(other.bytes_scanned.load(kRelaxed), kRelaxed);
     return *this;
-  }
-
-  std::string ToString() const {
-    return "blocks_read=" + std::to_string(blocks_read.load()) +
-           " blocks_written=" + std::to_string(blocks_written.load()) +
-           " assembles=" + std::to_string(assembles.load()) +
-           " chunkings=" + std::to_string(chunkings.load()) +
-           " prefetch_issued=" + std::to_string(prefetch_issued.load()) +
-           " prefetch_useful=" + std::to_string(prefetch_useful.load()) +
-           " repr_fallbacks=" + std::to_string(repr_fallbacks.load()) +
-           " stages_executed=" + std::to_string(stages_executed.load()) +
-           " rows_scanned=" + std::to_string(rows_scanned.load()) +
-           " bytes_scanned=" + std::to_string(bytes_scanned.load());
   }
 };
 

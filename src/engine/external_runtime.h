@@ -18,6 +18,7 @@
 #ifndef RELSERVE_ENGINE_EXTERNAL_RUNTIME_H_
 #define RELSERVE_ENGINE_EXTERNAL_RUNTIME_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -53,10 +54,12 @@ class ExternalRuntime {
 
   MemoryTracker* tracker() { return &tracker_; }
 
+  // Relaxed atomics: concurrent Infer calls (one per
+  // ServingSession::PredictViaRuntime caller) bump them unlocked.
   struct Stats {
-    int64_t requests = 0;
-    int64_t bytes_received = 0;
-    int64_t bytes_sent = 0;
+    std::atomic<int64_t> requests{0};
+    std::atomic<int64_t> bytes_received{0};
+    std::atomic<int64_t> bytes_sent{0};
   };
   const Stats& stats() const { return stats_; }
 

@@ -705,10 +705,13 @@ std::string NetServer::StatsJson() const {
           ",";
   json += "\"shed_deadline\":" + n(sched.shed_deadline.load()) + ",";
   json += "\"shed_breaker\":" + n(sched.shed_breaker.load()) + ",";
+  json += "\"retries\":" + n(sched.retries.load()) + ",";
   json += "\"batches\":" + n(sched.batches.load()) + ",";
   json += "\"coalesced_requests\":" +
           n(sched.coalesced_requests.load()) + ",";
   json += "\"total_rows\":" + n(sched.total_rows.load()) + ",";
+  json += "\"max_batch_rows_seen\":" +
+          n(sched.max_batch_rows_seen.load()) + ",";
   char mean[32];
   std::snprintf(mean, sizeof(mean), "%.2f", sched.MeanBatchRows());
   json += std::string("\"mean_batch_rows\":") + mean + "},";

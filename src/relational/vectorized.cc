@@ -6,27 +6,47 @@
 #include <cmath>
 #include <numeric>
 
-#include "kernels/predicate_simd.h"
 #include "optimizer/scan_cost.h"
 
 namespace relserve {
 
 namespace {
 
+// Ascending row indices into a batch that passed a predicate.
+using SelVector = std::vector<int32_t>;
+
+// The one selection loop: keeps sel[i] for every i where keep(i),
+// branch-free. `keep` is called once per i, in order.
+template <typename Keep>
+SelVector Select(const int32_t* sel, int64_t n, Keep keep) {
+  SelVector out(n);
+  int64_t m = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    out[m] = sel[i];
+    m += keep(i) ? 1 : 0;
+  }
+  out.resize(m);
+  return out;
+}
+
+// 0/1 per row of `sel`: whether it is in `subset` (both ascending).
+template <typename T>
+void PassFlags(const int32_t* sel, int64_t n, const SelVector& subset,
+               T* out) {
+  size_t j = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    const bool hit = j < subset.size() && subset[j] == sel[i];
+    out[i] = hit ? 1 : 0;
+    j += hit;
+  }
+}
+
 // Rows of `sel` not present in `subset` (both ascending).
 SelVector Complement(const int32_t* sel, int64_t n,
                      const SelVector& subset) {
-  SelVector out;
-  out.reserve(n - static_cast<int64_t>(subset.size()));
-  size_t j = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    if (j < subset.size() && subset[j] == sel[i]) {
-      ++j;
-    } else {
-      out.push_back(sel[i]);
-    }
-  }
-  return out;
+  std::vector<uint8_t> in(n);
+  PassFlags(sel, n, subset, in.data());
+  return Select(sel, n, [&](int64_t i) { return in[i] == 0; });
 }
 
 // Merge of two disjoint ascending selections.
@@ -52,33 +72,22 @@ void CollectColumns(const Expression& e, std::vector<bool>* need) {
 
 class Evaluator {
  public:
-  Evaluator(const ColumnBatch& batch, const std::vector<int>* col_map)
+  Evaluator(const ColumnBatch& batch, const std::vector<int>& col_map)
       : batch_(batch), col_map_(col_map) {}
 
   Result<SelVector> EvalBool(const Expression& e, const int32_t* sel,
                              int64_t n);
 
  private:
-  int NumTableColumns() const {
-    return col_map_ != nullptr
-               ? static_cast<int>(col_map_->size())
-               : static_cast<int>(batch_.columns.size());
-  }
-
   Result<const ColumnChunk*> Chunk(int table_col) const {
-    int slot = table_col;
-    if (col_map_ != nullptr) {
-      slot = (table_col >= 0 &&
-              table_col < static_cast<int>(col_map_->size()))
-                 ? (*col_map_)[table_col]
-                 : -1;
-    }
+    const int ncols = static_cast<int>(col_map_.size());
+    const int slot =
+        table_col >= 0 && table_col < ncols ? col_map_[table_col] : -1;
     if (slot < 0 || slot >= static_cast<int>(batch_.columns.size())) {
       // Same failure the row evaluator reports for a bad column ref.
       return Status::InvalidArgument(
           "column index " + std::to_string(table_col) +
-          " out of range for row of " +
-          std::to_string(NumTableColumns()));
+          " out of range for row of " + std::to_string(ncols));
     }
     return &batch_.columns[slot];
   }
@@ -112,7 +121,7 @@ class Evaluator {
                            int64_t n);
 
   const ColumnBatch& batch_;
-  const std::vector<int>* col_map_;
+  const std::vector<int>& col_map_;
 };
 
 Status Evaluator::EvalNumeric(const Expression& e, const int32_t* sel,
@@ -170,12 +179,7 @@ Status Evaluator::EvalNumeric(const Expression& e, const int32_t* sel,
     default: {
       // Comparison / boolean kinds: 0/1 per row.
       RELSERVE_ASSIGN_OR_RETURN(SelVector pass, EvalBool(e, sel, n));
-      size_t j = 0;
-      for (int64_t i = 0; i < n; ++i) {
-        const bool hit = j < pass.size() && pass[j] == sel[i];
-        out[i] = hit ? 1.0 : 0.0;
-        j += hit;
-      }
+      PassFlags(sel, n, pass, out);
       return Status::OK();
     }
   }
@@ -201,12 +205,7 @@ Status Evaluator::EvalInt64(const Expression& e, const int32_t* sel,
     }
     default: {
       RELSERVE_ASSIGN_OR_RETURN(SelVector pass, EvalBool(e, sel, n));
-      size_t j = 0;
-      for (int64_t i = 0; i < n; ++i) {
-        const bool hit = j < pass.size() && pass[j] == sel[i];
-        out[i] = hit ? 1 : 0;
-        j += hit;
-      }
+      PassFlags(sel, n, pass, out);
       return Status::OK();
     }
   }
@@ -221,27 +220,18 @@ Result<SelVector> Evaluator::EvalEq(const Expression& e,
   // Value equality is typed (Int64 3 != Float64 3.0); with both
   // sides' types resolved, a mismatch is simply never equal.
   if (lt != rt) return SelVector{};
-  SelVector out;
   switch (lt) {
     case ValueType::kInt64: {
       std::vector<int64_t> a(n), b(n);
       RELSERVE_RETURN_NOT_OK(EvalInt64(left, sel, n, a.data()));
       RELSERVE_RETURN_NOT_OK(EvalInt64(right, sel, n, b.data()));
-      out.resize(n);
-      const kernels::PredicateKernels* pk =
-          kernels::GetPredicateKernels(kernels::ActiveSimdLevel());
-      out.resize(pk->eq_i64(a.data(), b.data(), sel, n, out.data()));
-      return out;
+      return Select(sel, n, [&](int64_t i) { return a[i] == b[i]; });
     }
     case ValueType::kFloat64: {
       std::vector<double> a(n), b(n);
       RELSERVE_RETURN_NOT_OK(EvalNumeric(left, sel, n, a.data()));
       RELSERVE_RETURN_NOT_OK(EvalNumeric(right, sel, n, b.data()));
-      out.resize(n);
-      const kernels::PredicateKernels* pk =
-          kernels::GetPredicateKernels(kernels::ActiveSimdLevel());
-      out.resize(pk->eq_f64(a.data(), b.data(), sel, n, out.data()));
-      return out;
+      return Select(sel, n, [&](int64_t i) { return a[i] == b[i]; });
     }
     case ValueType::kString: {
       // String-typed expressions are columns or literals only.
@@ -259,13 +249,11 @@ Result<SelVector> Evaluator::EvalEq(const Expression& e,
       } else {
         rlit = &right.literal().AsString();
       }
-      out.reserve(n);
-      for (int64_t i = 0; i < n; ++i) {
+      return Select(sel, n, [&](int64_t i) {
         const std::string& a = lc ? lc->str[sel[i]] : *llit;
         const std::string& b = rc ? rc->str[sel[i]] : *rlit;
-        if (a == b) out.push_back(sel[i]);
-      }
-      return out;
+        return a == b;
+      });
     }
     case ValueType::kFloatVector: {
       const ColumnChunk* lc = nullptr;
@@ -285,15 +273,11 @@ Result<SelVector> Evaluator::EvalEq(const Expression& e,
         const std::vector<float>& v = expr.literal().AsFloatVector();
         return {v.data(), static_cast<int64_t>(v.size())};
       };
-      out.reserve(n);
-      for (int64_t i = 0; i < n; ++i) {
+      return Select(sel, n, [&](int64_t i) {
         const auto [ap, an] = span(lc, left, sel[i]);
         const auto [bp, bn] = span(rc, right, sel[i]);
-        if (an == bn && std::equal(ap, ap + an, bp)) {
-          out.push_back(sel[i]);
-        }
-      }
-      return out;
+        return an == bn && std::equal(ap, ap + an, bp);
+      });
     }
   }
   return Status::Internal("unhandled equality type");
@@ -338,13 +322,10 @@ Result<SelVector> Evaluator::EvalBool(const Expression& e,
           EvalNumeric(*e.children()[0], sel, n, a.data()));
       RELSERVE_RETURN_NOT_OK(
           EvalNumeric(*e.children()[1], sel, n, b.data()));
-      SelVector out(n);
-      const kernels::PredicateKernels* pk =
-          kernels::GetPredicateKernels(kernels::ActiveSimdLevel());
-      const auto strip =
-          e.kind() == ExprKind::kLt ? pk->lt_f64 : pk->le_f64;
-      out.resize(strip(a.data(), b.data(), sel, n, out.data()));
-      return out;
+      if (e.kind() == ExprKind::kLt) {
+        return Select(sel, n, [&](int64_t i) { return a[i] < b[i]; });
+      }
+      return Select(sel, n, [&](int64_t i) { return a[i] <= b[i]; });
     }
     case ExprKind::kAbsDiffLe: {
       std::vector<double> a(n), b(n);
@@ -353,48 +334,33 @@ Result<SelVector> Evaluator::EvalBool(const Expression& e,
       RELSERVE_RETURN_NOT_OK(
           EvalNumeric(*e.children()[1], sel, n, b.data()));
       const double eps = e.epsilon();
-      SelVector out(n);
-      const kernels::PredicateKernels* pk =
-          kernels::GetPredicateKernels(kernels::ActiveSimdLevel());
-      out.resize(pk->absdiff_le_f64(a.data(), b.data(), eps, sel, n,
-                                    out.data()));
-      return out;
+      return Select(sel, n, [&](int64_t i) {
+        return std::fabs(a[i] - b[i]) <= eps;
+      });
     }
     default: {
       // Truthiness of a numeric expression (column, literal, arith).
       std::vector<double> v(n);
       RELSERVE_RETURN_NOT_OK(EvalNumeric(e, sel, n, v.data()));
-      SelVector out(n);
-      const kernels::PredicateKernels* pk =
-          kernels::GetPredicateKernels(kernels::ActiveSimdLevel());
-      out.resize(pk->nonzero_f64(v.data(), sel, n, out.data()));
-      return out;
+      return Select(sel, n, [&](int64_t i) { return v[i] != 0.0; });
     }
   }
 }
 
-}  // namespace
-
+// Evaluates `pred` over rows `sel` of `batch` and returns the passing
+// subset. `col_map` maps table column index -> chunk slot in `batch`
+// (-1 = absent), so predicates bound against the table schema
+// evaluate over a projection-pushed-down batch.
 Result<SelVector> EvalPredicate(const Expression& pred,
                                 const ColumnBatch& batch,
-                                const int32_t* sel, int64_t n,
-                                const std::vector<int>* col_map) {
-  SelVector identity;
-  if (sel == nullptr) {
-    identity.resize(batch.num_rows);
-    std::iota(identity.begin(), identity.end(), 0);
-    sel = identity.data();
-    n = batch.num_rows;
-  }
+                                const SelVector& sel,
+                                const std::vector<int>& col_map) {
   Evaluator ev(batch, col_map);
-  return ev.EvalBool(pred, sel, n);
+  return ev.EvalBool(pred, sel.data(), static_cast<int64_t>(sel.size()));
 }
 
-Result<SelVector> EvalPredicate(const Expression& pred,
-                                const ColumnBatch& batch) {
-  return EvalPredicate(pred, batch, nullptr, 0, nullptr);
-}
-
+// Gathers `sel` rows of the chunks named by `slots` into a fresh
+// batch with schema `out_schema`.
 ColumnBatch CompactBatch(const ColumnBatch& batch, const SelVector& sel,
                          const std::vector<int>& slots,
                          const Schema& out_schema) {
@@ -459,6 +425,17 @@ ColumnBatch CompactBatch(const ColumnBatch& batch, const SelVector& sel,
   return out;
 }
 
+// The first `rows` rows of `batch`.
+ColumnBatch Head(const ColumnBatch& batch, int64_t rows) {
+  SelVector head(rows);
+  std::iota(head.begin(), head.end(), 0);
+  std::vector<int> slots(batch.columns.size());
+  std::iota(slots.begin(), slots.end(), 0);
+  return CompactBatch(batch, head, slots, batch.schema);
+}
+
+}  // namespace
+
 std::vector<Row> ColumnarScanOutput::ToRows() const {
   std::vector<Row> rows;
   rows.reserve(rows_emitted);
@@ -490,50 +467,35 @@ Result<ColumnarScanOutput> ColumnarScan(const ColumnarTable& table,
     }
   }
   // Projection pushdown: decode only the columns the output or the
-  // predicate touches.
+  // predicate touches. Late materialization: each fragment first reads
+  // the predicate's columns (every needed column when there is no
+  // predicate), selects, and reads the remaining needed columns only
+  // when at least one row passed. A fragment the filter rejects
+  // outright never touches the other column streams. `needed` lists
+  // the first read's columns, then the rest, each in table order; a
+  // fragment's batch holds its chunks in that order.
   std::vector<bool> need(ncols, false);
   for (int c : projection) need[c] = true;
+  std::vector<bool> first_read(ncols, opts.predicate == nullptr);
   if (opts.predicate != nullptr) {
     CollectColumns(*opts.predicate, &need);
+    CollectColumns(*opts.predicate, &first_read);
   }
-  std::vector<int> needed;
-  std::vector<int> col_map(ncols, -1);
+  std::vector<int> first_cols, rest_cols;
   for (int c = 0; c < ncols; ++c) {
-    if (need[c]) {
-      col_map[c] = static_cast<int>(needed.size());
-      needed.push_back(c);
-    }
+    if (need[c]) (first_read[c] ? first_cols : rest_cols).push_back(c);
+  }
+  std::vector<int> needed = first_cols;
+  needed.insert(needed.end(), rest_cols.begin(), rest_cols.end());
+  std::vector<int> col_map(ncols, -1);
+  for (size_t i = 0; i < needed.size(); ++i) {
+    col_map[needed[i]] = static_cast<int>(i);
   }
   std::vector<int> proj_slots(projection.size());
   for (size_t i = 0; i < projection.size(); ++i) {
     proj_slots[i] = col_map[projection[i]];
   }
   out.schema = schema.Project(projection);
-  const bool passthrough =
-      opts.predicate == nullptr && needed == projection;
-
-  // Late materialization: decode only the predicate's columns first
-  // and fetch the remaining projected columns per fragment only when
-  // at least one row passed. A fragment the filter rejects outright
-  // never touches the other column streams.
-  std::vector<bool> pred_need(ncols, false);
-  if (opts.predicate != nullptr) {
-    CollectColumns(*opts.predicate, &pred_need);
-  }
-  std::vector<int> pred_cols, rest_cols;
-  std::vector<int> pred_col_map(ncols, -1);
-  std::vector<int> rest_col_map(ncols, -1);
-  for (int c : needed) {
-    if (pred_need[c]) {
-      pred_col_map[c] = static_cast<int>(pred_cols.size());
-      pred_cols.push_back(c);
-    } else {
-      rest_col_map[c] = static_cast<int>(rest_cols.size());
-      rest_cols.push_back(c);
-    }
-  }
-  const bool late = opts.predicate != nullptr && !rest_cols.empty();
-  const Schema needed_schema = schema.Project(needed);
 
   const int64_t nfrags = table.num_fragments();
   out.batches.resize(nfrags);
@@ -561,140 +523,54 @@ Result<ColumnarScanOutput> ColumnarScan(const ColumnarTable& table,
     return kept;
   };
 
-  const Schema rest_schema = schema.Project(rest_cols);
-
-  auto scan_fragment = [&](int64_t f) {
+  auto scan_fragment = [&](int64_t f) -> Status {
     // Table ordinal of this fragment's first row, read before the
     // fragment itself: seals never move a fragment's start, and rows a
     // concurrent commit appends after this point carry begin versions
     // beyond any already-pinned snapshot.
     const int64_t frag_start =
         opts.visibility != nullptr ? table.FragmentStartRow(f) : 0;
-    SelVector vis_sel;
-    bool vis_filtered = false;
-    // Visibility pre-selection (within-fragment offsets), computed
-    // once the fragment's decoded row count is known. Fully visible
-    // fragments skip the per-row pass entirely. Returns false when no
-    // row is visible: the fragment then emits an empty batch, because
-    // an empty selection handed to EvalPredicate would read as "no
-    // selection" (every row).
-    auto compute_visibility = [&](int64_t rows) {
-      if (opts.visibility == nullptr ||
-          opts.visibility->AllVisible(frag_start, rows, opts.snapshot)) {
-        return true;
-      }
-      opts.visibility->VisibleSelection(frag_start, rows,
-                                        opts.snapshot, &vis_sel);
-      vis_filtered = true;
-      if (!vis_sel.empty()) return true;
-      out.batches[f] = ColumnBatch(out.schema);
-      return false;
-    };
-    ColumnBatch batch;
+    RELSERVE_ASSIGN_OR_RETURN(ColumnBatch batch,
+                              table.ReadFragment(f, &first_cols));
+    rows_scanned.fetch_add(batch.num_rows, std::memory_order_relaxed);
+    bytes_scanned.fetch_add(batch.ByteSize(), std::memory_order_relaxed);
+    // The rows visible at the snapshot (within-fragment offsets) are
+    // the predicate's initial selection. Fully visible fragments skip
+    // the per-row visibility pass.
     SelVector sel;
-    bool filtered = false;
-    if (late) {
-      Result<ColumnBatch> read = table.ReadFragment(f, &pred_cols);
-      if (!read.ok()) {
-        statuses[f] = read.status();
-        return;
-      }
-      ColumnBatch pred_batch = std::move(read).ValueOrDie();
-      rows_scanned.fetch_add(pred_batch.num_rows,
-                             std::memory_order_relaxed);
-      bytes_scanned.fetch_add(pred_batch.ByteSize(),
-                              std::memory_order_relaxed);
-      if (!compute_visibility(pred_batch.num_rows)) return;
-      Result<SelVector> passed =
-          vis_filtered
-              ? EvalPredicate(*opts.predicate, pred_batch,
-                              vis_sel.data(),
-                              static_cast<int64_t>(vis_sel.size()),
-                              &pred_col_map)
-              : EvalPredicate(*opts.predicate, pred_batch, nullptr, 0,
-                              &pred_col_map);
-      if (!passed.ok()) {
-        statuses[f] = passed.status();
-        return;
-      }
-      sel = std::move(passed).ValueOrDie();
-      filtered = true;
-      if (sel.empty()) {
-        out.batches[f] = ColumnBatch(out.schema);
-        return;
-      }
-      Result<ColumnBatch> rest = table.ReadFragment(f, &rest_cols);
-      if (!rest.ok()) {
-        statuses[f] = rest.status();
-        return;
-      }
-      ColumnBatch rest_batch = std::move(rest).ValueOrDie();
-      bytes_scanned.fetch_add(rest_batch.ByteSize(),
-                              std::memory_order_relaxed);
-      if (rest_batch.num_rows > pred_batch.num_rows) {
-        // A concurrent append grew the open tail between the two
-        // reads; trim the rest columns back to the rows the predicate
-        // saw so every chunk of the assembled batch agrees.
-        SelVector head(pred_batch.num_rows);
-        std::iota(head.begin(), head.end(), 0);
-        std::vector<int> identity(rest_batch.columns.size());
-        std::iota(identity.begin(), identity.end(), 0);
-        rest_batch =
-            CompactBatch(rest_batch, head, identity, rest_schema);
-      }
-      batch = ColumnBatch(needed_schema);
-      for (size_t i = 0; i < needed.size(); ++i) {
-        const int c = needed[i];
-        batch.columns[i] =
-            pred_need[c]
-                ? std::move(pred_batch.columns[pred_col_map[c]])
-                : std::move(rest_batch.columns[rest_col_map[c]]);
-      }
-      batch.num_rows = pred_batch.num_rows;
+    if (opts.visibility != nullptr &&
+        !opts.visibility->AllVisible(frag_start, batch.num_rows,
+                                     opts.snapshot)) {
+      opts.visibility->VisibleSelection(frag_start, batch.num_rows,
+                                        opts.snapshot, &sel);
     } else {
-      Result<ColumnBatch> read = table.ReadFragment(f, &needed);
-      if (!read.ok()) {
-        statuses[f] = read.status();
-        return;
-      }
-      batch = std::move(read).ValueOrDie();
-      rows_scanned.fetch_add(batch.num_rows,
-                             std::memory_order_relaxed);
-      bytes_scanned.fetch_add(batch.ByteSize(),
-                              std::memory_order_relaxed);
-      if (!compute_visibility(batch.num_rows)) return;
-      if (opts.predicate != nullptr) {
-        Result<SelVector> passed =
-            vis_filtered
-                ? EvalPredicate(*opts.predicate, batch, vis_sel.data(),
-                                static_cast<int64_t>(vis_sel.size()),
-                                &col_map)
-                : EvalPredicate(*opts.predicate, batch, nullptr, 0,
-                                &col_map);
-        if (!passed.ok()) {
-          statuses[f] = passed.status();
-          return;
-        }
-        sel = std::move(passed).ValueOrDie();
-        filtered = true;
-      } else if (vis_filtered) {
-        sel = std::move(vis_sel);
-        filtered = true;
+      sel.resize(batch.num_rows);
+      std::iota(sel.begin(), sel.end(), 0);
+    }
+    if (opts.predicate != nullptr) {
+      RELSERVE_ASSIGN_OR_RETURN(
+          sel, EvalPredicate(*opts.predicate, batch, sel, col_map));
+    }
+    if (sel.empty()) {
+      out.batches[f] = ColumnBatch(out.schema);
+      return Status::OK();
+    }
+    if (!rest_cols.empty()) {
+      RELSERVE_ASSIGN_OR_RETURN(ColumnBatch rest,
+                                table.ReadFragment(f, &rest_cols));
+      bytes_scanned.fetch_add(rest.ByteSize(), std::memory_order_relaxed);
+      // A concurrent append grew the open tail between the two reads;
+      // trim the rest columns back to the rows the predicate saw so
+      // every chunk of the assembled batch agrees.
+      if (rest.num_rows > batch.num_rows) rest = Head(rest, batch.num_rows);
+      for (ColumnChunk& chunk : rest.columns) {
+        batch.columns.push_back(std::move(chunk));
       }
     }
-    if (filtered) {
-      if (static_cast<int64_t>(sel.size()) == batch.num_rows) {
-        out.batches[f] = project_chunks(std::move(batch));
-      } else {
-        out.batches[f] =
-            CompactBatch(batch, sel, proj_slots, out.schema);
-      }
-    } else if (passthrough) {
-      out.batches[f] = std::move(batch);
-      out.batches[f].schema = out.schema;
-    } else {
-      out.batches[f] = project_chunks(std::move(batch));
-    }
+    out.batches[f] = static_cast<int64_t>(sel.size()) == batch.num_rows
+                         ? project_chunks(std::move(batch))
+                         : CompactBatch(batch, sel, proj_slots, out.schema);
+    return Status::OK();
   };
 
   const bool parallel =
@@ -717,13 +593,15 @@ Result<ColumnarScanOutput> ColumnarScan(const ColumnarTable& table,
     opts.pool->ParallelFor(
         0, nfrags,
         [&](int64_t lo, int64_t hi) {
-          for (int64_t f = lo; f < hi; ++f) scan_fragment(f);
+          for (int64_t f = lo; f < hi; ++f) {
+            statuses[f] = scan_fragment(f);
+          }
         },
         grain);
   } else {
     int64_t emitted = 0;
     for (int64_t f = 0; f < nfrags; ++f) {
-      scan_fragment(f);
+      statuses[f] = scan_fragment(f);
       if (!statuses[f].ok()) break;
       emitted += out.batches[f].num_rows;
       if (opts.limit >= 0 && emitted >= opts.limit) break;
@@ -742,13 +620,7 @@ Result<ColumnarScanOutput> ColumnarScan(const ColumnarTable& table,
         batch = ColumnBatch(out.schema);
         continue;
       }
-      if (batch.num_rows > remaining) {
-        SelVector head(remaining);
-        std::iota(head.begin(), head.end(), 0);
-        std::vector<int> identity(batch.columns.size());
-        std::iota(identity.begin(), identity.end(), 0);
-        batch = CompactBatch(batch, head, identity, out.schema);
-      }
+      if (batch.num_rows > remaining) batch = Head(batch, remaining);
       remaining -= batch.num_rows;
     }
   }

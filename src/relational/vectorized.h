@@ -32,27 +32,6 @@
 
 namespace relserve {
 
-// Ascending row indices into a batch that passed a predicate.
-using SelVector = std::vector<int32_t>;
-
-// Evaluates `pred` over rows sel[0..n) of `batch` (nullptr sel = all
-// rows) and returns the passing subset. `col_map`, when non-null,
-// maps table column index -> chunk slot in `batch` (-1 = absent), so
-// predicates bound against the table schema evaluate over a
-// projection-pushed-down batch.
-Result<SelVector> EvalPredicate(const Expression& pred,
-                                const ColumnBatch& batch,
-                                const int32_t* sel, int64_t n,
-                                const std::vector<int>* col_map = nullptr);
-Result<SelVector> EvalPredicate(const Expression& pred,
-                                const ColumnBatch& batch);
-
-// Gathers `sel` rows of the chunks named by `slots` into a fresh
-// batch with schema `out_schema`.
-ColumnBatch CompactBatch(const ColumnBatch& batch, const SelVector& sel,
-                         const std::vector<int>& slots,
-                         const Schema& out_schema);
-
 struct ColumnarScanOptions {
   // Predicate over the *table* schema; null = no filter.
   ExprPtr predicate;
@@ -65,10 +44,10 @@ struct ColumnarScanOptions {
   // Cap on emitted rows (applied after the filter); -1 = no cap.
   int64_t limit = -1;
   // MVCC snapshot read: rows of each fragment that are not visible at
-  // `snapshot` are dropped before the predicate runs (the visibility
-  // selection feeds EvalPredicate as the initial selection vector).
-  // Fragments that are entirely visible take the AllVisible fast path
-  // and skip per-row checks. null = every row visible.
+  // `snapshot` are dropped before the predicate runs (the visible rows
+  // are the predicate's initial selection). Fragments that are
+  // entirely visible take the AllVisible fast path and skip per-row
+  // checks. null = every row visible.
   const VisibilityMap* visibility = nullptr;
   Version snapshot = 0;
 };

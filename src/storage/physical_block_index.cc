@@ -42,17 +42,6 @@ bool CompareChunk(const float* candidate, const float* payload,
 
 }  // namespace
 
-std::string PhysicalBlockStats::ToString() const {
-  return "unique=" + std::to_string(unique_blocks) +
-         " refs=" + std::to_string(logical_refs) +
-         " physical_bytes=" + std::to_string(physical_bytes) +
-         " logical_bytes=" + std::to_string(logical_bytes) +
-         " interned=" + std::to_string(interned) +
-         " hits=" + std::to_string(dedup_hits) +
-         " freed=" + std::to_string(freed_blocks) +
-         " max_err=" + std::to_string(max_substitution_error);
-}
-
 PhysicalBlockIndex::~PhysicalBlockIndex() {
   for (const auto& [id, block] : blocks_) {
     (void)id;
@@ -325,14 +314,6 @@ PhysicalBlockStats PhysicalBlockIndex::stats() const {
 }
 
 // --- Offline block deduplication -------------------------------------
-
-std::string DedupStats::ToString() const {
-  return "blocks " + std::to_string(input_blocks) + " -> " +
-         std::to_string(unique_blocks) + ", bytes " +
-         std::to_string(input_bytes) + " -> " +
-         std::to_string(stored_bytes) +
-         ", max_err=" + std::to_string(max_substitution_error);
-}
 
 Result<DedupResult> DeduplicateBlocks(
     const std::vector<TensorBlock>& blocks, float tolerance) {

@@ -72,7 +72,6 @@ struct PhysicalBlockStats {
                ? 1.0
                : static_cast<double>(logical_bytes) / physical_bytes;
   }
-  std::string ToString() const;
 };
 
 class PhysicalBlockIndex {
@@ -200,7 +199,6 @@ struct DedupStats {
                ? 1.0
                : static_cast<double>(input_bytes) / stored_bytes;
   }
-  std::string ToString() const;
 };
 
 struct DedupResult {

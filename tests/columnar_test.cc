@@ -6,13 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <vector>
 
 #include "engine/physical_plan.h"
-#include "kernels/cpu_features.h"
-#include "kernels/predicate_simd.h"
 #include "optimizer/scan_cost.h"
 #include "relational/column_batch.h"
 #include "relational/expression.h"
@@ -42,8 +41,9 @@ Row TestRow(int64_t i) {
                                        static_cast<float>(i) * 0.5f})});
 }
 
-// Both layouts over the same rows, plus the row-pipeline helpers the
-// bit-identity tests compare against.
+// Both layouts over the same rows (TestRow unless `make_row` says
+// otherwise), plus the row-pipeline helpers the bit-identity tests
+// compare against.
 struct DualTable {
   DiskManager disk;
   BufferPool pool;
@@ -51,15 +51,16 @@ struct DualTable {
   ColumnarTable columnar;
   Schema schema = TestSchema();
 
-  explicit DualTable(int64_t rows, int64_t fragment_rows = 8)
+  explicit DualTable(int64_t rows, int64_t fragment_rows = 8,
+                     Row (*make_row)(int64_t) = TestRow)
       : pool(&disk, 256), heap(&pool),
         columnar(&pool, TestSchema(), fragment_rows) {
-    Fill(rows);
+    Fill(rows, make_row);
   }
 
-  void Fill(int64_t rows) {
+  void Fill(int64_t rows, Row (*make_row)(int64_t)) {
     for (int64_t i = 0; i < rows; ++i) {
-      Row row = TestRow(i);
+      Row row = make_row(i);
       std::string bytes;
       row.SerializeTo(&bytes);
       ASSERT_TRUE(heap.Append(bytes).ok());
@@ -334,6 +335,83 @@ TEST(BitIdentityTest, ComparisonsArithmeticAndBand) {
   }
 }
 
+// The score column cycles through the floating-point special values:
+// NaN, signed zeros, infinities, denormals and huge magnitudes.
+const std::vector<double>& SpecialValues() {
+  static const std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      2.5, 1e300, -1e300};
+  return values;
+}
+
+Row SpecialRow(int64_t i) {
+  Row row = TestRow(i);
+  const std::vector<double>& values = SpecialValues();
+  // Stride 5 is coprime with the 12 values: any 12 consecutive rows
+  // hold every value once, and neighbouring rows differ.
+  row.value(1) = Value(values[(i * 5) % values.size()]);
+  return row;
+}
+
+// Row equality compares doubles with ==, which NaN never satisfies;
+// compare the encoded bytes instead, so signed zeros must match too.
+void ExpectSameBits(const std::vector<Row>& a, const std::vector<Row>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    std::string x, y;
+    a[i].SerializeTo(&x);
+    b[i].SerializeTo(&y);
+    EXPECT_EQ(x, y) << "row " << i;
+  }
+}
+
+TEST(BitIdentityTest, SpecialValuesMatchRowEvaluator) {
+  // Table sizes end the last fragment partway (fragments of 8 rows).
+  for (int64_t rows : {3, 13, 67}) {
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    DualTable t(rows, /*fragment_rows=*/8, SpecialRow);
+    auto score = [] { return Expression::Column(1); };
+    std::vector<ExprPtr> predicates;
+    // Bare truthiness: NaN is truthy, both zeros are falsy.
+    predicates.push_back(score());
+    for (double v : SpecialValues()) {
+      auto lit = [v] { return Expression::Literal(Value(v)); };
+      predicates.push_back(Expression::Binary(ExprKind::kLt, score(), lit()));
+      predicates.push_back(Expression::Binary(ExprKind::kLe, score(), lit()));
+      predicates.push_back(Expression::Binary(ExprKind::kEq, score(), lit()));
+      predicates.push_back(Expression::AbsDiffLe(score(), lit(), 1.5));
+      predicates.push_back(
+          Expression::Binary(ExprKind::kMul, score(), lit()));
+    }
+    for (const ExprPtr& pred : predicates) {
+      SCOPED_TRACE(pred->ToString());
+      ExpectSameBits(t.ColumnarPath(pred), t.RowPath(pred));
+    }
+    // Spot-check the reference itself: NaN fails every ordered
+    // comparison, and 0.0 == -0.0.
+    size_t nans = 0, zeros = 0;
+    for (int64_t i = 0; i < rows; ++i) {
+      const double v = SpecialRow(i).value(1).AsFloat64();
+      nans += std::isnan(v);
+      zeros += v == 0.0;
+    }
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(t.RowPath(Expression::Binary(ExprKind::kLe, score(),
+                                           Expression::Literal(Value(inf))))
+                  .size(),
+              static_cast<size_t>(rows) - nans);
+    EXPECT_EQ(t.RowPath(Expression::Binary(ExprKind::kEq, score(),
+                                           Expression::Literal(Value(-0.0))))
+                  .size(),
+              zeros);
+  }
+}
+
 TEST(BitIdentityTest, BooleanConnectives) {
   DualTable t(53);
   ExprPtr lt = Expression::Binary(ExprKind::kLt, Expression::Column(0),
@@ -501,6 +579,40 @@ TEST(ParallelScanTest, TelemetryCountsRowsAndBytes) {
   EXPECT_GT(out->nanos, 0);
 }
 
+TEST(ParallelScanTest, LateMaterializationReadsRestOnlyWhenRowsPass) {
+  // The predicate reads only `score`. Each fragment decodes it first
+  // and the other projected columns only when some row passed.
+  DualTable t(37);
+  auto scan = [&](ExprPtr predicate, std::vector<int> projection) {
+    ColumnarScanOptions opts;
+    opts.predicate = std::move(predicate);
+    opts.projection = std::move(projection);
+    auto out = ColumnarScan(t.columnar, opts);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return out.ok() ? *out : ColumnarScanOutput{};
+  };
+  auto score_lt = [](double v) {
+    return Expression::Binary(ExprKind::kLt, Expression::Column(1),
+                              Expression::Literal(Value(v)));
+  };
+  const int64_t score_bytes = scan(nullptr, {1}).bytes_scanned;
+  const int64_t all_bytes = scan(nullptr, {}).bytes_scanned;
+  ASSERT_GT(score_bytes, 0);
+  ASSERT_LT(score_bytes, all_bytes);
+
+  const ColumnarScanOutput none = scan(score_lt(-1.0), {});
+  EXPECT_EQ(none.rows_emitted, 0);
+  EXPECT_EQ(none.rows_scanned, 37);
+  EXPECT_EQ(none.bytes_scanned, score_bytes);
+
+  const ColumnarScanOutput every = scan(score_lt(100.0), {});
+  EXPECT_EQ(every.rows_emitted, 37);
+  EXPECT_EQ(every.bytes_scanned, all_bytes);
+  // The filter column stays out of the output but is still read.
+  EXPECT_EQ(scan(score_lt(100.0), {0}).bytes_scanned,
+            scan(nullptr, {0, 1}).bytes_scanned);
+}
+
 TEST(ScanCostModelTest, LearnsFromObservations) {
   ScanCostModel::ResetForTest();
   EXPECT_DOUBLE_EQ(ScanCostModel::ColumnarNsPerCell(),
@@ -562,125 +674,6 @@ TEST(ColumnarGatherTest, RejectsWidthMismatchAndWrongType) {
   auto bad_type = ExecuteColumnarGather(stage, out->batches, 0, 2,
                                         "id", &tracker);
   EXPECT_TRUE(bad_type.status().IsInvalidArgument());
-}
-
-// -----------------------------------------------------------------------
-// Predicate SIMD strips: the AVX2 backend must emit a selection vector
-// bit-identical to the scalar reference on every input — including
-// NaN, signed zero, and denormal lanes — at every length (vector body
-// + scalar tail).
-// -----------------------------------------------------------------------
-
-TEST(PredicateSimdTest, Avx2SelectionBitIdenticalToScalar) {
-  const kernels::PredicateKernels* scalar =
-      kernels::GetScalarPredicateKernels();
-  const kernels::PredicateKernels* avx2 =
-      kernels::GetAvx2PredicateKernels();
-  ASSERT_NE(scalar, nullptr);
-  if (avx2 == nullptr ||
-      kernels::DetectSimdLevel() != kernels::SimdLevel::kAvx2) {
-    GTEST_SKIP() << "no AVX2 predicate backend on this host";
-  }
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const double inf = std::numeric_limits<double>::infinity();
-  const double denorm = std::numeric_limits<double>::denorm_min();
-  // Values chosen so every comparison outcome and special-value rule
-  // is exercised in both the 4-wide body and the tail.
-  const std::vector<double> specials = {0.0,  -0.0,   1.0, -1.0, nan,
-                                        inf,  -inf,   denorm, 2.5,
-                                        -2.5, 1e300, -1e300};
-  for (int64_t n : {0, 1, 3, 4, 5, 7, 8, 64, 67}) {
-    std::vector<double> a(n), b(n);
-    std::vector<int64_t> ia(n), ib(n);
-    std::vector<int32_t> sel(n);
-    uint64_t state = 17 + static_cast<uint64_t>(n);
-    for (int64_t i = 0; i < n; ++i) {
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      a[i] = specials[(state >> 33) % specials.size()];
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      b[i] = specials[(state >> 33) % specials.size()];
-      ia[i] = static_cast<int64_t>(state >> 61) - 4;
-      ib[i] = static_cast<int64_t>(state >> 62) - 2;
-      sel[i] = static_cast<int32_t>(i * 3 + 1);  // non-trivial sel ids
-    }
-    std::vector<int32_t> got(n), want(n);
-    auto check = [&](const char* what, int64_t wn, int64_t gn) {
-      ASSERT_EQ(wn, gn) << what << " n=" << n;
-      for (int64_t i = 0; i < wn; ++i) {
-        ASSERT_EQ(want[i], got[i]) << what << " n=" << n << " i=" << i;
-      }
-    };
-    check("lt_f64",
-          scalar->lt_f64(a.data(), b.data(), sel.data(), n, want.data()),
-          avx2->lt_f64(a.data(), b.data(), sel.data(), n, got.data()));
-    check("le_f64",
-          scalar->le_f64(a.data(), b.data(), sel.data(), n, want.data()),
-          avx2->le_f64(a.data(), b.data(), sel.data(), n, got.data()));
-    check("eq_f64",
-          scalar->eq_f64(a.data(), b.data(), sel.data(), n, want.data()),
-          avx2->eq_f64(a.data(), b.data(), sel.data(), n, got.data()));
-    check("absdiff_le_f64",
-          scalar->absdiff_le_f64(a.data(), b.data(), 1.5, sel.data(), n,
-                                 want.data()),
-          avx2->absdiff_le_f64(a.data(), b.data(), 1.5, sel.data(), n,
-                               got.data()));
-    check("eq_i64",
-          scalar->eq_i64(ia.data(), ib.data(), sel.data(), n,
-                         want.data()),
-          avx2->eq_i64(ia.data(), ib.data(), sel.data(), n, got.data()));
-    check("nonzero_f64",
-          scalar->nonzero_f64(a.data(), sel.data(), n, want.data()),
-          avx2->nonzero_f64(a.data(), sel.data(), n, got.data()));
-  }
-}
-
-TEST(PredicateSimdTest, SpecialValueSemanticsMatchCppOperators) {
-  // The strips must implement the C++ operator truth table exactly:
-  // ordered comparisons reject NaN, truthiness (!=) accepts it,
-  // -0.0 == 0.0 compares equal.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const std::vector<double> a = {nan, 0.0, -0.0, nan};
-  const std::vector<double> b = {nan, -0.0, 0.0, 1.0};
-  const std::vector<int32_t> sel = {10, 11, 12, 13};
-  std::vector<int32_t> out(4);
-  for (const kernels::PredicateKernels* pk :
-       {kernels::GetScalarPredicateKernels(),
-        kernels::GetAvx2PredicateKernels()}) {
-    if (pk == nullptr) continue;
-    // NaN fails every ordered comparison; zeros compare equal.
-    EXPECT_EQ(pk->lt_f64(a.data(), b.data(), sel.data(), 4, out.data()),
-              0);
-    ASSERT_EQ(
-        pk->eq_f64(a.data(), b.data(), sel.data(), 4, out.data()), 2);
-    EXPECT_EQ(out[0], 11);
-    EXPECT_EQ(out[1], 12);
-    // Truthiness: NaN != 0.0 is true, both zeros are falsy.
-    ASSERT_EQ(pk->nonzero_f64(a.data(), sel.data(), 4, out.data()), 2);
-    EXPECT_EQ(out[0], 10);
-    EXPECT_EQ(out[1], 13);
-    // |NaN - x| <= eps is false (NaN poisons the difference).
-    EXPECT_EQ(pk->absdiff_le_f64(a.data(), b.data(), 100.0, sel.data(),
-                                 4, out.data()),
-              2);
-  }
-}
-
-TEST(PredicateSimdTest, VectorizedFilterIdenticalAcrossSimdLevels) {
-  // End-to-end: the same columnar filter query must select the same
-  // rows whichever predicate backend the evaluator dispatches to.
-  DualTable t(257);
-  ExprPtr pred = Expression::Binary(ExprKind::kLt, Expression::Column(1),
-                                    Expression::Literal(Value(2.0)));
-  auto run = [&](kernels::SimdLevel level) {
-    kernels::SetActiveSimdLevel(level);
-    auto rows = t.ColumnarPath(pred);
-    kernels::SetActiveSimdLevel(kernels::DetectSimdLevel());
-    return rows;
-  };
-  const std::vector<Row> scalar_rows = run(kernels::SimdLevel::kScalar);
-  const std::vector<Row> avx2_rows = run(kernels::SimdLevel::kAvx2);
-  EXPECT_FALSE(scalar_rows.empty());
-  ExpectSameRows(scalar_rows, avx2_rows);
 }
 
 }  // namespace

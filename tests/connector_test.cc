@@ -105,9 +105,9 @@ TEST(ExternalRuntimeTest, EndToEndInference) {
   auto prediction = Connector::DecodeTensor(*response, nullptr);
   ASSERT_TRUE(prediction.ok());
   EXPECT_EQ(prediction->shape(), (Shape{6, 3}));
-  EXPECT_EQ(runtime.stats().requests, 1);
-  EXPECT_GT(runtime.stats().bytes_received, 0);
-  EXPECT_GT(runtime.stats().bytes_sent, 0);
+  EXPECT_EQ(runtime.stats().requests.load(), 1);
+  EXPECT_GT(runtime.stats().bytes_received.load(), 0);
+  EXPECT_GT(runtime.stats().bytes_sent.load(), 0);
 }
 
 TEST(ExternalRuntimeTest, UnknownModelIsNotFound) {

@@ -220,6 +220,10 @@ TEST_F(NetServingTest, DeployAndStatsOverTheWire) {
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_NE(stats->find("\"scheduler\""), std::string::npos);
   EXPECT_NE(stats->find("\"frames_in\""), std::string::npos);
+  // Every scheduler counter rides the frame, transient-fault retries
+  // and the largest micro-batch included.
+  EXPECT_NE(stats->find("\"retries\""), std::string::npos);
+  EXPECT_NE(stats->find("\"max_batch_rows_seen\""), std::string::npos);
   // Cross-model weight dedup state rides the same stats frame. The
   // relational redeploy above interned weight blocks, so the live
   // counters are nonzero.

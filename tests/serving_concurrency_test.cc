@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/external_runtime.h"
 #include "engine/physical_plan.h"
 #include "graph/model.h"
 #include "serving/request_scheduler.h"
@@ -487,6 +488,35 @@ TEST_F(ServingConcurrencyTest, ConcurrentCacheTrafficIsSafe) {
   auto cache = session_.GetExactCache("m");
   ASSERT_TRUE(cache.ok());
   EXPECT_GT((*cache)->stats().lookups.load(), 0);
+}
+
+TEST_F(ServingConcurrencyTest, ConcurrentRuntimeOffloadCountsEveryRequest) {
+  // Two threads offload through one ExternalRuntime; its request and
+  // byte counters are shared, so every bump must land (and TSan must
+  // see no race on them).
+  LoadModel();
+  auto table = session_.CreateTable("t", workloads::FeatureTableSchema());
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE(workloads::FillFeatureTable(*table, 4, 16, 7).ok());
+  ExternalRuntime runtime("sim", 64LL << 20);
+  ASSERT_TRUE(session_.OffloadModel("m", &runtime).ok());
+
+  constexpr int kThreads = 2;
+  constexpr int kCalls = 50;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> workers;
+  for (int c = 0; c < kThreads; ++c) {
+    workers.emplace_back([&] {
+      for (int i = 0; i < kCalls; ++i) {
+        if (!session_.PredictViaRuntime("m", "t").ok()) ++failures;
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(runtime.stats().requests.load(), kThreads * kCalls);
+  EXPECT_GT(runtime.stats().bytes_received.load(), 0);
+  EXPECT_GT(runtime.stats().bytes_sent.load(), 0);
 }
 
 TEST_F(ServingConcurrencyTest, DeployUndeployPredictChurn) {

@@ -205,7 +205,7 @@ TEST_F(ServingTest, DlCentricOffloadMatchesInDatabase) {
   auto local_t = local->ToTensor(session_.exec_context());
   ASSERT_TRUE(local_t.ok());
   EXPECT_LT(local_t->MaxAbsDiff(*remote), 1e-6f);
-  EXPECT_EQ(runtime.stats().requests, 1);
+  EXPECT_EQ(runtime.stats().requests.load(), 1);
 }
 
 TEST_F(ServingTest, PredictViaRuntimeWithoutOffloadFails) {
