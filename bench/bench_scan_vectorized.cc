@@ -1,14 +1,14 @@
 // Vectorized columnar scan vs the row-at-a-time path.
 //
-// Builds the same feature table twice — a row heap and a columnar
-// table — and measures rows/s through three pipelines:
+// Builds one columnar feature table and measures rows/s through three
+// pipelines:
 //   scan          — full-table scan, all columns
 //   scan+filter   — predicate on id at several selectivities
 //   scan->tile    — filter + project the float-vector feature column
 //                   straight into a packed [n, width] GEMM input tile
-// The row path boxes every value through Row/Value; the columnar path
-// runs branch-free selection vectors over contiguous chunks and one
-// memcpy per fragment into the tile. The columnar pipelines also run
+// The row path (ColumnarRowScan -> Filter) boxes every value through
+// Row/Value; the vectorized path runs branch-free selection vectors
+// over contiguous chunks and one memcpy per fragment into the tile. The columnar pipelines also run
 // fragment-parallel on a 4-worker pool (morsel = fragment); on a
 // single-core machine that speedup is ~1.0 by construction.
 //
@@ -31,7 +31,6 @@
 #include "storage/buffer_pool.h"
 #include "storage/column_store.h"
 #include "storage/disk_manager.h"
-#include "storage/table_heap.h"
 
 namespace relserve {
 namespace {
@@ -39,9 +38,9 @@ namespace {
 constexpr int64_t kFeatureWidth = 64;
 
 // A feature table shaped like the paper's serving workloads: the
-// model input column plus the usual metadata baggage. The row format
-// must deserialize every column on every scan; the columnar scan
-// reads only the streams the query touches.
+// model input column plus the usual metadata baggage. The row path
+// boxes every column on every scan; the vectorized scan reads only the
+// streams the query touches.
 Schema BenchSchema() {
   return Schema({{"id", ValueType::kInt64},
                  {"score", ValueType::kFloat64},
@@ -77,18 +76,12 @@ ExprPtr IdBelow(int64_t cutoff) {
 struct Tables {
   DiskManager disk;
   BufferPool pool;
-  Schema schema = BenchSchema();
-  TableHeap heap;
   ColumnarTable columnar;
 
   explicit Tables(int64_t rows)
-      : pool(&disk, 2048), heap(&pool), columnar(&pool, BenchSchema()) {
+      : pool(&disk, 2048), columnar(&pool, BenchSchema()) {
     for (int64_t i = 0; i < rows; ++i) {
-      Row row = BenchRow(i);
-      std::string bytes;
-      row.SerializeTo(&bytes);
-      Status s = heap.Append(bytes);
-      if (s.ok()) s = columnar.AppendRow(row);
+      Status s = columnar.AppendRow(BenchRow(i));
       if (!s.ok()) {
         std::fprintf(stderr, "table build failed: %s\n",
                      s.ToString().c_str());
@@ -98,9 +91,9 @@ struct Tables {
   }
 };
 
-// Row path: SeqScan (+ Filter) and drain the iterator.
+// Row path: ColumnarRowScan (+ Filter) and drain the iterator.
 Result<int64_t> RowScan(Tables* t, const ExprPtr& pred) {
-  RowIteratorPtr it = std::make_unique<SeqScan>(&t->heap, t->schema);
+  RowIteratorPtr it = std::make_unique<ColumnarRowScan>(&t->columnar);
   if (pred != nullptr) it = std::make_unique<Filter>(std::move(it), pred);
   RELSERVE_RETURN_NOT_OK(it->Open());
   Row row;
@@ -116,7 +109,7 @@ Result<int64_t> RowScan(Tables* t, const ExprPtr& pred) {
 // Row path feeding a GEMM tile: boxed rows, per-row vector copy.
 Result<int64_t> RowScanToTile(Tables* t, const ExprPtr& pred,
                               std::vector<float>* tile) {
-  RowIteratorPtr it = std::make_unique<SeqScan>(&t->heap, t->schema);
+  RowIteratorPtr it = std::make_unique<ColumnarRowScan>(&t->columnar);
   if (pred != nullptr) it = std::make_unique<Filter>(std::move(it), pred);
   RELSERVE_RETURN_NOT_OK(it->Open());
   tile->clear();

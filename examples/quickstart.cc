@@ -45,7 +45,7 @@ int main() {
     return 1;
   }
   std::printf("loaded %lld rows into 'transactions'\n",
-              static_cast<long long>((*table)->heap->num_records()));
+              static_cast<long long>((*table)->columnar->num_rows()));
 
   // 3. Register a model (the paper's Fraud-FC-256: 28 -> 256 -> 2).
   auto model = BuildFFNN("fraud-detector", {28, 256, 2}, /*seed=*/7);

@@ -29,9 +29,7 @@ int main() {
     Row row({Value(int64_t{i}),
              Value(static_cast<double>(rng.Uniform(1.0f, 5000.0f))),
              Value(std::move(features))});
-    std::string bytes;
-    row.SerializeTo(&bytes);
-    if (!(*table)->heap->Append(bytes).ok()) return 1;
+    if (!(*table)->columnar->AppendRow(row).ok()) return 1;
   }
 
   // The fraud model from the paper's Table 1.

@@ -17,14 +17,14 @@
 # access, OOB pointer arithmetic, bad function-pointer calls).
 #
 # Leg 3 (AddressSanitizer): rebuilds with -DRELSERVE_SANITIZE=address
-# into build-asan/ and runs the TSan list plus serving_test and
-# sql_test. It checks object lifetimes across threads: the completion
+# into build-asan/ and runs every test binary tests/CMakeLists.txt
+# registers. Besides the out-of-bounds and use-after-free checks every
+# test gets, it checks object lifetimes across threads: the completion
 # callback that keeps a network connection alive until its reply is
-# written, the promise a future adapter's callback owns, and the
-# micro-batch chunks the pipelined schedule hands from stage to stage.
-# serving_test and sql_test drive every table, SQL and batch predict
-# through ServingSession::Execute, whose feed reads feature rows
-# straight out of borrowed column chunks and row buffers.
+# written, the promise a future adapter's callback owns, the
+# micro-batch chunks the pipelined schedule hands from stage to stage,
+# and the borrowed column chunks ServingSession::Execute feeds to a
+# model.
 #
 # Usage: scripts/tsan_check.sh [tsan-build-dir] [ubsan-build-dir]
 #                              [asan-build-dir]
@@ -70,7 +70,14 @@ TSAN_TESTS=(resource_test storage_test dedup_test block_ops_test
 UBSAN_TESTS=(kernels_test tensor_test block_ops_test executor_test
             plan_text_test chaos_test columnar_test dedup_test
             quantized_kernels_test net_serving_test wal_recovery_test)
-ASAN_TESTS=("${TSAN_TESTS[@]}" serving_test sql_test)
+# Every registered test, so a test added later is covered without an
+# edit here.
+mapfile -t ASAN_TESTS < <(sed -n 's/^relserve_add_test(\(.*\))$/\1/p' \
+                              tests/CMakeLists.txt)
+if [ "${#ASAN_TESTS[@]}" -eq 0 ]; then
+    echo "no relserve_add_test() lines in tests/CMakeLists.txt" >&2
+    exit 1
+fi
 
 cmake -B "$BUILD_DIR" -S . -DRELSERVE_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo

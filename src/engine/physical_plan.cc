@@ -519,6 +519,10 @@ std::string RenderStandaloneStage(const PhysicalStage& stage,
   return out;
 }
 
+namespace {
+
+// InvalidArgument unless a feature cell of `type` holding `row_width`
+// floats can feed a model whose input is `width` wide.
 Status CheckFeatureVector(const std::string& column_name, ValueType type,
                           int64_t row_width, int64_t width) {
   if (type != ValueType::kFloatVector) {
@@ -533,6 +537,8 @@ Status CheckFeatureVector(const std::string& column_name, ValueType type,
   }
   return Status::OK();
 }
+
+}  // namespace
 
 Status GatherColumnar(const PhysicalStage& stage,
                       const std::vector<ColumnBatch>& batches,

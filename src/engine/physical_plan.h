@@ -156,16 +156,11 @@ std::string RenderStandaloneStage(const PhysicalStage& stage,
 using FeatureSink =
     std::function<Status(const float* rows, int64_t count)>;
 
-// InvalidArgument unless a feature cell of `type` holding `row_width`
-// floats can feed a model whose input is `width` wide.
-Status CheckFeatureVector(const std::string& column_name, ValueType type,
-                          int64_t row_width, int64_t width);
-
 // The columnar -> tensor pivot: hands the float-vector feature chunk
 // (slot `chunk_index` of each batch) to `sink` one chunk at a time,
 // straight from the chunks' flattened payloads — no Row/Value
-// materialization. Every row is checked by CheckFeatureVector first;
-// trips the "columnar.pivot" failpoint. Stats (invocations, nanos,
+// materialization. A row that is not a FLOAT_VECTOR of `width` floats
+// is a typed InvalidArgument; trips the "columnar.pivot" failpoint. Stats (invocations, nanos,
 // rows, bytes) accumulate into `stage`.
 Status GatherColumnar(const PhysicalStage& stage,
                       const std::vector<ColumnBatch>& batches,

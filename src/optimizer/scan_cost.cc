@@ -15,36 +15,10 @@ namespace {
 constexpr double kFsPerNs = 1e6;
 constexpr double kAlpha = 0.2;  // EWMA weight of a new observation
 
-std::atomic<int64_t> g_row_fs_per_cell{
-    static_cast<int64_t>(ScanCostModel::kSeedRowNsPerCell * kFsPerNs)};
 std::atomic<int64_t> g_columnar_fs_per_cell{static_cast<int64_t>(
     ScanCostModel::kSeedColumnarNsPerCell * kFsPerNs)};
 
-void Observe(std::atomic<int64_t>* state, int64_t cells,
-             int64_t nanos) {
-  if (cells <= 0 || nanos <= 0) return;
-  const double sample_fs =
-      static_cast<double>(nanos) / static_cast<double>(cells) * kFsPerNs;
-  int64_t cur = state->load(std::memory_order_relaxed);
-  while (true) {
-    const double next =
-        (1.0 - kAlpha) * static_cast<double>(cur) + kAlpha * sample_fs;
-    const int64_t next_i =
-        std::max<int64_t>(1, static_cast<int64_t>(next));
-    if (state->compare_exchange_weak(cur, next_i,
-                                     std::memory_order_relaxed)) {
-      return;
-    }
-  }
-}
-
 }  // namespace
-
-double ScanCostModel::RowNsPerCell() {
-  return static_cast<double>(
-             g_row_fs_per_cell.load(std::memory_order_relaxed)) /
-         kFsPerNs;
-}
 
 double ScanCostModel::ColumnarNsPerCell() {
   return static_cast<double>(
@@ -52,12 +26,21 @@ double ScanCostModel::ColumnarNsPerCell() {
          kFsPerNs;
 }
 
-void ScanCostModel::ObserveRowScan(int64_t cells, int64_t nanos) {
-  Observe(&g_row_fs_per_cell, cells, nanos);
-}
-
 void ScanCostModel::ObserveColumnarScan(int64_t cells, int64_t nanos) {
-  Observe(&g_columnar_fs_per_cell, cells, nanos);
+  if (cells <= 0 || nanos <= 0) return;
+  const double sample_fs =
+      static_cast<double>(nanos) / static_cast<double>(cells) * kFsPerNs;
+  int64_t cur = g_columnar_fs_per_cell.load(std::memory_order_relaxed);
+  while (true) {
+    const double next =
+        (1.0 - kAlpha) * static_cast<double>(cur) + kAlpha * sample_fs;
+    const int64_t next_i =
+        std::max<int64_t>(1, static_cast<int64_t>(next));
+    if (g_columnar_fs_per_cell.compare_exchange_weak(
+            cur, next_i, std::memory_order_relaxed)) {
+      return;
+    }
+  }
 }
 
 int64_t ScanCostModel::FragmentWorkHint(int64_t rows_per_fragment,
@@ -83,17 +66,13 @@ bool ScanCostModel::ShouldParallelize(int64_t total_rows,
 }
 
 std::string ScanCostModel::ToString() {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf),
-                "scan cost: row=%.1fns/cell columnar=%.2fns/cell",
-                RowNsPerCell(), ColumnarNsPerCell());
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "scan cost: columnar=%.2fns/cell",
+                ColumnarNsPerCell());
   return buf;
 }
 
 void ScanCostModel::ResetForTest() {
-  g_row_fs_per_cell.store(
-      static_cast<int64_t>(kSeedRowNsPerCell * kFsPerNs),
-      std::memory_order_relaxed);
   g_columnar_fs_per_cell.store(
       static_cast<int64_t>(kSeedColumnarNsPerCell * kFsPerNs),
       std::memory_order_relaxed);

@@ -4,8 +4,8 @@
 // The optimizer's representation decisions (optimizer.h) pick *where*
 // tensors live; this model picks *how hard* to parallelize relational
 // scans. It keeps an EWMA of measured nanoseconds per (row, column)
-// for the row-at-a-time and columnar paths, seeded with calibration
-// constants and updated by every scan that reports its wall time — so
+// of the columnar scan, seeded with a calibration constant and updated
+// by every scan that reports its wall time — so
 // the work hints handed to ThreadPool::ParallelFor track the machine
 // the server actually runs on, and EXPLAIN can show the cost basis of
 // its parallelism decisions.
@@ -20,19 +20,15 @@ namespace relserve {
 
 class ScanCostModel {
  public:
-  // Calibration seeds (ns per row-cell) before any observation lands:
-  // the row path deserializes tagged records into boxed Values; the
-  // columnar path memcpys contiguous arrays.
-  static constexpr double kSeedRowNsPerCell = 60.0;
+  // Calibration seed (ns per row-cell) before any observation lands:
+  // the columnar scan memcpys contiguous arrays.
   static constexpr double kSeedColumnarNsPerCell = 2.0;
 
-  // Current EWMA estimates, ns per (row, column) touched.
-  static double RowNsPerCell();
+  // Current EWMA estimate, ns per (row, column) touched.
   static double ColumnarNsPerCell();
 
   // Feeds a measured scan back into the model. `cells` is
   // rows * columns touched; observations with cells <= 0 are ignored.
-  static void ObserveRowScan(int64_t cells, int64_t nanos);
   static void ObserveColumnarScan(int64_t cells, int64_t nanos);
 
   // ParallelFor work hint for one fragment-scan item (arbitrary units
@@ -46,7 +42,7 @@ class ScanCostModel {
   static bool ShouldParallelize(int64_t total_rows, int64_t num_columns,
                                 int num_threads);
 
-  // One-line rendering for EXPLAIN ("cost: row=... columnar=...").
+  // One-line rendering for EXPLAIN ("scan cost: columnar=...").
   static std::string ToString();
 
   // Test hook: forget every observation, back to the seeds.

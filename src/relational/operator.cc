@@ -22,50 +22,6 @@ Result<std::vector<Row>> Collect(RowIterator* it) {
   return rows;
 }
 
-// --- SeqScan --------------------------------------------------------
-
-Status SeqScan::Open() {
-  page_index_ = 0;
-  page_records_.clear();
-  record_index_ = 0;
-  ordinal_ = 0;
-  return Status::OK();
-}
-
-Result<bool> SeqScan::Next(Row* row) {
-  while (true) {
-    while (record_index_ >= page_records_.size()) {
-      if (page_index_ >= heap_->num_pages()) return false;
-      RELSERVE_RETURN_NOT_OK(
-          heap_->ReadPageRecords(page_index_, &page_records_));
-      ++page_index_;
-      record_index_ = 0;
-      if (rows_scanned_ != nullptr) {
-        rows_scanned_->fetch_add(
-            static_cast<int64_t>(page_records_.size()),
-            std::memory_order_relaxed);
-      }
-      if (bytes_scanned_ != nullptr) {
-        int64_t bytes = 0;
-        for (const std::string& r : page_records_) {
-          bytes += static_cast<int64_t>(r.size());
-        }
-        bytes_scanned_->fetch_add(bytes, std::memory_order_relaxed);
-      }
-    }
-    const std::string& record = page_records_[record_index_++];
-    const int64_t ordinal = ordinal_++;
-    if (visibility_ != nullptr &&
-        !visibility_->IsVisible(ordinal, snapshot_)) {
-      continue;  // not in this reader's snapshot
-    }
-    RELSERVE_ASSIGN_OR_RETURN(
-        *row, Row::Deserialize(record.data(),
-                               static_cast<int64_t>(record.size())));
-    return true;
-  }
-}
-
 // --- MemScan --------------------------------------------------------
 
 Result<bool> MemScan::Next(Row* row) {

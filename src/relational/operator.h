@@ -1,16 +1,16 @@
 // Pull-based (Volcano-style) relational operators.
 //
 // Every operator implements RowIterator: Open once, Next until it
-// reports exhaustion, Close implicitly on destruction. SeqScan pulls
-// pages one at a time through the buffer pool, so pipelines over
-// spilled tables run in O(page) memory — the property the
-// relation-centric architecture builds on.
+// reports exhaustion, Close implicitly on destruction. Table scans
+// (ColumnarRowScan in vectorized.h) pull one fragment at a time
+// through the buffer pool, so pipelines over spilled tables run in
+// O(fragment) memory — the property the relation-centric architecture
+// builds on.
 
 #ifndef RELSERVE_RELATIONAL_OPERATOR_H_
 #define RELSERVE_RELATIONAL_OPERATOR_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -21,8 +21,6 @@
 #include "relational/expression.h"
 #include "relational/row.h"
 #include "relational/schema.h"
-#include "storage/mvcc.h"
-#include "storage/table_heap.h"
 
 namespace relserve {
 
@@ -48,47 +46,6 @@ using RowIteratorPtr = std::unique_ptr<RowIterator>;
 Result<std::vector<Row>> Collect(RowIterator* it);
 
 // --- Leaf operators -------------------------------------------------
-
-// Scans a TableHeap page by page.
-class SeqScan : public RowIterator {
- public:
-  SeqScan(const TableHeap* heap, Schema schema)
-      : heap_(heap), schema_(std::move(schema)) {}
-
-  Status Open() override;
-  Result<bool> Next(Row* row) override;
-  const Schema& schema() const override { return schema_; }
-  int64_t SizeHint() const override { return heap_->num_records(); }
-
-  // Optional relaxed-atomic sinks bumped as pages are decoded, so
-  // EXPLAIN ANALYZE reports what the row path actually touched.
-  void set_telemetry(std::atomic<int64_t>* rows_scanned,
-                     std::atomic<int64_t>* bytes_scanned) {
-    rows_scanned_ = rows_scanned;
-    bytes_scanned_ = bytes_scanned;
-  }
-
-  // MVCC snapshot read: rows whose version interval does not contain
-  // `snapshot` are skipped. Row ordinals follow insertion order —
-  // exactly the VisibilityMap's row index.
-  void set_visibility(const VisibilityMap* visibility,
-                      Version snapshot) {
-    visibility_ = visibility;
-    snapshot_ = snapshot;
-  }
-
- private:
-  const TableHeap* heap_;
-  Schema schema_;
-  int64_t page_index_ = 0;
-  std::vector<std::string> page_records_;
-  size_t record_index_ = 0;
-  int64_t ordinal_ = 0;
-  std::atomic<int64_t>* rows_scanned_ = nullptr;
-  std::atomic<int64_t>* bytes_scanned_ = nullptr;
-  const VisibilityMap* visibility_ = nullptr;
-  Version snapshot_ = 0;
-};
 
 // Scans an in-memory row vector (for intermediate results).
 class MemScan : public RowIterator {

@@ -1,5 +1,5 @@
 // Row: one tuple, plus the byte-level (de)serialization used both by
-// the TableHeap record format and by the DL-centric Connector (which
+// the WAL's insert/update records and by the DL-centric Connector (which
 // re-serializes rows across the system boundary).
 
 #ifndef RELSERVE_RELATIONAL_ROW_H_

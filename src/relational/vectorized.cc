@@ -661,13 +661,4 @@ Result<bool> ColumnarRowScan::Next(Row* row) {
   }
 }
 
-RowIteratorPtr MakeTableScan(const TableHeap* heap,
-                             const ColumnarTable* columnar,
-                             const Schema& schema) {
-  if (columnar != nullptr) {
-    return std::make_unique<ColumnarRowScan>(columnar);
-  }
-  return std::make_unique<SeqScan>(heap, schema);
-}
-
 }  // namespace relserve

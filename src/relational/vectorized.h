@@ -11,9 +11,9 @@
 // (errors in an unevaluated branch are suppressed), and double
 // arithmetic applied in the same order per row.
 //
-// ColumnarRowScan is the compatibility shim: a RowIterator over the
-// batch scan, so every row operator (joins, aggregates, sorts)
-// composes over columnar tables unchanged.
+// ColumnarRowScan is the one row iterator over a table: it serves the
+// fragments as boxed rows, so every row operator (joins, aggregates,
+// sorts) composes over tables unchanged.
 
 #ifndef RELSERVE_RELATIONAL_VECTORIZED_H_
 #define RELSERVE_RELATIONAL_VECTORIZED_H_
@@ -71,9 +71,9 @@ struct ColumnarScanOutput {
 Result<ColumnarScanOutput> ColumnarScan(const ColumnarTable& table,
                                         const ColumnarScanOptions& opts);
 
-// Row-at-a-time compatibility shim over the batch path: decodes one
-// fragment at a time and serves boxed rows, so row operators compose
-// over columnar tables.
+// Row-at-a-time scan of a table: decodes one fragment at a time and
+// serves boxed rows in insertion order, so row operators compose over
+// tables.
 class ColumnarRowScan : public RowIterator {
  public:
   explicit ColumnarRowScan(const ColumnarTable* table)
@@ -89,7 +89,9 @@ class ColumnarRowScan : public RowIterator {
   const Schema& schema() const override { return schema_; }
   int64_t SizeHint() const override { return table_->num_rows(); }
 
-  // MVCC snapshot read, mirroring SeqScan::set_visibility.
+  // MVCC snapshot read: rows whose version interval does not contain
+  // `snapshot` are skipped. Row ordinals follow insertion order —
+  // exactly the VisibilityMap's row index.
   void set_visibility(const VisibilityMap* visibility,
                       Version snapshot) {
     visibility_ = visibility;
@@ -106,12 +108,6 @@ class ColumnarRowScan : public RowIterator {
   const VisibilityMap* visibility_ = nullptr;
   Version snapshot_ = 0;
 };
-
-// Scan over whichever layout the table uses (exactly one of
-// heap/columnar is non-null in the catalog).
-RowIteratorPtr MakeTableScan(const TableHeap* heap,
-                             const ColumnarTable* columnar,
-                             const Schema& schema);
 
 }  // namespace relserve
 

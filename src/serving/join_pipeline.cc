@@ -7,6 +7,7 @@
 #include "kernels/kernels.h"
 #include "optimizer/decomposition.h"
 #include "relational/operator.h"
+#include "relational/vectorized.h"
 
 namespace relserve {
 
@@ -59,12 +60,10 @@ Result<JoinInferenceResult> RunJoinThenInfer(
                             session->GetModel(spec.model));
 
   // join(D1, D2) with the full wide tuples flowing through the join.
-  auto left = std::make_unique<SeqScan>(d1.table->heap.get(),
-                                        d1.table->schema);
-  auto right = std::make_unique<SeqScan>(d2.table->heap.get(),
-                                         d2.table->schema);
-  SimilarityJoin join(std::move(left), std::move(right), d1.key_col,
-                      d2.key_col, spec.epsilon);
+  SimilarityJoin join(
+      std::make_unique<ColumnarRowScan>(d1.table->columnar.get()),
+      std::make_unique<ColumnarRowScan>(d2.table->columnar.get()),
+      d1.key_col, d2.key_col, spec.epsilon);
   const int right_feature_col =
       d1.table->schema.num_columns() + d2.feature_col;
 
@@ -120,7 +119,7 @@ Result<JoinInferenceResult> RunDecomposedInfer(
   // Materialize each partition's features and keys once.
   auto load_side = [&](const SideInfo& side, Tensor* features,
                        std::vector<double>* keys) -> Status {
-    SeqScan scan(side.table->heap.get(), side.table->schema);
+    ColumnarRowScan scan(side.table->columnar.get());
     RELSERVE_RETURN_NOT_OK(scan.Open());
     std::vector<float> staging;
     Row row;

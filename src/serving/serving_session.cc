@@ -91,12 +91,12 @@ ServingSession::ServingSession(ServingConfig config)
 
 Result<TableInfo*> ServingSession::CreateTable(const std::string& name,
                                                Schema schema,
-                                               TableLayout layout) {
+                                               TableLayout /*layout*/) {
   if (wal_ == nullptr) {
     if (!config_.wal_dir.empty() && !wal_status_.ok()) {
       return wal_status_;
     }
-    return catalog_->CreateTable(name, std::move(schema), layout);
+    return catalog_->CreateTable(name, std::move(schema));
   }
   std::lock_guard<std::mutex> commit(commit_mu_);
   const uint64_t txn = next_txn_++;
@@ -104,14 +104,13 @@ Result<TableInfo*> ServingSession::CreateTable(const std::string& name,
   create.type = WalRecord::Type::kCreateTable;
   create.txn_id = txn;
   create.table = name;
-  create.layout = static_cast<uint8_t>(layout);
   EncodeSchema(schema, &create.schema_encoding);
   RELSERVE_ASSIGN_OR_RETURN(uint64_t lsn, wal_->Append(create));
   // Catalog failure (duplicate name) leaves the logged create
   // uncommitted; recovery drops it.
   RELSERVE_ASSIGN_OR_RETURN(
       TableInfo * table,
-      catalog_->CreateTable(name, std::move(schema), layout));
+      catalog_->CreateTable(name, std::move(schema)));
   const Version v = clock_.Allocate();
   WalRecord commit_rec;
   commit_rec.type = WalRecord::Type::kCommit;
@@ -153,7 +152,10 @@ Status ServingSession::ApplyWrite(const std::string& table_name,
   if (ops.empty()) return Status::OK();
   RELSERVE_ASSIGN_OR_RETURN(TableInfo* table,
                             catalog_->GetTable(table_name));
-  // Validate and serialize outside the commit lock.
+  // Check every op outside the commit lock, before any is logged: a
+  // row the table would refuse must never reach the WAL, where a
+  // commit record would make recovery replay it. Rows are serialized
+  // only for the log.
   std::vector<std::string> row_bytes(ops.size());
   for (size_t i = 0; i < ops.size(); ++i) {
     const WriteOp& op = ops[i];
@@ -162,7 +164,8 @@ Status ServingSession::ApplyWrite(const std::string& table_name,
           "update/delete needs a row ordinal");
     }
     if (op.kind != WriteOp::Kind::kDelete) {
-      op.row.SerializeTo(&row_bytes[i]);
+      RELSERVE_RETURN_NOT_OK(table->columnar->CheckRow(op.row));
+      if (wal_ != nullptr) op.row.SerializeTo(&row_bytes[i]);
     }
   }
 
@@ -231,15 +234,9 @@ Status ServingSession::ApplyWrite(const std::string& table_name,
       // glimpsing it mid-append. (A storage failure past this point
       // leaves memory behind the durable log either way — the commit
       // is already on disk.)
-      vis->PadTo(table->num_rows());
+      vis->PadTo(table->columnar->num_rows());
       vis->AppendRow(v);
-      if (table->heap != nullptr) {
-        RELSERVE_RETURN_NOT_OK(table->heap->Append(
-            row_bytes[i].data(),
-            static_cast<int64_t>(row_bytes[i].size())));
-      } else {
-        RELSERVE_RETURN_NOT_OK(table->columnar->AppendRow(op.row));
-      }
+      RELSERVE_RETURN_NOT_OK(table->columnar->AppendRow(op.row));
     }
   }
 
@@ -519,31 +516,18 @@ Result<ExecOutput> ServingSession::PredictAtSnapshot(
                             catalog_->GetTable(table_name));
   RELSERVE_ASSIGN_OR_RETURN(int col,
                             table->schema.FieldIndex(feature_col));
-
-  // The visible row count at the pinned snapshot is the model's batch
-  // size. Rows a concurrent commit appends after this point carry
-  // begin versions beyond `snapshot`, so the scans below return
-  // exactly `n` rows.
-  const VisibilityMap* vis = table->visibility.get();
-  const int64_t n =
-      vis != nullptr
-          ? vis->VisibleCount(0, table->num_rows(), snapshot)
-          : table->num_rows();
-  if (n == 0) return Status::InvalidArgument("empty table");
-
-  if (table->layout == TableLayout::kColumnar) {
-    // Scan only the feature column (fragment-parallel).
-    ColumnarScanOptions opts;
-    opts.projection = {col};
-    opts.snapshot = snapshot;
-    RELSERVE_ASSIGN_OR_RETURN(ColumnarScanOutput scanned,
-                              ScanColumnar(*table, opts));
-    return Execute(model_name, {.scanned = &scanned, .table = table_name});
+  // Scan only the feature column (fragment-parallel). The rows visible
+  // at the pinned snapshot are the model's batch; rows a concurrent
+  // commit appends carry begin versions beyond `snapshot`.
+  ColumnarScanOptions opts;
+  opts.projection = {col};
+  opts.snapshot = snapshot;
+  RELSERVE_ASSIGN_OR_RETURN(ColumnarScanOutput scanned,
+                            ScanColumnar(*table, opts));
+  if (scanned.rows_emitted == 0) {
+    return Status::InvalidArgument("empty table");
   }
-  SeqScan scan(table->heap.get(), table->schema);
-  scan.set_visibility(vis, snapshot);
-  scan.set_telemetry(&ctx_.stats.rows_scanned, &ctx_.stats.bytes_scanned);
-  return Execute(model_name, {.rows = &scan, .column = col, .num_rows = n});
+  return Execute(model_name, {.scanned = &scanned, .table = table_name});
 }
 
 Result<ColumnarScanOutput> ServingSession::ScanColumnar(
@@ -564,7 +548,7 @@ Result<ColumnarScanOutput> ServingSession::ScanColumnar(
 
 Result<ExecOutput> ServingSession::Execute(const std::string& model_name,
                                            const FeatureSource& source) {
-  int64_t n = source.num_rows;
+  int64_t n = 0;
   if (source.dense != nullptr) {
     if (source.dense->shape().ndim() < 1) {
       return Status::InvalidArgument("input must have a batch dimension");
@@ -572,7 +556,7 @@ Result<ExecOutput> ServingSession::Execute(const std::string& model_name,
     n = source.dense->shape().dim(0);
   } else if (source.scanned != nullptr) {
     n = source.scanned->rows_emitted;
-  } else if (source.rows == nullptr) {
+  } else {
     return Status::InvalidArgument("feature source has no rows");
   }
   RELSERVE_ASSIGN_OR_RETURN(std::shared_ptr<Deployment> deployment,
@@ -581,35 +565,13 @@ Result<ExecOutput> ServingSession::Execute(const std::string& model_name,
   const Shape& sample = prepared.model().sample_shape();
   const int64_t width = sample.NumElements();
 
-  // Hands all n feature rows, checked, to `sink`: whole chunks of a
-  // columnar scan (charged to the table's gather stage), or one row
-  // at a time from a row iterator.
+  // Hands all n feature rows of the scan, checked, to `sink` in whole
+  // chunks, charged to the table's gather stage.
   auto feed = [&](const FeatureSink& sink) -> Status {
-    if (source.scanned != nullptr) {
-      return GatherColumnar(
-          ColumnarStages(source.table)->gather, source.scanned->batches,
-          source.column, width,
-          source.scanned->schema.column(source.column).name, sink);
-    }
-    const std::string& name =
-        source.rows->schema().column(source.column).name;
-    RELSERVE_RETURN_NOT_OK(source.rows->Open());
-    Row row;
-    int64_t fed = 0;
-    while (true) {
-      RELSERVE_ASSIGN_OR_RETURN(bool has, source.rows->Next(&row));
-      if (!has || ++fed > n) break;
-      const Value& v = row.value(source.column);
-      const bool vector = v.type() == ValueType::kFloatVector;
-      RELSERVE_RETURN_NOT_OK(CheckFeatureVector(
-          name, v.type(),
-          vector ? static_cast<int64_t>(v.AsFloatVector().size()) : 0,
-          width));
-      RELSERVE_RETURN_NOT_OK(sink(v.AsFloatVector().data(), 1));
-    }
-    return fed == n ? Status::OK()
-                    : Status::InvalidArgument("row source does not hold " +
-                                              std::to_string(n) + " rows");
+    return GatherColumnar(
+        ColumnarStages(source.table)->gather, source.scanned->batches,
+        source.column, width,
+        source.scanned->schema.column(source.column).name, sink);
   };
 
   Tensor input;
@@ -683,13 +645,9 @@ Result<Tensor> ServingSession::PredictViaRuntime(
                             table->schema.FieldIndex(feature_col));
 
   // Export: scan -> wire encoding -> copy across the system boundary.
-  // MakeTableScan serves whichever layout the table uses.
-  RowIteratorPtr scan = MakeTableScan(table->heap.get(),
-                                      table->columnar.get(),
-                                      table->schema);
-  RELSERVE_ASSIGN_OR_RETURN(
-      std::string encoded,
-      Connector::EncodeFeatureStream(scan.get(), col));
+  ColumnarRowScan scan(table->columnar.get());
+  RELSERVE_ASSIGN_OR_RETURN(std::string encoded,
+                            Connector::EncodeFeatureStream(&scan, col));
   const std::string request =
       Connector::Transmit(encoded, config_.connector_link);
   RELSERVE_ASSIGN_OR_RETURN(std::string response,

@@ -104,8 +104,8 @@ struct WriteOp {
 };
 
 // Where the feature rows of one inference come from: exactly one of
-// `dense`, `scanned` and `rows`. ServingSession::Execute turns each
-// into model input the same way.
+// `dense` and `scanned`. ServingSession::Execute turns either into
+// model input the same way.
 struct FeatureSource {
   // A batch on dim 0, [n, width] or [n, sample...]; runs without a
   // copy.
@@ -114,11 +114,7 @@ struct FeatureSource {
   // the features; the pivot is charged to the table's columnar-gather
   // stage.
   const ColumnarScanOutput* scanned = nullptr;
-  // `num_rows` rows, not yet opened, whose value `column` holds the
-  // features.
-  RowIterator* rows = nullptr;
   int column = 0;
-  int64_t num_rows = 0;
   std::string table{};  // `{}` lets designated initializers omit it
 };
 
@@ -147,8 +143,10 @@ class ServingSession {
 
   // --- Tables -------------------------------------------------------
 
-  Result<TableInfo*> CreateTable(const std::string& name, Schema schema,
-                                 TableLayout layout = TableLayout::kRow);
+  // Creates an empty table. `layout` has one value and is ignored.
+  Result<TableInfo*> CreateTable(
+      const std::string& name, Schema schema,
+      TableLayout layout = TableLayout::kColumnar);
   Result<TableInfo*> GetTable(const std::string& name);
 
   // --- Transactional writes (serve-while-ingest) --------------------
@@ -188,7 +186,7 @@ class ServingSession {
 
   // The per-table EXPLAIN ANALYZE stages of the vectorized serving
   // path (columnar-scan + columnar-gather). Created lazily on first
-  // access; stats accumulate across Predict calls on columnar tables.
+  // access; stats accumulate across Predict calls on the table.
   struct ColumnarTableStages {
     PhysicalStage scan;
     PhysicalStage gather;
@@ -258,7 +256,7 @@ class ServingSession {
   Result<std::shared_ptr<const PhysicalPlan>> DeployedPhysicalPlan(
       const std::string& model_name);
 
-  // Vectorized scan of a columnar table on the session's pool, under
+  // Vectorized scan of a table on the session's pool, under
   // the table's visibility map at `opts.snapshot`. Charges the table's
   // columnar-scan stage and the session's scanned rows/bytes.
   Result<ColumnarScanOutput> ScanColumnar(const TableInfo& table,
@@ -270,10 +268,10 @@ class ServingSession {
   // PREDICT runs through it. Resolves the deployment for the source's
   // row count and feeds the rows in the model's sample shape; a row
   // that is not a FLOAT_VECTOR of the model's input width is a typed
-  // InvalidArgument. A dense source runs without a copy. Other
-  // sources stream into a block relation when the plan's first stage
+  // InvalidArgument. A dense source runs without a copy. A scanned
+  // source streams into a block relation when the plan's first stage
   // is relation-centric, so the batch is never materialized whole,
-  // and are gathered into one tile otherwise.
+  // and is gathered into one tile otherwise.
   Result<ExecOutput> Execute(const std::string& model_name,
                              const FeatureSource& source);
 

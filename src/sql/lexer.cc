@@ -12,8 +12,8 @@ const std::unordered_set<std::string>& Keywords() {
   static const auto* kKeywords = new std::unordered_set<std::string>{
       "SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "LIMIT", "AS",
       "GROUP", "BY", "CREATE", "TABLE", "INSERT", "INTO", "VALUES",
-      "EXPLAIN", "ANALYZE", "ORDER", "ASC", "DESC", "STORAGE",
-      "UPDATE", "SET", "DELETE", "SHOW", "MODELS",
+      "EXPLAIN", "ANALYZE", "ORDER", "ASC", "DESC", "UPDATE", "SET",
+      "DELETE", "SHOW", "MODELS",
   };
   return *kKeywords;
 }

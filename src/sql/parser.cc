@@ -48,21 +48,6 @@ class Parser {
         if (!ConsumeSymbol(",")) break;
       }
       RELSERVE_RETURN_NOT_OK(ExpectSymbol(")"));
-      // Optional layout clause: STORAGE COLUMNAR | STORAGE ROW.
-      // (COLUMNAR/ROW stay plain identifiers so columns may use the
-      // names.)
-      if (ConsumeKeyword("STORAGE")) {
-        RELSERVE_ASSIGN_OR_RETURN(std::string layout,
-                                  ExpectIdentifier());
-        for (char& c : layout) c = static_cast<char>(std::toupper(c));
-        if (layout == "COLUMNAR") {
-          stmt.create.columnar = true;
-        } else if (layout != "ROW") {
-          return Status::InvalidArgument(
-              "expected COLUMNAR or ROW after STORAGE, got '" +
-              layout + "'");
-        }
-      }
       RELSERVE_RETURN_NOT_OK(ExpectEnd());
       return stmt;
     }

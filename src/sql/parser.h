@@ -105,8 +105,6 @@ struct CreateTableStatement {
   std::string table;
   std::vector<Column> columns;  // types: INT64/FLOAT64/STRING/
                                 // FLOAT_VECTOR
-  // CREATE TABLE ... STORAGE COLUMNAR (default is the row heap).
-  bool columnar = false;
 };
 
 struct InsertStatement {

@@ -265,19 +265,12 @@ Result<std::string> ExplainSelect(ServingSession* session,
   RELSERVE_ASSIGN_OR_RETURN(TableInfo * table,
                             session->GetTable(stmt.table));
   std::string out;
-  const int64_t rows = table->num_rows();
-  const bool columnar = table->layout == TableLayout::kColumnar;
-  if (columnar) {
-    out += "ColumnarScan " + stmt.table + " (" + std::to_string(rows) +
-           " rows, " +
-           std::to_string(table->columnar->num_fragments()) +
-           " fragments x " +
-           std::to_string(table->columnar->fragment_rows()) +
-           " rows/fragment)\n";
-  } else {
-    out += "SeqScan " + stmt.table + " (" + std::to_string(rows) +
-           " rows)\n";
-  }
+  const int64_t rows = table->columnar->num_rows();
+  out += "ColumnarScan " + stmt.table + " (" + std::to_string(rows) +
+         " rows, " + std::to_string(table->columnar->num_fragments()) +
+         " fragments x " +
+         std::to_string(table->columnar->fragment_rows()) +
+         " rows/fragment)\n";
   if (stmt.where != nullptr) {
     RELSERVE_ASSIGN_OR_RETURN(ExprPtr predicate,
                               BindPredicate(*stmt.where, table->schema));
@@ -291,15 +284,13 @@ Result<std::string> ExplainSelect(ServingSession* session,
   if (stmt.limit.has_value()) {
     out += "  Limit: " + std::to_string(*stmt.limit) + "\n";
   }
-  if (columnar) {
-    // The session-owned vectorized stages; with ANALYZE their
-    // counters carry the execution this statement just performed.
-    ServingSession::ColumnarTableStages* stages =
-        session->ColumnarStages(stmt.table);
-    out += "  " + RenderStandaloneStage(stages->scan, analyze) + "\n";
-    out += "  " + RenderStandaloneStage(stages->gather, analyze) + "\n";
-    if (analyze) out += "  " + ScanCostModel::ToString() + "\n";
-  }
+  // The session-owned vectorized stages; with ANALYZE their counters
+  // carry the execution this statement just performed.
+  ServingSession::ColumnarTableStages* stages =
+      session->ColumnarStages(stmt.table);
+  out += "  " + RenderStandaloneStage(stages->scan, analyze) + "\n";
+  out += "  " + RenderStandaloneStage(stages->gather, analyze) + "\n";
+  if (analyze) out += "  " + ScanCostModel::ToString() + "\n";
   RuleBasedOptimizer optimizer(
       session->config().memory_threshold_bytes);
   for (const SelectItem& item : stmt.items) {
@@ -324,30 +315,6 @@ Result<std::string> ExplainSelect(ServingSession* session,
     }
   }
   return out;
-}
-
-Status CheckInsertRow(const Schema& schema,
-                      const std::vector<Value>& row) {
-  if (static_cast<int>(row.size()) != schema.num_columns()) {
-    return Status::InvalidArgument(
-        "INSERT row has " + std::to_string(row.size()) +
-        " values; table has " + std::to_string(schema.num_columns()) +
-        " columns");
-  }
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    ValueType got = row[c].type();
-    const ValueType want = schema.column(c).type;
-    // Int literals are accepted for FLOAT64 columns.
-    if (got == ValueType::kInt64 && want == ValueType::kFloat64) {
-      continue;
-    }
-    if (got != want) {
-      return Status::InvalidArgument(
-          "column '" + schema.column(c).name + "' expects " +
-          ValueTypeName(want) + ", got " + ValueTypeName(got));
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -376,14 +343,10 @@ Result<StatementResult> ExecuteStatement(ServingSession* session,
     }
     case Statement::Kind::kCreateTable: {
       RELSERVE_RETURN_NOT_OK(
-          session->CreateTable(stmt.create.table,
-                               Schema(stmt.create.columns),
-                               stmt.create.columnar
-                                   ? TableLayout::kColumnar
-                                   : TableLayout::kRow)
+          session
+              ->CreateTable(stmt.create.table, Schema(stmt.create.columns))
               .status());
-      result.message = "created table " + stmt.create.table +
-                       (stmt.create.columnar ? " (columnar)" : "");
+      result.message = "created table " + stmt.create.table;
       return result;
     }
     case Statement::Kind::kInsert: {
@@ -392,10 +355,11 @@ Result<StatementResult> ExecuteStatement(ServingSession* session,
       std::vector<Row> rows;
       rows.reserve(stmt.insert.rows.size());
       for (const std::vector<Value>& values : stmt.insert.rows) {
-        RELSERVE_RETURN_NOT_OK(CheckInsertRow(table->schema, values));
         // Coerce int literals destined for FLOAT64 columns.
         std::vector<Value> coerced = values;
-        for (int c = 0; c < table->schema.num_columns(); ++c) {
+        const int n = std::min(static_cast<int>(coerced.size()),
+                               table->schema.num_columns());
+        for (int c = 0; c < n; ++c) {
           if (table->schema.column(c).type == ValueType::kFloat64 &&
               coerced[c].type() == ValueType::kInt64) {
             coerced[c] = Value(
@@ -404,9 +368,10 @@ Result<StatementResult> ExecuteStatement(ServingSession* session,
         }
         rows.emplace_back(std::move(coerced));
       }
-      // One atomic transaction through the WAL/MVCC write path; a
-      // failed append or commit surfaces its typed Status here with
-      // zero rows applied — never a silent success.
+      // One atomic transaction through the WAL/MVCC write path. A row
+      // of the wrong arity or types, a failed append or a failed commit
+      // surfaces its typed Status here with zero rows applied — never
+      // a silent success.
       RELSERVE_RETURN_NOT_OK(
           session->IngestRows(stmt.insert.table, rows));
       result.rows_affected = static_cast<int64_t>(rows.size());
@@ -477,14 +442,13 @@ Result<StatementResult> ExecuteStatement(ServingSession* session,
       // after the pin — are skipped before the WHERE runs.
       const Version snap = session->PinSnapshot();
       const VisibilityMap* vis = table->visibility.get();
-      RowIteratorPtr scan = MakeTableScan(
-          table->heap.get(), table->columnar.get(), schema);
-      RELSERVE_RETURN_NOT_OK(scan->Open());
+      ColumnarRowScan scan(table->columnar.get());
+      RELSERVE_RETURN_NOT_OK(scan.Open());
       std::vector<WriteOp> ops;
       Row row;
       int64_t ordinal = 0;
       while (true) {
-        RELSERVE_ASSIGN_OR_RETURN(bool has, scan->Next(&row));
+        RELSERVE_ASSIGN_OR_RETURN(bool has, scan.Next(&row));
         if (!has) break;
         const int64_t ord = ordinal++;
         if (vis != nullptr && !vis->IsVisible(ord, snap)) continue;
@@ -547,37 +511,18 @@ Result<QueryResult> ExecuteSelect(ServingSession* session,
   // be pushed into the pipeline.
   const bool push_limit =
       stmt.limit.has_value() && !stmt.order_by.has_value();
-  ExecStats* exec_stats = &session->exec_context()->stats;
 
-  std::vector<Row> base_rows;
-  // A columnar scan's filtered chunks, kept so PREDICT items can pivot
-  // them straight into GEMM tiles below.
-  ColumnarScanOutput scanned;
-  const bool columnar = table->layout == TableLayout::kColumnar;
-  if (columnar) {
-    // Vectorized path: filter + limit pushdown into the
-    // fragment-parallel scan; rows are boxed once, after the filter.
-    ColumnarScanOptions opts;
-    opts.predicate = predicate;
-    opts.snapshot = snapshot;
-    if (push_limit) opts.limit = *stmt.limit;
-    RELSERVE_ASSIGN_OR_RETURN(scanned, session->ScanColumnar(*table, opts));
-    base_rows = scanned.ToRows();
-  } else {
-    // scan -> [filter] -> [limit]
-    auto scan = std::make_unique<SeqScan>(table->heap.get(), schema);
-    scan->set_telemetry(&exec_stats->rows_scanned,
-                        &exec_stats->bytes_scanned);
-    scan->set_visibility(table->visibility.get(), snapshot);
-    RowIteratorPtr plan = std::move(scan);
-    if (predicate != nullptr) {
-      plan = std::make_unique<Filter>(std::move(plan), predicate);
-    }
-    if (push_limit) {
-      plan = std::make_unique<Limit>(std::move(plan), *stmt.limit);
-    }
-    RELSERVE_ASSIGN_OR_RETURN(base_rows, Collect(plan.get()));
-  }
+  // Filter + limit pushdown into the fragment-parallel scan; rows are
+  // boxed once, after the filter. The filtered chunks stay in
+  // `scanned` so PREDICT items can pivot them straight into GEMM tiles
+  // below.
+  ColumnarScanOptions opts;
+  opts.predicate = predicate;
+  opts.snapshot = snapshot;
+  if (push_limit) opts.limit = *stmt.limit;
+  RELSERVE_ASSIGN_OR_RETURN(ColumnarScanOutput scanned,
+                            session->ScanColumnar(*table, opts));
+  std::vector<Row> base_rows = scanned.ToRows();
 
   // Evaluate PREDICT items and append their values as extra columns
   // of an "extended" relation the select list (and any GROUP BY)
@@ -597,12 +542,8 @@ Result<QueryResult> ExecuteSelect(ServingSession* session,
     if (n == 0) continue;
     RELSERVE_ASSIGN_OR_RETURN(int col,
                               schema.FieldIndex(item.feature_col));
-    MemScan rows(&extended_rows, schema);
-    const FeatureSource source =
-        columnar ? FeatureSource{.scanned = &scanned,
-                                 .column = col,
-                                 .table = stmt.table}
-                 : FeatureSource{.rows = &rows, .column = col, .num_rows = n};
+    const FeatureSource source{
+        .scanned = &scanned, .column = col, .table = stmt.table};
     // Deploy on first use (adaptive), then reuse the deployment.
     Result<ExecOutput> out = session->Execute(item.model, source);
     if (!out.ok() && out.status().IsNotFound()) {

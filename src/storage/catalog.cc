@@ -3,21 +3,14 @@
 namespace relserve {
 
 Result<TableInfo*> Catalog::CreateTable(const std::string& name,
-                                        Schema schema,
-                                        TableLayout layout) {
+                                        Schema schema) {
   if (tables_.count(name) > 0) {
     return Status::AlreadyExists("table '" + name + "'");
   }
   auto info = std::make_unique<TableInfo>();
   info->name = name;
   info->schema = std::move(schema);
-  info->layout = layout;
-  if (layout == TableLayout::kColumnar) {
-    info->columnar =
-        std::make_unique<ColumnarTable>(pool_, info->schema);
-  } else {
-    info->heap = std::make_unique<TableHeap>(pool_);
-  }
+  info->columnar = std::make_unique<ColumnarTable>(pool_, info->schema);
   info->visibility = std::make_unique<VisibilityMap>();
   TableInfo* raw = info.get();
   tables_[name] = std::move(info);

@@ -2,7 +2,7 @@
 //
 // The paper (Sec. 4) notes that managing models inside the RDBMS lets
 // the catalog bind models, weights-as-relations, and the tables they
-// serve. Here the catalog owns row tables (TableHeap + Schema) and
+// serve. Here the catalog owns tables (ColumnarTable + Schema) and
 // tensor relations (BlockStore + geometry).
 
 #ifndef RELSERVE_STORAGE_CATALOG_H_
@@ -18,29 +18,21 @@
 #include "storage/block_store.h"
 #include "storage/column_store.h"
 #include "storage/mvcc.h"
-#include "storage/table_heap.h"
 
 namespace relserve {
 
-// Physical layout of a row table: record-at-a-time heap pages, or the
-// fragment-partitioned column store (CREATE TABLE ... STORAGE
-// COLUMNAR).
-enum class TableLayout { kRow, kColumnar };
+// Physical layout of a table. The fragment-partitioned column store is
+// the only one; the enum survives as ServingSession::CreateTable's
+// third parameter.
+enum class TableLayout { kColumnar };
 
 struct TableInfo {
   std::string name;
   Schema schema;
-  // Exactly one of the two is set, per `layout`.
-  TableLayout layout = TableLayout::kRow;
-  std::unique_ptr<TableHeap> heap;
   std::unique_ptr<ColumnarTable> columnar;
   // Per-row begin/end version intervals; rows appended outside the
   // MVCC write path are untracked and visible at every snapshot.
   std::unique_ptr<VisibilityMap> visibility;
-
-  int64_t num_rows() const {
-    return heap != nullptr ? heap->num_records() : columnar->num_rows();
-  }
 };
 
 class Catalog {
@@ -51,8 +43,7 @@ class Catalog {
   Catalog& operator=(const Catalog&) = delete;
 
   // Creates an empty table; AlreadyExists if the name is taken.
-  Result<TableInfo*> CreateTable(const std::string& name, Schema schema,
-                                 TableLayout layout = TableLayout::kRow);
+  Result<TableInfo*> CreateTable(const std::string& name, Schema schema);
 
   Result<TableInfo*> GetTable(const std::string& name);
 

@@ -187,6 +187,21 @@ Result<ColumnChunk> DecodeChunk(const std::string& encoded) {
   return chunk;
 }
 
+// Encoded payload bytes of row `r` of `chunk`, as EncodeChunk lays
+// them out (the validity bit is not counted).
+int64_t CellBytes(const ColumnChunk& chunk, int64_t r) {
+  switch (chunk.type) {
+    case ValueType::kInt64:
+    case ValueType::kFloat64:
+      return 8;
+    case ValueType::kString:
+      return 4 + static_cast<int64_t>(chunk.str[r].size());
+    case ValueType::kFloatVector:
+      return 4 + (chunk.vec_offsets[r + 1] - chunk.vec_offsets[r]) * 4;
+  }
+  return 0;
+}
+
 }  // namespace
 
 ColumnarTable::ColumnarTable(BufferPool* pool, Schema schema,
@@ -198,7 +213,7 @@ ColumnarTable::ColumnarTable(BufferPool* pool, Schema schema,
                          : kDefaultFragmentRows),
       active_(schema_) {}
 
-Status ColumnarTable::AppendRow(const Row& row) {
+Status ColumnarTable::CheckRow(const Row& row) const {
   if (row.num_values() != schema_.num_columns()) {
     return Status::InvalidArgument(
         "row arity " + std::to_string(row.num_values()) +
@@ -213,24 +228,21 @@ Status ColumnarTable::AppendRow(const Row& row) {
           ValueTypeName(row.value(c).type()));
     }
   }
+  return Status::OK();
+}
+
+Status ColumnarTable::AppendRow(const Row& row) {
+  RELSERVE_RETURN_NOT_OK(CheckRow(row));
   std::unique_lock<std::shared_mutex> lock(mu_);
   active_.AppendRow(row);
-  num_rows_.fetch_add(1, std::memory_order_release);
-  if (active_.num_rows >= fragment_rows_) {
-    return SealActiveLocked(/*allow_empty=*/false);
-  }
-  return Status::OK();
+  return FinishAppendLocked();
 }
 
 Status ColumnarTable::AppendNullRow() {
   std::unique_lock<std::shared_mutex> lock(mu_);
   for (ColumnChunk& c : active_.columns) c.AppendNull();
   ++active_.num_rows;
-  num_rows_.fetch_add(1, std::memory_order_release);
-  if (active_.num_rows >= fragment_rows_) {
-    return SealActiveLocked(/*allow_empty=*/false);
-  }
-  return Status::OK();
+  return FinishAppendLocked();
 }
 
 Status ColumnarTable::AppendBatch(const ColumnBatch& batch) {
@@ -244,10 +256,20 @@ Status ColumnarTable::AppendBatch(const ColumnBatch& batch) {
       active_.columns[c].AppendFrom(batch.columns[c], r);
     }
     ++active_.num_rows;
-    num_rows_.fetch_add(1, std::memory_order_release);
-    if (active_.num_rows >= fragment_rows_) {
-      RELSERVE_RETURN_NOT_OK(SealActiveLocked(/*allow_empty=*/false));
-    }
+    RELSERVE_RETURN_NOT_OK(FinishAppendLocked());
+  }
+  return Status::OK();
+}
+
+Status ColumnarTable::FinishAppendLocked() {
+  const int64_t r = active_.num_rows - 1;
+  for (const ColumnChunk& chunk : active_.columns) {
+    active_bytes_ += CellBytes(chunk, r);
+  }
+  num_rows_.fetch_add(1, std::memory_order_release);
+  if (active_.num_rows >= fragment_rows_ ||
+      active_bytes_ >= kMaxTailBytes) {
+    return SealActiveLocked(/*allow_empty=*/false);
   }
   return Status::OK();
 }
@@ -310,6 +332,7 @@ Status ColumnarTable::SealActiveLocked(bool allow_empty) {
   }
   fragments_.push_back(std::move(frag));
   active_ = ColumnBatch(schema_);
+  active_bytes_ = 0;
   return Status::OK();
 }
 

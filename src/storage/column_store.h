@@ -4,9 +4,9 @@
 // `fragment_rows` rows (the morsel unit of fragment-parallel scans).
 // Each sealed fragment stores one page stream per column through the
 // BufferPool, so column streams inherit the CRC32C page checksums,
-// quarantine-on-corruption, LRU eviction and prefetching the row heap
-// already relies on. A scan that projects two of ten columns touches
-// two page streams, not ten.
+// quarantine-on-corruption, LRU eviction and prefetching. A scan that
+// projects two of ten columns touches two page streams, not ten. It is
+// the only table storage: every catalog table is a ColumnarTable.
 //
 // Column stream encoding (little-endian), one stream per
 // (fragment, column):
@@ -19,8 +19,10 @@
 //     kFloatVector:       [i64 total_elems][u32 n]*rows [floats...]
 //
 // The open tail fragment accumulates appends in memory (a
-// ColumnBatch) and seals to pages when it reaches `fragment_rows`;
-// scans see it as the last fragment. Appends are single-writer, but
+// ColumnBatch) and seals to pages when it reaches `fragment_rows` or
+// its payload reaches kMaxTailBytes, whichever comes first; scans see
+// it as the last fragment. The byte cap bounds the tail's memory and
+// a whole-fragment read when rows are wide (an image row is ~750 KB). Appends are single-writer, but
 // scanning concurrently with appends is supported: appends and seals
 // run under the writer half of an internal shared_mutex, fragment
 // reads under the reader half, so a scan observes either the
@@ -51,6 +53,10 @@ class ColumnarTable {
   // ~1-4K rows per batch keeps a chunk of doubles inside L2 while
   // amortizing per-batch dispatch; 4096 doubles = 32 KiB = half a page.
   static constexpr int64_t kDefaultFragmentRows = 4096;
+  // Payload bytes at which the open tail seals regardless of its row
+  // count. Narrow tables never reach it (4096 rows of a few dozen
+  // floats are a few hundred KB).
+  static constexpr int64_t kMaxTailBytes = 32 * kPageSize;
 
   ColumnarTable(BufferPool* pool, Schema schema,
                 int64_t fragment_rows = kDefaultFragmentRows);
@@ -58,8 +64,13 @@ class ColumnarTable {
   ColumnarTable(const ColumnarTable&) = delete;
   ColumnarTable& operator=(const ColumnarTable&) = delete;
 
-  // Appends one row (arity/types must match the schema); seals the
-  // tail fragment automatically when it fills.
+  // InvalidArgument unless `row` has the schema's arity and column
+  // types. AppendRow runs it; writers that must reject a row before
+  // they log it (ServingSession::ApplyWrite) call it first.
+  Status CheckRow(const Row& row) const;
+
+  // Appends one row (checked by CheckRow); seals the tail fragment
+  // automatically when it fills.
   Status AppendRow(const Row& row);
 
   // Column-wise append; may span multiple fragments.
@@ -115,6 +126,9 @@ class ColumnarTable {
 
   // Callers hold mu_ exclusively.
   Status SealActiveLocked(bool allow_empty);
+  // Accounts the tail's last row, already appended and counted in
+  // active_.num_rows, and seals the tail when it reaches either cap.
+  Status FinishAppendLocked();
   int64_t NumFragmentsLocked() const {
     return static_cast<int64_t>(fragments_.size()) +
            (active_.num_rows > 0 ? 1 : 0);
@@ -133,6 +147,7 @@ class ColumnarTable {
   mutable std::shared_mutex mu_;
   std::vector<Fragment> fragments_;
   ColumnBatch active_;  // open tail, not yet on pages
+  int64_t active_bytes_ = 0;  // payload bytes in active_
   std::atomic<int64_t> num_rows_{0};
   std::atomic<int64_t> sealed_bytes_{0};
 };

@@ -76,8 +76,8 @@ class VersionClock {
 };
 
 // Per-row [begin, end) version intervals for one table, indexed by
-// physical row ordinal (insertion order — stable because both storage
-// layouts are append-only). Thread-safe: commits append/mark under the
+// physical row ordinal (insertion order — stable because the column
+// store is append-only). Thread-safe: commits append/mark under the
 // writer lock, scans evaluate visibility under the reader lock.
 class VisibilityMap {
  public:

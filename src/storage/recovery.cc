@@ -12,16 +12,11 @@ namespace {
 
 Status ReplayInsert(TableInfo* table, const std::string& row_bytes,
                     Version version) {
-  table->visibility->PadTo(table->num_rows());
-  if (table->heap != nullptr) {
-    RELSERVE_RETURN_NOT_OK(table->heap->Append(row_bytes));
-  } else {
-    RELSERVE_ASSIGN_OR_RETURN(
-        Row row, Row::Deserialize(
-                     row_bytes.data(),
-                     static_cast<int64_t>(row_bytes.size())));
-    RELSERVE_RETURN_NOT_OK(table->columnar->AppendRow(row));
-  }
+  table->visibility->PadTo(table->columnar->num_rows());
+  RELSERVE_ASSIGN_OR_RETURN(
+      Row row, Row::Deserialize(row_bytes.data(),
+                                static_cast<int64_t>(row_bytes.size())));
+  RELSERVE_RETURN_NOT_OK(table->columnar->AppendRow(row));
   table->visibility->AppendRow(version);
   return Status::OK();
 }
@@ -76,10 +71,7 @@ Result<RecoveryStats> RecoverCatalog(const std::string& wal_path,
                          static_cast<int64_t>(
                              rec.schema_encoding.size())));
         RELSERVE_RETURN_NOT_OK(
-            catalog
-                ->CreateTable(rec.table, std::move(schema),
-                              static_cast<TableLayout>(rec.layout))
-                .status());
+            catalog->CreateTable(rec.table, std::move(schema)).status());
         break;
       }
       case WalRecord::Type::kInsert: {

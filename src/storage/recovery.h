@@ -1,7 +1,7 @@
 // ARIES-lite redo recovery: rebuild catalog tables from the WAL.
 //
-// The WAL is the sole durable state — heap and columnar pages live in
-// the DiskManager's temp spill file, which does not survive a process
+// The WAL is the sole durable state — table pages live in the
+// DiskManager's temp spill file, which does not survive a process
 // restart. Recovery therefore replays history wholesale rather than
 // from a checkpoint:
 //

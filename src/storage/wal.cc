@@ -88,7 +88,6 @@ void EncodeWalRecord(const WalRecord& rec, std::string* out) {
   payload.append(rec.table);
   switch (rec.type) {
     case WalRecord::Type::kCreateTable:
-      AppendPod<uint8_t>(&payload, rec.layout);
       payload.append(rec.schema_encoding);
       break;
     case WalRecord::Type::kInsert:
@@ -134,9 +133,6 @@ Result<WalRecord> DecodeWalPayload(const char* data, int64_t size) {
   rec.type = static_cast<WalRecord::Type>(type_tag);
   switch (rec.type) {
     case WalRecord::Type::kCreateTable: {
-      if (!ReadPod(cursor, end, &rec.layout)) {
-        return Status::DataLoss("wal: truncated create-table record");
-      }
       rec.schema_encoding.assign(cursor, end - cursor);
       cursor = end;
       break;

@@ -12,8 +12,7 @@
 //
 // with a per-type body:
 //
-//   kCreateTable  [u8 layout][u16 ncols][ncols x (u16 name_len, name,
-//                 u8 value_type)]
+//   kCreateTable  [u16 ncols][ncols x (u16 name_len, name, u8 value_type)]
 //   kInsert       [u32 row_len][row bytes]       (Row::SerializeTo)
 //   kUpdate       [i64 ordinal][u32 row_len][row bytes]
 //   kDelete       [i64 ordinal]
@@ -21,7 +20,7 @@
 //
 // A transaction is its op records followed by one kCommit; recovery
 // redoes only ops whose commit record survived. The log is the sole
-// durable state (heap/columnar pages live in the temp spill file), so
+// durable state (table pages live in the temp spill file), so
 // replay rebuilds tables wholesale — ARIES-lite: one analysis pass
 // collecting commit versions, one redo pass in LSN order.
 //
@@ -76,7 +75,6 @@ struct WalRecord {
   uint64_t txn_id = 0;
   std::string table;
 
-  uint8_t layout = 0;            // kCreateTable: TableLayout
   std::string schema_encoding;   // kCreateTable (EncodeSchema)
   std::string row_bytes;         // kInsert / kUpdate payload
   int64_t ordinal = -1;          // kUpdate / kDelete target row

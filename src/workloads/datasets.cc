@@ -19,14 +19,11 @@ Status FillFeatureTable(TableInfo* table, int64_t n, int64_t d,
 Status AppendFeatureRows(TableInfo* table, int64_t n, int64_t d,
                          uint64_t seed) {
   Rng rng(seed);
-  std::string record;
   for (int64_t i = 0; i < n; ++i) {
     std::vector<float> features(d);
     for (int64_t j = 0; j < d; ++j) features[j] = rng.Uniform();
-    Row row({Value(int64_t{i}), Value(std::move(features))});
-    record.clear();
-    row.SerializeTo(&record);
-    RELSERVE_RETURN_NOT_OK(table->heap->Append(record));
+    RELSERVE_RETURN_NOT_OK(table->columnar->AppendRow(
+        Row({Value(int64_t{i}), Value(std::move(features))})));
   }
   return Status::OK();
 }
@@ -41,7 +38,6 @@ Status FillBoschPartitions(TableInfo* d1, TableInfo* d2, int64_t n,
                            int64_t features_each, double key_spread,
                            uint64_t seed) {
   Rng rng(seed);
-  std::string record;
   for (int64_t i = 0; i < n; ++i) {
     // A shared latent measurement both partitions observed with
     // jitter: this is what makes the two columns "highly correlated"
@@ -54,10 +50,8 @@ Status FillBoschPartitions(TableInfo* d1, TableInfo* d2, int64_t n,
       }
       const double key =
           latent + rng.Normal(0.0f, static_cast<float>(key_spread));
-      Row row({Value(int64_t{i}), Value(key), Value(std::move(features))});
-      record.clear();
-      row.SerializeTo(&record);
-      RELSERVE_RETURN_NOT_OK(table->heap->Append(record));
+      RELSERVE_RETURN_NOT_OK(table->columnar->AppendRow(
+          Row({Value(int64_t{i}), Value(key), Value(std::move(features))})));
     }
   }
   return Status::OK();

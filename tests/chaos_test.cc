@@ -459,11 +459,8 @@ TEST_F(ChaosTest, ServeWhileIngestSnapshotsStableUnderWalFaults) {
     ASSERT_TRUE(revived.wal_status().ok()) << revived.wal_status();
     auto table = revived.GetTable("tx");
     ASSERT_TRUE(table.ok()) << table.status();
-    int64_t visible = (*table)->visibility != nullptr
-                          ? (*table)->visibility->VisibleCount(
-                                0, (*table)->num_rows(),
-                                revived.PinSnapshot())
-                          : (*table)->num_rows();
+    const int64_t visible = (*table)->visibility->VisibleCount(
+        0, (*table)->columnar->num_rows(), revived.PinSnapshot());
     EXPECT_GE(visible, 16 + 4 * committed.load());
     EXPECT_EQ((visible - 16) % 4, 0);
   }

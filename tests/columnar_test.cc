@@ -1,12 +1,13 @@
 // Columnar storage + vectorized scan tests. The heart of the suite is
 // the bit-identity contract: every query must produce exactly the same
-// rows through the row pipeline (SeqScan -> Filter -> Limit) and the
-// vectorized path (ColumnarScan), including typed equality, per-row
-// short-circuit and NULL-slot defaults.
+// rows through the row evaluator (MemScan over the source rows ->
+// Filter -> Limit) and the vectorized path (ColumnarScan), including
+// typed equality, per-row short-circuit and NULL-slot defaults.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -22,7 +23,6 @@
 #include "storage/column_store.h"
 #include "storage/disk_manager.h"
 #include "storage/mvcc.h"
-#include "storage/table_heap.h"
 
 namespace relserve {
 namespace {
@@ -41,35 +41,32 @@ Row TestRow(int64_t i) {
                                        static_cast<float>(i) * 0.5f})});
 }
 
-// Both layouts over the same rows (TestRow unless `make_row` says
-// otherwise), plus the row-pipeline helpers the bit-identity tests
-// compare against.
+// The same rows (TestRow unless `make_row` says otherwise) held twice:
+// as the source row vector the row evaluator reads, and as a columnar
+// table. The row side never touches the column store, so the oracle
+// stays independent of the code under test.
 struct DualTable {
   DiskManager disk;
   BufferPool pool;
-  TableHeap heap;
   ColumnarTable columnar;
   Schema schema = TestSchema();
+  std::vector<Row> source;
 
   explicit DualTable(int64_t rows, int64_t fragment_rows = 8,
                      Row (*make_row)(int64_t) = TestRow)
-      : pool(&disk, 256), heap(&pool),
-        columnar(&pool, TestSchema(), fragment_rows) {
-    Fill(rows, make_row);
-  }
-
-  void Fill(int64_t rows, Row (*make_row)(int64_t)) {
+      : pool(&disk, 256), columnar(&pool, TestSchema(), fragment_rows) {
     for (int64_t i = 0; i < rows; ++i) {
-      Row row = make_row(i);
-      std::string bytes;
-      row.SerializeTo(&bytes);
-      ASSERT_TRUE(heap.Append(bytes).ok());
-      ASSERT_TRUE(columnar.AppendRow(row).ok());
+      source.push_back(make_row(i));
+      EXPECT_TRUE(columnar.AppendRow(source.back()).ok());
     }
   }
 
+  RowIteratorPtr RowScan() {
+    return std::make_unique<MemScan>(&source, schema);
+  }
+
   std::vector<Row> RowPath(ExprPtr predicate, int64_t limit = -1) {
-    RowIteratorPtr plan = std::make_unique<SeqScan>(&heap, schema);
+    RowIteratorPtr plan = RowScan();
     if (predicate != nullptr) {
       plan = std::make_unique<Filter>(std::move(plan), predicate);
     }
@@ -266,6 +263,107 @@ TEST(ColumnarTableTest, AppendBatchSpansFragments) {
   ExpectSameRows(out->ToRows(), rows);
 }
 
+// --- Wide rows --------------------------------------------------------
+
+Schema WideSchema() {
+  return Schema({{"id", ValueType::kInt64},
+                 {"features", ValueType::kFloatVector}});
+}
+
+// A FLOAT_VECTOR row of `floats` values whose bits depend on `seed`
+// and the position, special values included.
+Row WideRow(int64_t id, int64_t floats, uint32_t seed) {
+  std::vector<float> v(floats);
+  for (int64_t j = 0; j < floats; ++j) {
+    const uint32_t bits = seed * 2654435761u + static_cast<uint32_t>(j);
+    std::memcpy(&v[j], &bits, sizeof(bits));
+  }
+  if (floats > 2) {
+    v[0] = std::numeric_limits<float>::quiet_NaN();
+    v[floats - 1] = -0.0f;
+  }
+  return Row({Value(id), Value(std::move(v))});
+}
+
+// Drains the table through ColumnarRowScan and compares every row to
+// `expect` byte for byte (Value equality would reject NaN == NaN).
+void ExpectRowsBitExact(const ColumnarTable& table,
+                        const std::vector<Row>& expect) {
+  ColumnarRowScan scan(&table);
+  auto rows = Collect(&scan);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), expect.size());
+  for (size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ((*rows)[i].value(0).AsInt64(), expect[i].value(0).AsInt64());
+    const std::vector<float>& got = (*rows)[i].value(1).AsFloatVector();
+    const std::vector<float>& want = expect[i].value(1).AsFloatVector();
+    ASSERT_EQ(got.size(), want.size()) << "row " << i;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * 4), 0)
+        << "row " << i;
+  }
+}
+
+TEST(ColumnarTableTest, WideRowBetweenSmallRowsReadsBackBitExact) {
+  DiskManager disk;
+  BufferPool pool(&disk, 4);  // fewer frames than the wide row's pages
+  ColumnarTable table(&pool, WideSchema());
+  // A row longer than 3 pages (like a wide image row) between two
+  // small rows; sealing writes it through the 4 frames, so its pages
+  // are evicted before the read.
+  const std::vector<Row> rows = {
+      WideRow(0, 3, 1), WideRow(1, 3 * kPageSize / 4 + 123, 2),
+      WideRow(2, 5, 3)};
+  for (const Row& row : rows) ASSERT_TRUE(table.AppendRow(row).ok());
+  ASSERT_TRUE(table.SealActiveFragment().ok());
+  EXPECT_GT(table.sealed_bytes(), 3 * kPageSize);
+  EXPECT_GT(pool.stats().evictions, 0);
+  ExpectRowsBitExact(table, rows);
+}
+
+TEST(ColumnarTableTest, ManyWideRowsSurviveEviction) {
+  DiskManager disk;
+  BufferPool pool(&disk, 3);
+  ColumnarTable table(&pool, WideSchema(), /*fragment_rows=*/4);
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 10; ++i) {
+    rows.push_back(WideRow(i, kPageSize / 4 + 25, 10 + i));
+    ASSERT_TRUE(table.AppendRow(rows.back()).ok());
+  }
+  // Two sealed fragments of 4 (pages long since evicted) plus the tail.
+  EXPECT_EQ(table.num_fragments(), 3);
+  ExpectRowsBitExact(table, rows);
+  ASSERT_TRUE(table.SealActiveFragment().ok());
+  ExpectRowsBitExact(table, rows);
+}
+
+TEST(ColumnarTableTest, TailSealsOnPayloadBytes) {
+  DiskManager disk;
+  BufferPool pool(&disk, 8);
+  ColumnarTable table(&pool, WideSchema());
+  // Rows of a quarter of the byte cap: the tail seals on bytes after
+  // four of them, long before kDefaultFragmentRows.
+  const int64_t floats = ColumnarTable::kMaxTailBytes / 16;
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 10; ++i) {
+    rows.push_back(WideRow(i, floats, 100 + i));
+    ASSERT_TRUE(table.AppendRow(rows.back()).ok());
+  }
+  EXPECT_EQ(table.num_fragments(), 3);
+  EXPECT_EQ(table.FragmentRowCount(0), 4);
+  EXPECT_EQ(table.FragmentRowCount(1), 4);
+  EXPECT_EQ(table.FragmentRowCount(2), 2);
+  ExpectRowsBitExact(table, rows);
+
+  // Narrow rows never reach the cap: a full fragment of them seals on
+  // the row count alone.
+  ColumnarTable narrow(&pool, TestSchema());
+  for (int64_t i = 0; i < ColumnarTable::kDefaultFragmentRows + 1; ++i) {
+    ASSERT_TRUE(narrow.AppendRow(TestRow(i)).ok());
+  }
+  EXPECT_EQ(narrow.num_fragments(), 2);
+  EXPECT_EQ(narrow.FragmentRowCount(0), ColumnarTable::kDefaultFragmentRows);
+}
+
 // --- Bit-identity: row pipeline vs vectorized path -------------------
 
 TEST(BitIdentityTest, UnfilteredScan) {
@@ -447,8 +545,7 @@ TEST(BitIdentityTest, AndShortCircuitSuppressesRightErrors) {
   // Unguarded, the same bad reference fails identically.
   ColumnarScanOptions bad;
   bad.predicate = Expression::Column(99);
-  auto row_it = std::make_unique<SeqScan>(&t.heap, t.schema);
-  Filter filter(std::move(row_it), bad.predicate);
+  Filter filter(t.RowScan(), bad.predicate);
   auto row_result = Collect(&filter);
   auto col_result = ColumnarScan(t.columnar, bad);
   ASSERT_FALSE(row_result.ok());
@@ -475,8 +572,7 @@ TEST(BitIdentityTest, ProjectionPushdown) {
     opts.projection = proj;
     auto out = ColumnarScan(t.columnar, opts);
     ASSERT_TRUE(out.ok());
-    auto scan = std::make_unique<SeqScan>(&t.heap, t.schema);
-    Project project(std::move(scan), proj);
+    Project project(t.RowScan(), proj);
     auto expect = Collect(&project);
     ASSERT_TRUE(expect.ok());
     ExpectSameRows(out->ToRows(), *expect);
@@ -495,9 +591,7 @@ TEST(BitIdentityTest, PredicateOnUnprojectedColumn) {
       Expression::Literal(Value(1.5)));
   auto out = ColumnarScan(t.columnar, opts);
   ASSERT_TRUE(out.ok());
-  auto scan = std::make_unique<SeqScan>(&t.heap, t.schema);
-  auto filter = std::make_unique<Filter>(std::move(scan),
-                                         opts.predicate);
+  auto filter = std::make_unique<Filter>(t.RowScan(), opts.predicate);
   Project project(std::move(filter), {0});
   auto expect = Collect(&project);
   ASSERT_TRUE(expect.ok());
@@ -513,12 +607,10 @@ TEST(BitIdentityTest, RowScanShimComposesWithRowOperators) {
   ExpectSameRows(*from_shim, t.RowPath(nullptr));
   EXPECT_EQ(shim.SizeHint(), 37);
 
-  RowIteratorPtr made =
-      MakeTableScan(nullptr, &t.columnar, t.schema);
   ExprPtr pred = Expression::Binary(
       ExprKind::kLt, Expression::Column(0),
       Expression::Literal(Value(int64_t{9})));
-  Filter filter(std::move(made), pred);
+  Filter filter(std::make_unique<ColumnarRowScan>(&t.columnar), pred);
   auto filtered = Collect(&filter);
   ASSERT_TRUE(filtered.ok());
   ExpectSameRows(*filtered, t.RowPath(pred));

@@ -9,7 +9,6 @@
 #include "relational/vectorized.h"
 #include "storage/buffer_pool.h"
 #include "storage/column_store.h"
-#include "storage/table_heap.h"
 
 namespace relserve {
 namespace {
@@ -129,16 +128,23 @@ class OperatorTest : public ::testing::Test {
  protected:
   OperatorTest() : disk_(), pool_(&disk_, 32) {}
 
-  // Builds a table of (id, score) rows 0..n-1 with score = id * 1.5.
-  std::unique_ptr<TableHeap> MakeTable(int n) {
-    auto heap = std::make_unique<TableHeap>(&pool_);
+  // The (id, score) rows 0..n-1 with score = id * 1.5.
+  static std::vector<Row> SourceRows(int n) {
+    std::vector<Row> rows;
     for (int i = 0; i < n; ++i) {
-      Row row = MakeRow({Value(int64_t{i}), Value(i * 1.5)});
-      std::string bytes;
-      row.SerializeTo(&bytes);
-      EXPECT_TRUE(heap->Append(bytes).ok());
+      rows.push_back(MakeRow({Value(int64_t{i}), Value(i * 1.5)}));
     }
-    return heap;
+    return rows;
+  }
+
+  // A table of SourceRows(n), in fragments of 4 rows.
+  std::unique_ptr<ColumnarTable> MakeTable(int n) {
+    auto table =
+        std::make_unique<ColumnarTable>(&pool_, schema_, /*fragment_rows=*/4);
+    for (const Row& row : SourceRows(n)) {
+      EXPECT_TRUE(table->AppendRow(row).ok());
+    }
+    return table;
   }
 
   Schema schema_ =
@@ -147,9 +153,9 @@ class OperatorTest : public ::testing::Test {
   BufferPool pool_;
 };
 
-TEST_F(OperatorTest, SeqScanReturnsAllRowsInOrder) {
-  auto heap = MakeTable(10);
-  SeqScan scan(heap.get(), schema_);
+TEST_F(OperatorTest, TableScanReturnsAllRowsInOrder) {
+  auto table = MakeTable(10);
+  ColumnarRowScan scan(table.get());
   auto rows = Collect(&scan);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 10u);
@@ -158,9 +164,9 @@ TEST_F(OperatorTest, SeqScanReturnsAllRowsInOrder) {
   }
 }
 
-TEST_F(OperatorTest, SeqScanIsRestartable) {
-  auto heap = MakeTable(3);
-  SeqScan scan(heap.get(), schema_);
+TEST_F(OperatorTest, TableScanIsRestartable) {
+  auto table = MakeTable(3);
+  ColumnarRowScan scan(table.get());
   ASSERT_TRUE(Collect(&scan).ok());
   auto again = Collect(&scan);  // Collect re-opens
   ASSERT_TRUE(again.ok());
@@ -168,8 +174,8 @@ TEST_F(OperatorTest, SeqScanIsRestartable) {
 }
 
 TEST_F(OperatorTest, FilterKeepsMatching) {
-  auto heap = MakeTable(10);
-  auto scan = std::make_unique<SeqScan>(heap.get(), schema_);
+  auto table = MakeTable(10);
+  auto scan = std::make_unique<ColumnarRowScan>(table.get());
   auto pred = Expression::Binary(
       ExprKind::kLt, Expression::Column(1),
       Expression::Literal(Value(4.0)));  // score < 4 => id 0, 1, 2
@@ -180,8 +186,8 @@ TEST_F(OperatorTest, FilterKeepsMatching) {
 }
 
 TEST_F(OperatorTest, ProjectReordersColumns) {
-  auto heap = MakeTable(2);
-  auto scan = std::make_unique<SeqScan>(heap.get(), schema_);
+  auto table = MakeTable(2);
+  auto scan = std::make_unique<ColumnarRowScan>(table.get());
   Project project(std::move(scan), {1, 0});
   EXPECT_EQ(project.schema().column(0).name, "score");
   auto rows = Collect(&project);
@@ -251,8 +257,8 @@ TEST_F(OperatorTest, SimilarityJoinInclusiveBoundary) {
 }
 
 TEST_F(OperatorTest, HashAggregateGlobalGroup) {
-  auto heap = MakeTable(5);  // scores 0, 1.5, 3, 4.5, 6
-  auto scan = std::make_unique<SeqScan>(heap.get(), schema_);
+  auto table = MakeTable(5);  // scores 0, 1.5, 3, 4.5, 6
+  auto scan = std::make_unique<ColumnarRowScan>(table.get());
   HashAggregate agg(std::move(scan), {},
                     {{AggFunc::kCount, -1, "n"},
                      {AggFunc::kSum, 1, "total"},
@@ -287,15 +293,12 @@ TEST_F(OperatorTest, HashAggregateGroupsByKey) {
   EXPECT_DOUBLE_EQ(sum_for_1, 40.0);
 }
 
-TEST_F(OperatorTest, ColumnarShimComposesWithSortAndAggregate) {
-  // The row-at-a-time shim over a columnar table must be a drop-in
-  // replacement for SeqScan under heavier row operators.
-  auto heap = MakeTable(30);
+TEST_F(OperatorTest, TableScanComposesWithSortAndAggregate) {
+  // Under heavier row operators the table scan must serve exactly what
+  // a scan of the source rows serves.
+  const std::vector<Row> source = SourceRows(30);
   ColumnarTable columnar(&pool_, schema_, /*fragment_rows=*/7);
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(
-        columnar.AppendRow(MakeRow({Value(int64_t{i}), Value(i * 1.5)})).ok());
-  }
+  for (const Row& row : source) ASSERT_TRUE(columnar.AppendRow(row).ok());
 
   auto pred = Expression::Binary(ExprKind::kLe, Expression::Literal(Value(15.0)),
                                  Expression::Column(1));
@@ -305,13 +308,13 @@ TEST_F(OperatorTest, ColumnarShimComposesWithSortAndAggregate) {
     Sort sort(std::move(filter), /*key=*/0, /*descending=*/true);
     return Collect(&sort);
   };
-  auto heap_sorted = run_sort(std::make_unique<SeqScan>(heap.get(), schema_));
-  auto col_sorted = run_sort(MakeTableScan(nullptr, &columnar, schema_));
-  ASSERT_TRUE(heap_sorted.ok());
+  auto ref_sorted = run_sort(std::make_unique<MemScan>(&source, schema_));
+  auto col_sorted = run_sort(std::make_unique<ColumnarRowScan>(&columnar));
+  ASSERT_TRUE(ref_sorted.ok());
   ASSERT_TRUE(col_sorted.ok());
-  ASSERT_EQ(heap_sorted->size(), col_sorted->size());
-  for (size_t i = 0; i < heap_sorted->size(); ++i) {
-    EXPECT_EQ((*heap_sorted)[i], (*col_sorted)[i]);
+  ASSERT_EQ(ref_sorted->size(), col_sorted->size());
+  for (size_t i = 0; i < ref_sorted->size(); ++i) {
+    EXPECT_EQ((*ref_sorted)[i], (*col_sorted)[i]);
   }
 
   auto run_agg = [&](RowIteratorPtr scan) {
@@ -320,19 +323,19 @@ TEST_F(OperatorTest, ColumnarShimComposesWithSortAndAggregate) {
                       {{AggFunc::kCount, -1, "n"}, {AggFunc::kSum, 1, "sum"}});
     return Collect(&agg);
   };
-  auto heap_agg = run_agg(std::make_unique<SeqScan>(heap.get(), schema_));
-  auto col_agg = run_agg(MakeTableScan(nullptr, &columnar, schema_));
-  ASSERT_TRUE(heap_agg.ok());
+  auto ref_agg = run_agg(std::make_unique<MemScan>(&source, schema_));
+  auto col_agg = run_agg(std::make_unique<ColumnarRowScan>(&columnar));
+  ASSERT_TRUE(ref_agg.ok());
   ASSERT_TRUE(col_agg.ok());
-  ASSERT_EQ(heap_agg->size(), 1u);
-  EXPECT_EQ((*heap_agg)[0].value(0).AsInt64(), (*col_agg)[0].value(0).AsInt64());
-  EXPECT_DOUBLE_EQ((*heap_agg)[0].value(1).AsFloat64(),
+  ASSERT_EQ(ref_agg->size(), 1u);
+  EXPECT_EQ((*ref_agg)[0].value(0).AsInt64(), (*col_agg)[0].value(0).AsInt64());
+  EXPECT_DOUBLE_EQ((*ref_agg)[0].value(1).AsFloat64(),
                    (*col_agg)[0].value(1).AsFloat64());
 }
 
 TEST_F(OperatorTest, PipelineScanFilterAggregate) {
-  auto heap = MakeTable(100);
-  auto scan = std::make_unique<SeqScan>(heap.get(), schema_);
+  auto table = MakeTable(100);
+  auto scan = std::make_unique<ColumnarRowScan>(table.get());
   auto pred = Expression::Binary(
       ExprKind::kLt, Expression::Column(0),
       Expression::Literal(Value(int64_t{50})));

@@ -38,24 +38,6 @@ class ServingTest : public ::testing::Test {
     ASSERT_TRUE(session_.RegisterModel(std::move(*model)).ok());
   }
 
-  // LoadFraudSetup plus "tx_col", a columnar copy of "tx" holding the
-  // same rows; returns the two table names.
-  std::vector<std::string> LoadFraudSetupBothLayouts(int64_t rows) {
-    LoadFraudSetup(rows);
-    auto tx = session_.GetTable("tx");
-    auto col = session_.CreateTable("tx_col",
-                                    workloads::FeatureTableSchema(),
-                                    TableLayout::kColumnar);
-    EXPECT_TRUE(tx.ok() && col.ok());
-    SeqScan scan((*tx)->heap.get(), (*tx)->schema);
-    EXPECT_TRUE(scan.Open().ok());
-    Row row;
-    while (*scan.Next(&row)) {
-      EXPECT_TRUE((*col)->columnar->AppendRow(row).ok());
-    }
-    return {"tx", "tx_col"};
-  }
-
   Tensor PredictTable(const std::string& table) {
     auto out = session_.Predict("fraud", table);
     EXPECT_TRUE(out.ok()) << table << ": " << out.status();
@@ -101,46 +83,34 @@ TEST_F(ServingTest, PredictRequiresDeploy) {
 }
 
 TEST_F(ServingTest, ForcedModesAgreeOnPredictions) {
-  const auto tables = LoadFraudSetupBothLayouts(30);
+  LoadFraudSetup(30);
   ASSERT_TRUE(session_.Deploy("fraud", ServingMode::kForceUdf, 30).ok());
   const Tensor udf = PredictTable("tx");
   ASSERT_TRUE(
       session_.Deploy("fraud", ServingMode::kForceRelational, 30).ok());
   const Tensor rel = PredictTable("tx");
   EXPECT_LT(udf.MaxAbsDiff(rel), 1e-5f);
-
-  // Each layout feeds every mode bit-identically.
-  for (const std::string& table : tables) {
-    ASSERT_TRUE(session_.Deploy("fraud", ServingMode::kForceUdf, 30).ok());
-    EXPECT_EQ(udf.MaxAbsDiff(PredictTable(table)), 0.0f) << table;
-    ASSERT_TRUE(
-        session_.Deploy("fraud", ServingMode::kForceRelational, 30).ok());
-    EXPECT_EQ(rel.MaxAbsDiff(PredictTable(table)), 0.0f) << table;
-  }
 }
 
 TEST_F(ServingTest, PredictRejectsNonVectorFeatureColumn) {
-  const auto tables = LoadFraudSetupBothLayouts(20);
+  LoadFraudSetup(20);
   for (const ServingMode mode :
        {ServingMode::kForceUdf, ServingMode::kForceRelational}) {
     ASSERT_TRUE(session_.Deploy("fraud", mode, 20).ok());
-    for (const std::string& table : tables) {
-      // "id" is INT64: a typed error, never a crash or a garbage read.
-      auto out = session_.Predict("fraud", table, "id");
-      EXPECT_TRUE(out.status().IsInvalidArgument())
-          << table << ": " << out.status();
-    }
+    // "id" is INT64: a typed error, never a crash or a garbage read.
+    auto out = session_.Predict("fraud", "tx", "id");
+    EXPECT_TRUE(out.status().IsInvalidArgument()) << out.status();
   }
 }
 
 TEST_F(ServingTest, StreamedColumnarPredictChargesGatherStage) {
-  LoadFraudSetupBothLayouts(40);
+  LoadFraudSetup(40);
   ASSERT_TRUE(
       session_.Deploy("fraud", ServingMode::kForceRelational, 40).ok());
-  auto out = session_.Predict("fraud", "tx_col");
+  auto out = session_.Predict("fraud", "tx");
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_TRUE(out->blocked());
-  const StageStats& gather = session_.ColumnarStages("tx_col")->gather.stats;
+  const StageStats& gather = session_.ColumnarStages("tx")->gather.stats;
   EXPECT_EQ(gather.invocations.load(), 1);
   EXPECT_EQ(gather.rows.load(), 40);
 }
@@ -161,35 +131,36 @@ TEST_F(ServingTest, RelationalPredictStreamsInput) {
 }
 
 TEST_F(ServingTest, PredictBatchMatchesPredictOverTable) {
-  const auto tables = LoadFraudSetupBothLayouts(20);
-  ASSERT_TRUE(session_.Deploy("fraud", ServingMode::kForceUdf, 20).ok());
-  for (const std::string& name : tables) {
-    const Tensor expected = PredictTable(name);
-
-    // Rebuild the same batch by hand.
-    auto table = session_.GetTable(name);
-    ASSERT_TRUE(table.ok());
-    RowIteratorPtr scan = MakeTableScan((*table)->heap.get(),
-                                        (*table)->columnar.get(),
-                                        (*table)->schema);
-    ASSERT_TRUE(scan->Open().ok());
-    auto input = Tensor::Create(Shape{20, 28});
-    ASSERT_TRUE(input.ok());
-    Row row;
-    int64_t r = 0;
-    while (true) {
-      auto has = scan->Next(&row);
-      ASSERT_TRUE(has.ok());
-      if (!*has) break;
-      const auto& f = row.value(1).AsFloatVector();
-      std::copy(f.begin(), f.end(), input->data() + r * 28);
-      ++r;
-    }
+  LoadFraudSetup(20);
+  // Rebuild the table's batch by hand.
+  auto table = session_.GetTable("tx");
+  ASSERT_TRUE(table.ok());
+  ColumnarRowScan scan((*table)->columnar.get());
+  ASSERT_TRUE(scan.Open().ok());
+  auto input = Tensor::Create(Shape{20, 28});
+  ASSERT_TRUE(input.ok());
+  Row row;
+  int64_t r = 0;
+  while (true) {
+    auto has = scan.Next(&row);
+    ASSERT_TRUE(has.ok());
+    if (!*has) break;
+    const auto& f = row.value(1).AsFloatVector();
+    std::copy(f.begin(), f.end(), input->data() + r * 28);
+    ++r;
+  }
+  ASSERT_EQ(r, 20);
+  // The table feed (gathered into one tile, or streamed into a block
+  // relation) matches the dense feed bit for bit in every mode.
+  for (const ServingMode mode :
+       {ServingMode::kForceUdf, ServingMode::kForceRelational}) {
+    ASSERT_TRUE(session_.Deploy("fraud", mode, 20).ok());
+    const Tensor expected = PredictTable("tx");
     auto batch_out = session_.PredictBatch("fraud", *input);
     ASSERT_TRUE(batch_out.ok());
     auto got = batch_out->ToTensor(session_.exec_context());
     ASSERT_TRUE(got.ok());
-    EXPECT_EQ(expected.MaxAbsDiff(*got), 0.0f) << name;
+    EXPECT_EQ(expected.MaxAbsDiff(*got), 0.0f);
   }
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <map>
+
 #include "graph/model.h"
 #include "relational/row.h"
 #include "serving/serving_session.h"
@@ -109,48 +113,34 @@ class SqlExecTest : public ::testing::Test {
                          {"features", ValueType::kFloatVector}});
     auto table = session_.CreateTable("tx", schema);
     EXPECT_TRUE(table.ok());
-    // Columnar clone of tx, holding identical rows: every dual-path
-    // test below asserts bit-identical results across the two.
-    auto clone =
-        session_.CreateTable("tx_col", schema, TableLayout::kColumnar);
-    EXPECT_TRUE(clone.ok());
     for (int i = 0; i < 20; ++i) {
       std::vector<float> features(8, static_cast<float>(i) * 0.1f);
-      Row row({Value(int64_t{i}), Value(i * 10.0),
-               Value(std::move(features))});
-      std::string bytes;
-      row.SerializeTo(&bytes);
-      EXPECT_TRUE((*table)->heap->Append(bytes).ok());
-      EXPECT_TRUE((*clone)->columnar->AppendRow(row).ok());
+      rows_.emplace_back(std::vector<Value>{
+          Value(int64_t{i}), Value(i * 10.0), Value(std::move(features))});
+      EXPECT_TRUE((*table)->columnar->AppendRow(rows_.back()).ok());
     }
     auto model = BuildFFNN("scorer", {8, 16, 3}, 5);
     EXPECT_TRUE(model.ok());
     EXPECT_TRUE(session_.RegisterModel(std::move(*model)).ok());
   }
 
-  // Runs `query_tmpl` against both layouts ($T = table name) and
-  // asserts identical schema and rows.
-  void ExpectSameResults(const std::string& query_tmpl) {
-    auto fill = [&](const std::string& name) {
-      std::string q = query_tmpl;
-      const size_t pos = q.find("$T");
-      EXPECT_NE(pos, std::string::npos) << query_tmpl;
-      q.replace(pos, 2, name);
-      return q;
-    };
-    auto row_result = ExecuteQuery(&session_, fill("tx"));
-    auto col_result = ExecuteQuery(&session_, fill("tx_col"));
-    ASSERT_TRUE(row_result.ok()) << row_result.status();
-    ASSERT_TRUE(col_result.ok()) << col_result.status();
-    EXPECT_EQ(row_result->schema.ToString(),
-              col_result->schema.ToString());
-    ASSERT_EQ(row_result->rows.size(), col_result->rows.size());
-    for (size_t i = 0; i < row_result->rows.size(); ++i) {
-      EXPECT_EQ(row_result->rows[i], col_result->rows[i])
-          << query_tmpl << " row " << i;
+  // The deployed scorer run on the features of `ids` as one dense
+  // batch: the reference SQL PREDICT must match bit for bit.
+  Tensor DenseScores(const std::vector<int64_t>& ids) {
+    auto input = Tensor::Create(Shape{static_cast<int64_t>(ids.size()), 8});
+    EXPECT_TRUE(input.ok());
+    for (size_t r = 0; r < ids.size(); ++r) {
+      const auto& f = rows_[ids[r]].value(2).AsFloatVector();
+      std::copy(f.begin(), f.end(), input->data() + r * 8);
     }
+    auto out = session_.PredictBatch("scorer", *input);
+    EXPECT_TRUE(out.ok()) << out.status();
+    auto scores = out->ToTensor(session_.exec_context());
+    EXPECT_TRUE(scores.ok());
+    return *scores;
   }
 
+  std::vector<Row> rows_;  // the rows of tx, in insertion order
   ServingSession session_;
 };
 
@@ -171,87 +161,68 @@ TEST_F(SqlExecTest, WhereAndLimit) {
 }
 
 TEST_F(SqlExecTest, PredictAddsScoreVector) {
-  for (const std::string table : {"tx", "tx_col"}) {
-    auto result = ExecuteQuery(
-        &session_,
-        "SELECT id, PREDICT(scorer) AS p FROM " + table + " WHERE id < 4");
-    ASSERT_TRUE(result.ok()) << table << ": " << result.status();
-    ASSERT_EQ(result->rows.size(), 4u);
-    EXPECT_EQ(result->schema.column(1).name, "p");
-    EXPECT_EQ(result->schema.column(1).type, ValueType::kFloatVector);
-    const auto& scores = result->rows[0].value(1).AsFloatVector();
-    ASSERT_EQ(scores.size(), 3u);
-    float sum = 0;
-    for (float s : scores) sum += s;
-    EXPECT_NEAR(sum, 1.0f, 1e-4f);  // softmax row
-  }
+  auto result = ExecuteQuery(
+      &session_, "SELECT id, PREDICT(scorer) AS p FROM tx WHERE id < 4");
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->rows.size(), 4u);
+  EXPECT_EQ(result->schema.column(1).name, "p");
+  EXPECT_EQ(result->schema.column(1).type, ValueType::kFloatVector);
+  const auto& scores = result->rows[0].value(1).AsFloatVector();
+  ASSERT_EQ(scores.size(), 3u);
+  float sum = 0;
+  for (float s : scores) sum += s;
+  EXPECT_NEAR(sum, 1.0f, 1e-4f);  // softmax row
 }
 
 TEST_F(SqlExecTest, PredictClassMatchesPredictArgmax) {
-  for (const std::string table : {"tx", "tx_col"}) {
-    auto result = ExecuteQuery(
-        &session_,
-        "SELECT PREDICT(scorer), PREDICT_CLASS(scorer) FROM " + table);
-    ASSERT_TRUE(result.ok()) << table << ": " << result.status();
-    for (const Row& row : result->rows) {
-      const auto& scores = row.value(0).AsFloatVector();
-      const int64_t cls = row.value(1).AsInt64();
-      int64_t best = 0;
-      for (size_t c = 1; c < scores.size(); ++c) {
-        if (scores[c] > scores[best]) best = static_cast<int64_t>(c);
-      }
-      EXPECT_EQ(cls, best);
+  auto result = ExecuteQuery(
+      &session_, "SELECT PREDICT(scorer), PREDICT_CLASS(scorer) FROM tx");
+  ASSERT_TRUE(result.ok()) << result.status();
+  for (const Row& row : result->rows) {
+    const auto& scores = row.value(0).AsFloatVector();
+    const int64_t cls = row.value(1).AsInt64();
+    int64_t best = 0;
+    for (size_t c = 1; c < scores.size(); ++c) {
+      if (scores[c] > scores[best]) best = static_cast<int64_t>(c);
     }
+    EXPECT_EQ(cls, best);
   }
 }
 
 TEST_F(SqlExecTest, PredicateOnPredictInput) {
-  for (const std::string table : {"tx", "tx_col"}) {
-    // Inference over a filtered subset only.
-    auto all = ExecuteQuery(&session_,
-                            "SELECT PREDICT_CLASS(scorer) FROM " + table);
-    auto some = ExecuteQuery(
-        &session_,
-        "SELECT PREDICT_CLASS(scorer) FROM " + table + " WHERE id >= 10");
-    ASSERT_TRUE(all.ok() && some.ok()) << table;
-    ASSERT_EQ(some->rows.size(), 10u);
-    // Row k of the filtered result equals row k+10 of the full result.
-    for (size_t i = 0; i < some->rows.size(); ++i) {
-      EXPECT_EQ(some->rows[i].value(0).AsInt64(),
-                all->rows[i + 10].value(0).AsInt64());
-    }
+  // Inference over a filtered subset only.
+  auto all = ExecuteQuery(&session_, "SELECT PREDICT_CLASS(scorer) FROM tx");
+  auto some = ExecuteQuery(
+      &session_, "SELECT PREDICT_CLASS(scorer) FROM tx WHERE id >= 10");
+  ASSERT_TRUE(all.ok() && some.ok());
+  ASSERT_EQ(some->rows.size(), 10u);
+  // Row k of the filtered result equals row k+10 of the full result.
+  for (size_t i = 0; i < some->rows.size(); ++i) {
+    EXPECT_EQ(some->rows[i].value(0).AsInt64(),
+              all->rows[i + 10].value(0).AsInt64());
   }
 }
 
 TEST_F(SqlExecTest, EmptyResultSkipsInference) {
-  for (const std::string table : {"tx", "tx_col"}) {
-    auto result = ExecuteQuery(
-        &session_,
-        "SELECT PREDICT(scorer) FROM " + table + " WHERE amount < -1");
-    ASSERT_TRUE(result.ok()) << table << ": " << result.status();
-    EXPECT_TRUE(result->rows.empty());
-  }
+  auto result = ExecuteQuery(
+      &session_, "SELECT PREDICT(scorer) FROM tx WHERE amount < -1");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->rows.empty());
 }
 
 TEST_F(SqlExecTest, ErrorsAreStatuses) {
   EXPECT_TRUE(ExecuteQuery(&session_, "SELECT * FROM missing")
                   .status()
                   .IsNotFound());
-  for (const std::string table : {"tx", "tx_col"}) {
-    EXPECT_TRUE(ExecuteQuery(&session_, "SELECT nope FROM " + table)
-                    .status()
-                    .IsNotFound());
-    EXPECT_TRUE(
-        ExecuteQuery(&session_, "SELECT PREDICT(ghost) FROM " + table)
-            .status()
-            .IsNotFound());
-    // PREDICT over a non-vector column.
-    EXPECT_TRUE(ExecuteQuery(&session_,
-                             "SELECT PREDICT(scorer, amount) FROM " + table)
-                    .status()
-                    .IsInvalidArgument())
-        << table;
-  }
+  EXPECT_TRUE(
+      ExecuteQuery(&session_, "SELECT nope FROM tx").status().IsNotFound());
+  EXPECT_TRUE(ExecuteQuery(&session_, "SELECT PREDICT(ghost) FROM tx")
+                  .status()
+                  .IsNotFound());
+  // PREDICT over a non-vector column.
+  EXPECT_TRUE(ExecuteQuery(&session_, "SELECT PREDICT(scorer, amount) FROM tx")
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST_F(SqlExecTest, GlobalAggregates) {
@@ -365,6 +336,7 @@ TEST_F(SqlExecTest, CreateInsertSelectRoundTrip) {
   ASSERT_TRUE(created.ok()) << created.status();
   EXPECT_FALSE(created->has_rows);
   EXPECT_NE(created->message.find("created"), std::string::npos);
+  EXPECT_NE((*session_.GetTable("sensors"))->columnar, nullptr);
 
   auto inserted = ExecuteStatement(
       &session_,
@@ -460,7 +432,7 @@ TEST_F(SqlExecTest, ExplainShowsPipelineAndModelPlan) {
       "LIMIT 5");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_FALSE(result->has_rows);
-  EXPECT_NE(result->message.find("SeqScan tx"), std::string::npos);
+  EXPECT_NE(result->message.find("ColumnarScan tx"), std::string::npos);
   EXPECT_NE(result->message.find("Filter:"), std::string::npos);
   EXPECT_NE(result->message.find("Limit: 5"), std::string::npos);
   // The model's per-operator representation decisions are included.
@@ -476,7 +448,7 @@ TEST_F(SqlExecTest, ExplainAnalyzeRunsQueryAndShowsStageTimings) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_FALSE(result->has_rows);
   // The logical pipeline is still rendered...
-  EXPECT_NE(result->message.find("SeqScan tx"), std::string::npos)
+  EXPECT_NE(result->message.find("ColumnarScan tx"), std::string::npos)
       << result->message;
   // ...plus the compiled physical plan with executed-stage stats: the
   // query actually ran, so every stage carries calls and timings.
@@ -500,94 +472,110 @@ TEST_F(SqlExecTest, PlainExplainDoesNotExecute) {
       << result->message;
 }
 
-// --- Columnar layout through SQL -------------------------------------
+// --- Results against the row reference -----------------------------
 
-TEST(ParserTest, StorageClause) {
-  auto columnar = ParseStatement(
-      "CREATE TABLE t (id INT64) STORAGE COLUMNAR");
-  ASSERT_TRUE(columnar.ok());
-  EXPECT_TRUE(columnar->create.columnar);
-  auto row = ParseStatement("CREATE TABLE t (id INT64) STORAGE ROW");
-  ASSERT_TRUE(row.ok());
-  EXPECT_FALSE(row->create.columnar);
-  auto implicit = ParseStatement("CREATE TABLE t (id INT64)");
-  ASSERT_TRUE(implicit.ok());
-  EXPECT_FALSE(implicit->create.columnar);
-  EXPECT_TRUE(
-      ParseStatement("CREATE TABLE t (id INT64) STORAGE PAPER")
-          .status()
-          .IsInvalidArgument());
-  // COLUMNAR/ROW are not reserved: columns may use the names.
-  EXPECT_TRUE(
-      ParseStatement("CREATE TABLE t (row INT64, columnar INT64)").ok());
+TEST(ParserTest, CreateTableTakesNoStorageClause) {
+  EXPECT_TRUE(ParseStatement("CREATE TABLE t (id INT64) STORAGE COLUMNAR")
+                  .status()
+                  .IsInvalidArgument());
+  // STORAGE is not a keyword: columns may use the name.
+  EXPECT_TRUE(ParseStatement("CREATE TABLE t (storage INT64)").ok());
 }
 
-TEST_F(SqlExecTest, DualPathBitIdentity) {
-  ExpectSameResults("SELECT * FROM $T");
-  ExpectSameResults("SELECT id FROM $T WHERE amount >= 50 LIMIT 3");
-  ExpectSameResults(
-      "SELECT id, amount FROM $T WHERE id < 15 AND amount > 20");
-  ExpectSameResults(
-      "SELECT id FROM $T WHERE id = 3 OR NOT (amount <= 120)");
-  ExpectSameResults("SELECT id FROM $T WHERE amount = 50");
-  // Typed equality: id is INT64, 3.0 is a float literal — no rows
-  // through either path.
-  ExpectSameResults("SELECT id FROM $T WHERE id = 3.0");
-  ExpectSameResults(
-      "SELECT COUNT(*), SUM(amount), AVG(amount) FROM $T "
-      "WHERE id < 10");
-  ExpectSameResults(
-      "SELECT id, amount FROM $T ORDER BY amount DESC LIMIT 4");
-  ExpectSameResults("SELECT id FROM $T WHERE amount < -1");
+TEST_F(SqlExecTest, FiltersMatchRowReference) {
+  // Each WHERE against the same predicate evaluated on the source rows.
+  struct Case {
+    const char* where;
+    bool (*keep)(int64_t id, double amount);
+  };
+  const Case cases[] = {
+      {"id < 15 AND amount > 20",
+       [](int64_t id, double a) { return id < 15 && a > 20; }},
+      {"id = 3 OR NOT (amount <= 120)",
+       [](int64_t id, double a) { return id == 3 || !(a <= 120); }},
+      {"amount = 50.0", [](int64_t, double a) { return a == 50; }},
+      // Typed equality: an INT64 never equals a FLOAT64 literal, nor a
+      // FLOAT64 an INT64 one.
+      {"id = 3.0", [](int64_t, double) { return false; }},
+      {"amount = 50", [](int64_t, double) { return false; }},
+      {"amount < -1", [](int64_t, double a) { return a < -1; }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.where);
+    auto result = ExecuteQuery(
+        &session_, std::string("SELECT * FROM tx WHERE ") + c.where);
+    ASSERT_TRUE(result.ok()) << result.status();
+    std::vector<Row> expect;
+    for (const Row& row : rows_) {
+      if (c.keep(row.value(0).AsInt64(), row.value(1).AsFloat64())) {
+        expect.push_back(row);
+      }
+    }
+    EXPECT_EQ(result->rows, expect);
+  }
+  auto all = ExecuteQuery(&session_, "SELECT * FROM tx");
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(all->rows, rows_);
+  auto agg = ExecuteQuery(&session_,
+                          "SELECT COUNT(*), SUM(amount), AVG(amount) FROM tx "
+                          "WHERE id < 10");
+  ASSERT_TRUE(agg.ok()) << agg.status();
+  ASSERT_EQ(agg->rows.size(), 1u);
+  EXPECT_EQ(agg->rows[0].value(0).AsInt64(), 10);
+  EXPECT_EQ(agg->rows[0].value(1).AsFloat64(), 450.0);
+  EXPECT_EQ(agg->rows[0].value(2).AsFloat64(), 45.0);
 }
 
-TEST_F(SqlExecTest, DualPathPredict) {
+TEST_F(SqlExecTest, PredictMatchesDenseBatch) {
   // Adaptive deploy on first use (a whole-batch first stage), then a
   // relation-centric first stage that streams the feature rows.
   for (const bool relational : {false, true}) {
+    SCOPED_TRACE(relational ? "relational" : "adaptive");
     if (relational) {
       ASSERT_TRUE(session_
                       .Deploy("scorer", ServingMode::kForceRelational, 20)
                       .ok());
     }
-    ExpectSameResults(
-        "SELECT id, PREDICT(scorer) AS p FROM $T WHERE id < 4");
-    ExpectSameResults(
-        "SELECT PREDICT_CLASS(scorer) AS cls, COUNT(*) AS n FROM $T "
+    auto result = ExecuteQuery(
+        &session_, "SELECT id, PREDICT(scorer) AS p FROM tx WHERE id < 4");
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_EQ(result->rows.size(), 4u);
+    const Tensor expect = DenseScores({0, 1, 2, 3});
+    for (int64_t r = 0; r < 4; ++r) {
+      const auto& p = result->rows[r].value(1).AsFloatVector();
+      ASSERT_EQ(p.size(), 3u);
+      EXPECT_EQ(std::memcmp(p.data(), expect.data() + r * 3, 3 * 4), 0)
+          << "row " << r;
+    }
+
+    auto grouped = ExecuteQuery(
+        &session_,
+        "SELECT PREDICT_CLASS(scorer) AS cls, COUNT(*) AS n FROM tx "
         "GROUP BY cls ORDER BY cls");
+    ASSERT_TRUE(grouped.ok()) << grouped.status();
+    std::vector<int64_t> ids(20);
+    for (int64_t i = 0; i < 20; ++i) ids[i] = i;
+    const Tensor all = DenseScores(ids);
+    std::map<int64_t, int64_t> hist;
+    for (int64_t r = 0; r < 20; ++r) {
+      const float* row = all.data() + r * 3;
+      ++hist[std::max_element(row, row + 3) - row];
+    }
+    ASSERT_EQ(grouped->rows.size(), hist.size());
+    size_t i = 0;
+    for (const auto& [cls, n] : hist) {
+      EXPECT_EQ(grouped->rows[i].value(0).AsInt64(), cls);
+      EXPECT_EQ(grouped->rows[i].value(1).AsInt64(), n);
+      ++i;
+    }
   }
-}
-
-TEST_F(SqlExecTest, ColumnarCreateInsertSelectRoundTrip) {
-  auto created = ExecuteStatement(
-      &session_,
-      "CREATE TABLE sensors_col (id INT64, reading FLOAT64, "
-      "embedding FLOAT_VECTOR) STORAGE COLUMNAR");
-  ASSERT_TRUE(created.ok()) << created.status();
-  EXPECT_NE(created->message.find("columnar"), std::string::npos);
-  auto* info = *session_.GetTable("sensors_col");
-  EXPECT_EQ(info->layout, TableLayout::kColumnar);
-  EXPECT_NE(info->columnar, nullptr);
-  EXPECT_EQ(info->heap, nullptr);
-
-  auto inserted = ExecuteStatement(
-      &session_,
-      "INSERT INTO sensors_col VALUES "
-      "(1, 20.5, [0.1, 0.2]), (2, 21, [0.3, 0.4])");
-  ASSERT_TRUE(inserted.ok()) << inserted.status();
-
-  auto rows = ExecuteStatement(
-      &session_, "SELECT id, reading FROM sensors_col WHERE id = 2");
-  ASSERT_TRUE(rows.ok()) << rows.status();
-  ASSERT_EQ(rows->query.rows.size(), 1u);
-  EXPECT_DOUBLE_EQ(rows->query.rows[0].value(1).AsFloat64(), 21.0);
 }
 
 TEST_F(SqlExecTest, ExplainShowsColumnarScan) {
   auto result = ExecuteStatement(
-      &session_, "EXPLAIN SELECT id FROM tx_col WHERE amount > 50");
+      &session_, "EXPLAIN SELECT id FROM tx WHERE amount > 50");
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_NE(result->message.find("ColumnarScan tx_col"),
+  EXPECT_NE(result->message.find("ColumnarScan tx"),
             std::string::npos)
       << result->message;
   EXPECT_NE(result->message.find("fragments"), std::string::npos);
@@ -601,10 +589,10 @@ TEST_F(SqlExecTest, ExplainShowsColumnarScan) {
 TEST_F(SqlExecTest, ExplainAnalyzeRendersColumnarScanStats) {
   auto result = ExecuteStatement(
       &session_,
-      "EXPLAIN ANALYZE SELECT id FROM tx_col WHERE amount > 50");
+      "EXPLAIN ANALYZE SELECT id FROM tx WHERE amount > 50");
   ASSERT_TRUE(result.ok()) << result.status();
   const std::string& m = result->message;
-  EXPECT_NE(m.find("[columnar-scan] scan tx_col"), std::string::npos)
+  EXPECT_NE(m.find("[columnar-scan] scan tx"), std::string::npos)
       << m;
   // The execution ANALYZE just performed shows up in the counters:
   // 20 rows decoded, non-zero payload bytes.

@@ -15,7 +15,6 @@
 #include "storage/physical_block_index.h"
 #include "storage/disk_manager.h"
 #include "storage/quantize.h"
-#include "storage/table_heap.h"
 
 namespace relserve {
 namespace {
@@ -109,103 +108,6 @@ TEST(BufferPoolTest, HitsAndMissesAreCounted) {
   ASSERT_TRUE(pool.FetchPage(a).ok());  // hit
   ASSERT_TRUE(pool.UnpinPage(a, false).ok());
   EXPECT_EQ(pool.stats().hits, 1);
-}
-
-TEST(TableHeapTest, AppendAndScan) {
-  DiskManager disk;
-  BufferPool pool(&disk, 8);
-  TableHeap heap(&pool);
-  for (int i = 0; i < 100; ++i) {
-    std::string record = "record-" + std::to_string(i);
-    ASSERT_TRUE(heap.Append(record).ok());
-  }
-  EXPECT_EQ(heap.num_records(), 100);
-  int seen = 0;
-  ASSERT_TRUE(heap.Scan([&](const char* data, int64_t size) {
-                    EXPECT_EQ(std::string(data, size),
-                              "record-" + std::to_string(seen));
-                    ++seen;
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_EQ(seen, 100);
-}
-
-TEST(TableHeapTest, SpillsAcrossPagesAndSurvivesEviction) {
-  DiskManager disk;
-  BufferPool pool(&disk, 2);  // tiny pool forces spilling
-  TableHeap heap(&pool);
-  const std::string big(10000, 'x');  // ~6 records per 64K page
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(heap.Append(big + std::to_string(i)).ok());
-  }
-  EXPECT_GT(heap.num_pages(), 2);  // more pages than frames
-  int seen = 0;
-  ASSERT_TRUE(heap.Scan([&](const char* data, int64_t size) {
-                    EXPECT_EQ(std::string(data + 10000, size - 10000),
-                              std::to_string(seen));
-                    ++seen;
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_EQ(seen, 50);
-}
-
-TEST(TableHeapTest, OversizeRecordsGoToOverflowPages) {
-  DiskManager disk;
-  BufferPool pool(&disk, 4);  // smaller than one overflow chain
-  TableHeap heap(&pool);
-  // A 3-page record (like a wide image row), between normal records.
-  std::string huge(3 * kPageSize + 123, 'x');
-  huge[0] = 'A';
-  huge[huge.size() - 1] = 'Z';
-  ASSERT_TRUE(heap.Append("before").ok());
-  ASSERT_TRUE(heap.Append(huge).ok());
-  ASSERT_TRUE(heap.Append("after").ok());
-  EXPECT_EQ(heap.num_records(), 3);
-  std::vector<std::string> seen;
-  ASSERT_TRUE(heap.Scan([&](const char* data, int64_t size) {
-                    seen.emplace_back(data, size);
-                    return Status::OK();
-                  })
-                  .ok());
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], "before");
-  EXPECT_EQ(seen[1], huge);
-  EXPECT_EQ(seen[2], "after");
-}
-
-TEST(TableHeapTest, ManyOverflowRecordsSurviveEviction) {
-  DiskManager disk;
-  BufferPool pool(&disk, 3);
-  TableHeap heap(&pool);
-  for (int i = 0; i < 10; ++i) {
-    std::string big(kPageSize + 100, static_cast<char>('a' + i));
-    ASSERT_TRUE(heap.Append(big).ok());
-  }
-  int i = 0;
-  ASSERT_TRUE(heap.Scan([&](const char* data, int64_t size) {
-                    EXPECT_EQ(size, kPageSize + 100);
-                    EXPECT_EQ(data[0], static_cast<char>('a' + i));
-                    ++i;
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_EQ(i, 10);
-}
-
-TEST(TableHeapTest, ReadPageRecords) {
-  DiskManager disk;
-  BufferPool pool(&disk, 4);
-  TableHeap heap(&pool);
-  ASSERT_TRUE(heap.Append("a").ok());
-  ASSERT_TRUE(heap.Append("bb").ok());
-  std::vector<std::string> records;
-  ASSERT_TRUE(heap.ReadPageRecords(0, &records).ok());
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0], "a");
-  EXPECT_EQ(records[1], "bb");
-  EXPECT_TRUE(heap.ReadPageRecords(5, &records).IsInvalidArgument());
 }
 
 TEST(BlockStoreTest, PutGetRoundTrip) {

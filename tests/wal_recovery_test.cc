@@ -20,6 +20,7 @@
 #include "common/failpoint.h"
 #include "relational/operator.h"
 #include "relational/row.h"
+#include "relational/vectorized.h"
 #include "serving/serving_session.h"
 #include "storage/buffer_pool.h"
 #include "storage/catalog.h"
@@ -77,7 +78,7 @@ void WriteFileBytes(const std::string& path, const std::string& bytes,
 
 // The ids of the rows visible at `snap`, in physical ordinal order.
 std::vector<int64_t> VisibleIds(TableInfo* table, Version snap) {
-  SeqScan scan(table->heap.get(), table->schema);
+  ColumnarRowScan scan(table->columnar.get());
   scan.set_visibility(table->visibility.get(), snap);
   EXPECT_TRUE(scan.Open().ok());
   std::vector<int64_t> ids;
@@ -112,7 +113,6 @@ TEST(WalCodecTest, EveryRecordTypeRoundTrips) {
     rec.lsn = 1;
     rec.txn_id = 9;
     rec.table = "t";
-    rec.layout = 1;
     EncodeSchema(workloads::FeatureTableSchema(),
                  &rec.schema_encoding);
     records.push_back(rec);
@@ -165,7 +165,6 @@ TEST(WalCodecTest, EveryRecordTypeRoundTrips) {
     EXPECT_EQ(back->lsn, rec.lsn);
     EXPECT_EQ(back->txn_id, rec.txn_id);
     EXPECT_EQ(back->table, rec.table);
-    EXPECT_EQ(back->layout, rec.layout);
     EXPECT_EQ(back->schema_encoding, rec.schema_encoding);
     EXPECT_EQ(back->row_bytes, rec.row_bytes);
     EXPECT_EQ(back->ordinal, rec.ordinal);
@@ -325,6 +324,55 @@ TEST(WalTest, FsyncErrorAbortsCommitWithNothingApplied) {
   ASSERT_TRUE(session.IngestRows("t", {MakeRow(0)}).ok());
   EXPECT_EQ(VisibleIds(*table, session.PinSnapshot()),
             (std::vector<int64_t>{0}));
+}
+
+TEST(WalTest, RowOfWrongTypeIsRejectedBeforeItIsLogged) {
+  const std::string dir = FreshWalDir("bad_row");
+  const Schema schema({{"id", ValueType::kInt64}, {"x", ValueType::kFloat64}});
+  auto row = [](int64_t id) {
+    return Row({Value(id), Value(static_cast<double>(id) * 0.5)});
+  };
+  {
+    ServingSession session(WalConfig(dir));
+    ASSERT_TRUE(session.wal_status().ok()) << session.wal_status();
+    ASSERT_TRUE(session.CreateTable("t", schema).ok());
+    ASSERT_TRUE(session.IngestRows("t", {row(0)}).ok());
+    const uint64_t lsn = session.wal()->next_lsn();
+    const Version before = session.PinSnapshot();
+
+    // An INT64 in the FLOAT64 column, behind a good row of the same
+    // transaction; a row of the wrong arity; an update to a bad row.
+    const Row int_in_float({Value(int64_t{1}), Value(int64_t{2})});
+    Status status = session.IngestRows("t", {row(1), int_in_float});
+    EXPECT_TRUE(status.IsInvalidArgument()) << status;
+    status = session.IngestRows("t", {Row({Value(int64_t{1})})});
+    EXPECT_TRUE(status.IsInvalidArgument()) << status;
+    WriteOp update;
+    update.kind = WriteOp::Kind::kUpdate;
+    update.ordinal = 0;
+    update.row = int_in_float;
+    status = session.ApplyWrite("t", {update});
+    EXPECT_TRUE(status.IsInvalidArgument()) << status;
+    // Nothing logged, nothing published, nothing stored.
+    EXPECT_EQ(session.wal()->next_lsn(), lsn);
+    EXPECT_EQ(session.PinSnapshot(), before);
+
+    // The next insert lands at ordinal 1, where an update finds it.
+    ASSERT_TRUE(session.IngestRows("t", {row(1)}).ok());
+    update.ordinal = 1;
+    update.row = row(101);
+    ASSERT_TRUE(session.ApplyWrite("t", {update}).ok());
+    auto table = session.GetTable("t");
+    ASSERT_TRUE(table.ok());
+    EXPECT_EQ(VisibleIds(*table, session.PinSnapshot()),
+              (std::vector<int64_t>{0, 101}));
+  }
+  ServingSession revived(WalConfig(dir));
+  ASSERT_TRUE(revived.wal_status().ok()) << revived.wal_status();
+  auto table = revived.GetTable("t");
+  ASSERT_TRUE(table.ok()) << table.status();
+  EXPECT_EQ(VisibleIds(*table, revived.PinSnapshot()),
+            (std::vector<int64_t>{0, 101}));
 }
 
 TEST(WalTest, SessionRestartRecoversExactState) {

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "relational/operator.h"
+#include "relational/vectorized.h"
 #include "serving/serving_session.h"
 #include "workloads/datasets.h"
 
@@ -19,8 +20,8 @@ TEST_F(WorkloadsTest, FeatureTableHasRequestedShape) {
   auto table = session_.CreateTable("t", workloads::FeatureTableSchema());
   ASSERT_TRUE(table.ok());
   ASSERT_TRUE(workloads::FillFeatureTable(*table, 50, 28, 1).ok());
-  EXPECT_EQ((*table)->heap->num_records(), 50);
-  SeqScan scan((*table)->heap.get(), (*table)->schema);
+  EXPECT_EQ((*table)->columnar->num_rows(), 50);
+  ColumnarRowScan scan((*table)->columnar.get());
   auto rows = Collect(&scan);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 50u);
@@ -34,8 +35,8 @@ TEST_F(WorkloadsTest, GenerationIsDeterministic) {
   ASSERT_TRUE(t1.ok() && t2.ok());
   ASSERT_TRUE(workloads::FillFeatureTable(*t1, 10, 4, 99).ok());
   ASSERT_TRUE(workloads::FillFeatureTable(*t2, 10, 4, 99).ok());
-  SeqScan s1((*t1)->heap.get(), (*t1)->schema);
-  SeqScan s2((*t2)->heap.get(), (*t2)->schema);
+  ColumnarRowScan s1((*t1)->columnar.get());
+  ColumnarRowScan s2((*t2)->columnar.get());
   auto r1 = Collect(&s1);
   auto r2 = Collect(&s2);
   ASSERT_TRUE(r1.ok() && r2.ok());
@@ -50,11 +51,11 @@ TEST_F(WorkloadsTest, BoschPartitionsShareCorrelatedKeys) {
   ASSERT_TRUE(d1.ok() && d2.ok());
   ASSERT_TRUE(
       workloads::FillBoschPartitions(*d1, *d2, 100, 16, 0.05, 7).ok());
-  EXPECT_EQ((*d1)->heap->num_records(), 100);
-  EXPECT_EQ((*d2)->heap->num_records(), 100);
+  EXPECT_EQ((*d1)->columnar->num_rows(), 100);
+  EXPECT_EQ((*d2)->columnar->num_rows(), 100);
   // Same-row keys must be close (jitter is small vs the key range).
-  SeqScan s1((*d1)->heap.get(), (*d1)->schema);
-  SeqScan s2((*d2)->heap.get(), (*d2)->schema);
+  ColumnarRowScan s1((*d1)->columnar.get());
+  ColumnarRowScan s2((*d2)->columnar.get());
   auto r1 = Collect(&s1);
   auto r2 = Collect(&s2);
   ASSERT_TRUE(r1.ok() && r2.ok());
@@ -71,8 +72,8 @@ TEST_F(WorkloadsTest, BoschSimilarityJoinProducesMatches) {
   ASSERT_TRUE(d1.ok() && d2.ok());
   ASSERT_TRUE(
       workloads::FillBoschPartitions(*d1, *d2, 200, 8, 0.05, 3).ok());
-  auto left = std::make_unique<SeqScan>((*d1)->heap.get(), (*d1)->schema);
-  auto right = std::make_unique<SeqScan>((*d2)->heap.get(), (*d2)->schema);
+  auto left = std::make_unique<ColumnarRowScan>((*d1)->columnar.get());
+  auto right = std::make_unique<ColumnarRowScan>((*d2)->columnar.get());
   SimilarityJoin join(std::move(left), std::move(right), 1, 1, 0.2);
   auto rows = Collect(&join);
   ASSERT_TRUE(rows.ok());
