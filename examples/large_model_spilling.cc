@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "common/counter.h"
 #include "graph/model.h"
 #include "serving/serving_session.h"
 #include "workloads/datasets.h"
@@ -74,7 +75,7 @@ int main() {
               static_cast<long long>(
                   session.working_memory()->peak_bytes() >> 20));
   std::printf("buffer pool        : %s\n",
-              pool_stats.ToString().c_str());
+              RenderJson(pool_stats).c_str());
   std::printf("spill file traffic : %lld page reads, %lld page "
               "writes\n",
               static_cast<long long>(

@@ -62,11 +62,15 @@ ASAN_DIR="${3:-build-asan}"
 # raw page payloads under UBSan; serving_concurrency_test's churn case
 # races Deploy/Undeploy against in-flight Predicts over shared blocks.
 # pipeline_test runs the pipelined schedule: one worker thread per
-# compiled stage, all bumping the plan's shared StageStats atomics.
-TSAN_TESTS=(resource_test storage_test dedup_test block_ops_test
-            kernels_test executor_test serving_concurrency_test
-            chaos_test columnar_test quantized_kernels_test
-            net_serving_test mvcc_test wal_recovery_test pipeline_test)
+# compiled stage, all bumping the plan's shared StageStats counters.
+# common_test races four threads on one relaxed Counter, the field
+# type of every concurrently bumped stats struct (exact Add sums and
+# the StoreMax high-water mark).
+TSAN_TESTS=(common_test resource_test storage_test dedup_test
+            block_ops_test kernels_test executor_test
+            serving_concurrency_test chaos_test columnar_test
+            quantized_kernels_test net_serving_test mvcc_test
+            wal_recovery_test pipeline_test)
 UBSAN_TESTS=(kernels_test tensor_test block_ops_test executor_test
             plan_text_test chaos_test columnar_test dedup_test
             quantized_kernels_test net_serving_test wal_recovery_test)

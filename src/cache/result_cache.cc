@@ -39,12 +39,12 @@ void ExactResultCache::Insert(const std::vector<float>& features,
     std::unique_lock<std::shared_mutex> lock(mu_);
     map_[Key(features)] = Entry{std::move(prediction), version};
   }
-  stats_.insertions += 1;
+  stats_.insertions.Add();
 }
 
 std::optional<std::vector<float>> ExactResultCache::Lookup(
     const std::vector<float>& features) {
-  stats_.lookups += 1;
+  stats_.lookups.Add();
   const std::string key = Key(features);
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -52,7 +52,7 @@ std::optional<std::vector<float>> ExactResultCache::Lookup(
     if (it == map_.end()) return std::nullopt;
     if (it->second.version >=
         fence_.load(std::memory_order_acquire)) {
-      stats_.hits += 1;
+      stats_.hits.Add();
       return it->second.prediction;
     }
   }
@@ -64,7 +64,7 @@ std::optional<std::vector<float>> ExactResultCache::Lookup(
     if (it != map_.end() &&
         it->second.version < fence_.load(std::memory_order_acquire)) {
       map_.erase(it);
-      stats_.invalidations += 1;
+      stats_.invalidations.Add();
     }
   }
   return std::nullopt;
@@ -97,23 +97,23 @@ Status ApproxResultCache::Insert(const std::vector<float>& features,
     predictions_.push_back(std::move(prediction));
     versions_.push_back(version);
   }
-  stats_.insertions += 1;
+  stats_.insertions.Add();
   return Status::OK();
 }
 
 std::optional<std::vector<float>> ApproxResultCache::Lookup(
     const std::vector<float>& features) {
-  stats_.lookups += 1;
+  stats_.lookups.Add();
   std::shared_lock<std::shared_mutex> lock(mu_);
   auto neighbors = index_->Search(features, 1);
   if (!neighbors.ok() || neighbors->empty()) return std::nullopt;
   const AnnIndex::Neighbor& nearest = neighbors->front();
   if (nearest.distance > config_.max_distance) return std::nullopt;
   if (versions_[nearest.id] < fence_.load(std::memory_order_acquire)) {
-    stats_.invalidations += 1;
+    stats_.invalidations.Add();
     return std::nullopt;
   }
-  stats_.hits += 1;
+  stats_.hits.Add();
   return predictions_[nearest.id];
 }
 

@@ -26,46 +26,33 @@
 #include "cache/hnsw_index.h"
 #include "cache/ivf_index.h"
 #include "cache/lsh_index.h"
+#include "common/counter.h"
 #include "common/result.h"
 #include "tensor/tensor.h"
 
 namespace relserve {
 
-// Counters are atomics because concurrent serving (the batched
-// cache-miss fill racing row lookups) updates them from several
-// threads; copy semantics mirror ExecStats so snapshots stay cheap.
+// Concurrent serving (the batched cache-miss fill racing row lookups)
+// bumps these from several threads.
 struct CacheStats {
-  std::atomic<int64_t> lookups{0};
-  std::atomic<int64_t> hits{0};
-  std::atomic<int64_t> insertions{0};
+  Counter lookups;
+  Counter hits;
+  Counter insertions;
   // Entries rejected by the version fence: their input rows were
   // superseded by a commit after the prediction was computed.
-  std::atomic<int64_t> invalidations{0};
-
-  CacheStats() = default;
-  CacheStats(const CacheStats& other) { *this = other; }
-  // Relaxed snapshot: stats are read while queries update them;
-  // per-counter coherence is all callers rely on.
-  CacheStats& operator=(const CacheStats& other) {
-    constexpr auto kRelaxed = std::memory_order_relaxed;
-    lookups.store(other.lookups.load(kRelaxed), kRelaxed);
-    hits.store(other.hits.load(kRelaxed), kRelaxed);
-    insertions.store(other.insertions.load(kRelaxed), kRelaxed);
-    invalidations.store(other.invalidations.load(kRelaxed), kRelaxed);
-    return *this;
-  }
+  Counter invalidations;
 
   double HitRate() const {
-    const int64_t l = lookups.load();
-    return l == 0 ? 0.0 : static_cast<double>(hits.load()) / l;
+    const int64_t l = lookups;
+    return l == 0 ? 0.0 : static_cast<double>(hits) / l;
   }
 };
 
 // Both caches are safe under concurrent Lookup/Insert: lookups share
-// a reader lock, inserts take the writer lock, and the stats counters
-// are atomics updated outside any exclusive section. This is what
-// lets the serving scheduler fill a batched miss while other client
-// threads keep probing the same cache.
+// a reader lock, inserts take the writer lock, and the stats Counters
+// are bumped outside any exclusive section. This is what lets the
+// serving scheduler fill a batched miss while other client threads
+// keep probing the same cache.
 //
 // Version fencing (DESIGN.md "Durability & snapshot isolation"): every
 // entry is stamped with the MVCC snapshot its input rows were read at,

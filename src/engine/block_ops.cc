@@ -87,16 +87,16 @@ Result<std::unique_ptr<BlockStore>> ChunkMatrix(const Tensor& m,
     RELSERVE_ASSIGN_OR_RETURN(store, NewStore(ctx, geometry));
   }
   RELSERVE_RETURN_NOT_OK(store->PutMatrix(m, ctx->tracker));
-  ctx->stats.chunkings += 1;
-  ctx->stats.blocks_written +=
-      static_cast<int64_t>(store->entries().size());
+  ctx->stats.chunkings.Add();
+  ctx->stats.blocks_written.Add(
+      static_cast<int64_t>(store->entries().size()));
   return store;
 }
 
 Result<Tensor> Assemble(const BlockStore& store, ExecContext* ctx) {
-  ctx->stats.assembles += 1;
-  ctx->stats.blocks_read +=
-      static_cast<int64_t>(store.entries().size());
+  ctx->stats.assembles.Add();
+  ctx->stats.blocks_read.Add(
+      static_cast<int64_t>(store.entries().size()));
   return store.ToMatrix(ctx->tracker);
 }
 
@@ -155,28 +155,18 @@ Result<std::unique_ptr<BlockStore>> BlockMatMul(
       if (x_it == x_index.end() || w_it == w_index.end()) {
         continue;  // absent block == all-zero contribution
       }
-      int64_t prefetch_hits = 0;
       RELSERVE_ASSIGN_OR_RETURN(
-          TensorBlock xb, x.Get(x.entries()[x_it->second], ctx->tracker,
-                                &prefetch_hits));
+          TensorBlock xb, x.Get(x.entries()[x_it->second], ctx->tracker));
       RELSERVE_ASSIGN_OR_RETURN(
-          TensorBlock wb, w.Get(w.entries()[w_it->second], ctx->tracker,
-                                &prefetch_hits));
-      ctx->stats.blocks_read += 2;
-      ctx->stats.prefetch_useful += prefetch_hits;
+          TensorBlock wb, w.Get(w.entries()[w_it->second], ctx->tracker));
+      ctx->stats.blocks_read.Add(2);
       // Overlap I/O with compute: schedule the next join probe's
       // pages while this partial product runs on the CPU.
       if (kb + 1 < inner_blocks) {
         const auto xn = x_index.find(rb * x_num_cb + kb + 1);
         const auto wn = w_index.find(jb * w_num_cb + kb + 1);
-        int64_t issued = 0;
-        if (xn != x_index.end()) {
-          issued += x.PrefetchEntry(x.entries()[xn->second]);
-        }
-        if (wn != w_index.end()) {
-          issued += w.PrefetchEntry(w.entries()[wn->second]);
-        }
-        ctx->stats.prefetch_issued += issued;
+        if (xn != x_index.end()) x.PrefetchEntry(x.entries()[xn->second]);
+        if (wn != w_index.end()) w.PrefetchEntry(w.entries()[wn->second]);
       }
       RELSERVE_RETURN_NOT_OK(kernels::GemmInto(
           xb.data, wb.data, /*transpose_b=*/true,
@@ -186,7 +176,7 @@ Result<std::unique_ptr<BlockStore>> BlockMatMul(
       RELSERVE_RETURN_NOT_OK((*epilogue)(rb, jb, &acc));
     }
     RELSERVE_RETURN_NOT_OK(c->Put(TensorBlock{rb, jb, std::move(acc)}));
-    ctx->stats.blocks_written += 1;
+    ctx->stats.blocks_written.Add();
     return Status::OK();
   };
   RELSERVE_RETURN_NOT_OK(
@@ -204,22 +194,16 @@ Result<std::unique_ptr<BlockStore>> MapBlocks(
   RELSERVE_RETURN_NOT_OK(ParallelBlockTasks(
       ctx->pool, n, [&](int64_t i) -> Status {
         const BlockStore::BlockEntry& entry = input.entries()[i];
-        int64_t prefetch_hits = 0;
-        RELSERVE_ASSIGN_OR_RETURN(
-            TensorBlock block,
-            input.Get(entry, ctx->tracker, &prefetch_hits));
-        ctx->stats.blocks_read += 1;
-        ctx->stats.prefetch_useful += prefetch_hits;
+        RELSERVE_ASSIGN_OR_RETURN(TensorBlock block,
+                                  input.Get(entry, ctx->tracker));
+        ctx->stats.blocks_read.Add();
         // Pipeline the scan: the next entry's pages load while this
         // block's transform computes.
-        if (i + 1 < n) {
-          ctx->stats.prefetch_issued +=
-              input.PrefetchEntry(input.entries()[i + 1]);
-        }
+        if (i + 1 < n) input.PrefetchEntry(input.entries()[i + 1]);
         RELSERVE_RETURN_NOT_OK(
             fn(block.row_block, block.col_block, &block.data));
         RELSERVE_RETURN_NOT_OK(out->Put(block));
-        ctx->stats.blocks_written += 1;
+        ctx->stats.blocks_written.Add();
         return Status::OK();
       }));
   return out;
@@ -277,18 +261,14 @@ Result<std::unique_ptr<BlockStore>> BlockSoftmaxRows(
     for (int64_t cb = 0; cb < num_cb; ++cb) {
       const auto it = index.find(rb * num_cb + cb);
       if (it == index.end()) continue;
-      int64_t prefetch_hits = 0;
       RELSERVE_ASSIGN_OR_RETURN(
           TensorBlock block,
-          input.Get(input.entries()[it->second], ctx->tracker,
-                    &prefetch_hits));
-      ctx->stats.blocks_read += 1;
-      ctx->stats.prefetch_useful += prefetch_hits;
+          input.Get(input.entries()[it->second], ctx->tracker));
+      ctx->stats.blocks_read.Add();
       if (cb + 1 < num_cb) {
         const auto next = index.find(rb * num_cb + cb + 1);
         if (next != index.end()) {
-          ctx->stats.prefetch_issued +=
-              input.PrefetchEntry(input.entries()[next->second]);
+          input.PrefetchEntry(input.entries()[next->second]);
         }
       }
       const int64_t col0 = cb * g.block_cols;
@@ -311,7 +291,7 @@ Result<std::unique_ptr<BlockStore>> BlockSoftmaxRows(
       }
       RELSERVE_RETURN_NOT_OK(
           out->Put(TensorBlock{rb, cb, std::move(payload)}));
-      ctx->stats.blocks_written += 1;
+      ctx->stats.blocks_written.Add();
     }
     return Status::OK();
   }));
@@ -357,7 +337,7 @@ Status BlockedRowAppender::Append(const float* values, int64_t n) {
         current_col_ == row_width_) {
       RELSERVE_RETURN_NOT_OK(
           store_->Put(TensorBlock{current_row_, cb, std::move(pending_)}));
-      ctx_->stats.blocks_written += 1;
+      ctx_->stats.blocks_written.Add();
       pending_ = Tensor();
     }
   }
@@ -422,7 +402,7 @@ Status MatrixStreamWriter::FlushStrip() {
     }
     RELSERVE_RETURN_NOT_OK(
         store_->Put(TensorBlock{rb, cb, std::move(payload)}));
-    ctx_->stats.blocks_written += 1;
+    ctx_->stats.blocks_written.Add();
   }
   in_strip_ = 0;
   return Status::OK();
@@ -470,7 +450,7 @@ Result<Tensor> LoadRow(const BlockStore& store, int64_t row,
     RELSERVE_ASSIGN_OR_RETURN(
         TensorBlock block,
         store.Get(store.entries()[it->second], ctx->tracker));
-    ctx->stats.blocks_read += 1;
+    ctx->stats.blocks_read.Add();
     const int64_t bc = block.data.shape().dim(1);
     std::memcpy(out.data() + cb * g.block_cols,
                 block.data.data() + offset * bc, bc * sizeof(float));

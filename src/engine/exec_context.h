@@ -3,9 +3,9 @@
 #ifndef RELSERVE_ENGINE_EXEC_CONTEXT_H_
 #define RELSERVE_ENGINE_EXEC_CONTEXT_H_
 
-#include <atomic>
 #include <cstdint>
 
+#include "common/counter.h"
 #include "resource/memory_tracker.h"
 #include "resource/thread_pool.h"
 #include "storage/buffer_pool.h"
@@ -14,55 +14,25 @@ namespace relserve {
 
 class PhysicalBlockIndex;
 
-// Counters are atomics because relation-centric operators update them
-// from inside ParallelFor morsels; totals stay exact under any
-// interleaving.
+// Block-level work of relation-centric execution, bumped from inside
+// ParallelFor morsels. Scan volume and stage time live in StageStats,
+// page and prefetch traffic in BufferPoolStats.
 struct ExecStats {
-  std::atomic<int64_t> blocks_read{0};  // tensor blocks loaded
-  std::atomic<int64_t> blocks_written{0};  // tensor blocks stored
-  std::atomic<int64_t> assembles{0};  // blocked -> whole transitions
-  std::atomic<int64_t> chunkings{0};  // whole -> blocked transitions
-  // Block-scan prefetch pipeline: page prefetches issued for the next
-  // block while the current one computes, and page pins that found
-  // the page already loaded by that prefetch.
-  std::atomic<int64_t> prefetch_issued{0};
-  std::atomic<int64_t> prefetch_useful{0};
+  Counter blocks_read;     // tensor blocks loaded
+  Counter blocks_written;  // tensor blocks stored
+  Counter assembles;       // blocked -> whole transitions
+  Counter chunkings;       // whole -> blocked transitions
   // Nodes planned relation-centric that a storage-tier failure forced
   // to re-execute UDF-centric (DESIGN.md "Fault model & recovery").
-  std::atomic<int64_t> repr_fallbacks{0};
-  // Compiled-plan execution: physical stages run and wall time spent
-  // inside them (the stage runner's per-request attribution; the
-  // per-stage breakdown lives in PhysicalPlan's StageStats).
-  std::atomic<int64_t> stages_executed{0};
-  std::atomic<int64_t> stage_nanos{0};
-  // Relational scan volume: rows decoded from table storage (either
-  // layout) and the payload bytes those rows carried. Bumped from
-  // inside fragment-parallel morsels; EXPLAIN ANALYZE renders both.
-  std::atomic<int64_t> rows_scanned{0};
-  std::atomic<int64_t> bytes_scanned{0};
+  Counter repr_fallbacks;
 
-  ExecStats() = default;
-  ExecStats(const ExecStats& other) { *this = other; }
-  // Snapshot with relaxed loads/stores: readers copy stats while
-  // workers are still bumping them; each counter is independently
-  // coherent and no ordering between counters is implied (or needed).
-  ExecStats& operator=(const ExecStats& other) {
-    constexpr auto kRelaxed = std::memory_order_relaxed;
-    blocks_read.store(other.blocks_read.load(kRelaxed), kRelaxed);
-    blocks_written.store(other.blocks_written.load(kRelaxed), kRelaxed);
-    assembles.store(other.assembles.load(kRelaxed), kRelaxed);
-    chunkings.store(other.chunkings.load(kRelaxed), kRelaxed);
-    prefetch_issued.store(other.prefetch_issued.load(kRelaxed),
-                          kRelaxed);
-    prefetch_useful.store(other.prefetch_useful.load(kRelaxed),
-                          kRelaxed);
-    repr_fallbacks.store(other.repr_fallbacks.load(kRelaxed), kRelaxed);
-    stages_executed.store(other.stages_executed.load(kRelaxed),
-                          kRelaxed);
-    stage_nanos.store(other.stage_nanos.load(kRelaxed), kRelaxed);
-    rows_scanned.store(other.rows_scanned.load(kRelaxed), kRelaxed);
-    bytes_scanned.store(other.bytes_scanned.load(kRelaxed), kRelaxed);
-    return *this;
+  template <typename F>
+  void ForEachField(F&& f) const {
+    f("blocks_read", blocks_read);
+    f("blocks_written", blocks_written);
+    f("assembles", assembles);
+    f("chunkings", chunkings);
+    f("repr_fallbacks", repr_fallbacks);
   }
 };
 

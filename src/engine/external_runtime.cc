@@ -53,10 +53,8 @@ Result<std::string> ExternalRuntime::Infer(
     return Status::NotFound("model '" + model_name +
                             "' not registered in runtime");
   }
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_received.fetch_add(
-      static_cast<int64_t>(request_bytes.size()),
-      std::memory_order_relaxed);
+  stats_.requests.Add();
+  stats_.bytes_received.Add(static_cast<int64_t>(request_bytes.size()));
 
   // The received buffer occupies runtime memory until decode finishes.
   const int64_t wire_bytes = static_cast<int64_t>(request_bytes.size());
@@ -79,8 +77,7 @@ Result<std::string> ExternalRuntime::Infer(
   RELSERVE_ASSIGN_OR_RETURN(Tensor prediction, out.ToTensor(&ctx_));
   RELSERVE_ASSIGN_OR_RETURN(std::string response,
                             Connector::EncodeTensor(prediction));
-  stats_.bytes_sent.fetch_add(static_cast<int64_t>(response.size()),
-                              std::memory_order_relaxed);
+  stats_.bytes_sent.Add(static_cast<int64_t>(response.size()));
   return response;
 }
 

@@ -18,12 +18,12 @@
 #ifndef RELSERVE_ENGINE_EXTERNAL_RUNTIME_H_
 #define RELSERVE_ENGINE_EXTERNAL_RUNTIME_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 
+#include "common/counter.h"
 #include "common/result.h"
 #include "engine/exec_context.h"
 #include "engine/prepared_model.h"
@@ -54,12 +54,12 @@ class ExternalRuntime {
 
   MemoryTracker* tracker() { return &tracker_; }
 
-  // Relaxed atomics: concurrent Infer calls (one per
-  // ServingSession::PredictViaRuntime caller) bump them unlocked.
+  // Concurrent Infer calls (one per ServingSession::PredictViaRuntime
+  // caller) bump these unlocked.
   struct Stats {
-    std::atomic<int64_t> requests{0};
-    std::atomic<int64_t> bytes_received{0};
-    std::atomic<int64_t> bytes_sent{0};
+    Counter requests;
+    Counter bytes_received;
+    Counter bytes_sent;
   };
   const Stats& stats() const { return stats_; }
 

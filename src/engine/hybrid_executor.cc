@@ -421,13 +421,12 @@ bool IsStorageFailure(const Status& status) {
 }
 
 // Runs one stage with the representation fallback and the per-stage
-// accounting: wall time, rows and bytes into the plan's StageStats,
-// totals into ExecStats. Both schedules (RunPlan's whole-batch loop
+// accounting: wall time, rows and bytes into the plan's StageStats.
+// Both schedules (RunPlan's whole-batch loop
 // and PipelineExecutor's micro-batch stream) go through here.
 Status ExecuteStage(const PhysicalStage& stage, int64_t batch,
                     Activation* act, ExecContext* ctx) {
   using Clock = std::chrono::steady_clock;
-  constexpr auto kRelaxed = std::memory_order_relaxed;
   const Clock::time_point start = Clock::now();
   Status s = RunStage(stage, batch, act, ctx);
   if (!s.ok() && stage.repr == Repr::kRelational && IsStorageFailure(s)) {
@@ -436,8 +435,8 @@ Status ExecuteStage(const PhysicalStage& stage, int64_t batch,
     // same math, same bits, different physical plan.
     s = RunStageUdfFallback(stage, batch, act, ctx);
     if (s.ok()) {
-      ctx->stats.repr_fallbacks.fetch_add(1, kRelaxed);
-      stage.stats.fallbacks.fetch_add(1, kRelaxed);
+      ctx->stats.repr_fallbacks.Add();
+      stage.stats.fallbacks.Add();
     }
   }
   RELSERVE_RETURN_NOT_OK(s);
@@ -448,8 +447,6 @@ Status ExecuteStage(const PhysicalStage& stage, int64_t batch,
   stage.stats.Record(
       nanos, batch,
       batch * stage.OutElemsPerRow() * static_cast<int64_t>(sizeof(float)));
-  ctx->stats.stages_executed.fetch_add(1, kRelaxed);
-  ctx->stats.stage_nanos.fetch_add(nanos, kRelaxed);
   return Status::OK();
 }
 

@@ -12,8 +12,7 @@
 // compiled stages — no graph walking, no per-request dispatch on
 // op kind x representation, elementwise chains fused into their
 // producer — that records per-stage wall time, rows and bytes into
-// the plan's StageStats (rendered by EXPLAIN ANALYZE) and totals
-// into ExecStats.
+// the plan's StageStats (rendered by EXPLAIN ANALYZE).
 //
 // Every allocation on the UDF path is charged to the context arena, so
 // an operator whose whole-tensor footprint exceeds the arena comes
@@ -62,7 +61,7 @@ class HybridExecutor {
 
   // Runs one stage of a compiled plan on a whole-tensor chunk
   // ([rows, sample...], handed over so in-place epilogues may reuse
-  // it), with the same fallback and StageStats/ExecStats accounting
+  // it), with the same fallback and StageStats accounting
   // as Run. Returns the stage's output whole. This is the entry point
   // of the pipelined schedule (PipelineExecutor).
   static Result<Tensor> RunChunk(const PhysicalStage& stage, Tensor chunk,

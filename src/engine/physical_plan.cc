@@ -48,13 +48,11 @@ namespace {
 // " | calls=... rows=... avg_us=... bytes=..." (relaxed reads — safe
 // while requests execute). Shared by plan and standalone renderings.
 void AppendStageStats(const StageStats& stats, std::string* out) {
-  const int64_t calls =
-      stats.invocations.load(std::memory_order_relaxed);
-  const int64_t nanos = stats.nanos.load(std::memory_order_relaxed);
-  const int64_t rows = stats.rows.load(std::memory_order_relaxed);
-  const int64_t bytes = stats.bytes.load(std::memory_order_relaxed);
-  const int64_t fallbacks =
-      stats.fallbacks.load(std::memory_order_relaxed);
+  const int64_t calls = stats.invocations;
+  const int64_t nanos = stats.nanos;
+  const int64_t rows = stats.rows;
+  const int64_t bytes = stats.bytes;
+  const int64_t fallbacks = stats.fallbacks;
   char avg[32];
   std::snprintf(avg, sizeof(avg), "%.1f",
                 calls > 0 ? static_cast<double>(nanos) / 1e3 /

@@ -22,7 +22,7 @@
 //
 // The executor (HybridExecutor) is a small runner over this IR; the
 // SQL layer's EXPLAIN / EXPLAIN ANALYZE renders it; per-stage wall
-// time, row and byte counters accumulate in the plan itself (atomics —
+// time, row and byte counters accumulate in the plan itself (Counters —
 // many requests execute one plan concurrently). A future GPU or
 // remote backend targets the same IR by implementing its stage kinds.
 //
@@ -34,7 +34,6 @@
 #ifndef RELSERVE_ENGINE_PHYSICAL_PLAN_H_
 #define RELSERVE_ENGINE_PHYSICAL_PLAN_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -42,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "common/counter.h"
 #include "common/result.h"
 #include "engine/exec_context.h"
 #include "graph/model.h"
@@ -83,22 +83,22 @@ struct EpilogueOp {
 };
 
 // Run-time counters of one stage, accumulated across every execution
-// of the owning plan. Atomics: concurrent requests share the plan.
-// EXPLAIN ANALYZE renders these.
+// of the owning plan; concurrent requests share the plan. EXPLAIN
+// ANALYZE renders these.
 struct StageStats {
-  std::atomic<int64_t> invocations{0};
-  std::atomic<int64_t> nanos{0};
-  std::atomic<int64_t> rows{0};
-  std::atomic<int64_t> bytes{0};      // activation bytes produced
-  std::atomic<int64_t> fallbacks{0};  // UDF re-executions (storage
-                                      // failure on the relational path)
+  Counter invocations;
+  Counter nanos;
+  Counter rows;
+  Counter bytes;      // activation bytes produced
+  Counter fallbacks;  // UDF re-executions (storage failure on the
+                      // relational path)
 
   // Adds one invocation's wall time, rows and bytes.
   void Record(int64_t call_nanos, int64_t call_rows, int64_t call_bytes) {
-    invocations.fetch_add(1, std::memory_order_relaxed);
-    nanos.fetch_add(call_nanos, std::memory_order_relaxed);
-    rows.fetch_add(call_rows, std::memory_order_relaxed);
-    bytes.fetch_add(call_bytes, std::memory_order_relaxed);
+    invocations.Add();
+    nanos.Add(call_nanos);
+    rows.Add(call_rows);
+    bytes.Add(call_bytes);
   }
 };
 

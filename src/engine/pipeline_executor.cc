@@ -80,9 +80,8 @@ Result<Tensor> PipelineExecutor::Run(const PreparedModel& prepared,
   // routing. ParallelFor task groups are per-call, so concurrent
   // stages sharing the pool stay isolated. The stage workers share
   // one context carrying that routing; UDF stages bump no ExecStats
-  // counter but the two stage totals, folded back after the join.
+  // counter, and their time lands in the plan's StageStats.
   ExecContext stage_ctx = *ctx;
-  stage_ctx.stats = ExecStats();
   if (ctx->pool != nullptr && num_stages >= ctx->pool->num_threads()) {
     stage_ctx.pool = nullptr;
   }
@@ -152,12 +151,6 @@ Result<Tensor> PipelineExecutor::Run(const PreparedModel& prepared,
                 chunk->data.NumElements() * sizeof(float));
   }
   for (std::thread& w : workers) w.join();
-  ctx->stats.stages_executed.fetch_add(
-      stage_ctx.stats.stages_executed.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  ctx->stats.stage_nanos.fetch_add(
-      stage_ctx.stats.stage_nanos.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
 
   RELSERVE_RETURN_NOT_OK(error.Get());
   return output;

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "common/failpoint.h"
@@ -171,8 +170,7 @@ void NetServer::AcceptAll(EventLoop* loop) {
       live_conns_.fetch_sub(1, std::memory_order_acq_rel);
       // Counted before the refusal becomes observable: a client that
       // has read the frame and EOF must already see it in stats().
-      stats_.connections_refused.fetch_add(1,
-                                           std::memory_order_relaxed);
+      stats_.connections_refused.Add();
       // Typed refusal so the client can distinguish "server full"
       // from a network failure. Best-effort single write: if the
       // socket won't take the bytes we close regardless.
@@ -198,8 +196,7 @@ void NetServer::AcceptAll(EventLoop* loop) {
     conn->loop = loop;
     conn->last_activity_ms.store(NowMs(), std::memory_order_relaxed);
     loop->conns.emplace(conn->id, conn);
-    stats_.connections_accepted.fetch_add(1,
-                                          std::memory_order_relaxed);
+    stats_.connections_accepted.Add();
 
     epoll_event ev;
     std::memset(&ev, 0, sizeof(ev));
@@ -224,7 +221,7 @@ void NetServer::CloseConnection(
   }
   conn->loop->conns.erase(conn->id);
   live_conns_.fetch_sub(1, std::memory_order_acq_rel);
-  stats_.connections_closed.fetch_add(1, std::memory_order_relaxed);
+  stats_.connections_closed.Add();
 }
 
 bool NetServer::FlushLocked(Connection* conn) {
@@ -236,7 +233,7 @@ bool NetServer::FlushLocked(Connection* conn) {
       return false;  // peer reset mid-write
     }
     conn->out.Consume(static_cast<size_t>(n));
-    stats_.bytes_out.fetch_add(n, std::memory_order_relaxed);
+    stats_.bytes_out.Add(n);
   }
   conn->last_activity_ms.store(NowMs(), std::memory_order_relaxed);
   return true;
@@ -264,54 +261,70 @@ void NetServer::FlushWrites(const std::shared_ptr<Connection>& conn) {
       static_cast<int64_t>(backlog) > config_.write_buffer_limit;
 }
 
+template <typename Append>
+std::unique_lock<std::mutex> NetServer::QueueReply(Connection* conn,
+                                                   const Append& append) {
+  std::unique_lock<std::mutex> lock(conn->write_mu);
+  if (conn->state != Connection::State::kClosed) {
+    append(&conn->out);
+    stats_.frames_out.Add();
+  }
+  return lock;
+}
+
+void NetServer::FailConnection(const std::shared_ptr<Connection>& conn,
+                               const Status& status) {
+  stats_.protocol_errors.Add();
+  {
+    auto lock = QueueReply(conn.get(), [&](Buffer* out) {
+      AppendErrorReply(0, Opcode::kPing, status, out);
+    });
+    FlushLocked(conn.get());  // best-effort: we close either way
+  }
+  CloseConnection(conn);
+}
+
 bool NetServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
                               const char* frame, size_t len) {
   Result<FrameHeader> header_or = DecodeFrameHeader(frame, len);
   if (!header_or.ok()) {
     // Unframeable: the stream has no trustworthy boundaries past this
-    // point. Best-effort typed reply (request id unknown — 0), close.
-    stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(conn->write_mu);
-      AppendErrorReply(0, Opcode::kPing, header_or.status(),
-                       &conn->out);
-      stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
-      FlushLocked(conn.get());  // best-effort: we close either way
-    }
-    CloseConnection(conn);
+    // point.
+    FailConnection(conn, header_or.status());
     return false;
   }
   const FrameHeader header = *header_or;
   const char* body = frame + kFrameHeaderBytes;
   const size_t body_len = len - kFrameHeaderBytes;
-  stats_.frames_in.fetch_add(1, std::memory_order_relaxed);
+  stats_.frames_in.Add();
+  // A typed error reply to this request; the framing is still sound.
+  auto reply_error = [&](const Status& status) {
+    QueueReply(conn.get(), [&](Buffer* out) {
+      AppendErrorReply(header.request_id, header.opcode, status, out);
+    });
+    return true;
+  };
 
   switch (header.opcode) {
-    case Opcode::kPing: {
-      std::lock_guard<std::mutex> lock(conn->write_mu);
-      AppendPingFrame(header.request_id, /*is_reply=*/true,
-                      &conn->out);
-      stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
+    case Opcode::kPing:
+      QueueReply(conn.get(), [&](Buffer* out) {
+        AppendPingFrame(header.request_id, /*is_reply=*/true, out);
+      });
       return true;
-    }
     case Opcode::kStats: {
       const std::string json = StatsJson();
-      std::lock_guard<std::mutex> lock(conn->write_mu);
-      AppendTextReply(header.request_id, Opcode::kStats, Status::OK(),
-                      json, &conn->out);
-      stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
+      QueueReply(conn.get(), [&](Buffer* out) {
+        AppendTextReply(header.request_id, Opcode::kStats, Status::OK(),
+                        json, out);
+      });
       return true;
     }
     case Opcode::kDeploy: {
       Result<DeployRequest> req_or =
           DecodeDeployRequest(body, body_len);
       if (!req_or.ok()) {
-        stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(conn->write_mu);
-        AppendErrorReply(header.request_id, Opcode::kDeploy,
-                         req_or.status(), &conn->out);
-        stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
-        return true;  // body-level error: framing is still sound
+        stats_.protocol_errors.Add();
+        return reply_error(req_or.status());
       }
       static constexpr ServingMode kModes[] = {
           ServingMode::kAdaptive, ServingMode::kForceUdf,
@@ -323,35 +336,24 @@ bool NetServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
               ->Deploy(req_or->model, kModes[req_or->mode],
                        req_or->batch_size)
               .status();
-      std::lock_guard<std::mutex> lock(conn->write_mu);
-      AppendTextReply(header.request_id, Opcode::kDeploy, status,
-                      status.ok() ? "deployed" : status.message(),
-                      &conn->out);
-      stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
+      QueueReply(conn.get(), [&](Buffer* out) {
+        AppendTextReply(header.request_id, Opcode::kDeploy, status,
+                        status.ok() ? "deployed" : status.message(), out);
+      });
       return true;
     }
     case Opcode::kPredict: {
       Result<PredictRequest> req_or =
           DecodePredictRequest(body, body_len);
       if (!req_or.ok()) {
-        stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(conn->write_mu);
-        AppendErrorReply(header.request_id, Opcode::kPredict,
-                         req_or.status(), &conn->out);
-        stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
-        return true;
+        stats_.protocol_errors.Add();
+        return reply_error(req_or.status());
       }
       // The single ingress copy: payload bytes leave the read ring
       // straight into an aligned Tensor the coalescer/GEMM tile path
       // consumes — no Row boxing in between.
       Result<Tensor> input_or = PredictInputTensor(*req_or);
-      if (!input_or.ok()) {
-        std::lock_guard<std::mutex> lock(conn->write_mu);
-        AppendErrorReply(header.request_id, Opcode::kPredict,
-                         input_or.status(), &conn->out);
-        stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
+      if (!input_or.ok()) return reply_error(input_or.status());
       conn->inflight.fetch_add(1, std::memory_order_acq_rel);
       // Whichever thread resolves the request (a scheduler worker
       // after the batch, the dispatcher for deadline sheds, this very
@@ -383,20 +385,11 @@ bool NetServer::DrainFrames(const std::shared_ptr<Connection>& conn) {
         static_cast<int64_t>(frame_len) > config_.max_frame_bytes) {
       // The cap is enforced on the *declared* length, before any
       // buffer ever grows toward it.
-      stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lock(conn->write_mu);
-        AppendErrorReply(
-            0, Opcode::kPing,
-            Status::ProtocolError(
-                "declared frame length " + std::to_string(frame_len) +
-                " outside [16, " +
-                std::to_string(config_.max_frame_bytes) + "]"),
-            &conn->out);
-        stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
-        FlushLocked(conn.get());  // best-effort: we close either way
-      }
-      CloseConnection(conn);
+      FailConnection(
+          conn, Status::ProtocolError(
+                    "declared frame length " + std::to_string(frame_len) +
+                    " outside [16, " +
+                    std::to_string(config_.max_frame_bytes) + "]"));
       return false;
     }
     if (conn->in.size() < kLenPrefixBytes + frame_len) {
@@ -428,7 +421,7 @@ void NetServer::HandleReadable(
         io::ReadSome(conn->fd, span, kReadChunk, "net.read.short");
     if (n > 0) {
       conn->in.CommitWrite(static_cast<size_t>(n));
-      stats_.bytes_in.fetch_add(n, std::memory_order_relaxed);
+      stats_.bytes_in.Add(n);
       read_this_event += n;
       conn->last_activity_ms.store(NowMs(), std::memory_order_relaxed);
       // A short read means the kernel buffer is drained: skip the
@@ -461,21 +454,12 @@ void NetServer::HandleReadable(
       // partial frames plus unread replies) is closed outright — the
       // per-frame and write-buffer caps bound each side, this bounds
       // their sum.
-      stats_.memory_closed.fetch_add(1, std::memory_order_relaxed);
-      stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lock(conn->write_mu);
-        AppendErrorReply(
-            0, Opcode::kPing,
-            Status::ProtocolError(
-                "connection buffers (" + std::to_string(total) +
-                " bytes) exceed max_conn_memory_bytes " +
-                std::to_string(config_.max_conn_memory_bytes)),
-            &conn->out);
-        stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
-        FlushLocked(conn.get());  // best-effort: we close either way
-      }
-      CloseConnection(conn);
+      stats_.memory_closed.Add();
+      FailConnection(
+          conn, Status::ProtocolError(
+                    "connection buffers (" + std::to_string(total) +
+                    " bytes) exceed max_conn_memory_bytes " +
+                    std::to_string(config_.max_conn_memory_bytes)));
       return;
     }
   }
@@ -565,7 +549,7 @@ void NetServer::SweepIdle(EventLoop* loop) {
     if (out_empty) idle.push_back(conn);
   }
   for (const auto& conn : idle) {
-    stats_.idle_closed.fetch_add(1, std::memory_order_relaxed);
+    stats_.idle_closed.Add();
     CloseConnection(conn);
   }
 }
@@ -665,15 +649,15 @@ void NetServer::CompleteRequest(
     Result<Tensor> result) {
   bool need_loop = false;
   {
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    if (conn->state != Connection::State::kClosed) {
+    auto lock = QueueReply(conn.get(), [&](Buffer* out) {
       if (result.ok()) {
-        AppendPredictOkReply(request_id, *result, &conn->out);
+        AppendPredictOkReply(request_id, *result, out);
       } else {
-        AppendErrorReply(request_id, Opcode::kPredict,
-                         result.status(), &conn->out);
+        AppendErrorReply(request_id, Opcode::kPredict, result.status(),
+                         out);
       }
-      stats_.frames_out.fetch_add(1, std::memory_order_relaxed);
+    });
+    if (conn->state != Connection::State::kClosed) {
       // The hot path: flush straight to the socket from right here.
       // The event loop is only involved when the socket pushes back
       // (EPOLLOUT arming), the write fails, or the connection is
@@ -696,53 +680,19 @@ void NetServer::CompleteRequest(
 }
 
 std::string NetServer::StatsJson() const {
-  const SchedulerStats sched = scheduler_->stats();
-  const NetServerStats& s = stats_;
-  auto n = [](int64_t v) { return std::to_string(v); };
-  std::string json = "{\"scheduler\":{";
-  json += "\"submitted\":" + n(sched.submitted.load()) + ",";
-  json += "\"shed_queue_full\":" + n(sched.shed_queue_full.load()) +
-          ",";
-  json += "\"shed_deadline\":" + n(sched.shed_deadline.load()) + ",";
-  json += "\"shed_breaker\":" + n(sched.shed_breaker.load()) + ",";
-  json += "\"retries\":" + n(sched.retries.load()) + ",";
-  json += "\"batches\":" + n(sched.batches.load()) + ",";
-  json += "\"coalesced_requests\":" +
-          n(sched.coalesced_requests.load()) + ",";
-  json += "\"total_rows\":" + n(sched.total_rows.load()) + ",";
-  json += "\"max_batch_rows_seen\":" +
-          n(sched.max_batch_rows_seen.load()) + ",";
-  char mean[32];
-  std::snprintf(mean, sizeof(mean), "%.2f", sched.MeanBatchRows());
-  json += std::string("\"mean_batch_rows\":") + mean + "},";
-  json += "\"server\":{";
-  json += "\"connections_accepted\":" +
-          n(s.connections_accepted.load()) + ",";
-  json += "\"connections_closed\":" + n(s.connections_closed.load()) +
-          ",";
-  json += "\"frames_in\":" + n(s.frames_in.load()) + ",";
-  json += "\"frames_out\":" + n(s.frames_out.load()) + ",";
-  json += "\"bytes_in\":" + n(s.bytes_in.load()) + ",";
-  json += "\"bytes_out\":" + n(s.bytes_out.load()) + ",";
-  json += "\"protocol_errors\":" + n(s.protocol_errors.load()) + ",";
-  json += "\"idle_closed\":" + n(s.idle_closed.load()) + ",";
-  json += "\"connections_refused\":" +
-          n(s.connections_refused.load()) + ",";
-  json += "\"memory_closed\":" + n(s.memory_closed.load()) + "},";
   // Cross-model weight dedup: live shared-block state of the
   // session's PhysicalBlockIndex (all zeros when dedup is off).
   PhysicalBlockStats dedup;
   if (session_->block_index() != nullptr) {
     dedup = session_->block_index()->stats();
   }
-  json += "\"dedup\":{";
-  json += "\"unique_blocks\":" + n(dedup.unique_blocks) + ",";
-  json += "\"logical_refs\":" + n(dedup.logical_refs) + ",";
-  json += "\"physical_bytes\":" + n(dedup.physical_bytes) + ",";
-  json += "\"logical_bytes\":" + n(dedup.logical_bytes) + ",";
-  json += "\"dedup_hits\":" + n(dedup.dedup_hits) + ",";
-  json += "\"freed_blocks\":" + n(dedup.freed_blocks) + "}}";
-  return json;
+  const ExecContext* ctx = session_->exec_context();
+  return "{\"scheduler\":" + RenderJson(scheduler_->stats()) +
+         ",\"server\":" + RenderJson(stats_) +
+         ",\"dedup\":" + RenderJson(dedup) +
+         ",\"exec\":" + RenderJson(ctx->stats) +
+         ",\"buffer_pool\":" + RenderJson(ctx->buffer_pool->stats()) +
+         "}";
 }
 
 void NetServer::Shutdown() {

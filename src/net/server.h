@@ -48,6 +48,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/counter.h"
 #include "common/result.h"
 #include "net/buffer.h"
 #include "net/wire.h"
@@ -89,39 +90,29 @@ struct NetServerConfig {
 };
 
 struct NetServerStats {
-  std::atomic<int64_t> connections_accepted{0};
-  std::atomic<int64_t> connections_closed{0};
-  std::atomic<int64_t> frames_in{0};
-  std::atomic<int64_t> frames_out{0};
-  std::atomic<int64_t> bytes_in{0};
-  std::atomic<int64_t> bytes_out{0};
-  std::atomic<int64_t> protocol_errors{0};
-  std::atomic<int64_t> idle_closed{0};
-  // Accepts refused at max_connections.
-  std::atomic<int64_t> connections_refused{0};
-  // Connections closed for exceeding max_conn_memory_bytes.
-  std::atomic<int64_t> memory_closed{0};
+  Counter connections_accepted;
+  Counter connections_closed;
+  Counter frames_in;
+  Counter frames_out;
+  Counter bytes_in;
+  Counter bytes_out;
+  Counter protocol_errors;
+  Counter idle_closed;
+  Counter connections_refused;  // accepts refused at max_connections
+  Counter memory_closed;  // closed for exceeding max_conn_memory_bytes
 
-  NetServerStats() = default;
-  NetServerStats(const NetServerStats& other) { *this = other; }
-  // Relaxed snapshot, same contract as SchedulerStats.
-  NetServerStats& operator=(const NetServerStats& other) {
-    constexpr auto kRelaxed = std::memory_order_relaxed;
-    connections_accepted.store(
-        other.connections_accepted.load(kRelaxed), kRelaxed);
-    connections_closed.store(other.connections_closed.load(kRelaxed),
-                             kRelaxed);
-    frames_in.store(other.frames_in.load(kRelaxed), kRelaxed);
-    frames_out.store(other.frames_out.load(kRelaxed), kRelaxed);
-    bytes_in.store(other.bytes_in.load(kRelaxed), kRelaxed);
-    bytes_out.store(other.bytes_out.load(kRelaxed), kRelaxed);
-    protocol_errors.store(other.protocol_errors.load(kRelaxed),
-                          kRelaxed);
-    idle_closed.store(other.idle_closed.load(kRelaxed), kRelaxed);
-    connections_refused.store(
-        other.connections_refused.load(kRelaxed), kRelaxed);
-    memory_closed.store(other.memory_closed.load(kRelaxed), kRelaxed);
-    return *this;
+  template <typename F>
+  void ForEachField(F&& f) const {
+    f("connections_accepted", connections_accepted);
+    f("connections_closed", connections_closed);
+    f("frames_in", frames_in);
+    f("frames_out", frames_out);
+    f("bytes_in", bytes_in);
+    f("bytes_out", bytes_out);
+    f("protocol_errors", protocol_errors);
+    f("idle_closed", idle_closed);
+    f("connections_refused", connections_refused);
+    f("memory_closed", memory_closed);
   }
 };
 
@@ -148,7 +139,8 @@ class NetServer {
 
   NetServerStats stats() const { return stats_; }
 
-  // Renders scheduler + server counters as the stats-opcode JSON.
+  // The stats-opcode JSON: one object per stats struct (scheduler,
+  // server, dedup, exec, buffer_pool), each rendered by RenderJson.
   std::string StatsJson() const;
 
  private:
@@ -224,6 +216,19 @@ class NetServer {
   // One frame (header already sliced off the length prefix).
   bool DispatchFrame(const std::shared_ptr<Connection>& conn,
                      const char* frame, size_t len);
+  // The one reply path: under conn->write_mu, appends one frame with
+  // `append(&conn->out)` and counts it in frames_out, so the counter
+  // cannot drift from the frames queued. A closed connection gets
+  // nothing. Returns the held lock so the caller can flush in the same
+  // critical section.
+  template <typename Append>
+  std::unique_lock<std::mutex> QueueReply(Connection* conn,
+                                          const Append& append);
+  // Unframeable or over-budget input: counts a protocol error, sends
+  // `status` as a best-effort error reply (request id unknown: 0) and
+  // closes the connection.
+  void FailConnection(const std::shared_ptr<Connection>& conn,
+                      const Status& status);
   // Flushes conn->out to the socket; write_mu must be held. Returns
   // false on a fatal write error (the caller closes / marks broken).
   bool FlushLocked(Connection* conn);

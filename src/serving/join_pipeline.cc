@@ -31,6 +31,15 @@ Result<SideInfo> ResolveSide(ServingSession* session,
   return side;
 }
 
+// A row scan of `table` at `snapshot`: deleted and superseded row
+// versions never reach the model.
+std::unique_ptr<ColumnarRowScan> SnapshotScan(const TableInfo& table,
+                                              Version snapshot) {
+  auto scan = std::make_unique<ColumnarRowScan>(table.columnar.get());
+  scan->set_visibility(table.visibility.get(), snapshot);
+  return scan;
+}
+
 // Runs a prepared all-UDF model on an in-memory batch.
 Result<Tensor> RunWholeModel(ServingSession* session, const Model& model,
                              const Tensor& input) {
@@ -59,11 +68,12 @@ Result<JoinInferenceResult> RunJoinThenInfer(
   RELSERVE_ASSIGN_OR_RETURN(const Model* model,
                             session->GetModel(spec.model));
 
-  // join(D1, D2) with the full wide tuples flowing through the join.
-  SimilarityJoin join(
-      std::make_unique<ColumnarRowScan>(d1.table->columnar.get()),
-      std::make_unique<ColumnarRowScan>(d2.table->columnar.get()),
-      d1.key_col, d2.key_col, spec.epsilon);
+  // join(D1, D2) with the full wide tuples flowing through the join;
+  // both sides read one snapshot.
+  const Version snapshot = session->PinSnapshot();
+  SimilarityJoin join(SnapshotScan(*d1.table, snapshot),
+                      SnapshotScan(*d2.table, snapshot), d1.key_col,
+                      d2.key_col, spec.epsilon);
   const int right_feature_col =
       d1.table->schema.num_columns() + d2.feature_col;
 
@@ -116,17 +126,20 @@ Result<JoinInferenceResult> RunDecomposedInfer(
   ExecContext* ctx = session->exec_context();
   MemoryTracker* arena = session->working_memory();
 
-  // Materialize each partition's features and keys once.
+  // Materialize each partition's features and keys once, both at one
+  // snapshot.
+  const Version snapshot = session->PinSnapshot();
   auto load_side = [&](const SideInfo& side, Tensor* features,
                        std::vector<double>* keys) -> Status {
-    ColumnarRowScan scan(side.table->columnar.get());
-    RELSERVE_RETURN_NOT_OK(scan.Open());
+    std::unique_ptr<ColumnarRowScan> scan =
+        SnapshotScan(*side.table, snapshot);
+    RELSERVE_RETURN_NOT_OK(scan->Open());
     std::vector<float> staging;
     Row row;
     int64_t n = 0;
     int64_t width = -1;
     while (true) {
-      RELSERVE_ASSIGN_OR_RETURN(bool has, scan.Next(&row));
+      RELSERVE_ASSIGN_OR_RETURN(bool has, scan->Next(&row));
       if (!has) break;
       const std::vector<float>& f =
           row.value(side.feature_col).AsFloatVector();

@@ -73,7 +73,7 @@ void RequestScheduler::Submit(
   request.deadline = std::chrono::steady_clock::now() +
                      std::chrono::microseconds(deadline_us);
   request.on_done = std::move(on_done);
-  stats_.submitted.fetch_add(1, std::memory_order_relaxed);
+  stats_.submitted.Add();
   {
     std::lock_guard<std::mutex> lock(control_mu_);
     if (stopped_) {
@@ -84,7 +84,7 @@ void RequestScheduler::Submit(
   if (!admission_.TryPush(std::move(request))) {
     // TryPush leaves `request` intact on failure, so its callback is
     // still ours to invoke.
-    stats_.shed_queue_full.fetch_add(1, std::memory_order_relaxed);
+    stats_.shed_queue_full.Add();
     request.on_done(Status::Unavailable(
         "admission queue full: serving front-end overloaded"));
   }
@@ -115,7 +115,7 @@ bool RequestScheduler::Expired(
 }
 
 void RequestScheduler::ShedExpired(Request request) {
-  stats_.shed_deadline.fetch_add(1, std::memory_order_relaxed);
+  stats_.shed_deadline.Add();
   request.on_done(Status::DeadlineExceeded(
       "request deadline expired before execution"));
 }
@@ -244,7 +244,7 @@ Result<Tensor> RequestScheduler::RunResilient(
       },
       &retries);
   if (retries > 0) {
-    stats_.retries.fetch_add(retries, std::memory_order_relaxed);
+    stats_.retries.Add(retries);
   }
   if (model_breaker != nullptr) {
     const Status status = result.status();
@@ -286,13 +286,9 @@ void RequestScheduler::ExecuteBatch(Batch batch) {
 
   int64_t total_rows = 0;
   for (const Request& request : live) total_rows += RowsOf(request);
-  stats_.batches.fetch_add(1, std::memory_order_relaxed);
-  stats_.total_rows.fetch_add(total_rows, std::memory_order_relaxed);
-  int64_t prev = stats_.max_batch_rows_seen.load();
-  while (prev < total_rows &&
-         !stats_.max_batch_rows_seen.compare_exchange_weak(prev,
-                                                           total_rows)) {
-  }
+  stats_.batches.Add();
+  stats_.total_rows.Add(total_rows);
+  stats_.max_batch_rows_seen.StoreMax(total_rows);
 
   auto fail_all = [&live](const Status& status) {
     for (Request& request : live) request.on_done(status);
@@ -322,8 +318,7 @@ void RequestScheduler::ExecuteBatch(Batch batch) {
       std::memcpy(dst, request.input.data(), n * sizeof(float));
       dst += n;
     }
-    stats_.coalesced_requests.fetch_add(
-        static_cast<int64_t>(live.size()), std::memory_order_relaxed);
+    stats_.coalesced_requests.Add(static_cast<int64_t>(live.size()));
   }
 
   const std::string& model = live[0].model;
@@ -339,8 +334,7 @@ void RequestScheduler::ExecuteBatch(Batch batch) {
       },
       &breaker_shed);
   if (breaker_shed) {
-    stats_.shed_breaker.fetch_add(static_cast<int64_t>(live.size()),
-                                  std::memory_order_relaxed);
+    stats_.shed_breaker.Add(static_cast<int64_t>(live.size()));
   }
   if (!coalesced) {
     live[0].on_done(std::move(out_or));

@@ -45,6 +45,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/counter.h"
 #include "common/result.h"
 #include "common/retry.h"
 #include "resource/bounded_queue.h"
@@ -75,44 +76,37 @@ struct SchedulerConfig {
   CircuitBreakerConfig breaker;
 };
 
-// Counters are atomics: submits race with the dispatcher and workers.
+// Submits race with the dispatcher and workers; Counter keeps each
+// count exact.
 struct SchedulerStats {
-  std::atomic<int64_t> submitted{0};
-  std::atomic<int64_t> shed_queue_full{0};   // Unavailable at admission
-  std::atomic<int64_t> shed_deadline{0};     // DeadlineExceeded
-  std::atomic<int64_t> shed_breaker{0};      // Unavailable, breaker open
-  std::atomic<int64_t> retries{0};           // transient-fault re-runs
-  std::atomic<int64_t> batches{0};           // micro-batches executed
-  std::atomic<int64_t> coalesced_requests{0};  // requests that shared
-  std::atomic<int64_t> total_rows{0};        // rows through the engine
-  std::atomic<int64_t> max_batch_rows_seen{0};
-
-  SchedulerStats() = default;
-  SchedulerStats(const SchedulerStats& other) { *this = other; }
-  // Relaxed snapshot: stats are read while scheduler workers update
-  // them; per-counter coherence is all callers rely on.
-  SchedulerStats& operator=(const SchedulerStats& other) {
-    constexpr auto kRelaxed = std::memory_order_relaxed;
-    submitted.store(other.submitted.load(kRelaxed), kRelaxed);
-    shed_queue_full.store(other.shed_queue_full.load(kRelaxed),
-                          kRelaxed);
-    shed_deadline.store(other.shed_deadline.load(kRelaxed), kRelaxed);
-    shed_breaker.store(other.shed_breaker.load(kRelaxed), kRelaxed);
-    retries.store(other.retries.load(kRelaxed), kRelaxed);
-    batches.store(other.batches.load(kRelaxed), kRelaxed);
-    coalesced_requests.store(other.coalesced_requests.load(kRelaxed),
-                             kRelaxed);
-    total_rows.store(other.total_rows.load(kRelaxed), kRelaxed);
-    max_batch_rows_seen.store(other.max_batch_rows_seen.load(kRelaxed),
-                              kRelaxed);
-    return *this;
-  }
+  Counter submitted;
+  Counter shed_queue_full;     // Unavailable at admission
+  Counter shed_deadline;       // DeadlineExceeded
+  Counter shed_breaker;        // Unavailable, breaker open
+  Counter retries;             // transient-fault re-runs
+  Counter batches;             // micro-batches executed
+  Counter coalesced_requests;  // requests merged into a shared batch
+  Counter total_rows;          // rows through the engine
+  Counter max_batch_rows_seen;
 
   double MeanBatchRows() const {
-    const int64_t b = batches.load();
-    return b == 0 ? 0.0
-                  : static_cast<double>(total_rows.load()) /
-                        static_cast<double>(b);
+    return batches == 0 ? 0.0
+                        : static_cast<double>(total_rows) /
+                              static_cast<double>(batches);
+  }
+
+  template <typename F>
+  void ForEachField(F&& f) const {
+    f("submitted", submitted);
+    f("shed_queue_full", shed_queue_full);
+    f("shed_deadline", shed_deadline);
+    f("shed_breaker", shed_breaker);
+    f("retries", retries);
+    f("batches", batches);
+    f("coalesced_requests", coalesced_requests);
+    f("total_rows", total_rows);
+    f("max_batch_rows_seen", max_batch_rows_seen);
+    f("mean_batch_rows", MeanBatchRows());
   }
 };
 

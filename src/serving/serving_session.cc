@@ -536,10 +536,6 @@ Result<ColumnarScanOutput> ServingSession::ScanColumnar(
   opts.visibility = table.visibility.get();
   RELSERVE_ASSIGN_OR_RETURN(ColumnarScanOutput scanned,
                             ColumnarScan(*table.columnar, opts));
-  ctx_.stats.rows_scanned.fetch_add(scanned.rows_scanned,
-                                    std::memory_order_relaxed);
-  ctx_.stats.bytes_scanned.fetch_add(scanned.bytes_scanned,
-                                     std::memory_order_relaxed);
   ColumnarStages(table.name)
       ->scan.stats.Record(scanned.nanos, scanned.rows_scanned,
                           scanned.bytes_scanned);
@@ -645,7 +641,9 @@ Result<Tensor> ServingSession::PredictViaRuntime(
                             table->schema.FieldIndex(feature_col));
 
   // Export: scan -> wire encoding -> copy across the system boundary.
+  // The scan reads one pinned snapshot, like Predict.
   ColumnarRowScan scan(table->columnar.get());
+  scan.set_visibility(table->visibility.get(), PinSnapshot());
   RELSERVE_ASSIGN_OR_RETURN(std::string encoded,
                             Connector::EncodeFeatureStream(&scan, col));
   const std::string request =

@@ -82,18 +82,14 @@ Status BlockStore::PutMatrix(const Tensor& m, MemoryTracker* scratch) {
 }
 
 Result<TensorBlock> BlockStore::Get(const BlockEntry& entry,
-                                    MemoryTracker* tracker,
-                                    int64_t* prefetch_hits) const {
+                                    MemoryTracker* tracker) const {
   RELSERVE_ASSIGN_OR_RETURN(
       Tensor payload,
       Tensor::Create(Shape{entry.rows, entry.cols}, tracker));
   char* dst = reinterpret_cast<char*>(payload.data());
   int64_t remaining = entry.ByteSize();
   for (const PageId page_id : entry.pages) {
-    bool prefetch_hit = false;
-    RELSERVE_ASSIGN_OR_RETURN(char* page,
-                              pool_->FetchPage(page_id, &prefetch_hit));
-    if (prefetch_hit && prefetch_hits != nullptr) ++*prefetch_hits;
+    RELSERVE_ASSIGN_OR_RETURN(char* page, pool_->FetchPage(page_id));
     const int64_t chunk = std::min(remaining, kPageSize);
     std::memcpy(dst, page, chunk);
     RELSERVE_RETURN_NOT_OK(pool_->UnpinPage(page_id, /*dirty=*/false));
@@ -107,12 +103,8 @@ Result<TensorBlock> BlockStore::Get(const BlockEntry& entry,
                      std::move(payload)};
 }
 
-int64_t BlockStore::PrefetchEntry(const BlockEntry& entry) const {
-  int64_t issued = 0;
-  for (const PageId page_id : entry.pages) {
-    if (pool_->Prefetch(page_id)) ++issued;
-  }
-  return issued;
+void BlockStore::PrefetchEntry(const BlockEntry& entry) const {
+  for (const PageId page_id : entry.pages) pool_->Prefetch(page_id);
 }
 
 Result<Tensor> BlockStore::ToMatrix(MemoryTracker* tracker) const {

@@ -98,17 +98,14 @@ class BlockStore {
   Status PutMatrix(const Tensor& m, MemoryTracker* scratch = nullptr);
 
   // Reads a stored block back into a Tensor charged to `tracker`.
-  // `prefetch_hits`, when non-null, accumulates how many of the
-  // block's pages were pinned off a prefetcher-loaded frame.
   Result<TensorBlock> Get(const BlockEntry& entry,
-                          MemoryTracker* tracker = nullptr,
-                          int64_t* prefetch_hits = nullptr) const;
+                          MemoryTracker* tracker = nullptr) const;
 
   // Issues asynchronous loads for every page of `entry` so a
   // following Get overlaps its disk reads with whatever the caller
-  // computes in between. Best effort; returns the number of page
-  // prefetches actually scheduled (0 when fully resident).
-  int64_t PrefetchEntry(const BlockEntry& entry) const;
+  // computes in between. Best effort; the pool counts the pages it
+  // accepts in BufferPoolStats::prefetches_issued.
+  void PrefetchEntry(const BlockEntry& entry) const;
 
   // Reassembles the full matrix (requires it to fit in `tracker`).
   Result<Tensor> ToMatrix(MemoryTracker* tracker = nullptr) const;

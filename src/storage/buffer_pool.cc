@@ -8,18 +8,6 @@
 
 namespace relserve {
 
-std::string BufferPoolStats::ToString() const {
-  return "hits=" + std::to_string(hits) +
-         " misses=" + std::to_string(misses) +
-         " evictions=" + std::to_string(evictions) +
-         " prefetches_issued=" + std::to_string(prefetches_issued) +
-         " prefetches_completed=" +
-         std::to_string(prefetches_completed) +
-         " prefetch_useful=" + std::to_string(prefetch_useful) +
-         " prefetch_failed=" + std::to_string(prefetch_failed) +
-         " writeback_failures=" + std::to_string(writeback_failures);
-}
-
 BufferPool::BufferPool(DiskManager* disk, int64_t capacity_pages)
     : disk_(disk), capacity_pages_(capacity_pages) {
   RELSERVE_CHECK(capacity_pages >= 1);
@@ -119,9 +107,7 @@ void BufferPool::ReleaseFrameLocked(int64_t idx) {
   io_cv_.notify_all();
 }
 
-Result<char*> BufferPool::FetchPage(PageId page_id,
-                                    bool* prefetch_hit) {
-  if (prefetch_hit != nullptr) *prefetch_hit = false;
+Result<char*> BufferPool::FetchPage(PageId page_id) {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     auto it = page_table_.find(page_id);
@@ -138,7 +124,6 @@ Result<char*> BufferPool::FetchPage(PageId page_id,
         // First pin of a prefetcher-loaded page: the overlap paid off.
         frame.prefetched = false;
         ++stats_.prefetch_useful;
-        if (prefetch_hit != nullptr) *prefetch_hit = true;
       }
       ++frame.pin_count;
       frame.last_used = ++clock_;

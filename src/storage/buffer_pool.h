@@ -57,7 +57,17 @@ struct BufferPoolStats {
   int64_t prefetch_failed = 0;
   int64_t writeback_failures = 0;
 
-  std::string ToString() const;
+  template <typename F>
+  void ForEachField(F&& f) const {
+    f("hits", hits);
+    f("misses", misses);
+    f("evictions", evictions);
+    f("prefetches_issued", prefetches_issued);
+    f("prefetches_completed", prefetches_completed);
+    f("prefetch_useful", prefetch_useful);
+    f("prefetch_failed", prefetch_failed);
+    f("writeback_failures", writeback_failures);
+  }
 };
 
 class BufferPool {
@@ -77,10 +87,7 @@ class BufferPool {
   // many threads; concurrent fetches of distinct pages overlap their
   // disk reads, and concurrent fetches of the same page perform one
   // load (one miss) while the others wait and count hits.
-  // `prefetch_hit`, when non-null, is set to whether this pin was
-  // served by a page the prefetcher loaded (first pin only).
-  Result<char*> FetchPage(PageId page_id,
-                          bool* prefetch_hit = nullptr);
+  Result<char*> FetchPage(PageId page_id);
 
   // Asynchronously loads `page_id` into a frame without pinning it, so
   // a later FetchPage hits instead of stalling on disk. Best effort:

@@ -72,6 +72,18 @@ struct PhysicalBlockStats {
                ? 1.0
                : static_cast<double>(logical_bytes) / physical_bytes;
   }
+
+  template <typename F>
+  void ForEachField(F&& f) const {
+    f("unique_blocks", unique_blocks);
+    f("logical_refs", logical_refs);
+    f("physical_bytes", physical_bytes);
+    f("logical_bytes", logical_bytes);
+    f("interned", interned);
+    f("dedup_hits", dedup_hits);
+    f("freed_blocks", freed_blocks);
+    f("max_substitution_error", max_substitution_error);
+  }
 };
 
 class PhysicalBlockIndex {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
+#include "common/counter.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -90,6 +94,66 @@ TEST(ResultTest, AssignOrReturnBindsValue) {
     return v + 1;
   };
   EXPECT_EQ(*outer(), 42);
+}
+
+TEST(CounterTest, CopyIsASnapshot) {
+  Counter c;
+  c.Add(3);
+  Counter copy = c;
+  Counter assigned;
+  assigned = c;
+  c.Add(4);
+  EXPECT_EQ(copy.load(), 3);
+  EXPECT_EQ(assigned.load(), 3);
+  EXPECT_EQ(c.load(), 7);
+}
+
+// Runs `body(t)` on 4 threads at once.
+template <typename Body>
+void OnFourThreads(const Body& body) {
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) threads.emplace_back(body, t);
+  for (std::thread& thread : threads) thread.join();
+}
+
+TEST(CounterTest, ConcurrentAddsSumExactly) {
+  constexpr int kAdds = 100000;
+  Counter c;
+  OnFourThreads([&c](int) {
+    for (int i = 0; i < kAdds; ++i) c.Add();
+  });
+  EXPECT_EQ(c.load(), 4 * kAdds);
+}
+
+TEST(CounterTest, StoreMaxKeepsTheMaximumUnderContention) {
+  constexpr int kValues = 100000;
+  Counter high;
+  // Thread t stores t, t + 4, t + 8, ...: every value below 4 * kValues
+  // once, raced across threads.
+  OnFourThreads([&high](int t) {
+    for (int i = 0; i < kValues; ++i) high.StoreMax(int64_t{i} * 4 + t);
+  });
+  EXPECT_EQ(high.load(), 4 * kValues - 1);
+  high.StoreMax(5);  // lower values never lower it
+  EXPECT_EQ(high.load(), 4 * kValues - 1);
+}
+
+struct SampleStats {
+  Counter events;
+  int64_t bytes = -2;
+
+  template <typename F>
+  void ForEachField(F&& f) const {
+    f("events", events);
+    f("bytes", bytes);
+    f("ratio", 2.5);
+  }
+};
+
+TEST(CounterTest, RenderJsonListsEveryFieldInOrder) {
+  SampleStats stats;
+  stats.events.Add(3);
+  EXPECT_EQ(RenderJson(stats), "{\"events\":3,\"bytes\":-2,\"ratio\":2.5}");
 }
 
 }  // namespace

@@ -17,7 +17,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
@@ -203,6 +208,54 @@ TEST_F(NetServingTest, TypedErrorsCrossTheWire) {
   EXPECT_TRUE(client->Ping().ok());
 }
 
+// The members of object `name` in a stats frame: every occurrence of
+// each key, with its value.
+std::map<std::string, std::vector<double>> StatsObject(
+    const std::string& json, const std::string& name) {
+  std::map<std::string, std::vector<double>> members;
+  const size_t open = json.find("\"" + name + "\":{");
+  if (open == std::string::npos) return members;
+  const size_t begin = json.find('{', open) + 1;
+  const std::string body = json.substr(begin, json.find('}', begin) - begin);
+  size_t pos = 0;
+  while (pos < body.size()) {
+    const size_t key_end = body.find('"', pos + 1);
+    const std::string key = body.substr(pos + 1, key_end - pos - 1);
+    const size_t end = std::min(body.find(',', key_end), body.size());
+    members[key].push_back(
+        std::strtod(body.substr(key_end + 2, end - key_end - 2).c_str(),
+                    nullptr));
+    pos = end + 1;
+  }
+  return members;
+}
+
+// Every ForEachField entry of `snapshot` appears exactly once in
+// object `name` of the stats frame `json`, with the snapshot's value —
+// or, for a `trailing` field that the frame's own reply bumps after
+// rendering, a value no larger.
+template <typename Stats>
+void ExpectRendered(const std::string& json, const std::string& name,
+                    const Stats& snapshot,
+                    const std::set<std::string>& trailing = {}) {
+  const auto members = StatsObject(json, name);
+  size_t fields = 0;
+  snapshot.ForEachField([&](const char* field, const auto& value) {
+    ++fields;
+    const auto it = members.find(field);
+    ASSERT_NE(it, members.end()) << name << "." << field << " in " << json;
+    ASSERT_EQ(it->second.size(), 1u) << name << "." << field;
+    const double expected = static_cast<double>(value);
+    if (trailing.count(field) > 0) {
+      EXPECT_LE(it->second[0], expected) << name << "." << field;
+    } else {
+      EXPECT_NEAR(it->second[0], expected, 1e-5 * std::abs(expected))
+          << name << "." << field;
+    }
+  });
+  EXPECT_EQ(members.size(), fields) << name << " in " << json;
+}
+
 TEST_F(NetServingTest, DeployAndStatsOverTheWire) {
   StartServer();
   auto client = Connect();
@@ -216,20 +269,43 @@ TEST_F(NetServingTest, DeployAndStatsOverTheWire) {
   // Deploying an unregistered model fails typed.
   EXPECT_TRUE(client->Deploy("nope", 0, 8).IsNotFound());
 
+  // Quiesce: the relational predict may leave page prefetches queued.
+  BufferPool* pool = session_.exec_context()->buffer_pool;
+  for (int i = 0; i < 10000; ++i) {
+    const BufferPoolStats s = pool->stats();
+    if (s.prefetches_completed == s.prefetches_issued) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
   auto stats = client->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_NE(stats->find("\"scheduler\""), std::string::npos);
-  EXPECT_NE(stats->find("\"frames_in\""), std::string::npos);
-  // Every scheduler counter rides the frame, transient-fault retries
-  // and the largest micro-batch included.
-  EXPECT_NE(stats->find("\"retries\""), std::string::npos);
-  EXPECT_NE(stats->find("\"max_batch_rows_seen\""), std::string::npos);
-  // Cross-model weight dedup state rides the same stats frame. The
-  // relational redeploy above interned weight blocks, so the live
-  // counters are nonzero.
-  EXPECT_NE(stats->find("\"dedup\""), std::string::npos);
-  EXPECT_NE(stats->find("\"unique_blocks\""), std::string::npos);
-  EXPECT_EQ(stats->find("\"unique_blocks\":0,"), std::string::npos);
+  // Every field of every stats struct rides the frame once, with the
+  // value a stats() snapshot reads. The frame is rendered before its
+  // own reply is queued and written.
+  ExpectRendered(*stats, "scheduler", scheduler_->stats());
+  ExpectRendered(*stats, "server", server_->stats(),
+                 {"frames_out", "bytes_out"});
+  ExpectRendered(*stats, "dedup", session_.block_index()->stats());
+  ExpectRendered(*stats, "exec", session_.exec_context()->stats);
+  ExpectRendered(*stats, "buffer_pool", pool->stats());
+  // The keys clients already read stay in the frame.
+  for (const char* key :
+       {"submitted", "shed_queue_full", "shed_deadline", "shed_breaker",
+        "retries", "batches", "coalesced_requests", "total_rows",
+        "max_batch_rows_seen", "mean_batch_rows", "connections_accepted",
+        "connections_closed", "frames_in", "frames_out", "bytes_in",
+        "bytes_out", "protocol_errors", "idle_closed",
+        "connections_refused", "memory_closed", "unique_blocks",
+        "logical_refs", "physical_bytes", "logical_bytes", "dedup_hits",
+        "freed_blocks"}) {
+    EXPECT_NE(stats->find(std::string("\"") + key + "\":"),
+              std::string::npos)
+        << key;
+  }
+  // The relational redeploy above interned weight blocks and ran a
+  // block matmul, so the dedup and exec counters are nonzero.
+  EXPECT_GT(StatsObject(*stats, "dedup").at("unique_blocks").at(0), 0);
+  EXPECT_GT(StatsObject(*stats, "exec").at("blocks_read").at(0), 0);
 }
 
 TEST_F(NetServingTest, PipelinedRequestsMatchByRequestId) {

@@ -194,7 +194,6 @@ TEST_F(PipelineTest, EveryStageRunsOncePerMicroBatch) {
   ASSERT_TRUE(input.ok());
   PipelineConfig config;
   config.micro_batch_rows = 16;  // 7 micro-batches, the last ragged
-  const int64_t stages_before = ctx_.stats.stages_executed.load();
   ASSERT_TRUE(
       PipelineExecutor::Run(*prepared, *input, &ctx_, config).ok());
   const auto& stages = prepared->physical().stages();
@@ -202,8 +201,6 @@ TEST_F(PipelineTest, EveryStageRunsOncePerMicroBatch) {
     EXPECT_EQ(stage->stats.invocations.load(), 7) << stage->label;
     EXPECT_EQ(stage->stats.rows.load(), 100) << stage->label;
   }
-  EXPECT_EQ(ctx_.stats.stages_executed.load() - stages_before,
-            7 * static_cast<int64_t>(stages.size()));
 }
 
 TEST_F(PipelineTest, BoundedPeakMemory) {

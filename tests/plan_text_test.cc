@@ -146,7 +146,11 @@ TEST_F(PlanTextTest, AnalyzeRenderingCarriesStageStats) {
   EXPECT_NE(text.find("avg_us="), std::string::npos) << text;
   // bytes = batch * out_width * 4 for the final stage.
   EXPECT_NE(text.find("bytes=16"), std::string::npos) << text;
-  EXPECT_EQ(ctx_.stats.stages_executed.load(), 2);
+  int64_t invocations = 0;
+  for (const auto& stage : prepared->physical().stages()) {
+    invocations += stage->stats.invocations;
+  }
+  EXPECT_EQ(invocations, 2);
 }
 
 // The optimizer annotates cost and footprint; compilation sums them

@@ -8,6 +8,7 @@
 #include "serving/join_pipeline.h"
 #include "serving/request_scheduler.h"
 #include "serving/serving_session.h"
+#include "sql/query_executor.h"
 #include "workloads/datasets.h"
 
 namespace relserve {
@@ -44,6 +45,12 @@ class ServingTest : public ::testing::Test {
     auto t = out->ToTensor(session_.exec_context());
     EXPECT_TRUE(t.ok());
     return *t;
+  }
+
+  // Runs one SQL statement that must succeed.
+  void Sql(const std::string& statement) {
+    auto result = sql::ExecuteStatement(&session_, statement);
+    ASSERT_TRUE(result.ok()) << statement << ": " << result.status();
   }
 
   ServingSession session_;
@@ -179,6 +186,33 @@ TEST_F(ServingTest, DlCentricOffloadMatchesInDatabase) {
   EXPECT_EQ(runtime.stats().requests.load(), 1);
 }
 
+// The runtime export scans one snapshot: a deleted row and the old
+// version of an updated row never reach the model.
+TEST_F(ServingTest, DlCentricOffloadSkipsDeletedAndSupersededRows) {
+  Sql("CREATE TABLE t (id INT64, features FLOAT_VECTOR)");
+  Sql("INSERT INTO t VALUES (1, [0.1, 0.2, 0.3, 0.4]), "
+      "(2, [0.5, 0.6, 0.7, 0.8]), (3, [0.9, 1.0, 1.1, 1.2]), "
+      "(4, [1.3, 1.4, 1.5, 1.6])");
+  Sql("DELETE FROM t WHERE id = 2");
+  Sql("UPDATE t SET features = [2.0, 2.1, 2.2, 2.3] WHERE id = 3");
+  auto model = BuildFFNN("m", {4, 8, 2}, 3);
+  ASSERT_TRUE(model.ok());
+  ASSERT_TRUE(session_.RegisterModel(std::move(*model)).ok());
+  ASSERT_TRUE(session_.Deploy("m", ServingMode::kForceUdf, 3).ok());
+  ExternalRuntime runtime("sim-tf", 64LL << 20);
+  ASSERT_TRUE(session_.OffloadModel("m", &runtime).ok());
+
+  auto remote = session_.PredictViaRuntime("m", "t");
+  ASSERT_TRUE(remote.ok()) << remote.status();
+  auto local = session_.Predict("m", "t");
+  ASSERT_TRUE(local.ok()) << local.status();
+  auto local_t = local->ToTensor(session_.exec_context());
+  ASSERT_TRUE(local_t.ok());
+  EXPECT_EQ(remote->shape().dim(0), 3);
+  ASSERT_EQ(remote->shape(), local_t->shape());
+  EXPECT_EQ(local_t->MaxAbsDiff(*remote), 0.0f);
+}
+
 TEST_F(ServingTest, PredictViaRuntimeWithoutOffloadFails) {
   LoadFraudSetup();
   EXPECT_TRUE(session_.PredictViaRuntime("fraud", "tx")
@@ -310,6 +344,55 @@ TEST_F(ServingTest, JoinPipelineNaiveMatchesDecomposed) {
             decomposed->predictions.shape());
   EXPECT_LT(naive->predictions.MaxAbsDiff(decomposed->predictions),
             1e-4f);
+}
+
+// Both join sides scan one snapshot, naive and decomposed: after a
+// DELETE on one side and an UPDATE on the other, the join sees exactly
+// the visible rows — the same result as tables that only ever held
+// those rows.
+TEST_F(ServingTest, JoinInferenceSkipsDeletedAndSupersededRows) {
+  for (const char* table : {"d1", "d2", "r1", "r2"}) {
+    Sql(std::string("CREATE TABLE ") + table +
+        " (id INT64, sim_key FLOAT64, features FLOAT_VECTOR)");
+  }
+  const std::string rows[] = {"(1, 1.0, [0.1, 0.2])", "(2, 2.0, [0.3, 0.4])",
+                              "(3, 3.0, [0.5, 0.6])", "(4, 4.0, [0.7, 0.8])"};
+  const std::string updated = "(3, 3.0, [0.9, 1.0])";
+  Sql("INSERT INTO d1 VALUES " + rows[0] + ", " + rows[1] + ", " +
+      rows[2] + ", " + rows[3]);
+  Sql("INSERT INTO d2 VALUES " + rows[0] + ", " + rows[1] + ", " +
+      rows[2] + ", " + rows[3]);
+  Sql("DELETE FROM d1 WHERE id = 2");
+  Sql("UPDATE d2 SET features = [0.9, 1.0] WHERE id = 3");
+  // The visible rows, in the physical order the scans emit them (an
+  // UPDATE appends the new version).
+  Sql("INSERT INTO r1 VALUES " + rows[0] + ", " + rows[2] + ", " +
+      rows[3]);
+  Sql("INSERT INTO r2 VALUES " + rows[0] + ", " + rows[1] + ", " +
+      rows[3] + ", " + updated);
+  auto model = BuildFFNN("m", {4, 3, 2}, 3);  // 4 -> 3 decomposes
+  ASSERT_TRUE(model.ok());
+  ASSERT_TRUE(session_.RegisterModel(std::move(*model)).ok());
+
+  for (auto run : {RunJoinThenInfer, RunDecomposedInfer}) {
+    JoinInferenceSpec spec;
+    spec.d1_table = "d1";
+    spec.d2_table = "d2";
+    spec.epsilon = 0.1;
+    spec.model = "m";
+    auto joined = run(&session_, spec);
+    ASSERT_TRUE(joined.ok()) << joined.status();
+    spec.d1_table = "r1";
+    spec.d2_table = "r2";
+    auto reference = run(&session_, spec);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    EXPECT_EQ(joined->join_matches, 3);
+    EXPECT_EQ(reference->join_matches, 3);
+    ASSERT_EQ(joined->predictions.shape(),
+              reference->predictions.shape());
+    EXPECT_EQ(joined->predictions.MaxAbsDiff(reference->predictions),
+              0.0f);
+  }
 }
 
 TEST_F(ServingTest, DecomposedRejectsNonReducingModel) {

@@ -648,22 +648,17 @@ TEST(BufferPoolPrefetchTest, PrefetchThenPinCountsUseful) {
   EXPECT_EQ(stats.prefetches_completed, 2);
   EXPECT_EQ(stats.prefetch_useful, 0);  // nothing pinned yet
 
-  bool hit = false;
-  auto page = pool.FetchPage(ids[0], &hit);
+  auto page = pool.FetchPage(ids[0]);
   ASSERT_TRUE(page.ok());
-  EXPECT_TRUE(hit);
+  EXPECT_EQ(pool.stats().prefetch_useful, 1);
   EXPECT_EQ((*page)[0], static_cast<char>('A' + (ids[0] % 26)));
   ASSERT_TRUE(pool.UnpinPage(ids[0], false).ok());
 
   // The second pin of the same page is an ordinary hit, not another
   // useful prefetch.
-  hit = true;
-  ASSERT_TRUE(pool.FetchPage(ids[0], &hit).ok());
-  EXPECT_FALSE(hit);
+  ASSERT_TRUE(pool.FetchPage(ids[0]).ok());
+  EXPECT_EQ(pool.stats().prefetch_useful, 1);
   ASSERT_TRUE(pool.UnpinPage(ids[0], false).ok());
-
-  stats = pool.stats();
-  EXPECT_EQ(stats.prefetch_useful, 1);
 }
 
 TEST(BufferPoolPrefetchTest, PrefetchResidentPageIsNoop) {
