@@ -45,11 +45,12 @@ ASAN_DIR="${3:-build-asan}"
 # row-morsel parallelism (per-worker quantization scratch and
 # selectors, asserting bit-identical output at every thread count)
 # and their SIMD dispatch tables under UBSan. net_serving_test drives
-# the epoll server's shared write path (scheduler threads encoding and
-# flushing replies directly under per-connection write mutexes from
-# the scheduler's one callback completion path, inflight counters,
-# drain-on-shutdown) under TSan, and the wire codec's memcpy-cursor
-# frame parsing over torn and corrupted frames under UBSan.
+# the epoll server's shared write path (scheduler threads encoding
+# replies under per-connection write mutexes from the scheduler's one
+# callback completion path and flushing each connection once per
+# batch, inflight counters, drain-on-shutdown) under TSan, and the
+# wire codec's memcpy-cursor frame parsing over torn and corrupted
+# frames under UBSan.
 # mvcc_test runs serve-while-ingest schedules (readers pinning
 # snapshots against a committing writer: version clock, visibility
 # map, and cache-fence atomics) under TSan; wal_recovery_test runs

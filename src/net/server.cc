@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/completion_scope.h"
 #include "common/failpoint.h"
 #include "common/io_util.h"
 
@@ -233,6 +234,7 @@ bool NetServer::FlushLocked(Connection* conn) {
       return false;  // peer reset mid-write
     }
     conn->out.Consume(static_cast<size_t>(n));
+    stats_.write_calls.Add();
     stats_.bytes_out.Add(n);
   }
   conn->last_activity_ms.store(NowMs(), std::memory_order_relaxed);
@@ -241,15 +243,16 @@ bool NetServer::FlushLocked(Connection* conn) {
 
 void NetServer::FlushWrites(const std::shared_ptr<Connection>& conn) {
   size_t backlog = 0;
+  bool broken = false;
   {
+    // `broken` is read here, under the lock a completion sets it under.
     std::lock_guard<std::mutex> lock(conn->write_mu);
     if (conn->state == Connection::State::kClosed) return;
-    if (!FlushLocked(conn.get())) {
-      conn->broken = true;
-    }
-    if (!conn->broken) backlog = conn->out.size();
+    if (!FlushLocked(conn.get())) conn->broken = true;
+    broken = conn->broken;
+    backlog = conn->out.size();
   }
-  if (conn->broken) {
+  if (broken) {
     // Unlocked first: CloseConnection retakes write_mu.
     CloseConnection(conn);
     return;
@@ -357,19 +360,14 @@ bool NetServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
       conn->inflight.fetch_add(1, std::memory_order_acq_rel);
       // Whichever thread resolves the request (a scheduler worker
       // after the batch, the dispatcher for deadline sheds, this very
-      // thread for admission sheds) encodes and flushes the reply
-      // right there.
+      // thread for admission sheds) encodes the reply right there.
       const uint64_t request_id = header.request_id;
       callbacks_outstanding_.fetch_add(1, std::memory_order_acq_rel);
       scheduler_->SubmitBatchCallback(
           req_or->model, std::move(*input_or), req_or->deadline_us,
           [this, conn, request_id](Result<Tensor> result) {
             CompleteRequest(conn, request_id, std::move(result));
-            if (callbacks_outstanding_.fetch_sub(
-                    1, std::memory_order_acq_rel) == 1) {
-              std::lock_guard<std::mutex> lock(cb_mu_);
-              cb_cv_.notify_all();
-            }
+            ReleaseCallback();
           });
       return true;
     }
@@ -494,11 +492,15 @@ void NetServer::RearmOrClose(const std::shared_ptr<Connection>& conn) {
     CloseConnection(conn);
     return;
   }
-  uint32_t events = EPOLLRDHUP | EPOLLONESHOT;
-  if (conn->state == Connection::State::kOpen &&
-      !conn->reading_paused &&
-      !stopping_.load(std::memory_order_acquire)) {
-    events |= EPOLLIN;
+  // EPOLLRDHUP only while open: after the peer's half-close it stays
+  // asserted, so arming it would spin the loop until the last reply.
+  uint32_t events = EPOLLONESHOT;
+  if (conn->state == Connection::State::kOpen) {
+    events |= EPOLLRDHUP;
+    if (!conn->reading_paused &&
+        !stopping_.load(std::memory_order_acquire)) {
+      events |= EPOLLIN;
+    }
   }
   if (!out_empty) events |= EPOLLOUT;
   epoll_event ev;
@@ -647,28 +649,43 @@ void NetServer::LoopThread(EventLoop* loop) {
 void NetServer::CompleteRequest(
     const std::shared_ptr<Connection>& conn, uint64_t request_id,
     Result<Tensor> result) {
+  QueueReply(conn.get(), [&](Buffer* out) {
+    if (result.ok()) {
+      AppendPredictOkReply(request_id, *result, out);
+    } else {
+      AppendErrorReply(request_id, Opcode::kPredict, result.status(), out);
+    }
+  });
+  // The reply is in `out` before inflight drops: RearmOrClose relies on
+  // it.
+  conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
+  // One flush per connection per scheduler batch: every reply the batch
+  // queued here leaves in one write once the batch's last callback has
+  // run. The flush may outlive this callback, so it holds a token of
+  // its own until it has run.
+  callbacks_outstanding_.fetch_add(1, std::memory_order_acq_rel);
+  const bool flush_queued = CompletionScope::Defer(conn.get(), [this, conn] {
+    FlushCompleted(conn);
+    ReleaseCallback();
+  });
+  if (!flush_queued) ReleaseCallback();  // an earlier reply's flush covers us
+}
+
+void NetServer::FlushCompleted(const std::shared_ptr<Connection>& conn) {
   bool need_loop = false;
   {
-    auto lock = QueueReply(conn.get(), [&](Buffer* out) {
-      if (result.ok()) {
-        AppendPredictOkReply(request_id, *result, out);
-      } else {
-        AppendErrorReply(request_id, Opcode::kPredict, result.status(),
-                         out);
-      }
-    });
-    if (conn->state != Connection::State::kClosed) {
-      // The hot path: flush straight to the socket from right here.
-      // The event loop is only involved when the socket pushes back
-      // (EPOLLOUT arming), the write fails, or the connection is
-      // winding down — a fully flushed reply on an open connection
-      // costs zero loop work and zero wakeups.
-      if (!FlushLocked(conn.get())) conn->broken = true;
-      need_loop = conn->broken || !conn->out.empty() ||
-                  conn->state != Connection::State::kOpen;
-    }
+    std::lock_guard<std::mutex> lock(conn->write_mu);
+    if (conn->state == Connection::State::kClosed) return;
+    // The hot path: flush straight to the socket from right here. The
+    // event loop is only involved when the socket pushes back (EPOLLOUT
+    // arming), the write fails, or the connection is winding down — a
+    // fully flushed reply on an open connection costs zero loop work
+    // and zero wakeups. A broken socket is not written again: the loop
+    // closes it.
+    if (!conn->broken && !FlushLocked(conn.get())) conn->broken = true;
+    need_loop = conn->broken || !conn->out.empty() ||
+                conn->state != Connection::State::kOpen;
   }
-  conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
   if (need_loop &&
       !conn->pending.exchange(true, std::memory_order_acq_rel)) {
     {
@@ -676,6 +693,14 @@ void NetServer::CompleteRequest(
       conn->loop->pending_writes.push_back(conn);
     }
     WakeLoop(conn->loop);
+  }
+}
+
+void NetServer::ReleaseCallback() {
+  if (callbacks_outstanding_.fetch_sub(1, std::memory_order_acq_rel) ==
+      1) {
+    std::lock_guard<std::mutex> lock(cb_mu_);
+    cb_cv_.notify_all();
   }
 }
 

@@ -13,10 +13,15 @@
 // admission control into the RequestScheduler, so cross-request
 // micro-batching coalesces rows *across sockets*; each predict
 // completes through the scheduler's callback, on whichever scheduler
-// thread resolves it, which encodes the reply bytes and flushes the
-// socket directly under the connection's write mutex — the event loop
-// is only involved when the socket pushes back (EPOLLOUT) or the
-// connection is winding down.
+// thread resolves it, which encodes the reply bytes into the
+// connection's outbound buffer under its write mutex. The socket flush
+// is deferred to the end of the scheduler batch (a CompletionScope,
+// common/completion_scope.h): one write per connection per batch
+// carries every reply the batch owed it, and the deferred flush holds
+// its own callbacks_outstanding_ token so Shutdown cannot free the
+// server under it. Sheds resolved outside a batch flush at once. The
+// event loop is only involved when the socket pushes back (EPOLLOUT)
+// or the connection is winding down.
 //
 // Connection lifecycle is explicit state-machine code:
 //
@@ -100,6 +105,7 @@ struct NetServerStats {
   Counter idle_closed;
   Counter connections_refused;  // accepts refused at max_connections
   Counter memory_closed;  // closed for exceeding max_conn_memory_bytes
+  Counter write_calls;    // successful socket writes of reply bytes
 
   template <typename F>
   void ForEachField(F&& f) const {
@@ -113,6 +119,7 @@ struct NetServerStats {
     f("idle_closed", idle_closed);
     f("connections_refused", connections_refused);
     f("memory_closed", memory_closed);
+    f("write_calls", write_calls);
   }
 };
 
@@ -157,10 +164,11 @@ class NetServer {
     State state = State::kOpen;
     Buffer in;  // owning loop thread only
     // The write side is shared: completions encode replies into `out`
-    // and flush the socket directly — the hot path never detours
-    // through the event loop. write_mu serializes out/fd writes and
-    // gates them against close (fd reuse is the hazard: a write after
-    // ::close could land on a recycled descriptor).
+    // and the end of their scheduler batch flushes the socket directly
+    // — the hot path never detours through the event loop. write_mu
+    // serializes out/fd writes and gates them against close (fd reuse
+    // is the hazard: a write after ::close could land on a recycled
+    // descriptor).
     std::mutex write_mu;
     Buffer out;
     bool broken = false;  // fatal write error seen by a completion
@@ -197,12 +205,19 @@ class NetServer {
 
   Status Listen();
   void LoopThread(EventLoop* loop);
-  // Encodes `result` for `request_id`, flushes the socket directly
-  // under conn->write_mu, and nudges the owning loop only when it has
-  // work (backlog, broken socket, or a drain-eligible connection).
-  // Called from the scheduler thread that resolved the request.
+  // Encodes `result` for `request_id` into conn->out and defers the
+  // socket flush to the end of the resolving thread's CompletionScope
+  // (once per connection per scheduler batch; at once with no scope
+  // open). Called from the thread that resolved the request.
   void CompleteRequest(const std::shared_ptr<Connection>& conn,
                        uint64_t request_id, Result<Tensor> result);
+  // Flushes the replies completions queued on `conn` under
+  // conn->write_mu, and nudges the owning loop only when it has work
+  // (backlog, broken socket, or a drain-eligible connection). A closed
+  // connection is skipped.
+  void FlushCompleted(const std::shared_ptr<Connection>& conn);
+  // Drops one callbacks_outstanding_ token, waking Shutdown at zero.
+  void ReleaseCallback();
 
   void AcceptAll(EventLoop* loop);
   // Handles one epoll event for `conn`; afterwards the fd is either
@@ -255,9 +270,10 @@ class NetServer {
   std::atomic<int64_t> live_conns_{0};
 
   std::atomic<bool> stopping_{false};
-  // Completions still running inside scheduler threads;
-  // Shutdown waits for zero so a callback can never touch a freed
-  // server (the scheduler may outlive us and fire late sheds).
+  // Completions still running inside scheduler threads, plus deferred
+  // reply flushes not yet run (each holds its own token); Shutdown
+  // waits for zero so neither can touch a freed server (the scheduler
+  // may outlive us and fire late sheds).
   std::atomic<int64_t> callbacks_outstanding_{0};
   std::mutex cb_mu_;
   std::condition_variable cb_cv_;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/completion_scope.h"
 #include "common/failpoint.h"
 
 namespace relserve {
@@ -270,6 +271,10 @@ Result<Tensor> RequestScheduler::RunResilient(
 }
 
 void RequestScheduler::ExecuteBatch(Batch batch) {
+  // Every callback of this batch, sheds included, runs inside one
+  // scope: what they defer (a connection's reply flush) runs once per
+  // key after the last of them.
+  CompletionScope scope;
   // A batch may have aged in the queue; shed what is already late so
   // the engine only burns cycles on results someone still wants.
   const auto now = std::chrono::steady_clock::now();

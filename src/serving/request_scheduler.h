@@ -17,7 +17,11 @@
 //
 // Every request carries one completion callback, invoked exactly once
 // with its row slice or a typed status; SubmitBatch / SubmitCached are
-// future adapters over it. Coalescing is bit-transparent: the engine's
+// future adapters over it. A worker runs a batch's callbacks inside one
+// CompletionScope (common/completion_scope.h), so an action a callback
+// defers runs once per key after the batch's last callback; callbacks
+// resolved elsewhere (admission and dispatcher sheds) run theirs
+// inline. Coalescing is bit-transparent: the engine's
 // per-row accumulation order is independent of batch size, so a row
 // served in a 256-row micro-batch returns the same bits as one served
 // alone (serving_concurrency_test asserts this).

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/completion_scope.h"
 #include "common/counter.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -154,6 +156,28 @@ TEST(CounterTest, RenderJsonListsEveryFieldInOrder) {
   SampleStats stats;
   stats.events.Add(3);
   EXPECT_EQ(RenderJson(stats), "{\"events\":3,\"bytes\":-2,\"ratio\":2.5}");
+}
+
+// Defer reports whether it took the action, so a caller that pays for
+// an action up front (a reference token) can refund a dropped one.
+TEST(CompletionScopeTest, DefersOncePerKeyInFirstDeferOrder) {
+  std::vector<std::string> log;
+  int a = 0, b = 0;
+  EXPECT_TRUE(CompletionScope::Defer(&a, [&] { log.push_back("inline"); }));
+  EXPECT_EQ(log, std::vector<std::string>{"inline"});
+  log.clear();
+  {
+    CompletionScope scope;
+    EXPECT_TRUE(CompletionScope::Defer(&b, [&] { log.push_back("b"); }));
+    EXPECT_TRUE(CompletionScope::Defer(&a, [&] {
+      log.push_back("a");
+      // The scope is closed by now: this runs inline.
+      CompletionScope::Defer(&a, [&] { log.push_back("a again"); });
+    }));
+    EXPECT_FALSE(CompletionScope::Defer(&b, [&] { log.push_back("b2"); }));
+    EXPECT_TRUE(log.empty());
+  }
+  EXPECT_EQ(log, (std::vector<std::string>{"b", "a", "a again"}));
 }
 
 }  // namespace

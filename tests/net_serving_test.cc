@@ -101,20 +101,25 @@ class RawConn {
   bool connected_ = false;
 };
 
+SchedulerConfig SmallSchedulerConfig() {
+  SchedulerConfig config;
+  config.max_batch_rows = 16;
+  config.max_delay_us = 100;
+  config.num_workers = 2;
+  return config;
+}
+
 class NetServingTest : public ::testing::Test {
  protected:
   NetServingTest() : session_(SmallConfig()) {}
 
-  void StartServer(net::NetServerConfig net_config = {}) {
+  void StartServer(net::NetServerConfig net_config = {},
+                   SchedulerConfig sched_config = SmallSchedulerConfig()) {
     auto model = BuildFFNN("m", {16, 32, 4}, 3);
     ASSERT_TRUE(model.ok());
     ASSERT_TRUE(session_.RegisterModel(std::move(*model)).ok());
     ASSERT_TRUE(session_.Deploy("m", ServingMode::kForceUdf, 8).ok());
 
-    SchedulerConfig sched_config;
-    sched_config.max_batch_rows = 16;
-    sched_config.max_delay_us = 100;
-    sched_config.num_workers = 2;
     scheduler_ =
         std::make_unique<RequestScheduler>(&session_, sched_config);
     auto server =
@@ -284,7 +289,7 @@ TEST_F(NetServingTest, DeployAndStatsOverTheWire) {
   // own reply is queued and written.
   ExpectRendered(*stats, "scheduler", scheduler_->stats());
   ExpectRendered(*stats, "server", server_->stats(),
-                 {"frames_out", "bytes_out"});
+                 {"frames_out", "bytes_out", "write_calls"});
   ExpectRendered(*stats, "dedup", session_.block_index()->stats());
   ExpectRendered(*stats, "exec", session_.exec_context()->stats);
   ExpectRendered(*stats, "buffer_pool", pool->stats());
@@ -295,7 +300,8 @@ TEST_F(NetServingTest, DeployAndStatsOverTheWire) {
         "max_batch_rows_seen", "mean_batch_rows", "connections_accepted",
         "connections_closed", "frames_in", "frames_out", "bytes_in",
         "bytes_out", "protocol_errors", "idle_closed",
-        "connections_refused", "memory_closed", "unique_blocks",
+        "connections_refused", "memory_closed", "write_calls",
+        "unique_blocks",
         "logical_refs", "physical_bytes", "logical_bytes", "dedup_hits",
         "freed_blocks"}) {
     EXPECT_NE(stats->find(std::string("\"") + key + "\":"),
@@ -332,6 +338,148 @@ TEST_F(NetServingTest, PipelinedRequestsMatchByRequestId) {
     EXPECT_LT(reply->header.request_id, 100u + kInFlight);
     EXPECT_TRUE(seen.insert(reply->header.request_id).second);
     EXPECT_EQ(reply->tensor.MaxAbsDiff(*expected), 0.0f);
+  }
+}
+
+// Blocks until the server has read `n` frames in total.
+void WaitForFramesIn(const net::NetServer& server, int64_t n) {
+  while (server.stats().frames_in.load() < n) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+// Paused, with a batching window so long that a batch closes on its
+// 16th row, never on the window: a frame the loop has counted but not
+// yet submitted still joins the batch. A 16-row Direct call closes its
+// batch at once.
+SchedulerConfig PausedSixteenRowBatches() {
+  SchedulerConfig config = SmallSchedulerConfig();
+  config.start_paused = true;
+  config.max_batch_rows = 16;
+  config.max_delay_us = 10'000'000;
+  return config;
+}
+
+// Row `i` of `batch` as a 1-row tensor.
+Tensor RowOf(const Tensor& batch, int64_t i) {
+  const int64_t cols = batch.shape().dim(1);
+  auto row = Tensor::Create(Shape{1, cols});
+  EXPECT_TRUE(row.ok());
+  std::memcpy(row->data(), batch.data() + i * cols, cols * sizeof(float));
+  return std::move(*row);
+}
+
+// `got` holds exactly row `i` of `expected`, bit for bit.
+void ExpectRowBits(const Tensor& got, const Tensor& expected, int64_t i) {
+  const int64_t cols = expected.shape().dim(1);
+  ASSERT_EQ(got.NumElements(), cols);
+  EXPECT_EQ(std::memcmp(got.data(), expected.data() + i * cols,
+                        cols * sizeof(float)),
+            0)
+      << "row " << i;
+}
+
+// server.stats() once `write_calls` has reached `n`. A write's counter
+// is bumped just after the write returns, so a client can read the
+// bytes before the count moves; every earlier write is counted by then.
+net::NetServerStats StatsAfterWrites(const net::NetServer& server,
+                                     int64_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.stats().write_calls.load() < n &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return server.stats();
+}
+
+TEST_F(NetServingTest, RepliesOfOneBatchLeaveInOneWrite) {
+  StartServer({}, PausedSixteenRowBatches());
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+
+  // Sixteen 1-row predicts wait in the admission queue, then run as
+  // one 16-row batch whose replies all leave in a single write.
+  constexpr int kRequests = 16;
+  auto rows = workloads::GenBatch(kRequests, Shape{16}, 400);
+  ASSERT_TRUE(rows.ok());
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(client->SendPredict(500 + i, "m", RowOf(*rows, i)).ok());
+  }
+  WaitForFramesIn(*server_, kRequests);
+  const net::NetServerStats before = server_->stats();
+  scheduler_->Resume();
+
+  std::vector<net::Reply> replies;
+  for (int i = 0; i < kRequests; ++i) {
+    auto reply = client->ReceiveReply();
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    replies.push_back(std::move(*reply));
+  }
+  const net::NetServerStats after =
+      StatsAfterWrites(*server_, before.write_calls + 1);
+  EXPECT_EQ(scheduler_->stats().batches.load(), 1);
+  EXPECT_EQ(after.frames_out - before.frames_out, kRequests);
+  EXPECT_EQ(after.write_calls - before.write_calls, 1);
+
+  // In request order, each bit-identical to an in-process predict.
+  auto expected = Direct(*rows);
+  ASSERT_TRUE(expected.ok());
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(replies[i].status.ok()) << replies[i].status;
+    EXPECT_EQ(replies[i].header.request_id, 500u + i);
+    ExpectRowBits(replies[i].tensor, *expected, i);
+  }
+}
+
+TEST_F(NetServingTest, RepliesCoalescePerConnection) {
+  StartServer({}, PausedSixteenRowBatches());
+
+  // Four connections, four requests each, all in one 16-row batch: one
+  // write per connection, and each carries only that connection's
+  // replies (connection c sends rows 4c .. 4c+3).
+  constexpr int kConns = 4;
+  constexpr int kPerConn = 4;
+  auto rows = workloads::GenBatch(kConns * kPerConn, Shape{16}, 600);
+  ASSERT_TRUE(rows.ok());
+  std::vector<std::unique_ptr<net::NetClient>> clients;
+  for (int c = 0; c < kConns; ++c) {
+    clients.push_back(Connect());
+    ASSERT_NE(clients.back(), nullptr);
+    for (int i = 0; i < kPerConn; ++i) {
+      ASSERT_TRUE(clients[c]
+                      ->SendPredict(1000 * (c + 1) + i, "m",
+                                    RowOf(*rows, c * kPerConn + i))
+                      .ok());
+    }
+  }
+  WaitForFramesIn(*server_, kConns * kPerConn);
+  const net::NetServerStats before = server_->stats();
+  scheduler_->Resume();
+
+  std::vector<std::vector<net::Reply>> replies(kConns);
+  for (int c = 0; c < kConns; ++c) {
+    for (int i = 0; i < kPerConn; ++i) {
+      auto reply = clients[c]->ReceiveReply();
+      ASSERT_TRUE(reply.ok()) << reply.status();
+      replies[c].push_back(std::move(*reply));
+    }
+  }
+  const net::NetServerStats after =
+      StatsAfterWrites(*server_, before.write_calls + kConns);
+  EXPECT_EQ(scheduler_->stats().batches.load(), 1);
+  EXPECT_EQ(after.frames_out - before.frames_out, kConns * kPerConn);
+  EXPECT_EQ(after.write_calls - before.write_calls, kConns);
+
+  auto expected = Direct(*rows);
+  ASSERT_TRUE(expected.ok());
+  for (int c = 0; c < kConns; ++c) {
+    for (int i = 0; i < kPerConn; ++i) {
+      const net::Reply& reply = replies[c][i];
+      ASSERT_TRUE(reply.status.ok()) << reply.status;
+      EXPECT_EQ(reply.header.request_id, 1000u * (c + 1) + i);
+      ExpectRowBits(reply.tensor, *expected, c * kPerConn + i);
+    }
   }
 }
 
@@ -542,6 +690,42 @@ TEST_F(NetServingTest, HalfCloseStillDeliversPendingReplies) {
   EXPECT_TRUE(client->ReceiveReply().status().IsUnavailable());
 }
 
+TEST_F(NetServingTest, HalfCloseBeforeBatchStillDeliversReplies) {
+  SchedulerConfig sched_config = SmallSchedulerConfig();
+  sched_config.start_paused = true;
+  StartServer({}, sched_config);
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+  auto row = workloads::GenBatch(1, Shape{16}, 22);
+  ASSERT_TRUE(row.ok());
+
+  // The peer half-closes while its requests still wait for a batch:
+  // the batch's one deferred flush delivers every reply, then the
+  // connection closes.
+  constexpr int kInFlight = 6;
+  for (int i = 0; i < kInFlight; ++i) {
+    ASSERT_TRUE(client->SendPredict(700 + i, "m", *row).ok());
+  }
+  WaitForFramesIn(*server_, kInFlight);
+  client->CloseWrite();
+  // Give the loop time to read the EOF before the batch runs; the
+  // contract holds either way.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  scheduler_->Resume();
+  auto expected = Direct(*row);
+  ASSERT_TRUE(expected.ok());
+  int ok = 0;
+  for (int i = 0; i < kInFlight; ++i) {
+    auto reply = client->ReceiveReply();
+    if (reply.ok() && reply->status.ok() &&
+        reply->tensor.MaxAbsDiff(*expected) == 0.0f) {
+      ++ok;
+    }
+  }
+  EXPECT_EQ(ok, kInFlight);
+  EXPECT_TRUE(client->ReceiveReply().status().IsUnavailable());
+}
+
 TEST_F(NetServingTest, ShutdownDrainsInFlightRequests) {
   StartServer();
   auto client = Connect();
@@ -555,9 +739,7 @@ TEST_F(NetServingTest, ShutdownDrainsInFlightRequests) {
   }
   // Wait until the server has actually read and admitted them, so the
   // drain contract (not a read/shutdown race) is what's under test.
-  while (server_->stats().frames_in.load() < kInFlight) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  WaitForFramesIn(*server_, kInFlight);
   server_->Shutdown();
   int ok = 0;
   for (int i = 0; i < kInFlight; ++i) {

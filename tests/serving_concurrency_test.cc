@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/completion_scope.h"
 #include "engine/external_runtime.h"
 #include "engine/physical_plan.h"
 #include "graph/model.h"
@@ -455,6 +456,71 @@ TEST_F(ServingConcurrencyTest, CallbackFiresExactlyOncePerOutcome) {
   EXPECT_EQ(stats.submitted.load(), 7);
   EXPECT_EQ(stats.shed_queue_full.load(), 1);
   EXPECT_EQ(stats.shed_deadline.load(), 1);
+}
+
+// An action deferred from on_done (the wire server's reply flush) runs
+// once per key, after every on_done of its batch, on the worker that
+// ran the batch; with no batch around it, as in an admission shed, it
+// runs inline.
+TEST_F(ServingConcurrencyTest, DeferredActionRunsOncePerBatchAfterCallbacks) {
+  LoadModel();
+  SchedulerConfig config;
+  config.start_paused = true;
+  config.queue_capacity = 3;
+  RequestScheduler scheduler(&session_, config);
+  auto row = workloads::GenBatch(1, Shape{16}, 9);
+  ASSERT_TRUE(row.ok());
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int callbacks = 0;
+  std::thread::id callback_thread;
+  struct Action {
+    int runs = 0;
+    int callbacks_seen = -1;
+    std::thread::id thread;
+  };
+  Action batch_action, shed_action;
+  auto on_done = [&](Action* action) {
+    return [&, action](Result<Tensor> result) {
+      EXPECT_TRUE(result.ok() || result.status().IsUnavailable());
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        ++callbacks;
+        callback_thread = std::this_thread::get_id();
+      }
+      CompletionScope::Defer(action, [&, action] {
+        std::lock_guard<std::mutex> lock(mu);
+        ++action->runs;
+        action->callbacks_seen = callbacks;
+        action->thread = std::this_thread::get_id();
+        cv.notify_all();
+      });
+    };
+  };
+
+  // Three coalescible requests fill the paused queue; the fourth sheds
+  // inline on this thread, and so does its deferred action.
+  for (int i = 0; i < 3; ++i) {
+    scheduler.SubmitBatchCallback("m", *row, 0, on_done(&batch_action));
+  }
+  scheduler.SubmitBatchCallback("m", *row, 0, on_done(&shed_action));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(shed_action.runs, 1);
+    EXPECT_EQ(shed_action.callbacks_seen, 1);
+    EXPECT_EQ(shed_action.thread, std::this_thread::get_id());
+  }
+
+  scheduler.Resume();
+  std::unique_lock<std::mutex> lock(mu);
+  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                          [&] { return batch_action.runs > 0; }));
+  EXPECT_EQ(scheduler.stats().batches.load(), 1);
+  EXPECT_EQ(batch_action.runs, 1);
+  EXPECT_EQ(batch_action.callbacks_seen, 4);
+  EXPECT_EQ(batch_action.thread, callback_thread);
+  EXPECT_NE(batch_action.thread, std::this_thread::get_id());
 }
 
 TEST_F(ServingConcurrencyTest, ConcurrentCacheTrafficIsSafe) {
