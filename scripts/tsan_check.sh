@@ -95,7 +95,13 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 export RELSERVE_CHAOS_SEEDS="${RELSERVE_CHAOS_SEEDS:-8}"
 for test in "${TSAN_TESTS[@]}"; do
     echo "== TSan: $test =="
-    "$BUILD_DIR/tests/$test"
+    repeat=()
+    case "$test" in
+        # Submitters and workers share one scheduler lock; repeats let
+        # its schedule meet several interleavings.
+        serving_concurrency_test|net_serving_test) repeat=(--gtest_repeat=3) ;;
+    esac
+    "$BUILD_DIR/tests/$test" "${repeat[@]}"
 done
 
 # Environment-activation smoke: a fresh process must arm failpoints

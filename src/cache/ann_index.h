@@ -1,8 +1,8 @@
 // AnnIndex: the approximate-nearest-neighbor interface behind the
 // inference result cache. The paper (Sec. 5(1)) lists HNSW, IVF, LSH,
 // and product quantization as candidate in-RDBMS indexes; relserve
-// implements HNSW (hnsw_index.h) and IVF-Flat (ivf_index.h) behind
-// this interface.
+// implements HNSW (hnsw_index.h), IVF-Flat (ivf_index.h) and E2LSH
+// (lsh_index.h) behind this interface.
 
 #ifndef RELSERVE_CACHE_ANN_INDEX_H_
 #define RELSERVE_CACHE_ANN_INDEX_H_

@@ -358,9 +358,10 @@ bool NetServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
       Result<Tensor> input_or = PredictInputTensor(*req_or);
       if (!input_or.ok()) return reply_error(input_or.status());
       conn->inflight.fetch_add(1, std::memory_order_acq_rel);
-      // Whichever thread resolves the request (a scheduler worker
-      // after the batch, the dispatcher for deadline sheds, this very
-      // thread for admission sheds) encodes the reply right there.
+      // Whichever thread resolves the request encodes the reply right
+      // there: a scheduler worker, inside its batch's completion scope,
+      // for results and deadline sheds; this very thread, flushing at
+      // once, for admission sheds.
       const uint64_t request_id = header.request_id;
       callbacks_outstanding_.fetch_add(1, std::memory_order_acq_rel);
       scheduler_->SubmitBatchCallback(

@@ -12,14 +12,15 @@
 // thread. Requests decoded from a connection's read ring flow through
 // admission control into the RequestScheduler, so cross-request
 // micro-batching coalesces rows *across sockets*; each predict
-// completes through the scheduler's callback, on whichever scheduler
-// thread resolves it, which encodes the reply bytes into the
+// completes through the scheduler's callback, on the scheduler worker
+// that takes its batch, which encodes the reply bytes into the
 // connection's outbound buffer under its write mutex. The socket flush
 // is deferred to the end of the scheduler batch (a CompletionScope,
 // common/completion_scope.h): one write per connection per batch
-// carries every reply the batch owed it, and the deferred flush holds
-// its own callbacks_outstanding_ token so Shutdown cannot free the
-// server under it. Sheds resolved outside a batch flush at once. The
+// carries every reply the batch owed it, deadline sheds included, and
+// the deferred flush holds its own callbacks_outstanding_ token so
+// Shutdown cannot free the server under it. Only admission sheds,
+// resolved on the loop thread outside any batch, flush at once. The
 // event loop is only involved when the socket pushes back (EPOLLOUT)
 // or the connection is winding down.
 //

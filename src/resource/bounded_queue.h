@@ -9,7 +9,6 @@
 #ifndef RELSERVE_RESOURCE_BOUNDED_QUEUE_H_
 #define RELSERVE_RESOURCE_BOUNDED_QUEUE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -39,53 +38,6 @@ class BoundedQueue {
     return true;
   }
 
-  // Non-blocking push: fails immediately (false) when the queue is
-  // full or closed instead of waiting for room. This is the admission
-  // path of the serving scheduler — a full queue sheds load with a
-  // typed Status rather than stalling the client thread. On failure
-  // `item` is left untouched so the caller can still resolve any
-  // promise it carries.
-  bool TryPush(T&& item) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_ || items_.size() >= capacity_) return false;
-    items_.push_back(std::move(item));
-    not_empty_.notify_one();
-    return true;
-  }
-
-  // Non-blocking pop: nullopt when nothing is immediately available.
-  std::optional<T> TryPop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
-  }
-
-  // Pops, waiting at most until `deadline` for an item. Returns
-  // nullopt on timeout or when the queue is closed and drained — the
-  // primitive behind the scheduler's max-delay batching window.
-  std::optional<T> PopUntil(
-      std::chrono::steady_clock::time_point deadline) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait_until(lock, deadline, [this] {
-      return closed_ || !items_.empty();
-    });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
-  }
-
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
-  size_t capacity() const { return capacity_; }
-
   // Blocks until an item is available or the queue is closed and
   // empty (returns nullopt).
   std::optional<T> Pop() {
@@ -109,7 +61,7 @@ class BoundedQueue {
 
  private:
   const size_t capacity_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<T> items_;

@@ -11,18 +11,12 @@ namespace relserve {
 
 RequestScheduler::RequestScheduler(ServingSession* session,
                                    SchedulerConfig config)
-    : session_(session),
-      config_(config),
-      admission_(std::max<size_t>(1, config.queue_capacity)),
-      // The batch queue is the backpressure valve: one slot per
-      // worker, so a dispatcher ahead of the engine blocks here and
-      // the admission queue accumulates rows for the next batch.
-      batch_queue_(static_cast<size_t>(std::max(1, config.num_workers))) {
+    : session_(session), config_(config) {
+  config_.queue_capacity = std::max<size_t>(1, config_.queue_capacity);
   config_.num_workers = std::max(1, config_.num_workers);
   config_.max_batch_rows = std::max<int64_t>(1, config_.max_batch_rows);
   config_.max_delay_us = std::max<int64_t>(0, config_.max_delay_us);
   paused_ = config_.start_paused;
-  dispatcher_ = std::thread(&RequestScheduler::DispatcherLoop, this);
   workers_.reserve(config_.num_workers);
   for (int i = 0; i < config_.num_workers; ++i) {
     workers_.emplace_back(&RequestScheduler::WorkerLoop, this);
@@ -70,25 +64,41 @@ void RequestScheduler::Submit(
   request.kind = kind;
   request.model = model;
   request.input = std::move(input);
+  request.key = CoalesceKey(request);
+  if (request.input.shape().ndim() >= 2) {
+    request.rows = request.input.shape().dim(0);
+  }
+  request.admitted = std::chrono::steady_clock::now();
   request.has_deadline = deadline_us != 0;
-  request.deadline = std::chrono::steady_clock::now() +
-                     std::chrono::microseconds(deadline_us);
+  request.deadline =
+      request.admitted + std::chrono::microseconds(deadline_us);
   request.on_done = std::move(on_done);
   stats_.submitted.Add();
+  Status shed;
   {
-    std::lock_guard<std::mutex> lock(control_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     if (stopped_) {
-      request.on_done(Status::Unavailable("scheduler is shut down"));
+      shed = Status::Unavailable("scheduler is shut down");
+    } else if (queue_.size() >= config_.queue_capacity) {
+      stats_.shed_queue_full.Add();
+      shed = Status::Unavailable(
+          "admission queue full: serving front-end overloaded");
+    } else {
+      // Wake a worker only when this push changes what it waits for:
+      // a first request starts a batching window, and a full batch
+      // ends one. Otherwise every worker is busy or already timing
+      // the queue's front.
+      const bool wake =
+          queue_.empty() ||
+          (queued_rows_ < config_.max_batch_rows &&
+           queued_rows_ + request.rows >= config_.max_batch_rows);
+      queued_rows_ += request.rows;
+      queue_.push_back(std::move(request));
+      if (wake) cv_.notify_one();
       return;
     }
   }
-  if (!admission_.TryPush(std::move(request))) {
-    // TryPush leaves `request` intact on failure, so its callback is
-    // still ours to invoke.
-    stats_.shed_queue_full.Add();
-    request.on_done(Status::Unavailable(
-        "admission queue full: serving front-end overloaded"));
-  }
+  request.on_done(std::move(shed));
 }
 
 std::string RequestScheduler::CoalesceKey(const Request& request) {
@@ -105,99 +115,57 @@ std::string RequestScheduler::CoalesceKey(const Request& request) {
   return key;
 }
 
-int64_t RequestScheduler::RowsOf(const Request& request) {
-  return request.input.shape().ndim() < 2 ? 1
-                                          : request.input.shape().dim(0);
-}
-
-bool RequestScheduler::Expired(
-    const Request& request, std::chrono::steady_clock::time_point now) {
-  return request.has_deadline && request.deadline <= now;
-}
-
-void RequestScheduler::ShedExpired(Request request) {
-  stats_.shed_deadline.Add();
-  request.on_done(Status::DeadlineExceeded(
-      "request deadline expired before execution"));
-}
-
-void RequestScheduler::DispatcherLoop() {
+std::vector<RequestScheduler::Request> RequestScheduler::TakeBatch() {
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    {
-      std::unique_lock<std::mutex> lock(control_mu_);
-      control_cv_.wait(lock, [this] { return !paused_ || stopped_; });
-    }
-    // Stashed requests (incompatible leftovers from an earlier
-    // batching window) are served before new arrivals — FIFO across
-    // coalesce keys, so nothing is starved.
-    Request first;
-    if (!stash_.empty()) {
-      first = std::move(stash_.front());
-      stash_.pop_front();
-    } else {
-      std::optional<Request> popped = admission_.Pop();
-      if (!popped) break;  // closed and drained: shut down
-      first = std::move(*popped);
-    }
-    if (Expired(first, std::chrono::steady_clock::now())) {
-      ShedExpired(std::move(first));
+    if (queue_.empty()) {
+      if (stopped_) return {};
+      cv_.wait(lock);
       continue;
     }
-
-    Batch batch;
-    const std::string key = CoalesceKey(first);
-    int64_t rows = RowsOf(first);
-    batch.requests.push_back(std::move(first));
-    if (!key.empty()) {
-      // First sweep the stash for compatible waiters, then hold the
-      // batching window open on the admission queue.
-      for (auto it = stash_.begin();
-           it != stash_.end() && rows < config_.max_batch_rows;) {
-        if (Expired(*it, std::chrono::steady_clock::now())) {
-          ShedExpired(std::move(*it));
-          it = stash_.erase(it);
-          continue;
-        }
-        if (CoalesceKey(*it) == key) {
-          rows += RowsOf(*it);
-          batch.requests.push_back(std::move(*it));
-          it = stash_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      const auto window =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(config_.max_delay_us);
-      while (rows < config_.max_batch_rows) {
-        std::optional<Request> next = admission_.PopUntil(window);
-        if (!next) break;  // window elapsed (or queue closed+empty)
-        if (Expired(*next, std::chrono::steady_clock::now())) {
-          ShedExpired(std::move(*next));
-          continue;
-        }
-        if (CoalesceKey(*next) == key) {
-          rows += RowsOf(*next);
-          batch.requests.push_back(std::move(*next));
-        } else {
-          stash_.push_back(std::move(*next));
-        }
+    // Shutdown drains without waiting out the window.
+    if (stopped_) break;
+    if (paused_) {
+      cv_.wait(lock);
+      continue;
+    }
+    if (queued_rows_ >= config_.max_batch_rows) break;
+    const auto due = queue_.front().admitted +
+                     std::chrono::microseconds(config_.max_delay_us);
+    if (std::chrono::steady_clock::now() >= due) break;
+    cv_.wait_until(lock, due);
+  }
+  // The oldest request, then every later one sharing its key, in
+  // order. What is left keeps its FIFO order for the next taker.
+  std::vector<Request> batch;
+  batch.push_back(std::move(queue_.front()));
+  queue_.pop_front();
+  int64_t rows = batch[0].rows;
+  if (!batch[0].key.empty()) {
+    auto keep = queue_.begin();
+    auto it = queue_.begin();
+    for (; it != queue_.end() && rows < config_.max_batch_rows; ++it) {
+      if (it->key == batch.front().key) {
+        rows += it->rows;
+        batch.push_back(std::move(*it));
+      } else {
+        if (keep != it) *keep = std::move(*it);
+        ++keep;
       }
     }
-    // Blocking push = backpressure: while every worker is busy the
-    // admission queue keeps filling, so the next batch forms larger.
-    batch_queue_.Push(std::move(batch));
+    queue_.erase(keep, it);
   }
-
-  // Only an empty stash reaches the admission Pop that ends the loop,
-  // and after Close that Pop drains every admitted request first: the
-  // batch-forming sweep above already served everything.
-  batch_queue_.Close();
+  queued_rows_ -= rows;
+  // Another idle worker may take what this batch left behind.
+  if (!queue_.empty()) cv_.notify_one();
+  return batch;
 }
 
 void RequestScheduler::WorkerLoop() {
-  while (std::optional<Batch> batch = batch_queue_.Pop()) {
-    ExecuteBatch(std::move(*batch));
+  while (true) {
+    std::vector<Request> batch = TakeBatch();
+    if (batch.empty()) return;
+    ExecuteBatch(std::move(batch));
   }
 }
 
@@ -270,27 +238,29 @@ Result<Tensor> RequestScheduler::RunResilient(
   return result;
 }
 
-void RequestScheduler::ExecuteBatch(Batch batch) {
+void RequestScheduler::ExecuteBatch(std::vector<Request> batch) {
   // Every callback of this batch, sheds included, runs inside one
   // scope: what they defer (a connection's reply flush) runs once per
   // key after the last of them.
   CompletionScope scope;
-  // A batch may have aged in the queue; shed what is already late so
-  // the engine only burns cycles on results someone still wants.
+  // The one deadline shed site: a request may have aged in the queue,
+  // and the engine only burns cycles on results someone still wants.
   const auto now = std::chrono::steady_clock::now();
   std::vector<Request> live;
-  live.reserve(batch.requests.size());
-  for (Request& request : batch.requests) {
-    if (Expired(request, now)) {
-      ShedExpired(std::move(request));
+  live.reserve(batch.size());
+  int64_t total_rows = 0;
+  for (Request& request : batch) {
+    if (request.has_deadline && request.deadline <= now) {
+      stats_.shed_deadline.Add();
+      request.on_done(Status::DeadlineExceeded(
+          "request deadline expired before execution"));
     } else {
+      total_rows += request.rows;
       live.push_back(std::move(request));
     }
   }
   if (live.empty()) return;
 
-  int64_t total_rows = 0;
-  for (const Request& request : live) total_rows += RowsOf(request);
   stats_.batches.Add();
   stats_.total_rows.Add(total_rows);
   stats_.max_batch_rows_seen.StoreMax(total_rows);
@@ -299,11 +269,11 @@ void RequestScheduler::ExecuteBatch(Batch batch) {
     for (Request& request : live) request.on_done(status);
   };
 
-  // Every request shares kind, model, and per-row shape (the
-  // dispatcher's CoalesceKey guarantees it). A lone request runs on
-  // its own input and gets the engine's output as-is; a coalesced
-  // batch concatenates the row-major inputs into one contiguous
-  // micro-batch tensor and scatters the output rows back.
+  // Every request shares kind, model, and per-row shape (TakeBatch
+  // groups by coalesce key). A lone request runs on its own input and
+  // gets the engine's output as-is; a coalesced batch concatenates the
+  // row-major inputs into one contiguous micro-batch tensor and
+  // scatters the output rows back.
   const bool coalesced = live.size() > 1;
   Tensor merged;
   if (!coalesced) {
@@ -364,7 +334,7 @@ void RequestScheduler::ExecuteBatch(Batch batch) {
   std::vector<int64_t> out_dims = out.shape().dims();
   int64_t offset_rows = 0;
   for (Request& request : live) {
-    const int64_t rows = RowsOf(request);
+    const int64_t rows = request.rows;
     out_dims[0] = rows;
     Result<Tensor> slice_or = Tensor::Create(Shape(out_dims), nullptr);
     if (slice_or.ok()) {
@@ -378,26 +348,24 @@ void RequestScheduler::ExecuteBatch(Batch batch) {
 }
 
 void RequestScheduler::Pause() {
-  std::lock_guard<std::mutex> lock(control_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   paused_ = true;
 }
 
 void RequestScheduler::Resume() {
-  std::lock_guard<std::mutex> lock(control_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   paused_ = false;
-  control_cv_.notify_all();
+  cv_.notify_all();
 }
 
 void RequestScheduler::Shutdown() {
   {
-    std::lock_guard<std::mutex> lock(control_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     if (stopped_) return;
     stopped_ = true;
     paused_ = false;
-    control_cv_.notify_all();
+    cv_.notify_all();
   }
-  admission_.Close();
-  if (dispatcher_.joinable()) dispatcher_.join();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }

@@ -6,30 +6,33 @@
 // per-query cost — plan lookup, kernel dispatch, GEMM setup — is
 // amortized across requests. Batching is governed by two knobs:
 //
-//   max_batch_rows  — a batch closes as soon as it holds this many rows
-//   max_delay_us    — ... or when the oldest member has waited this long
+//   max_batch_rows  — a batch is due once this many rows are queued
+//   max_delay_us    — ... or once the oldest request has waited this long
 //
-// and adapts to load through backpressure: the dispatcher blocks
-// pushing a finished batch into the bounded batch queue while every
-// worker is busy, so under saturation the admission queue accumulates
-// and the *next* batch naturally grows — bigger batches exactly when
-// the engine is the bottleneck, minimal latency when it is idle.
+// Admitted requests wait in one FIFO queue, and each worker takes its
+// own batch from it: the oldest request plus every later one with the
+// same coalesce key, in order, up to max_batch_rows. Batching adapts
+// to load with no valve: a busy worker takes nothing, so under
+// saturation the queue grows and the next batch a worker takes is
+// larger — bigger batches exactly when the engine is the bottleneck,
+// minimal latency when it is idle.
 //
 // Every request carries one completion callback, invoked exactly once
 // with its row slice or a typed status; SubmitBatch / SubmitCached are
-// future adapters over it. A worker runs a batch's callbacks inside one
-// CompletionScope (common/completion_scope.h), so an action a callback
-// defers runs once per key after the batch's last callback; callbacks
-// resolved elsewhere (admission and dispatcher sheds) run theirs
-// inline. Coalescing is bit-transparent: the engine's
-// per-row accumulation order is independent of batch size, so a row
-// served in a 256-row micro-batch returns the same bits as one served
-// alone (serving_concurrency_test asserts this).
+// future adapters over it. A worker runs a batch's callbacks, deadline
+// sheds included, inside one CompletionScope
+// (common/completion_scope.h), so an action a callback defers runs
+// once per key after the batch's last callback; admission sheds, on
+// the submitting thread, run theirs inline. Coalescing is
+// bit-transparent: the engine's per-row accumulation order is
+// independent of batch size, so a row served in a 256-row micro-batch
+// returns the same bits as one served alone (serving_concurrency_test
+// asserts this).
 //
-// Admission control: the front queue is bounded. When it is full the
+// Admission control: the queue is bounded. When it is full the
 // request resolves inline, on the submitting thread, with
 // Status::Unavailable (shed, not stalled); a request whose deadline
-// has passed by the time a dispatcher or worker sees it resolves to
+// has passed by the time a worker takes it resolves to
 // Status::DeadlineExceeded without touching the engine.
 
 #ifndef RELSERVE_SERVING_REQUEST_SCHEDULER_H_
@@ -52,7 +55,6 @@
 #include "common/counter.h"
 #include "common/result.h"
 #include "common/retry.h"
-#include "resource/bounded_queue.h"
 #include "serving/circuit_breaker.h"
 #include "serving/serving_session.h"
 #include "tensor/tensor.h"
@@ -60,15 +62,17 @@
 namespace relserve {
 
 struct SchedulerConfig {
-  // A micro-batch closes once it holds this many feature rows.
+  // A batch is due once this many feature rows are queued, and a
+  // worker stops adding requests to it once it holds this many.
   int64_t max_batch_rows = 256;
-  // ... or once the first request in it has waited this long.
+  // ... or once the oldest queued request has waited this long.
   int64_t max_delay_us = 200;
   // Admission queue depth; a full queue sheds with Unavailable.
   size_t queue_capacity = 1024;
-  // Threads executing micro-batches against the session.
+  // Worker threads, each taking and executing its own micro-batches;
+  // the scheduler starts exactly this many threads.
   int num_workers = 2;
-  // Start with the dispatcher paused (tests use this to fill the
+  // Start with the workers paused (tests use this to fill the
   // admission queue deterministically, then Resume()).
   bool start_paused = false;
   // Resilience (DESIGN.md "Fault model & recovery"): transient engine
@@ -80,8 +84,7 @@ struct SchedulerConfig {
   CircuitBreakerConfig breaker;
 };
 
-// Submits race with the dispatcher and workers; Counter keeps each
-// count exact.
+// Submits race with the workers; Counter keeps each count exact.
 struct SchedulerStats {
   Counter submitted;
   Counter shed_queue_full;     // Unavailable at admission
@@ -133,11 +136,10 @@ class RequestScheduler {
 
   // In-memory batch inference (rows coalesce across requests). The
   // result is delivered by invoking `on_done` exactly once, inline on
-  // whichever thread resolves the request: a worker after execution,
-  // the dispatcher for deadline sheds, the submitting thread for
-  // admission sheds. This is the zero-handoff completion path the
-  // network front-end uses: the callback must be cheap-ish and must
-  // not re-enter the scheduler.
+  // whichever thread resolves the request: a worker for execution and
+  // deadline sheds, the submitting thread for admission sheds. This is
+  // the zero-handoff completion path the network front-end uses: the
+  // callback must be cheap-ish and must not re-enter the scheduler.
   void SubmitBatchCallback(
       const std::string& model, Tensor input, int64_t deadline_us,
       std::function<void(Result<Tensor>)> on_done);
@@ -165,8 +167,8 @@ class RequestScheduler {
 
   // --- Control -------------------------------------------------------
 
-  // Pause()/Resume() gate the dispatcher *before* it pops, so a paused
-  // scheduler admits (or sheds) but never executes.
+  // Pause()/Resume() gate the workers *before* they take a batch, so a
+  // paused scheduler admits (or sheds) but never executes.
   void Pause();
   void Resume();
 
@@ -185,18 +187,18 @@ class RequestScheduler {
   enum class RequestKind { kBatch, kCached };
 
   // The one request descriptor: every submit path builds one, and
-  // on_done is its only completion.
+  // on_done is its only completion. `key` and `rows` are computed once
+  // at admission.
   struct Request {
     RequestKind kind;
     std::string model;
     Tensor input;
+    std::string key;  // "" when it cannot coalesce (rank-<2 input)
+    int64_t rows = 1;
+    std::chrono::steady_clock::time_point admitted{};
     bool has_deadline = false;
     std::chrono::steady_clock::time_point deadline{};
     std::function<void(Result<Tensor>)> on_done;
-  };
-
-  struct Batch {
-    std::vector<Request> requests;
   };
 
   void Submit(RequestKind kind, const std::string& model, Tensor input,
@@ -207,16 +209,13 @@ class RequestScheduler {
                                            Tensor input,
                                            int64_t deadline_us);
 
-  // "" when the request cannot coalesce (rank-<2 inputs).
   static std::string CoalesceKey(const Request& request);
-  static int64_t RowsOf(const Request& request);
-  static bool Expired(const Request& request,
-                      std::chrono::steady_clock::time_point now);
 
-  void DispatcherLoop();
   void WorkerLoop();
-  void ExecuteBatch(Batch batch);
-  void ShedExpired(Request request);
+  // Waits until a batch is due and takes it, in one hold of `mu_`;
+  // empty once the scheduler is shut down and drained.
+  std::vector<Request> TakeBatch();
+  void ExecuteBatch(std::vector<Request> batch);
 
   // Wraps one engine execution for `model` in the resilience stack:
   // breaker admission check (shed -> Unavailable, *breaker_shed set),
@@ -231,25 +230,20 @@ class RequestScheduler {
   SchedulerConfig config_;
   SchedulerStats stats_;
 
-  BoundedQueue<Request> admission_;
-  BoundedQueue<Batch> batch_queue_;
-
-  // Requests popped during a batching window that did not match the
-  // batch being formed; served first on the next iteration (FIFO
-  // across keys, so a lone incompatible request is never starved).
-  std::deque<Request> stash_;
+  // `mu_` guards the admission queue and the control flags; `cv_`
+  // wakes workers when a batch may have become due.
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<Request> queue_;
+  int64_t queued_rows_ = 0;
+  bool paused_ = false;
+  bool stopped_ = false;
 
   std::mutex breakers_mu_;
   std::unordered_map<std::string, std::unique_ptr<CircuitBreaker>>
       breakers_;
   std::atomic<uint64_t> jitter_seq_{0};  // per-execution jitter seeds
 
-  std::mutex control_mu_;
-  std::condition_variable control_cv_;
-  bool paused_ = false;
-  bool stopped_ = false;
-
-  std::thread dispatcher_;
   std::vector<std::thread> workers_;
 };
 

@@ -483,6 +483,41 @@ TEST_F(NetServingTest, RepliesCoalescePerConnection) {
   }
 }
 
+TEST_F(NetServingTest, ExpiredPredictsOfOneConnectionLeaveInOneWrite) {
+  // The eighth row makes the batch due, so all eight are taken together.
+  constexpr int kRequests = 8;
+  SchedulerConfig config = PausedSixteenRowBatches();
+  config.max_batch_rows = kRequests;
+  StartServer({}, config);
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+
+  // Deadline sheds run on the worker inside the batch's completion
+  // scope, so their replies share one write like served ones do.
+  auto rows = workloads::GenBatch(kRequests, Shape{16}, 800);
+  ASSERT_TRUE(rows.ok());
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(client
+                    ->SendPredict(900 + i, "m", RowOf(*rows, i),
+                                  /*deadline_us=*/-1)
+                    .ok());
+  }
+  WaitForFramesIn(*server_, kRequests);
+  const net::NetServerStats before = server_->stats();
+  scheduler_->Resume();
+
+  for (int i = 0; i < kRequests; ++i) {
+    auto reply = client->ReceiveReply();
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_EQ(reply->header.request_id, 900u + i);
+    EXPECT_TRUE(reply->status.IsDeadlineExceeded()) << reply->status;
+  }
+  const net::NetServerStats after =
+      StatsAfterWrites(*server_, before.write_calls + 1);
+  EXPECT_EQ(scheduler_->stats().shed_deadline.load(), kRequests);
+  EXPECT_EQ(after.write_calls - before.write_calls, 1);
+}
+
 TEST_F(NetServingTest, ConcurrentClientsAllBitIdentical) {
   StartServer();
   auto row = workloads::GenBatch(1, Shape{16}, 16);

@@ -216,7 +216,7 @@ TEST_F(ServingConcurrencyTest, ExpiredDeadlineShedsTyped) {
 
   auto row = workloads::GenBatch(1, Shape{16}, 1);
   ASSERT_TRUE(row.ok());
-  // Negative deadline: expired before the dispatcher can see it.
+  // Negative deadline: expired before a worker can take it.
   auto doomed = scheduler.SubmitBatch("m", *row, -1);
   auto fine = scheduler.SubmitBatch("m", *row);
   scheduler.Resume();
@@ -277,7 +277,7 @@ TEST_F(ServingConcurrencyTest, UndeployBetweenAdmissionAndDispatch) {
 
   auto row = workloads::GenBatch(1, Shape{16}, 6);
   ASSERT_TRUE(row.ok());
-  // Admit while deployed, undeploy before the dispatcher runs: the
+  // Admit while deployed, undeploy before a worker takes it: the
   // queued request must resolve with a typed NotFound — never a crash,
   // never a hang.
   auto orphaned = scheduler.SubmitBatch("m", *row);
@@ -339,7 +339,7 @@ TEST_F(ServingConcurrencyTest, ShutdownDrainsAdmittedRequests) {
     futures.push_back(scheduler.SubmitBatch("m", *row));
   }
   // Shutdown without ever resuming: every admitted request must still
-  // resolve (drained by the exiting dispatcher), never a broken
+  // resolve (drained by the exiting workers), never a broken
   // promise or a hang.
   scheduler.Shutdown();
   for (auto& f : futures) {
@@ -521,6 +521,137 @@ TEST_F(ServingConcurrencyTest, DeferredActionRunsOncePerBatchAfterCallbacks) {
   EXPECT_EQ(batch_action.callbacks_seen, 4);
   EXPECT_EQ(batch_action.thread, callback_thread);
   EXPECT_NE(batch_action.thread, std::this_thread::get_id());
+}
+
+// Batches form where the work waits: while the only worker is busy,
+// every request that arrives joins the next batch it takes, however
+// far apart the arrivals are.
+TEST_F(ServingConcurrencyTest, BatchTakesEverythingQueuedWhileWorkerBusy) {
+  LoadModel();
+  SchedulerConfig config;
+  config.num_workers = 1;
+  config.max_delay_us = 0;
+  RequestScheduler scheduler(&session_, config);
+
+  constexpr int kQueued = 16;
+  std::vector<Tensor> rows;
+  std::vector<Tensor> expected;
+  for (int i = 0; i <= kQueued; ++i) {
+    auto row = workloads::GenBatch(1, Shape{16}, 700 + i);
+    ASSERT_TRUE(row.ok());
+    auto truth = DirectRow("m", *row);
+    ASSERT_TRUE(truth.ok());
+    rows.push_back(std::move(*row));
+    expected.push_back(std::move(*truth));
+  }
+
+  // The first request's callback holds the worker until released.
+  std::promise<void> started;
+  std::promise<void> release;
+  std::future<void> started_future = started.get_future();
+  std::shared_future<void> released = release.get_future().share();
+  std::vector<Completion> done(kQueued + 1);
+  scheduler.SubmitBatchCallback(
+      "m", rows[0], 0,
+      [&, callback = done[0].Callback()](Result<Tensor> result) {
+        started.set_value();
+        released.wait();
+        callback(std::move(result));
+      });
+  const bool worker_busy =
+      started_future.wait_for(std::chrono::seconds(10)) ==
+      std::future_status::ready;
+  if (worker_busy) {
+    for (int i = 1; i <= kQueued; ++i) {
+      scheduler.SubmitBatchCallback("m", rows[i], 0, done[i].Callback());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  release.set_value();
+  ASSERT_TRUE(worker_busy);
+
+  for (int i = 0; i <= kQueued; ++i) {
+    ASSERT_TRUE(done[i].Wait()) << "request " << i;
+    std::lock_guard<std::mutex> lock(done[i].mu);
+    ASSERT_TRUE(done[i].result.ok()) << done[i].result.status();
+    EXPECT_EQ(done[i].result->MaxAbsDiff(expected[i]), 0.0f)
+        << "request " << i;
+  }
+  const SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.batches.load(), 2);
+  EXPECT_EQ(stats.max_batch_rows_seen.load(), kQueued);
+  EXPECT_EQ(stats.total_rows.load(), kQueued + 1);
+}
+
+// Shutdown racing four submitting threads: the stop check and the push
+// share one lock, so every request is either admitted (and drained by
+// Shutdown) or told the scheduler is shut down, and none is miscounted
+// as a full-queue shed.
+TEST_F(ServingConcurrencyTest, ShutdownRacingSubmitsCompletesEachOnce) {
+  LoadModel();
+  auto row = workloads::GenBatch(1, Shape{16}, 12);
+  ASSERT_TRUE(row.ok());
+  auto expected = DirectRow("m", *row);
+  ASSERT_TRUE(expected.ok());
+
+  SchedulerConfig config;
+  config.queue_capacity = 1 << 16;
+  RequestScheduler scheduler(&session_, config);
+
+  // Each thread stops after its first refusal; the cap keeps the total
+  // far below the queue's capacity.
+  constexpr int kThreads = 4;
+  constexpr int kMaxPerThread = 4096;
+  std::vector<std::atomic<int>> calls(kThreads * kMaxPerThread);
+  std::vector<std::atomic<bool>> refusals(kThreads * kMaxPerThread);
+  std::atomic<int> submitted{0};
+  std::atomic<int> served{0};
+  std::atomic<int> refused{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (int i = 0; i < kMaxPerThread; ++i) {
+        const int slot = t * kMaxPerThread + i;
+        ++submitted;
+        scheduler.SubmitBatchCallback(
+            "m", *row, 0, [&, slot](Result<Tensor> result) {
+              calls[slot].fetch_add(1);
+              if (result.ok()) {
+                if (result->MaxAbsDiff(*expected) == 0.0f) {
+                  ++served;
+                } else {
+                  ++wrong;
+                }
+              } else if (result.status().IsUnavailable() &&
+                         result.status().message() ==
+                             "scheduler is shut down") {
+                ++refused;
+                refusals[slot] = true;
+              } else {
+                ++wrong;
+              }
+            });
+        // A refusal resolves inline, so this thread sees its own.
+        if (refusals[slot]) return;
+      }
+    });
+  }
+  while (submitted.load() < kThreads * kMaxPerThread / 8) {
+    std::this_thread::yield();
+  }
+  scheduler.Shutdown();
+  for (std::thread& t : submitters) t.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(served.load() + refused.load(), submitted.load());
+  for (int slot = 0; slot < kThreads * kMaxPerThread; ++slot) {
+    EXPECT_LE(calls[slot].load(), 1) << "slot " << slot;
+  }
+  int fired = 0;
+  for (const std::atomic<int>& c : calls) fired += c.load();
+  EXPECT_EQ(fired, submitted.load());
+  EXPECT_EQ(scheduler.stats().shed_queue_full.load(), 0);
 }
 
 TEST_F(ServingConcurrencyTest, ConcurrentCacheTrafficIsSafe) {
