@@ -91,19 +91,16 @@ int RunExtremeClassification() {
       static_cast<long long>(kXcBatch),
       static_cast<long long>(kXcTopK));
 
-  auto make_session = [](bool fused) {
-    ServingConfig config;
-    if (fused) {
-      config.optimizer_tuning.enable_sparse = true;
-      config.optimizer_tuning.topk = kXcTopK;
-    }
-    return std::make_unique<ServingSession>(config);
-  };
-  auto dense = make_session(false);
-  auto fused = make_session(true);
+  OptimizerTuning fused_tuning;
+  fused_tuning.enable_sparse = true;
+  fused_tuning.topk = kXcTopK;
+  auto dense = std::make_unique<ServingSession>(ServingConfig());
+  auto fused = std::make_unique<ServingSession>(ServingConfig());
   for (ServingSession* s : {dense.get(), fused.get()}) {
     auto model = BuildXcModel();
-    if (!model.ok() || !s->RegisterModel(*std::move(model)).ok() ||
+    const OptimizerTuning tuning =
+        s == fused.get() ? fused_tuning : OptimizerTuning();
+    if (!model.ok() || !s->RegisterModel(*std::move(model), tuning).ok() ||
         !s->Deploy("amazon14k", ServingMode::kAdaptive, kXcBatch)
              .ok()) {
       std::fprintf(stderr, "extreme-classification deploy failed\n");

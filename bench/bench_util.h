@@ -21,7 +21,6 @@
 #include "common/result.h"
 #include "common/timer.h"
 #include "kernels/cpu_features.h"
-#include "kernels/int8_gemm.h"
 
 namespace relserve {
 namespace bench {
@@ -154,13 +153,11 @@ inline void PrintBenchJson(
     line += ",\"" + key + "\":" + value;
   }
   // Every line self-describes the kernel substrate it was measured on:
-  // the SIMD level the dispatcher is actually using right now and the
-  // RELSERVE_QUANTIZE override state — so scraped results are never
-  // compared across silently different backends.
+  // the SIMD level the dispatcher is actually using right now — so
+  // scraped results are never compared across silently different
+  // backends.
   line += ",\"dispatch_isa\":" +
           JsonStr(kernels::SimdLevelName(kernels::ActiveSimdLevel()));
-  line += ",\"quantize_mode\":" +
-          JsonStr(kernels::QuantizeModeName(kernels::ActiveQuantizeMode()));
   line += "}";
   std::printf("%s\n", line.c_str());
 }

@@ -82,7 +82,7 @@ Result<std::unique_ptr<BlockStore>> ChunkMatrix(const Tensor& m,
   std::unique_ptr<BlockStore> store;
   if (share_weights && ctx->block_index != nullptr) {
     store = std::make_unique<BlockStore>(
-        ctx->block_index, geometry, ctx->dedup_tolerance);
+        ctx->block_index, geometry, /*tolerance=*/0.0f);
   } else {
     RELSERVE_ASSIGN_OR_RETURN(store, NewStore(ctx, geometry));
   }

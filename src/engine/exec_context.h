@@ -52,9 +52,6 @@ struct ExecContext {
   // binding (null = every store owns private pages). Transient
   // activation stores never route through it regardless.
   PhysicalBlockIndex* block_index = nullptr;
-  // Elementwise tolerance for weight dedup (0 = byte-exact; the
-  // paper's accuracy-aware mode accepts a bounded L-infinity error).
-  float dedup_tolerance = 0.0f;
 
   ExecStats stats;
 };

@@ -8,10 +8,8 @@
 
 #include "kernels/int8_gemm.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -20,36 +18,7 @@
 namespace relserve {
 namespace kernels {
 
-const char* QuantizeModeName(QuantizeMode mode) {
-  switch (mode) {
-    case QuantizeMode::kAuto:
-      return "auto";
-    case QuantizeMode::kInt8:
-      return "int8";
-    case QuantizeMode::kOff:
-      return "off";
-  }
-  return "?";
-}
-
 namespace {
-
-QuantizeMode ResolveInitialQuantizeMode() {
-  const char* env = std::getenv("RELSERVE_QUANTIZE");
-  if (env != nullptr && std::strcmp(env, "int8") == 0) {
-    return QuantizeMode::kInt8;
-  }
-  if (env != nullptr && (std::strcmp(env, "off") == 0 ||
-                         std::strcmp(env, "fp32") == 0)) {
-    return QuantizeMode::kOff;
-  }
-  return QuantizeMode::kAuto;
-}
-
-std::atomic<QuantizeMode>& QuantizeModeStorage() {
-  static std::atomic<QuantizeMode> mode{ResolveInitialQuantizeMode()};
-  return mode;
-}
 
 inline int64_t RoundUp32(int64_t v) { return (v + 31) / 32 * 32; }
 
@@ -58,15 +27,6 @@ inline int8_t ClampQ(long v, long lo, long hi) {
 }
 
 }  // namespace
-
-QuantizeMode ActiveQuantizeMode() {
-  return QuantizeModeStorage().load(std::memory_order_relaxed);
-}
-
-QuantizeMode SetActiveQuantizeMode(QuantizeMode mode) {
-  QuantizeModeStorage().store(mode, std::memory_order_relaxed);
-  return mode;
-}
 
 Result<Int8Weight> QuantizeWeightPerChannel(const Tensor& w) {
   if (w.shape().ndim() != 2) {

@@ -45,24 +45,6 @@
 namespace relserve {
 namespace kernels {
 
-// RELSERVE_QUANTIZE override for the quantized arm, mirroring
-// RELSERVE_SIMD: "int8" force-enables it for every eligible matmul,
-// "off" (or "fp32") disables it even where the optimizer asked for it,
-// unset leaves the optimizer's per-node decision in charge.
-enum class QuantizeMode {
-  kAuto,  // follow the optimizer's per-node decision
-  kInt8,  // force the quantized arm on every eligible matmul
-  kOff,   // force the fp32 arm everywhere
-};
-
-const char* QuantizeModeName(QuantizeMode mode);
-
-// Resolved once from RELSERVE_QUANTIZE on first use, then cached.
-QuantizeMode ActiveQuantizeMode();
-
-// Test/bench hook: pins the active mode from now on.
-QuantizeMode SetActiveQuantizeMode(QuantizeMode mode);
-
 // A matmul weight quantized once at deploy time. Layout matches the
 // dense weight convention W[out, in] (x * W^T); rows are stored
 // contiguously, padded to `padded_in` (multiple of 32) with zeros.

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "kernels/int8_gemm.h"
 #include "kernels/sparse_gemm.h"
 
 namespace relserve {
@@ -94,6 +93,44 @@ Result<int64_t> EstimateNodeBytes(const Model& model, int node_id,
   return bytes;
 }
 
+Status AssignKernelArms(const Model& model, const OptimizerTuning& tuning,
+                        InferencePlan* plan) {
+  for (NodeDecision& decision : plan->decisions) {
+    const Node& node = model.node(decision.node_id);
+    if (node.kind != OpKind::kMatMul || node.weight_name.empty() ||
+        decision.repr != Repr::kUdf ||
+        decision.device != DeviceKind::kCpu) {
+      continue;
+    }
+    if (tuning.enable_sparse) {
+      RELSERVE_ASSIGN_OR_RETURN(const Tensor* w,
+                                model.GetWeight(node.weight_name));
+      RELSERVE_ASSIGN_OR_RETURN(decision.weight_density,
+                                kernels::MeasureWeightDensity(*w));
+      if (decision.weight_density < tuning.sparse_density_threshold) {
+        decision.arm = KernelArm::kSparse;
+      }
+    }
+    if (tuning.enable_int8 && decision.arm == KernelArm::kDense) {
+      decision.arm = KernelArm::kInt8;
+    }
+  }
+  if (tuning.topk > 0) {
+    // The fused top-k epilogue targets the classification head: the
+    // LAST matmul of the graph, provided it runs UDF-centric on the
+    // CPU (whole-tensor stages are where the fusion hooks live).
+    for (auto it = plan->decisions.rbegin(); it != plan->decisions.rend();
+         ++it) {
+      if (model.node(it->node_id).kind != OpKind::kMatMul) continue;
+      if (it->repr == Repr::kUdf && it->device == DeviceKind::kCpu) {
+        it->topk = tuning.topk;
+      }
+      break;
+    }
+  }
+  return Status::OK();
+}
+
 Result<InferencePlan> RuleBasedOptimizer::Optimize(
     const Model& model, int64_t batch_size) const {
   InferencePlan plan;
@@ -127,45 +164,7 @@ Result<InferencePlan> RuleBasedOptimizer::Optimize(
       profile.output_bytes = shapes[node.id].NumElements() * 4;
       decision.device = devices_->Choose(profile).kind;
     }
-    if (node.kind == OpKind::kMatMul && !node.weight_name.empty() &&
-        decision.repr == Repr::kUdf &&
-        decision.device == DeviceKind::kCpu) {
-      if (tuning_.enable_sparse) {
-        RELSERVE_ASSIGN_OR_RETURN(const Tensor* w,
-                                  model.GetWeight(node.weight_name));
-        RELSERVE_ASSIGN_OR_RETURN(decision.weight_density,
-                                  kernels::MeasureWeightDensity(*w));
-        if (decision.weight_density < tuning_.sparse_density_threshold) {
-          decision.arm = KernelArm::kSparse;
-        }
-      }
-      if (tuning_.enable_int8 && decision.arm == KernelArm::kDense) {
-        decision.arm = KernelArm::kInt8;
-      }
-      // RELSERVE_QUANTIZE is the operator's kill switch / force switch
-      // for the quantized arm; it outranks the per-node decision.
-      const kernels::QuantizeMode qmode = kernels::ActiveQuantizeMode();
-      if (qmode == kernels::QuantizeMode::kInt8) {
-        decision.arm = KernelArm::kInt8;
-      } else if (qmode == kernels::QuantizeMode::kOff &&
-                 decision.arm == KernelArm::kInt8) {
-        decision.arm = KernelArm::kDense;
-      }
-    }
     plan.decisions.push_back(decision);
-  }
-  if (tuning_.topk > 0) {
-    // The fused top-k epilogue targets the classification head: the
-    // LAST matmul of the graph, provided it runs UDF-centric on the
-    // CPU (whole-tensor stages are where the fusion hooks live).
-    for (auto it = plan.decisions.rbegin(); it != plan.decisions.rend();
-         ++it) {
-      if (model.node(it->node_id).kind != OpKind::kMatMul) continue;
-      if (it->repr == Repr::kUdf && it->device == DeviceKind::kCpu) {
-        it->topk = tuning_.topk;
-      }
-      break;
-    }
   }
   return plan;
 }

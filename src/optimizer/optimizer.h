@@ -24,12 +24,11 @@ Result<int64_t> EstimateNodeBytes(const Model& model, int node_id,
                                   int64_t batch_size);
 
 // Kernel-arm knobs for the optimizer. Defaults leave every arm off so
-// existing deployments (and golden plan texts) are unchanged; serving
-// configs opt in per deployment.
+// existing deployments (and golden plan texts) are unchanged; a model
+// opts in when it is registered (ServingSession::RegisterModel).
 struct OptimizerTuning {
   // Consider the deploy-time int8 quantized arm for UDF-centric CPU
-  // matmuls. RELSERVE_QUANTIZE overrides this in both directions
-  // ("int8" forces it on, "off" forces it off).
+  // matmuls.
   bool enable_int8 = false;
   // Consider the CSR sparse arm when the measured weight density falls
   // below `sparse_density_threshold`.
@@ -44,6 +43,13 @@ struct OptimizerTuning {
   int64_t topk = 0;
 };
 
+// Assigns `tuning`'s kernel arms to `plan`: the sparse or int8 arm to
+// every UDF-centric CPU matmul, and the fused top-k epilogue to the
+// last matmul when that one runs UDF-centric on the CPU. Relational
+// nodes keep the dense arm whatever built the plan.
+Status AssignKernelArms(const Model& model, const OptimizerTuning& tuning,
+                        InferencePlan* plan);
+
 class RuleBasedOptimizer {
  public:
   // `memory_threshold_bytes` mirrors the paper's 2 GB constant.
@@ -54,14 +60,13 @@ class RuleBasedOptimizer {
   // outputs. Only UDF-centric operators are eligible — tensor blocks
   // flowing through the buffer pool stay on the CPU.
   explicit RuleBasedOptimizer(int64_t memory_threshold_bytes,
-                              const DeviceAllocator* devices = nullptr,
-                              OptimizerTuning tuning = OptimizerTuning())
+                              const DeviceAllocator* devices = nullptr)
       : memory_threshold_bytes_(memory_threshold_bytes),
-        devices_(devices),
-        tuning_(tuning) {}
+        devices_(devices) {}
 
   // Chooses a representation per node. Input nodes follow their own
   // footprint (a batch too large to materialize is chunked on entry).
+  // Every matmul keeps the dense arm; AssignKernelArms picks others.
   Result<InferencePlan> Optimize(const Model& model,
                                  int64_t batch_size) const;
 
@@ -69,12 +74,9 @@ class RuleBasedOptimizer {
     return memory_threshold_bytes_;
   }
 
-  const OptimizerTuning& tuning() const { return tuning_; }
-
  private:
   int64_t memory_threshold_bytes_;
   const DeviceAllocator* devices_;
-  OptimizerTuning tuning_;
 };
 
 }  // namespace relserve

@@ -1,31 +1,48 @@
 #include "serving/model_versions.h"
 
-#include <algorithm>
 #include <set>
 
 #include "engine/hybrid_executor.h"
 #include "engine/prepared_model.h"
-#include "storage/quantize.h"
 #include "workloads/datasets.h"
 
 namespace relserve {
 
 namespace {
 
-// Runs a model whole-tensor on `input` through the session's context.
-Result<Tensor> ProbeRun(ServingSession* session, const Model& model,
-                        const Tensor& input) {
-  InferencePlan plan;
-  for (const Node& node : model.nodes()) {
-    plan.decisions.push_back(NodeDecision{node.id, Repr::kUdf, 0});
-  }
+struct ProbeResult {
+  Tensor output;
+  int64_t int8_bytes = 0;  // int8 packs the probed plan stores
+};
+
+// Runs a registered model whole-tensor on `input` through the
+// session's context, under the plan a kForceUdf deploy would install
+// (the model's kernel arms included).
+Result<ProbeResult> ProbeRun(ServingSession* session,
+                             const std::string& model_name,
+                             const Tensor& input) {
+  RELSERVE_ASSIGN_OR_RETURN(const Model* model,
+                            session->GetModel(model_name));
+  RELSERVE_ASSIGN_OR_RETURN(
+      InferencePlan plan,
+      session->Plan(model_name, ServingMode::kForceUdf,
+                    input.shape().dim(0)));
   ExecContext* ctx = session->exec_context();
   RELSERVE_ASSIGN_OR_RETURN(
       PreparedModel prepared,
-      PreparedModel::Prepare(&model, std::move(plan), ctx));
+      PreparedModel::Prepare(model, std::move(plan), ctx));
+  ProbeResult result;
+  std::set<const kernels::Int8Weight*> packs;
+  for (const auto& stage : prepared.physical().stages()) {
+    if (stage->int8_weight != nullptr &&
+        packs.insert(stage->int8_weight).second) {
+      result.int8_bytes += stage->int8_weight->ByteSize();
+    }
+  }
   RELSERVE_ASSIGN_OR_RETURN(ExecOutput out,
                             HybridExecutor::Run(prepared, input, ctx));
-  return out.ToTensor(ctx);
+  RELSERVE_ASSIGN_OR_RETURN(result.output, out.ToTensor(ctx));
+  return result;
 }
 
 }  // namespace
@@ -35,58 +52,40 @@ Result<std::vector<ModelVersion>> CreateQuantizedVersion(
     int64_t probe_batch, uint64_t seed) {
   RELSERVE_ASSIGN_OR_RETURN(const Model* base,
                             session->GetModel(base_model));
-  // Rebuild the graph with quantize/dequantize-roundtripped weights.
-  Model quantized(base_model + "@int8", base->sample_shape());
+  // The base graph over buffer-sharing copies of every base weight:
+  // the version holds no weight bytes of its own.
+  Model version(base_model + "@int8", base->sample_shape());
   for (const Node& node : base->nodes()) {
     if (node.kind == OpKind::kInput) {
-      quantized.AddNode(OpKind::kInput);
+      version.AddNode(OpKind::kInput);
     } else {
-      quantized.AddNode(node.kind, node.weight_name, node.stride,
-                        node.input);
+      version.AddNode(node.kind, node.weight_name, node.stride,
+                      node.input);
     }
   }
-  // Only matmul weights are worth compressing — they dominate the
-  // footprint. Everything else (biases, conv kernels) is carried over
-  // as a buffer-sharing copy of the base tensor, byte-identical, so
-  // deploy-time binding through the shared PhysicalBlockIndex dedups
-  // those layers against the base model's deployment.
-  std::set<std::string> matmul_weights;
-  for (const Node& node : base->nodes()) {
-    if (node.kind == OpKind::kMatMul && !node.weight_name.empty()) {
-      matmul_weights.insert(node.weight_name);
-    }
-  }
-  int64_t quantized_bytes = 0;
   for (const auto& [name, weight] : base->weights()) {
-    if (matmul_weights.count(name) == 0) {
-      // Shared with the base: no marginal bytes for this version.
-      RELSERVE_RETURN_NOT_OK(quantized.AddWeight(name, weight));
-      continue;
-    }
-    RELSERVE_ASSIGN_OR_RETURN(QuantizedTensor q,
-                              QuantizeUniform8(weight));
-    quantized_bytes += q.ByteSize() + static_cast<int64_t>(
-        2 * sizeof(float));  // scale + offset
-    RELSERVE_ASSIGN_OR_RETURN(Tensor restored, Dequantize(q));
-    RELSERVE_RETURN_NOT_OK(quantized.AddWeight(name, std::move(restored)));
+    RELSERVE_RETURN_NOT_OK(version.AddWeight(name, weight));
   }
+  const std::string version_name = version.name();
+  OptimizerTuning int8;
+  int8.enable_int8 = true;
+  RELSERVE_RETURN_NOT_OK(session->RegisterModel(std::move(version), int8));
 
-  // Measure the output deviation on a probe batch.
+  // Measure the int8 arm's output deviation on a probe batch.
   RELSERVE_ASSIGN_OR_RETURN(
       Tensor probe,
       workloads::GenBatch(probe_batch, base->sample_shape(), seed));
-  RELSERVE_ASSIGN_OR_RETURN(Tensor reference,
-                            ProbeRun(session, *base, probe));
-  RELSERVE_ASSIGN_OR_RETURN(Tensor approx,
-                            ProbeRun(session, quantized, probe));
-  const float error = reference.MaxAbsDiff(approx);
+  RELSERVE_ASSIGN_OR_RETURN(ProbeResult reference,
+                            ProbeRun(session, base_model, probe));
+  RELSERVE_ASSIGN_OR_RETURN(ProbeResult approx,
+                            ProbeRun(session, version_name, probe));
+  const float error = reference.output.MaxAbsDiff(approx.output);
 
   std::vector<ModelVersion> versions;
   versions.push_back(
       ModelVersion{base_model, base->TotalWeightBytes(), 0.0f});
-  versions.push_back(ModelVersion{quantized.name(), quantized_bytes,
-                                  error});
-  RELSERVE_RETURN_NOT_OK(session->RegisterModel(std::move(quantized)));
+  versions.push_back(
+      ModelVersion{version_name, approx.int8_bytes, error});
   return versions;
 }
 

@@ -1,9 +1,13 @@
 // Accuracy-aware model versions (paper Sec. 4(1)): the storage
 // optimizer keeps multiple versions of a model with different
-// size/accuracy trade-offs (here: the fp32 original and an int8
-// uniform-quantized variant), measures each version's output deviation
+// size/accuracy trade-offs, measures each version's output deviation
 // on a probe batch, and the query optimizer selects the smallest
 // version whose measured error fits the query's SLA.
+//
+// A version is a deploy configuration of its base, not a rewritten
+// weight copy: "<base>@int8" is the base graph over the base's own
+// weight buffers, registered with the int8 kernel arm. Its only bytes
+// are the int8 packs its deployment quantizes the matmul weights into.
 
 #ifndef RELSERVE_SERVING_MODEL_VERSIONS_H_
 #define RELSERVE_SERVING_MODEL_VERSIONS_H_
@@ -24,10 +28,12 @@ struct ModelVersion {
   float max_output_error = 0.0f;
 };
 
-// Registers "<base>@int8" — the base model with every weight run
-// through uniform 8-bit quantize/dequantize — and measures its output
-// deviation against the base on a random probe batch. Returns the
-// version descriptors for both (base first).
+// Registers "<base>@int8" — the base graph sharing every base weight
+// buffer, deployed with the int8 arm — and measures the int8 arm's
+// output deviation against the base on a random probe batch. The
+// version's weight_bytes are the int8 packs (Int8Weight::ByteSize)
+// its UDF-centric plan stores. Returns the version descriptors for
+// both (base first).
 Result<std::vector<ModelVersion>> CreateQuantizedVersion(
     ServingSession* session, const std::string& base_model,
     int64_t probe_batch, uint64_t seed);

@@ -59,7 +59,6 @@ ServingSession::ServingSession(ServingConfig config)
   ctx_.block_rows = config.block_rows;
   ctx_.block_cols = config.block_cols;
   ctx_.block_index = block_index_.get();
-  ctx_.dedup_tolerance = config.dedup_tolerance;
 
   if (!config_.wal_dir.empty()) {
     // Replay whatever log survives at the configured path, then open
@@ -293,49 +292,67 @@ void ServingSession::InvalidateCachesForTable(
   for (auto& cache : exact) cache->Invalidate(version);
 }
 
-Status ServingSession::RegisterModel(Model model) {
+Status ServingSession::RegisterModel(Model model, OptimizerTuning tuning) {
   const std::string name = model.name();
   std::unique_lock<std::shared_mutex> lock(registry_mu_);
   if (models_.count(name) > 0) {
     return Status::AlreadyExists("model '" + name + "'");
   }
-  models_.emplace(name, std::make_unique<Model>(std::move(model)));
+  models_.emplace(name, RegisteredModel{std::move(model), tuning});
   return Status::OK();
 }
 
-Result<const Model*> ServingSession::GetModel(
+Result<const ServingSession::RegisteredModel*> ServingSession::FindModel(
     const std::string& name) const {
-  // Models are never erased, so the pointer stays valid after the
-  // shared lock drops; the lock only orders the map lookup against
-  // concurrent RegisterModel insertions.
+  // The lock only orders the map lookup against concurrent
+  // RegisterModel insertions.
   std::shared_lock<std::shared_mutex> lock(registry_mu_);
   auto it = models_.find(name);
   if (it == models_.end()) {
     return Status::NotFound("model '" + name + "'");
   }
-  return it->second.get();
+  return &it->second;
+}
+
+Result<const Model*> ServingSession::GetModel(
+    const std::string& name) const {
+  RELSERVE_ASSIGN_OR_RETURN(const RegisteredModel* entry, FindModel(name));
+  return &entry->model;
+}
+
+Result<InferencePlan> ServingSession::BuildPlan(const RegisteredModel& entry,
+                                                ServingMode mode,
+                                                int64_t batch_size) const {
+  InferencePlan plan;
+  if (mode == ServingMode::kAdaptive) {
+    RuleBasedOptimizer optimizer(config_.memory_threshold_bytes);
+    RELSERVE_ASSIGN_OR_RETURN(plan,
+                              optimizer.Optimize(entry.model, batch_size));
+  } else {
+    plan = MakeForcedPlan(
+        entry.model,
+        mode == ServingMode::kForceUdf ? Repr::kUdf : Repr::kRelational,
+        batch_size);
+  }
+  RELSERVE_RETURN_NOT_OK(AssignKernelArms(entry.model, entry.tuning, &plan));
+  return plan;
+}
+
+Result<InferencePlan> ServingSession::Plan(const std::string& model_name,
+                                           ServingMode mode,
+                                           int64_t batch_size) const {
+  RELSERVE_ASSIGN_OR_RETURN(const RegisteredModel* entry,
+                            FindModel(model_name));
+  return BuildPlan(*entry, mode, batch_size);
 }
 
 Result<const InferencePlan*> ServingSession::Deploy(
     const std::string& model_name, ServingMode mode,
     int64_t batch_size) {
-  RELSERVE_ASSIGN_OR_RETURN(const Model* model, GetModel(model_name));
-  InferencePlan plan;
-  switch (mode) {
-    case ServingMode::kAdaptive: {
-      RuleBasedOptimizer optimizer(config_.memory_threshold_bytes, nullptr,
-                                   config_.optimizer_tuning);
-      RELSERVE_ASSIGN_OR_RETURN(plan,
-                                optimizer.Optimize(*model, batch_size));
-      break;
-    }
-    case ServingMode::kForceUdf:
-      plan = MakeForcedPlan(*model, Repr::kUdf, batch_size);
-      break;
-    case ServingMode::kForceRelational:
-      plan = MakeForcedPlan(*model, Repr::kRelational, batch_size);
-      break;
-  }
+  RELSERVE_ASSIGN_OR_RETURN(const RegisteredModel* entry,
+                            FindModel(model_name));
+  RELSERVE_ASSIGN_OR_RETURN(InferencePlan plan,
+                            BuildPlan(*entry, mode, batch_size));
   // Prepare outside the registry lock, then swap atomically: queries
   // in flight keep serving the old deployment (their shared_ptr holds
   // it and its arena charge alive) and never observe a window with no
@@ -343,7 +360,7 @@ Result<const InferencePlan*> ServingSession::Deploy(
   // when the last in-flight query drops its reference.
   RELSERVE_ASSIGN_OR_RETURN(
       PreparedModel prepared,
-      PreparedModel::Prepare(model, std::move(plan), &ctx_));
+      PreparedModel::Prepare(&entry->model, std::move(plan), &ctx_));
   auto deployment = std::make_shared<Deployment>();
   deployment->plan = prepared.plan();
   deployment->prepared =
@@ -385,23 +402,23 @@ Status ServingSession::Undeploy(const std::string& model_name) {
 Result<int> ServingSession::DeployAot(
     const std::string& model_name,
     const std::vector<int64_t>& batch_sizes) {
-  RELSERVE_ASSIGN_OR_RETURN(const Model* model, GetModel(model_name));
+  RELSERVE_ASSIGN_OR_RETURN(const RegisteredModel* entry,
+                            FindModel(model_name));
   if (batch_sizes.empty()) {
     return Status::InvalidArgument("no batch sizes to compile for");
   }
-  RuleBasedOptimizer optimizer(config_.memory_threshold_bytes, nullptr,
-                                   config_.optimizer_tuning);
   // Compile the variants outside the registry lock; in-flight queries
   // keep serving the old generation until the swap below.
   std::map<std::string, std::shared_ptr<Deployment>> variants;
   for (const int64_t batch : batch_sizes) {
-    RELSERVE_ASSIGN_OR_RETURN(InferencePlan plan,
-                              optimizer.Optimize(*model, batch));
+    RELSERVE_ASSIGN_OR_RETURN(
+        InferencePlan plan,
+        BuildPlan(*entry, ServingMode::kAdaptive, batch));
     const std::string signature = PlanSignature(plan);
     if (variants.count(signature) > 0) continue;
     RELSERVE_ASSIGN_OR_RETURN(
         PreparedModel prepared,
-        PreparedModel::Prepare(model, std::move(plan), &ctx_));
+        PreparedModel::Prepare(&entry->model, std::move(plan), &ctx_));
     auto deployment = std::make_shared<Deployment>();
     deployment->plan = prepared.plan();
     deployment->prepared =
@@ -479,9 +496,8 @@ ServingSession::GetDeployment(const std::string& model_name,
   if (batch_size >= 0 && has_aot) {
     auto model = models_.find(model_name);
     if (model != models_.end()) {
-      RuleBasedOptimizer optimizer(config_.memory_threshold_bytes, nullptr,
-                                   config_.optimizer_tuning);
-      auto plan = optimizer.Optimize(*model->second, batch_size);
+      auto plan = BuildPlan(model->second, ServingMode::kAdaptive,
+                            batch_size);
       if (plan.ok()) {
         auto variant = aot->second.find(PlanSignature(*plan));
         if (variant != aot->second.end()) return variant->second;

@@ -69,10 +69,6 @@ struct ServingConfig {
   // PredictViaRuntime (see TransferLink in engine/connector.h). Zero
   // both fields for a free link.
   TransferLink connector_link;
-  // Kernel-arm knobs handed to the adaptive optimizer (int8 quantized
-  // arm, CSR sparse arm, fused top-k head). Defaults leave every arm
-  // off; RELSERVE_QUANTIZE further overrides the int8 arm at runtime.
-  OptimizerTuning optimizer_tuning;
   // Durability: when non-empty, the session write-ahead-logs every
   // CreateTable/ApplyWrite to <wal_dir>/relserve.wal, replaying it on
   // construction (crash recovery). Empty = in-memory only, exactly the
@@ -84,12 +80,9 @@ struct ServingConfig {
   // resolves blocks through a content-addressed, ref-counted
   // PhysicalBlockIndex so fine-tuned variants share identical weight
   // pages/buffers. Off = every deployment owns private copies (the
-  // naive arm of bench_multitenant).
+  // naive arm of bench_multitenant). Matching is byte-exact, so
+  // deduped deployments stay bit-identical.
   bool dedup_weights = true;
-  // Elementwise tolerance for weight-block matching. 0 (the default)
-  // is byte-exact — deduped deployments stay bit-identical. Positive
-  // values enable the paper's accuracy-aware mode.
-  float dedup_tolerance = 0.0f;
 };
 
 // One row mutation inside an ApplyWrite transaction.
@@ -195,9 +188,17 @@ class ServingSession {
 
   // --- Models -------------------------------------------------------
 
-  // Takes ownership of the model (weights included).
-  Status RegisterModel(Model model);
+  // Takes ownership of the model (weights included). `tuning` is the
+  // model's deploy configuration: the kernel arms (int8, sparse,
+  // fused top-k) every plan of this model uses, in every mode that
+  // keeps its matmuls UDF-centric.
+  Status RegisterModel(Model model, OptimizerTuning tuning = {});
   Result<const Model*> GetModel(const std::string& name) const;
+
+  // The plan a Deploy of the model in `mode` at `batch_size` would
+  // install — what EXPLAIN renders.
+  Result<InferencePlan> Plan(const std::string& model_name,
+                             ServingMode mode, int64_t batch_size) const;
 
   // Optimizes + prepares a model for execution. Re-deploying with a
   // different mode/batch replaces the prepared instance. Returns the
@@ -338,6 +339,23 @@ class ServingSession {
     std::unique_ptr<PreparedModel> prepared;
   };
 
+  struct RegisteredModel {
+    Model model;
+    OptimizerTuning tuning;
+  };
+
+  // The registered model `name`. Models are never erased, so the
+  // pointer stays valid after the shared lock this takes drops.
+  Result<const RegisteredModel*> FindModel(const std::string& name) const;
+
+  // Builds every plan the session compiles, deploys or explains: the
+  // optimizer's (kAdaptive) or a forced representation, then the
+  // model's kernel arms. Takes no lock, so GetDeployment can call it
+  // under registry_mu_.
+  Result<InferencePlan> BuildPlan(const RegisteredModel& entry,
+                                  ServingMode mode,
+                                  int64_t batch_size) const;
+
   // Resolves the deployment serving `model_name` for a query of
   // `batch_size` rows: an AoT variant whose representation signature
   // matches what the optimizer would pick for that batch, else the
@@ -376,7 +394,7 @@ class ServingSession {
   // behind a slow compile.
   mutable std::shared_mutex registry_mu_;
 
-  std::map<std::string, std::unique_ptr<Model>> models_;
+  std::map<std::string, RegisteredModel> models_;
   std::map<std::string, std::shared_ptr<Deployment>> deployments_;
   // AoT variants: model name -> representation signature -> deployment.
   std::map<std::string, std::map<std::string, std::shared_ptr<Deployment>>>

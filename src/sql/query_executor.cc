@@ -291,8 +291,6 @@ Result<std::string> ExplainSelect(ServingSession* session,
   out += "  " + RenderStandaloneStage(stages->scan, analyze) + "\n";
   out += "  " + RenderStandaloneStage(stages->gather, analyze) + "\n";
   if (analyze) out += "  " + ScanCostModel::ToString() + "\n";
-  RuleBasedOptimizer optimizer(
-      session->config().memory_threshold_bytes);
   for (const SelectItem& item : stmt.items) {
     if (item.kind != ItemKind::kPredict &&
         item.kind != ItemKind::kPredictClass) {
@@ -302,7 +300,8 @@ Result<std::string> ExplainSelect(ServingSession* session,
                               session->GetModel(item.model));
     RELSERVE_ASSIGN_OR_RETURN(
         InferencePlan plan,
-        optimizer.Optimize(*model, std::max<int64_t>(1, rows)));
+        session->Plan(item.model, ServingMode::kAdaptive,
+                      std::max<int64_t>(1, rows)));
     out += plan.ToString(*model);
     if (analyze) {
       Result<std::shared_ptr<const PhysicalPlan>> physical =

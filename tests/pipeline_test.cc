@@ -7,7 +7,6 @@
 #include "engine/pipeline_executor.h"
 #include "graph/model.h"
 #include "graph/model_zoo.h"
-#include "kernels/int8_gemm.h"
 #include "optimizer/optimizer.h"
 #include "resource/bounded_queue.h"
 #include "workloads/datasets.h"
@@ -149,18 +148,15 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PipelineChunkSweep,
 
 TEST_F(PipelineTest, KernelArmsPipelineBitIdentically) {
   // Int8 hidden layer and a fused top-k head: both quantize or select
-  // per row, so micro-batching is bit-transparent. Pin kAuto so an
-  // ambient RELSERVE_QUANTIZE cannot switch the int8 arm off.
-  const kernels::QuantizeMode previous =
-      kernels::SetActiveQuantizeMode(kernels::QuantizeMode::kAuto);
+  // per row, so micro-batching is bit-transparent.
   auto model = BuildFFNN("m", {32, 64, 200}, 7);
   ASSERT_TRUE(model.ok());
   OptimizerTuning tuning;
   tuning.enable_int8 = true;
   tuning.topk = 5;
-  auto plan = RuleBasedOptimizer(1LL << 40, nullptr, tuning)
-                  .Optimize(*model, 37);
+  auto plan = RuleBasedOptimizer(1LL << 40).Optimize(*model, 37);
   ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(AssignKernelArms(*model, tuning, &*plan).ok());
   auto prepared = PreparedModel::Prepare(&*model, *plan, &ctx_);
   ASSERT_TRUE(prepared.ok());
   bool has_int8 = false;
@@ -182,7 +178,6 @@ TEST_F(PipelineTest, KernelArmsPipelineBitIdentically) {
   ASSERT_TRUE(piped.ok()) << piped.status();
   EXPECT_EQ(piped->shape(), batch->shape());
   EXPECT_EQ(batch->MaxAbsDiff(*piped), 0.0f);
-  kernels::SetActiveQuantizeMode(previous);
 }
 
 TEST_F(PipelineTest, EveryStageRunsOncePerMicroBatch) {

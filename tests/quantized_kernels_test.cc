@@ -28,7 +28,6 @@ namespace {
 
 using kernels::CsrWeight;
 using kernels::Int8Weight;
-using kernels::QuantizeMode;
 using kernels::SimdLevel;
 
 class ScopedSimdLevel {
@@ -43,18 +42,6 @@ class ScopedSimdLevel {
 
  private:
   SimdLevel installed_;
-};
-
-class ScopedQuantizeMode {
- public:
-  explicit ScopedQuantizeMode(QuantizeMode mode)
-      : previous_(kernels::ActiveQuantizeMode()) {
-    kernels::SetActiveQuantizeMode(mode);
-  }
-  ~ScopedQuantizeMode() { kernels::SetActiveQuantizeMode(previous_); }
-
- private:
-  QuantizeMode previous_;
 };
 
 // Deterministic pseudo-random fill in [-1, 1).
@@ -207,14 +194,6 @@ TEST(Int8GemmTest, ErrorWithinAnalyticalBoundOfFp32) {
           << "r=" << r << " o=" << o;
     }
   }
-}
-
-TEST(Int8GemmTest, QuantizeModeOverrideRoundTrips) {
-  ScopedQuantizeMode pin(QuantizeMode::kInt8);
-  EXPECT_EQ(kernels::ActiveQuantizeMode(), QuantizeMode::kInt8);
-  EXPECT_STREQ(kernels::QuantizeModeName(QuantizeMode::kInt8), "int8");
-  EXPECT_STREQ(kernels::QuantizeModeName(QuantizeMode::kOff), "off");
-  EXPECT_STREQ(kernels::QuantizeModeName(QuantizeMode::kAuto), "auto");
 }
 
 // ---------------------------------------------------------------------
@@ -409,9 +388,6 @@ TEST(TopKTest, RejectsBadArguments) {
 // ---------------------------------------------------------------------
 
 TEST(KernelArmPlanTest, OptimizerPicksArmsAndRendersThem) {
-  // Pin kAuto: an ambient RELSERVE_QUANTIZE override would (by
-  // design) hijack the per-node decisions this test asserts.
-  ScopedQuantizeMode mode(kernels::QuantizeMode::kAuto);
   auto model = BuildFFNN("xc", {32, 64, 200}, /*seed=*/7);
   ASSERT_TRUE(model.ok());
   auto* w1 = model->GetMutableWeight("w1").ValueOrDie();
@@ -420,9 +396,16 @@ TEST(KernelArmPlanTest, OptimizerPicksArmsAndRendersThem) {
   tuning.enable_int8 = true;
   tuning.enable_sparse = true;
   tuning.topk = 5;
-  RuleBasedOptimizer optimizer(1LL << 40, nullptr, tuning);
+  RuleBasedOptimizer optimizer(1LL << 40);
   auto plan = optimizer.Optimize(*model, 16);
   ASSERT_TRUE(plan.ok());
+  // The optimizer alone leaves every arm off — the golden-plan
+  // contract; the tuning's arms come from AssignKernelArms.
+  for (const NodeDecision& d : plan->decisions) {
+    EXPECT_EQ(d.arm, KernelArm::kDense);
+    EXPECT_EQ(d.topk, 0);
+  }
+  ASSERT_TRUE(AssignKernelArms(*model, tuning, &*plan).ok());
   // Node 1 = first matmul (dense weight -> int8 arm); node 4 = head
   // matmul (sparsified -> sparse arm, carries the top-k request).
   EXPECT_EQ(plan->decisions[1].arm, KernelArm::kInt8);
@@ -434,32 +417,13 @@ TEST(KernelArmPlanTest, OptimizerPicksArmsAndRendersThem) {
   EXPECT_NE(text.find("[int8]"), std::string::npos);
   EXPECT_NE(text.find("[sparse d=0."), std::string::npos);
   EXPECT_NE(text.find("+topk(5)"), std::string::npos);
-  // RELSERVE_QUANTIZE=off force-disables the int8 arm.
-  {
-    ScopedQuantizeMode off(QuantizeMode::kOff);
-    auto plan_off = optimizer.Optimize(*model, 16);
-    ASSERT_TRUE(plan_off.ok());
-    EXPECT_EQ(plan_off->decisions[1].arm, KernelArm::kDense);
-    EXPECT_EQ(plan_off->decisions[4].arm, KernelArm::kSparse);
-  }
-  // RELSERVE_QUANTIZE=int8 force-enables it without any tuning.
-  {
-    ScopedQuantizeMode on(QuantizeMode::kInt8);
-    RuleBasedOptimizer plain(1LL << 40);
-    auto plan_on = plain.Optimize(*model, 16);
-    ASSERT_TRUE(plan_on.ok());
-    EXPECT_EQ(plan_on->decisions[1].arm, KernelArm::kInt8);
-    EXPECT_EQ(plan_on->decisions[4].arm, KernelArm::kInt8);
-  }
-  // Defaults leave every arm off — the golden-plan contract.
-  {
-    RuleBasedOptimizer plain(1LL << 40);
-    auto plan_plain = plain.Optimize(*model, 16);
-    ASSERT_TRUE(plan_plain.ok());
-    for (const NodeDecision& d : plan_plain->decisions) {
-      EXPECT_EQ(d.arm, KernelArm::kDense);
-      EXPECT_EQ(d.topk, 0);
-    }
+  // A default tuning leaves every arm off.
+  auto plan_plain = optimizer.Optimize(*model, 16);
+  ASSERT_TRUE(plan_plain.ok());
+  ASSERT_TRUE(AssignKernelArms(*model, OptimizerTuning(), &*plan_plain).ok());
+  for (const NodeDecision& d : plan_plain->decisions) {
+    EXPECT_EQ(d.arm, KernelArm::kDense);
+    EXPECT_EQ(d.topk, 0);
   }
 }
 
@@ -467,9 +431,6 @@ TEST(KernelArmPlanTest, OptimizerPicksArmsAndRendersThem) {
 // and its stage-level byte accounting proves the 200-wide logits
 // tensor was never materialized as stage output.
 TEST(KernelArmServingTest, TopKHeadServesWithoutMaterializingLogits) {
-  // Pin kAuto: an ambient RELSERVE_QUANTIZE override would (by
-  // design) replace the sparse head this test asserts with int8.
-  ScopedQuantizeMode mode(kernels::QuantizeMode::kAuto);
   const int64_t batch = 64, classes = 200, kk = 5;
   auto build = [] {
     auto model = BuildFFNN("xc", {32, 64, 200}, /*seed=*/7);
@@ -479,11 +440,11 @@ TEST(KernelArmServingTest, TopKHeadServesWithoutMaterializingLogits) {
     return *std::move(model);
   };
 
-  ServingConfig fused_config;
-  fused_config.optimizer_tuning.enable_sparse = true;
-  fused_config.optimizer_tuning.topk = kk;
-  ServingSession fused(fused_config);
-  ASSERT_TRUE(fused.RegisterModel(build()).ok());
+  OptimizerTuning fused_tuning;
+  fused_tuning.enable_sparse = true;
+  fused_tuning.topk = kk;
+  ServingSession fused((ServingConfig()));
+  ASSERT_TRUE(fused.RegisterModel(build(), fused_tuning).ok());
   ASSERT_TRUE(
       fused.Deploy("xc", ServingMode::kAdaptive, batch).ok());
 
@@ -549,19 +510,16 @@ TEST(KernelArmServingTest, TopKHeadServesWithoutMaterializingLogits) {
 }
 
 TEST(KernelArmServingTest, Int8ArmServesCloseToFp32) {
-  // Pin kAuto: an ambient RELSERVE_QUANTIZE=off would (by design)
-  // demote the int8 arm this test deploys.
-  ScopedQuantizeMode mode(kernels::QuantizeMode::kAuto);
   const int64_t batch = 32;
   auto build = [] {
     auto model = BuildFFNN("q", {24, 48, 10}, /*seed=*/9);
     EXPECT_TRUE(model.ok());
     return *std::move(model);
   };
-  ServingConfig qconfig;
-  qconfig.optimizer_tuning.enable_int8 = true;
-  ServingSession quant(qconfig);
-  ASSERT_TRUE(quant.RegisterModel(build()).ok());
+  OptimizerTuning int8;
+  int8.enable_int8 = true;
+  ServingSession quant((ServingConfig()));
+  ASSERT_TRUE(quant.RegisterModel(build(), int8).ok());
   auto plan = quant.Deploy("q", ServingMode::kAdaptive, batch);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ((*plan)->decisions[1].arm, KernelArm::kInt8);

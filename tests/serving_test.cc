@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "engine/external_runtime.h"
 #include "graph/model.h"
 #include "relational/operator.h"
@@ -457,6 +459,27 @@ TEST_F(ServingTest, AotRequiresBatchSizes) {
   EXPECT_EQ(session_.NumAotPlans("fraud"), 0);
 }
 
+// The int8 packs a compiled plan stores, and how many of its stages
+// run the int8 arm.
+struct Int8Packs {
+  int64_t bytes = 0;
+  int stages = 0;
+};
+
+Int8Packs CountInt8Packs(const PhysicalPlan& plan) {
+  Int8Packs packs;
+  std::set<const kernels::Int8Weight*> seen;
+  for (const auto& stage : plan.stages()) {
+    if (stage->int8_weight == nullptr) continue;
+    EXPECT_EQ(stage->label.rfind("int8-matmul", 0), 0u) << stage->label;
+    packs.stages += 1;
+    if (seen.insert(stage->int8_weight).second) {
+      packs.bytes += stage->int8_weight->ByteSize();
+    }
+  }
+  return packs;
+}
+
 TEST_F(ServingTest, QuantizedVersionTradeoff) {
   LoadFraudSetup();
   auto versions = CreateQuantizedVersion(&session_, "fraud",
@@ -467,16 +490,27 @@ TEST_F(ServingTest, QuantizedVersionTradeoff) {
   const ModelVersion& int8 = (*versions)[1];
   EXPECT_EQ(base.model_name, "fraud");
   EXPECT_EQ(int8.model_name, "fraud@int8");
-  // ~4x smaller, small but nonzero output error.
-  EXPECT_LT(int8.weight_bytes, base.weight_bytes / 3);
+  // The version stores only the int8 packs of fraud's two matmul
+  // weights (28->64, 64->2). Each output channel holds its row padded
+  // to a multiple of 32 lanes, a 4-byte scale and an 8-byte row sum:
+  // 64 * (32 + 12) + 2 * (64 + 12) = 2968 B, against 7944 B of fp32
+  // weights and biases in the base (0.37x).
+  EXPECT_EQ(base.weight_bytes, 7944);
+  EXPECT_EQ(int8.weight_bytes, 2968);
+  EXPECT_LT(int8.weight_bytes * 5, base.weight_bytes * 2);
+  // Small but nonzero output error.
   EXPECT_GT(int8.max_output_error, 0.0f);
   EXPECT_LT(int8.max_output_error, 0.2f);
-  // The quantized version is a registered, servable model.
+  // The quantized version is a registered, servable model, and the
+  // bytes it reports are the int8 packs its deployed plan stores.
   ASSERT_TRUE(
       session_.Deploy("fraud@int8", ServingMode::kForceUdf, 8).ok());
   auto batch = workloads::GenBatch(8, Shape{28}, 5);
   ASSERT_TRUE(batch.ok());
   EXPECT_TRUE(session_.PredictBatch("fraud@int8", *batch).ok());
+  auto deployed = session_.DeployedPhysicalPlan("fraud@int8");
+  ASSERT_TRUE(deployed.ok());
+  EXPECT_EQ(CountInt8Packs(**deployed).bytes, int8.weight_bytes);
 
   // SLA selection: a loose bound picks the small version, a bound
   // tighter than the measured error falls back to the base, an
@@ -491,6 +525,80 @@ TEST_F(ServingTest, QuantizedVersionTradeoff) {
   EXPECT_TRUE(SelectVersionForSla(*versions, -1.0f)
                   .status()
                   .IsNotFound());
+}
+
+TEST_F(ServingTest, QuantizedVersionSharesEveryBaseWeightBuffer) {
+  LoadFraudSetup();
+  ASSERT_TRUE(CreateQuantizedVersion(&session_, "fraud", 32, 7).ok());
+  const Model* base = *session_.GetModel("fraud");
+  const Model* version = *session_.GetModel("fraud@int8");
+  ASSERT_EQ(version->weights().size(), base->weights().size());
+  for (const auto& [name, weight] : base->weights()) {
+    auto shared = version->GetWeight(name);
+    ASSERT_TRUE(shared.ok()) << name;
+    EXPECT_EQ((*shared)->data(), weight.data()) << name;
+  }
+  EXPECT_EQ((*version->GetWeight("w1"))->data(),
+            (*base->GetWeight("w1"))->data());
+  EXPECT_EQ((*version->GetWeight("b1"))->data(),
+            (*base->GetWeight("b1"))->data());
+}
+
+TEST_F(ServingTest, QuantizedVersionRunsInt8InEveryUdfMode) {
+  LoadFraudSetup();
+  auto versions = CreateQuantizedVersion(&session_, "fraud", 32, 7);
+  ASSERT_TRUE(versions.ok()) << versions.status();
+  const int64_t pack_bytes = (*versions)[1].weight_bytes;
+  for (ServingMode mode : {ServingMode::kForceUdf, ServingMode::kAdaptive}) {
+    ASSERT_TRUE(session_.Deploy("fraud@int8", mode, 8).ok());
+    auto deployed = session_.DeployedPhysicalPlan("fraud@int8");
+    ASSERT_TRUE(deployed.ok());
+    const Int8Packs packs = CountInt8Packs(**deployed);
+    EXPECT_EQ(packs.stages, 2);
+    EXPECT_EQ(packs.bytes, pack_bytes);
+  }
+  // The base keeps its fp32 arm.
+  ASSERT_TRUE(session_.Deploy("fraud", ServingMode::kAdaptive, 8).ok());
+  EXPECT_EQ(CountInt8Packs(**session_.DeployedPhysicalPlan("fraud")).stages,
+            0);
+
+  // AoT compiles the same arm: batches 1 and 32 share one all-UDF int8
+  // variant, which binds the int8 packs plus the base's fp32 biases.
+  ASSERT_TRUE(session_.Undeploy("fraud@int8").ok());
+  auto compiled = session_.DeployAot("fraud@int8", {1, 32});
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  EXPECT_EQ(*compiled, 1);
+  const Model* base = *session_.GetModel("fraud");
+  const int64_t bias_bytes = (*base->GetWeight("b0"))->ByteSize() +
+                             (*base->GetWeight("b1"))->ByteSize();
+  bool listed = false;
+  for (const auto& info : session_.ListDeployedModels()) {
+    if (info.name != "fraud@int8") continue;
+    listed = true;
+    EXPECT_EQ(info.num_plans, 1);
+    EXPECT_EQ(info.logical_weight_bytes, pack_bytes + bias_bytes);
+  }
+  EXPECT_TRUE(listed);
+  for (int64_t rows : {1, 32}) {
+    auto batch = workloads::GenBatch(rows, Shape{28}, 11);
+    ASSERT_TRUE(batch.ok());
+    EXPECT_TRUE(session_.PredictBatch("fraud@int8", *batch).ok()) << rows;
+  }
+}
+
+TEST_F(ServingTest, QuantizedVersionOfWideFfnnTakesUnderThirtyPercent) {
+  // At wider layers the per-channel scale and row sum amortize: the
+  // packs approach a quarter of the fp32 bytes (0.26x here).
+  auto model = BuildFFNN("wide", {256, 512, 16}, 4);
+  ASSERT_TRUE(model.ok());
+  ASSERT_TRUE(session_.RegisterModel(std::move(*model)).ok());
+  auto versions = CreateQuantizedVersion(&session_, "wide", 16, 3);
+  ASSERT_TRUE(versions.ok()) << versions.status();
+  const ModelVersion& base = (*versions)[0];
+  const ModelVersion& int8 = (*versions)[1];
+  EXPECT_EQ(int8.weight_bytes, 512 * (256 + 12) + 16 * (512 + 12));
+  EXPECT_LE(int8.weight_bytes * 10, base.weight_bytes * 3);
+  EXPECT_GT(int8.max_output_error, 0.0f);
 }
 
 TEST_F(ServingTest, RedeployReleasesOldResidentWeights) {

@@ -6,6 +6,7 @@
 
 #include "graph/model.h"
 #include "relational/row.h"
+#include "serving/model_versions.h"
 #include "serving/serving_session.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
@@ -461,6 +462,25 @@ TEST_F(SqlExecTest, ExplainAnalyzeRunsQueryAndShowsStageTimings) {
       << result->message;
   EXPECT_NE(result->message.find("rows="), std::string::npos)
       << result->message;
+}
+
+TEST_F(SqlExecTest, ExplainShowsTheModelsKernelArms) {
+  // EXPLAIN plans through the session, so a version's int8 arm shows
+  // exactly where its deployment would run it.
+  auto model = BuildFFNN("fraud", {8, 16, 2}, 1);
+  ASSERT_TRUE(model.ok());
+  ASSERT_TRUE(session_.RegisterModel(std::move(*model)).ok());
+  ASSERT_TRUE(CreateQuantizedVersion(&session_, "fraud", 8, 1).ok());
+  auto int8 = ExecuteStatement(
+      &session_, "EXPLAIN SELECT PREDICT(fraud@int8, features) FROM tx");
+  ASSERT_TRUE(int8.ok()) << int8.status();
+  EXPECT_NE(int8->message.find("[int8]"), std::string::npos)
+      << int8->message;
+  auto base = ExecuteStatement(
+      &session_, "EXPLAIN SELECT PREDICT(fraud, features) FROM tx");
+  ASSERT_TRUE(base.ok()) << base.status();
+  EXPECT_EQ(base->message.find("[int8]"), std::string::npos)
+      << base->message;
 }
 
 TEST_F(SqlExecTest, PlainExplainDoesNotExecute) {

@@ -14,7 +14,6 @@
 #include "storage/catalog.h"
 #include "storage/physical_block_index.h"
 #include "storage/disk_manager.h"
-#include "storage/quantize.h"
 
 namespace relserve {
 namespace {
@@ -583,29 +582,6 @@ TEST(DedupTest, ExpandedBlocksReassembleTheMatrix) {
 TEST(DedupTest, RejectsNegativeTolerance) {
   EXPECT_TRUE(
       DeduplicateBlocks({}, -1.0f).status().IsInvalidArgument());
-}
-
-TEST(QuantizeTest, RoundTripErrorIsBounded) {
-  auto t = Tensor::Create(Shape{100});
-  ASSERT_TRUE(t.ok());
-  for (int i = 0; i < 100; ++i) {
-    t->data()[i] = -3.0f + 0.07f * static_cast<float>(i);
-  }
-  auto q = QuantizeUniform8(*t);
-  ASSERT_TRUE(q.ok());
-  EXPECT_EQ(q->ByteSize(), 100);  // 4x smaller than float
-  auto back = Dequantize(*q);
-  ASSERT_TRUE(back.ok());
-  const float range = 0.07f * 99.0f;
-  EXPECT_LE(QuantizationError(*t, *q), range / 255.0f * 0.51f);
-  EXPECT_LE(t->MaxAbsDiff(*back), range / 255.0f * 0.51f);
-}
-
-TEST(QuantizeTest, ConstantTensorIsExact) {
-  auto t = Tensor::Full(Shape{10}, 3.5f);
-  auto q = QuantizeUniform8(*t);
-  ASSERT_TRUE(q.ok());
-  EXPECT_FLOAT_EQ(QuantizationError(*t, *q), 0.0f);
 }
 
 // --- BufferPool::Prefetch ---------------------------------------------
