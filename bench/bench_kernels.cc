@@ -22,6 +22,7 @@
 #include "kernels/cpu_features.h"
 #include "kernels/int8_gemm.h"
 #include "kernels/kernels.h"
+#include "kernels/micro_kernel.h"
 #include "resource/thread_pool.h"
 
 namespace relserve {
@@ -98,6 +99,12 @@ Result<double> TimeConv(int repeats, ThreadPool* pool, double* flops) {
   });
 }
 
+// The fp32 GEMM backend a level runs (kAvx2 runs the zmm tile on
+// AVX-512F hosts).
+const char* Fp32BackendName(SimdLevel level) {
+  return kernels::internal::GetKernelBackend(level)->name;
+}
+
 void EmitRow(const char* op, const char* kind, int64_t m, int64_t n,
              int64_t k, const char* isa, int threads, double seconds,
              double flops, double scalar_seconds) {
@@ -164,8 +171,8 @@ int Run() {
           }
           if (level == SimdLevel::kScalar) scalar_seconds = *seconds;
           EmitRow(op, shape.kind, shape.m, shape.n, shape.k,
-                  kernels::SimdLevelName(level), threads, *seconds,
-                  flops, scalar_seconds);
+                  Fp32BackendName(level), threads, *seconds, flops,
+                  scalar_seconds);
         }
       }
       std::printf("\n");
@@ -246,7 +253,7 @@ int Run() {
       }
       if (level == SimdLevel::kScalar) scalar_seconds = *seconds;
       EmitRow("conv2d", "im2col", 4 * 62 * 62, 64, 3 * 3 * 32,
-              kernels::SimdLevelName(level), threads, *seconds, flops,
+              Fp32BackendName(level), threads, *seconds, flops,
               scalar_seconds);
     }
   }

@@ -21,6 +21,7 @@
 #include "common/result.h"
 #include "common/timer.h"
 #include "kernels/cpu_features.h"
+#include "kernels/micro_kernel.h"
 
 namespace relserve {
 namespace bench {
@@ -153,11 +154,13 @@ inline void PrintBenchJson(
     line += ",\"" + key + "\":" + value;
   }
   // Every line self-describes the kernel substrate it was measured on:
-  // the SIMD level the dispatcher is actually using right now — so
-  // scraped results are never compared across silently different
-  // backends.
+  // the fp32 backend the dispatcher is actually using right now (one
+  // SIMD level may run more than one tile) — so scraped results are
+  // never compared across silently different backends.
   line += ",\"dispatch_isa\":" +
-          JsonStr(kernels::SimdLevelName(kernels::ActiveSimdLevel()));
+          JsonStr(kernels::internal::GetKernelBackend(
+                      kernels::ActiveSimdLevel())
+                      ->name);
   line += "}";
   std::printf("%s\n", line.c_str());
 }

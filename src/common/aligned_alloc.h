@@ -3,8 +3,8 @@
 // Tensor buffers and the GEMM packing panels are allocated on 64-byte
 // boundaries so that (a) a packed micro-panel never straddles a cache
 // line and (b) aligned vector loads in the SIMD micro-kernels are
-// always legal on the panel base address. 64 bytes also covers any
-// future AVX-512 path (one full zmm register per line).
+// always legal on the panel base address. 64 bytes is one full zmm
+// register, so the AVX-512 tile's B loads are aligned too.
 
 #ifndef RELSERVE_COMMON_ALIGNED_ALLOC_H_
 #define RELSERVE_COMMON_ALIGNED_ALLOC_H_

@@ -512,8 +512,12 @@ std::string PhysicalPlan::ToString(bool analyze) const {
 
 std::string RenderStandaloneStage(const PhysicalStage& stage,
                                   bool analyze) {
-  std::string out = "[" + std::string(StageKindName(stage.kind)) +
-                    "] " + stage.label;
+  // Appending keeps GCC 12's -Wrestrict false positive on inlined
+  // string concatenation quiet.
+  std::string out = "[";
+  out += StageKindName(stage.kind);
+  out += "] ";
+  out += stage.label;
   if (analyze) AppendStageStats(stage.stats, &out);
   return out;
 }

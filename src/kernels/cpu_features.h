@@ -1,9 +1,9 @@
 // Runtime CPU-dispatch policy for the kernel substrate.
 //
 // The default build carries no -march flags: every translation unit
-// except the AVX2 backend compiles for the baseline ISA, and the one
-// AVX2+FMA translation unit is only *entered* after a cpuid probe says
-// the host executes those instructions. The level is resolved once on
+// except the vector backends compiles for the baseline ISA, and those
+// are only *entered* after a cpuid probe says the host executes their
+// instructions. The level is resolved once on
 // first use and cached; benches and tests may override it to compare
 // code paths on the same machine.
 
@@ -15,7 +15,10 @@ namespace kernels {
 
 enum class SimdLevel {
   kScalar,  // portable fallback, correct on any hardware
-  kAvx2,    // 256-bit FMA micro-kernels (x86 with AVX2+FMA+OS support)
+  // FMA micro-kernels on x86 with AVX2+FMA+OS support: the 6x16 ymm
+  // GEMM tile, or on AVX-512F hosts the bit-identical 6x32 zmm tile
+  // (and the AVX-VNNI int8 backend where the CPU has it).
+  kAvx2,
 };
 
 const char* SimdLevelName(SimdLevel level);

@@ -42,28 +42,28 @@ void PackA(const float* a, int64_t lda, bool trans_a, int64_t ic,
   }
 }
 
-// Packs B[pc .. pc+kc, jc .. jc+nc) into kNr-wide column slivers:
-//   dst[(jr/kNr) * kc * kNr + p * kNr + j] = B[pc+p, jc+jr+j]
+// Packs B[pc .. pc+kc, jc .. jc+nc) into nr-wide column slivers:
+//   dst[(jr/nr) * kc * nr + p * nr + j] = B[pc+p, jc+jr+j]
 // zero-padding columns past nc.
 void PackB(const float* b, int64_t ldb, bool trans_b, int64_t pc,
-           int64_t jc, int64_t kc, int64_t nc, float* dst) {
-  for (int64_t jr = 0; jr < nc; jr += kNr) {
-    const int64_t n_r = std::min(kNr, nc - jr);
-    float* sliver = dst + (jr / kNr) * kc * kNr;
+           int64_t jc, int64_t kc, int64_t nc, int64_t nr, float* dst) {
+  for (int64_t jr = 0; jr < nc; jr += nr) {
+    const int64_t n_r = std::min(nr, nc - jr);
+    float* sliver = dst + (jr / nr) * kc * nr;
     if (!trans_b) {
       for (int64_t p = 0; p < kc; ++p) {
         const float* row = b + (pc + p) * ldb + jc + jr;
-        float* out = sliver + p * kNr;
+        float* out = sliver + p * nr;
         for (int64_t j = 0; j < n_r; ++j) out[j] = row[j];
-        for (int64_t j = n_r; j < kNr; ++j) out[j] = 0.0f;
+        for (int64_t j = n_r; j < nr; ++j) out[j] = 0.0f;
       }
     } else {
       // Logical B[p, j] lives at b[j * ldb + p].
       for (int64_t p = 0; p < kc; ++p) {
         const float* col = b + (jc + jr) * ldb + pc + p;
-        float* out = sliver + p * kNr;
+        float* out = sliver + p * nr;
         for (int64_t j = 0; j < n_r; ++j) out[j] = col[j * ldb];
-        for (int64_t j = n_r; j < kNr; ++j) out[j] = 0.0f;
+        for (int64_t j = n_r; j < nr; ++j) out[j] = 0.0f;
       }
     }
   }
@@ -79,6 +79,14 @@ Status GemmPacked(int64_t m, int64_t n, int64_t k, const float* a,
                   int64_t lda, bool trans_a, const float* b, int64_t ldb,
                   bool trans_b, float* c, int64_t ldc, bool accumulate,
                   ThreadPool* pool) {
+  return GemmPacked(GetKernelBackend(ActiveSimdLevel()), m, n, k, a, lda,
+                    trans_a, b, ldb, trans_b, c, ldc, accumulate, pool);
+}
+
+Status GemmPacked(const KernelBackend* backend, int64_t m, int64_t n,
+                  int64_t k, const float* a, int64_t lda, bool trans_a,
+                  const float* b, int64_t ldb, bool trans_b, float* c,
+                  int64_t ldc, bool accumulate, ThreadPool* pool) {
   if (m <= 0 || n <= 0) return Status::OK();
   if (k <= 0) {
     // An empty contraction still defines the output.
@@ -89,11 +97,11 @@ Status GemmPacked(int64_t m, int64_t n, int64_t k, const float* a,
     }
     return Status::OK();
   }
-  const KernelBackend* backend = GetKernelBackend(ActiveSimdLevel());
+  const int64_t nr = backend->nr;
 
   // One shared B panel, packed by the calling thread per (jc, pc) and
   // read-only during the parallel macro-tile sweep.
-  AlignedBuffer b_packed(RoundUp(std::min(n, kNc), kNr) *
+  AlignedBuffer b_packed(RoundUp(std::min(n, kNc), nr) *
                          std::min(k, kKc));
   if (!b_packed.ok()) {
     return Status::OutOfMemory("GEMM B packing panel");
@@ -107,7 +115,7 @@ Status GemmPacked(int64_t m, int64_t n, int64_t k, const float* a,
       // caller's accumulation; later blocks always accumulate the
       // partials already stored in C.
       const bool acc_block = accumulate || pc > 0;
-      PackB(b, ldb, trans_b, pc, jc, kc, nc, b_packed.data());
+      PackB(b, ldb, trans_b, pc, jc, kc, nc, nr, b_packed.data());
 
       const int64_t num_tiles = (m + kMc - 1) / kMc;
       std::atomic<bool> panel_oom{false};
@@ -122,16 +130,15 @@ Status GemmPacked(int64_t m, int64_t n, int64_t k, const float* a,
           const int64_t ic = t * kMc;
           const int64_t mc = std::min(kMc, m - ic);
           PackA(a, lda, trans_a, ic, pc, mc, kc, a_packed.data());
-          for (int64_t jr = 0; jr < nc; jr += kNr) {
-            const int64_t n_r = std::min(kNr, nc - jr);
-            const float* b_sliver =
-                b_packed.data() + (jr / kNr) * kc * kNr;
+          for (int64_t jr = 0; jr < nc; jr += nr) {
+            const int64_t n_r = std::min(nr, nc - jr);
+            const float* b_sliver = b_packed.data() + (jr / nr) * kc * nr;
             for (int64_t ir = 0; ir < mc; ir += kMr) {
               const int64_t m_r = std::min(kMr, mc - ir);
               const float* a_sliver =
                   a_packed.data() + (ir / kMr) * kc * kMr;
               float* c_tile = c + (ic + ir) * ldc + jc + jr;
-              if (m_r == kMr && n_r == kNr) {
+              if (m_r == kMr && n_r == nr) {
                 backend->gemm_tile(kc, a_sliver, b_sliver, c_tile, ldc,
                                    acc_block);
               } else {

@@ -23,6 +23,7 @@
 #include <cstdint>
 
 #include "common/status.h"
+#include "kernels/micro_kernel.h"
 #include "resource/thread_pool.h"
 
 namespace relserve {
@@ -30,10 +31,18 @@ namespace kernels {
 namespace internal {
 
 // Fails only when a packing panel cannot be allocated (OutOfMemory).
+// Runs on the backend of the active SIMD level.
 Status GemmPacked(int64_t m, int64_t n, int64_t k, const float* a,
                   int64_t lda, bool trans_a, const float* b, int64_t ldb,
                   bool trans_b, float* c, int64_t ldc, bool accumulate,
                   ThreadPool* pool);
+
+// Same product on an explicit backend — lets tests compare two
+// backends that share one dispatch level.
+Status GemmPacked(const KernelBackend* backend, int64_t m, int64_t n,
+                  int64_t k, const float* a, int64_t lda, bool trans_a,
+                  const float* b, int64_t ldb, bool trans_b, float* c,
+                  int64_t ldc, bool accumulate, ThreadPool* pool);
 
 }  // namespace internal
 }  // namespace kernels

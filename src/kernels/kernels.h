@@ -13,8 +13,8 @@
 //
 // Every matrix product lowers to the cache-blocked, panel-packed
 // micro-kernel layer (gemm_packed.h / micro_kernel.h), which selects
-// an AVX2+FMA or portable-scalar register tile at runtime via
-// cpu_features.h; the elementwise strips dispatch on the same level.
+// an AVX-512F, AVX2+FMA or portable-scalar register tile at runtime
+// via cpu_features.h; the elementwise strips dispatch on the same level.
 // The dense inner loops deliberately do NOT skip zero multiplicands —
 // a data-dependent branch per k-step costs more on dense weights than
 // the multiplies it saves. Sparsity exploitation belongs in an

@@ -9,20 +9,24 @@
 //       micro_kernel_*   one register-tiled inner kernel per ISA,
 //                        selected at runtime via cpu_features
 //
-// The packed operand layout is fixed across backends so the blocking
-// driver and the pack routines are ISA-independent:
+// The packed operand layout has one shape for every backend; only the
+// column-sliver width nr varies, and it is a field of the backend, so
+// the blocking loops and the pack routines stay ISA-independent:
 //
 //   A panel  (kMr-tall row slivers):  a_panel[p * kMr + i] = A[i, p]
-//   B panel  (kNr-wide column slivers): b_panel[p * kNr + j] = B[p, j]
+//   B panel  (nr-wide column slivers): b_panel[p * nr + j] = B[p, j]
 //
-// with i < kMr, j < kNr zero-padded past the matrix edge, p < kc. A
-// micro-kernel call computes the full kMr x kNr register tile
-//   C[i, j] ⊕= Σ_p a_panel[p*kMr+i] * b_panel[p*kNr+j]
+// with i < kMr, j < nr zero-padded past the matrix edge, p < kc. A
+// micro-kernel call computes the full kMr x nr register tile
+//   C[i, j] ⊕= Σ_p a_panel[p*kMr+i] * b_panel[p*nr+j]
 // accumulating directly into C in ascending-p order (⊕ is += when
 // `accumulate`, otherwise the chain starts from 0). Keeping the
 // per-element accumulation a single ascending-k chain makes the
 // scalar backend bit-identical to the historical triple-loop kernel;
-// the AVX2 backend differs only by FMA rounding within the chain.
+// the AVX2 backend differs only by FMA rounding within the chain. The
+// AVX-512 backend runs the same chain of fused multiply-adds per
+// element as AVX2 — a wider vector only puts more independent chains
+// side by side — so it is bit-identical to AVX2.
 
 #ifndef RELSERVE_KERNELS_MICRO_KERNEL_H_
 #define RELSERVE_KERNELS_MICRO_KERNEL_H_
@@ -35,15 +39,19 @@ namespace relserve {
 namespace kernels {
 namespace internal {
 
-// Register tile: 6 rows x 16 columns (two 8-float AVX2 vectors wide).
-// 12 ymm accumulators + 2 B loads + 1 A broadcast = 15 of 16 ymm regs.
+// Register tile height, shared by every backend. The width is the
+// backend's `nr`: kNr = 16 (two 8-float ymm vectors; 12 ymm
+// accumulators + 2 B loads + 1 A broadcast = 15 of 16 ymm regs) for
+// the scalar and AVX2 backends, 32 (two 16-float zmm vectors) for
+// AVX-512.
 inline constexpr int64_t kMr = 6;
 inline constexpr int64_t kNr = 16;
 
-// Cache blocking. kKc * kNr floats (one B micro-panel, 16 KiB) is the
-// L1 working set; kMc * kKc floats (one packed A macro-panel, 72 KiB)
-// targets L2; kKc * kNc floats (one packed B macro-panel, 1 MiB)
-// targets L3. kMc must be a multiple of kMr.
+// Cache blocking. kKc * nr floats (one B micro-panel: 16 KiB at
+// nr = 16, 32 KiB at nr = 32) is the L1 working set; kMc * kKc floats
+// (one packed A macro-panel, 72 KiB) targets L2; kKc * kNc floats (one
+// packed B macro-panel, 1 MiB) targets L3. kMc must be a multiple of
+// kMr; kNc is a multiple of every backend's nr.
 inline constexpr int64_t kKc = 256;
 inline constexpr int64_t kMc = 72;
 inline constexpr int64_t kNc = 1024;
@@ -53,8 +61,10 @@ static_assert(kMc % kMr == 0, "macro tile must hold whole row slivers");
 // into the packed driver (the table itself is immutable static data).
 struct KernelBackend {
   SimdLevel level;
+  const char* name;  // self-description for benches
+  int64_t nr;        // register-tile width = B sliver width (floats)
 
-  // Full kMr x kNr tile accumulating into C (leading dimension ldc).
+  // Full kMr x nr tile accumulating into C (leading dimension ldc).
   void (*gemm_tile)(int64_t kc, const float* a_panel,
                     const float* b_panel, float* c, int64_t ldc,
                     bool accumulate);
@@ -80,10 +90,18 @@ const KernelBackend* GetScalarBackend();
 // callers must then use the scalar backend regardless of cpuid.
 const KernelBackend* GetAvx2Backend();
 
+// AVX-512F upgrade of the AVX2 backend (6 x 32 zmm tile): nullptr
+// unless both the build and the running CPU support it. Its results
+// are bit-identical to AVX2's, so it slots under the kAvx2 dispatch
+// level interchangeably.
+const KernelBackend* GetAvx512Backend();
+
 // Backend for `level`, degrading to scalar when the requested backend
 // is not compiled in.
 inline const KernelBackend* GetKernelBackend(SimdLevel level) {
   if (level == SimdLevel::kAvx2) {
+    const KernelBackend* avx512 = GetAvx512Backend();
+    if (avx512 != nullptr) return avx512;
     const KernelBackend* avx2 = GetAvx2Backend();
     if (avx2 != nullptr) return avx2;
   }

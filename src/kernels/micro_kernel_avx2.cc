@@ -10,6 +10,9 @@
 // issues two FMAs per accumulator row per step. Per output element the
 // accumulation is still one ascending-k chain; results differ from the
 // scalar backend only by FMA rounding (the multiply-add is fused).
+// On AVX-512F hosts the kAvx2 level runs the bit-identical 6x32 tile of
+// micro_kernel_avx512.cc instead, which borrows this file's
+// elementwise strips.
 
 #include "kernels/micro_kernel.h"
 
@@ -155,8 +158,8 @@ float Avx2RowMax(const float* x, int64_t n) {
 }
 
 constexpr KernelBackend kAvx2Backend = {
-    SimdLevel::kAvx2, Avx2Tile,  Avx2TileEdge, Avx2Relu,
-    Avx2Add,          Avx2Scale, Avx2RowMax,
+    SimdLevel::kAvx2, "avx2-fma", kNr,       Avx2Tile,   Avx2TileEdge,
+    Avx2Relu,         Avx2Add,    Avx2Scale, Avx2RowMax,
 };
 
 }  // namespace

@@ -83,8 +83,9 @@ float ScalarRowMax(const float* x, int64_t n) {
 }
 
 constexpr KernelBackend kScalarBackend = {
-    SimdLevel::kScalar, ScalarTile,  ScalarTileEdge, ScalarRelu,
-    ScalarAdd,          ScalarScale, ScalarRowMax,
+    SimdLevel::kScalar, "scalar",    kNr,          ScalarTile,
+    ScalarTileEdge,     ScalarRelu,  ScalarAdd,    ScalarScale,
+    ScalarRowMax,
 };
 
 }  // namespace

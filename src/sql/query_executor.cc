@@ -558,8 +558,10 @@ Result<QueryResult> ExecuteSelect(ServingSession* session,
     for (int64_t r = 0; r < n; ++r) {
       const float* row_scores = scores.data() + r * classes;
       if (item.kind == ItemKind::kPredict) {
-        extended_rows[r].Append(
-            Value(std::vector<float>(row_scores, row_scores + classes)));
+        // A named cell, not a temporary, keeps GCC 12's
+        // -Wmaybe-uninitialized false positive on the variant move quiet.
+        Value cell(std::vector<float>(row_scores, row_scores + classes));
+        extended_rows[r].Append(std::move(cell));
       } else {
         extended_rows[r].Append(Value(static_cast<int64_t>(
             std::max_element(row_scores, row_scores + classes) -

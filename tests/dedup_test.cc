@@ -373,7 +373,10 @@ TEST(ServingDedupTest, FiftyVariantsUndeployInAnyOrderNoLeak) {
   constexpr int kVariants = 50;
   std::vector<std::string> names;
   for (int i = 0; i < kVariants; ++i) {
-    names.push_back("v" + std::to_string(i));
+    // Appending keeps GCC 12's -Wrestrict false positive on inlined
+    // string concatenation quiet.
+    names.emplace_back("v");
+    names.back() += std::to_string(i);
     auto model = BuildFFNN(names.back(), {16, 32, 4}, 3);
     ASSERT_TRUE(model.ok());
     ASSERT_TRUE(session.RegisterModel(std::move(*model)).ok());

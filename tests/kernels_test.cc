@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "kernels/cpu_features.h"
+#include "kernels/gemm_packed.h"
 #include "kernels/kernels.h"
+#include "kernels/micro_kernel.h"
 #include "resource/thread_pool.h"
 
 namespace relserve {
@@ -143,9 +146,10 @@ Tensor DeterministicTensor(Shape shape, float phase) {
 }
 
 // Every m, n, k tail class the packing layer distinguishes: below one
-// register tile, off-by-one around the kMr=6 / kNr=16 tile edges,
-// exact multiples, and sizes straddling the kMc=72 macro-tile.
-const int64_t kTailDims[] = {1, 3, 7, 15, 17, 64, 100, 129};
+// register tile, off-by-one around the kMr=6 and the 16- and 32-wide
+// tile edges, exact multiples, and sizes straddling the kMc=72
+// macro-tile.
+const int64_t kTailDims[] = {1, 3, 7, 15, 17, 31, 33, 64, 65, 100, 129};
 
 // Dispatched-vs-reference agreement over the full tail-shape matrix
 // (all transpose/accumulate variants) for both the scalar backend and
@@ -295,6 +299,85 @@ TEST(GemmMicroKernelTest, ParallelMacroTilesBitIdenticalToSerial) {
           << "isa=" << kernels::SimdLevelName(level) << " at " << i;
     }
   }
+}
+
+// On an AVX-512F host the kAvx2 level runs the 6x32 zmm tile, so the
+// 6x16 ymm tile is reached only here, through the GemmPacked overload that
+// takes a backend. The two must agree bit-for-bit: each C element is
+// the same ascending-k chain of fused multiply-adds in both, edge
+// tiles included.
+TEST(GemmMicroKernelTest, Avx512BitIdenticalToAvx2AcrossTails) {
+  using kernels::internal::GemmPacked;
+  using kernels::internal::KernelBackend;
+  const KernelBackend* avx2 = kernels::internal::GetAvx2Backend();
+  const KernelBackend* avx512 = kernels::internal::GetAvx512Backend();
+  if (kernels::DetectSimdLevel() != SimdLevel::kAvx2 || avx2 == nullptr ||
+      avx512 == nullptr) {
+    GTEST_SKIP() << "needs both the AVX2 and the AVX-512 fp32 backend";
+  }
+  // Runs `product(backend, out)` once per backend on a copy of `seed`
+  // and requires the two outputs to match byte for byte.
+  auto assert_same_bytes = [&](const Tensor& seed, const auto& product) {
+    auto want = seed.Clone();
+    auto got = seed.Clone();
+    ASSERT_TRUE(want.ok() && got.ok());
+    ASSERT_TRUE(product(avx2, &*want).ok());
+    ASSERT_TRUE(product(avx512, &*got).ok());
+    ASSERT_EQ(0, std::memcmp(want->data(), got->data(),
+                             static_cast<size_t>(want->ByteSize())));
+  };
+  for (const int64_t m : kTailDims) {
+    for (const int64_t n : kTailDims) {
+      for (const int64_t k : kTailDims) {
+        SCOPED_TRACE(testing::Message()
+                     << "m=" << m << " n=" << n << " k=" << k);
+        const Tensor seed = DeterministicTensor(Shape{m, n}, 2.3f);
+        // GemmInto: a[m, k] times b[k, n], or b[n, k] transposed.
+        const Tensor a = DeterministicTensor(Shape{m, k}, 0.1f);
+        const Tensor b_plain = DeterministicTensor(Shape{k, n}, 0.9f);
+        const Tensor b_trans = DeterministicTensor(Shape{n, k}, 0.9f);
+        // GemmTransAInto: a_t[k, m] transposed times b_t[k, n].
+        const Tensor a_t = DeterministicTensor(Shape{k, m}, 0.2f);
+        const Tensor b_t = DeterministicTensor(Shape{k, n}, 1.1f);
+        for (const bool accumulate : {false, true}) {
+          for (const bool transpose_b : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "transpose_b=" << transpose_b
+                         << " accumulate=" << accumulate);
+            const Tensor& b = transpose_b ? b_trans : b_plain;
+            ASSERT_NO_FATAL_FAILURE(assert_same_bytes(
+                seed, [&](const KernelBackend* backend, Tensor* out) {
+                  return GemmPacked(backend, m, n, k, a.data(), k,
+                                    /*trans_a=*/false, b.data(),
+                                    transpose_b ? k : n, transpose_b,
+                                    out->data(), n, accumulate,
+                                    /*pool=*/nullptr);
+                }));
+          }
+          SCOPED_TRACE(testing::Message()
+                       << "trans_a accumulate=" << accumulate);
+          ASSERT_NO_FATAL_FAILURE(assert_same_bytes(
+              seed, [&](const KernelBackend* backend, Tensor* out) {
+                return GemmPacked(backend, m, n, k, a_t.data(), m,
+                                  /*trans_a=*/true, b_t.data(), n,
+                                  /*trans_b=*/false, out->data(), n,
+                                  accumulate, /*pool=*/nullptr);
+              }));
+        }
+      }
+    }
+  }
+  // A pooled product: 300 rows = 5 macro-tiles on four workers, with
+  // edge tiles in n and k.
+  ThreadPool pool(4);
+  const Tensor a = DeterministicTensor(Shape{300, 129}, 0.4f);
+  const Tensor b = DeterministicTensor(Shape{129, 100}, 1.7f);
+  const Tensor seed = DeterministicTensor(Shape{300, 100}, 2.3f);
+  assert_same_bytes(seed, [&](const KernelBackend* backend, Tensor* out) {
+    return GemmPacked(backend, 300, 100, 129, a.data(), 129,
+                      /*trans_a=*/false, b.data(), 100, /*trans_b=*/false,
+                      out->data(), 100, /*accumulate=*/false, &pool);
+  });
 }
 
 // k > kKc exercises the sequential kc-block accumulation into C.
