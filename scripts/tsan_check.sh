@@ -64,6 +64,9 @@ ASAN_DIR="${3:-build-asan}"
 # races Deploy/Undeploy against in-flight Predicts over shared blocks.
 # pipeline_test runs the pipelined schedule: one worker thread per
 # compiled stage, all bumping the plan's shared StageStats counters.
+# serving_test drives compiled plans whose fp32 matmul stages run on
+# B panels packed at deploy, through the masked edge tiles of short
+# batches, under UBSan.
 # common_test races four threads on one relaxed Counter, the field
 # type of every concurrently bumped stats struct (exact Add sums and
 # the StoreMax high-water mark).
@@ -74,7 +77,8 @@ TSAN_TESTS=(common_test resource_test storage_test dedup_test
             wal_recovery_test pipeline_test)
 UBSAN_TESTS=(kernels_test tensor_test block_ops_test executor_test
             plan_text_test chaos_test columnar_test dedup_test
-            quantized_kernels_test net_serving_test wal_recovery_test)
+            quantized_kernels_test net_serving_test wal_recovery_test
+            serving_test)
 # Every registered test, so a test added later is covered without an
 # edit here.
 mapfile -t ASAN_TESTS < <(sed -n 's/^relserve_add_test(\(.*\))$/\1/p' \

@@ -237,7 +237,7 @@ Status RunStage(const PhysicalStage& stage, int64_t batch,
             act->tensor,
             kernels::MatMul(act->tensor, *stage.weight,
                             /*transpose_b=*/true, ctx->tracker,
-                            ctx->pool));
+                            ctx->pool, stage.packed_weight));
       }
       act->owned = true;
       return ApplyWholeEpilogue(stage.epilogue, act, ctx);

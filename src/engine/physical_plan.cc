@@ -169,10 +169,39 @@ Result<std::unique_ptr<PhysicalPlan>> PhysicalPlan::Compile(
 
   // --- Weight residency --------------------------------------------
   // Weights of relation-centric matmuls are chunked into block
-  // relations (only O(block) scratch charged); everything else is
-  // made resident whole in the working arena. If even the resident
-  // set does not fit, compilation reports OutOfMemory — the paper's
-  // Amazon-14k outcome.
+  // relations (only O(block) scratch charged); fp32 UDF-centric
+  // matmul weights are packed into the GEMM's B panels; everything
+  // else is made resident whole in the working arena. If even the
+  // resident set does not fit, compilation reports OutOfMemory — the
+  // paper's Amazon-14k outcome.
+  //
+  // Holds one resident buffer for the plan and books it in the
+  // footprint. With a block index the buffer is interned: a
+  // byte-identical one another deployment (or an earlier weight of
+  // this one) holds is shared and charges nothing; a miss keeps a
+  // copy cloned into `clone_into` (null = `payload`'s own buffer).
+  auto hold = [&](const Tensor& payload,
+                  MemoryTracker* clone_into) -> Result<Tensor> {
+    pp->footprint_.logical_bytes += payload.ByteSize();
+    pp->footprint_.total_blocks += 1;
+    if (ctx->block_index == nullptr) {
+      pp->footprint_.physical_bytes += payload.ByteSize();
+      if (clone_into == nullptr) return payload;
+      return payload.Clone(clone_into);
+    }
+    RELSERVE_ASSIGN_OR_RETURN(
+        PhysicalBlockIndex::Interned interned,
+        ctx->block_index->InternResident(payload, /*tolerance=*/0.0f,
+                                         clone_into));
+    pp->block_index_ = ctx->block_index;
+    pp->interned_resident_.push_back(interned.id);
+    if (interned.deduped) {
+      pp->footprint_.shared_blocks += 1;
+    } else {
+      pp->footprint_.physical_bytes += payload.ByteSize();
+    }
+    return std::move(interned.payload);
+  };
   for (const Node& node : model->nodes()) {
     if (node.weight_name.empty()) continue;
     const NodeDecision& nd = pp->plan_.decisions[node.id];
@@ -218,36 +247,26 @@ Result<std::unique_ptr<PhysicalPlan>> PhysicalPlan::Compile(
       pp->footprint_.physical_bytes += csr.ByteSize();
       pp->footprint_.total_blocks += 1;
       pp->sparse_weights_.emplace(node.weight_name, std::move(csr));
+    } else if (node.kind == OpKind::kMatMul && nd.topk == 0) {
+      // Pack once at deploy for the active backend; the panel replaces
+      // the fp32 resident copy and spares every request the B packing.
+      // Packing is deterministic, so identical variants share a panel.
+      if (pp->packed_.count(node.weight_name) > 0) continue;
+      RELSERVE_ASSIGN_OR_RETURN(
+          kernels::PackedWeight packed,
+          kernels::PackWeightTransB(*weight, ctx->tracker));
+      RELSERVE_ASSIGN_OR_RETURN(packed.panel,
+                                hold(packed.panel, /*clone_into=*/nullptr));
+      pp->packed_.emplace(node.weight_name, std::move(packed));
     } else {
       if (pp->resident_.count(node.weight_name) > 0) continue;
       // Conv2D kernels are small even for the paper's large conv
       // workloads (the feature maps explode, not the kernels), so
-      // they stay resident in both representations; biases likewise.
-      pp->footprint_.logical_bytes += weight->ByteSize();
-      pp->footprint_.total_blocks += 1;
-      if (ctx->block_index != nullptr) {
-        // Resident dedup shares the canonical Tensor buffer: the
-        // first deployment charges the arena, later ones charge
-        // nothing and hold a reference.
-        RELSERVE_ASSIGN_OR_RETURN(
-            PhysicalBlockIndex::Interned interned,
-            ctx->block_index->InternResident(
-                *weight, /*tolerance=*/0.0f, ctx->tracker));
-        pp->block_index_ = ctx->block_index;
-        pp->interned_resident_.push_back(interned.id);
-        if (interned.deduped) {
-          pp->footprint_.shared_blocks += 1;
-        } else {
-          pp->footprint_.physical_bytes += weight->ByteSize();
-        }
-        pp->resident_.emplace(node.weight_name,
-                              std::move(interned.payload));
-      } else {
-        RELSERVE_ASSIGN_OR_RETURN(Tensor copy,
-                                  weight->Clone(ctx->tracker));
-        pp->footprint_.physical_bytes += weight->ByteSize();
-        pp->resident_.emplace(node.weight_name, std::move(copy));
-      }
+      // they stay resident in both representations; biases and
+      // top-k heads likewise.
+      RELSERVE_ASSIGN_OR_RETURN(Tensor resident,
+                                hold(*weight, ctx->tracker));
+      pp->resident_.emplace(node.weight_name, std::move(resident));
     }
   }
 
@@ -350,7 +369,13 @@ Result<std::unique_ptr<PhysicalPlan>> PhysicalPlan::Compile(
           s->label =
               "sparse-matmul(" + node.weight_name + "," + dens + ")";
         } else {
-          s->weight = &pp->resident_.at(node.weight_name);
+          if (topk_head) {
+            s->weight = &pp->resident_.at(node.weight_name);
+          } else {
+            s->packed_weight = &pp->packed_.at(node.weight_name);
+            RELSERVE_ASSIGN_OR_RETURN(s->weight,
+                                      model->GetWeight(node.weight_name));
+          }
           s->label = "matmul(" + node.weight_name + ")";
         }
         if (topk_head) {

@@ -46,6 +46,7 @@
 #include "engine/exec_context.h"
 #include "graph/model.h"
 #include "kernels/int8_gemm.h"
+#include "kernels/kernels.h"
 #include "kernels/sparse_gemm.h"
 #include "optimizer/plan.h"
 #include "relational/column_batch.h"
@@ -112,9 +113,15 @@ struct PhysicalStage {
   std::string label;
 
   // Pre-bound operands; pointers into the owning plan's weight maps.
-  // Matmul stages bind exactly one of weight / blocked_weight /
-  // int8_weight / sparse_weight — the optimizer's kernel arm, frozen.
+  // Matmul stages bind exactly one of packed_weight / blocked_weight /
+  // int8_weight / sparse_weight — the optimizer's kernel arm, frozen —
+  // except top-k heads, which bind the resident `weight`. An fp32
+  // kMatMul stage runs on its deploy-packed B panel; its `weight` is
+  // then the model's own tensor, packed per call only when the active
+  // backend's nr differs from the panel's (a SIMD level switched after
+  // deploy).
   const Tensor* weight = nullptr;
+  const kernels::PackedWeight* packed_weight = nullptr;
   const BlockStore* blocked_weight = nullptr;
   const kernels::Int8Weight* int8_weight = nullptr;
   const kernels::CsrWeight* sparse_weight = nullptr;
@@ -247,12 +254,16 @@ class PhysicalPlan {
   int num_fused_ops_ = 0;
   std::vector<int64_t> output_sample_;
   // Weight residency (moved here from PreparedModel): whole tensors
-  // for UDF-centric consumers, block relations for relation-centric
-  // matmuls. Node-based maps: stage pointers stay valid across moves.
+  // for conv kernels, biases and top-k heads, block relations for
+  // relation-centric matmuls. Node-based maps: stage pointers stay
+  // valid across moves.
   std::map<std::string, Tensor> resident_;
   std::map<std::string, std::unique_ptr<BlockStore>> blocked_;
-  // Deploy-time-compressed weight arms (the fp32 copy is NOT kept for
-  // these consumers — the quantized/sparse form replaces it).
+  // Deploy-time-packed and -compressed weight arms (the fp32 copy is
+  // NOT kept for these consumers — the B panel, the quantized or the
+  // sparse form replaces it). Panels are shared through the block
+  // index like any resident weight.
+  std::map<std::string, kernels::PackedWeight> packed_;
   std::map<std::string, kernels::Int8Weight> int8_weights_;
   std::map<std::string, kernels::CsrWeight> sparse_weights_;
   // Ref-counted handles on shared resident weights (the index the

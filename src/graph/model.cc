@@ -185,7 +185,10 @@ std::string Model::ToString() const {
     if (!node.weight_name.empty()) {
       out += " [" + node.weight_name;
       auto w = GetWeight(node.weight_name);
-      if (w.ok()) out += " " + (*w)->shape().ToString();
+      if (w.ok()) {
+        out += " ";
+        out += (*w)->shape().ToString();
+      }
       out += "]";
     }
     if (node.input >= 0) out += " <- #" + std::to_string(node.input);
@@ -222,8 +225,10 @@ Result<Model> BuildFFNN(const std::string& name,
   for (size_t layer = 0; layer + 1 < dims.size(); ++layer) {
     const int64_t in_dim = dims[layer];
     const int64_t out_dim = dims[layer + 1];
-    const std::string w_name = "w" + std::to_string(layer);
-    const std::string b_name = "b" + std::to_string(layer);
+    std::string w_name = "w";
+    w_name += std::to_string(layer);
+    std::string b_name = "b";
+    b_name += std::to_string(layer);
     RELSERVE_ASSIGN_OR_RETURN(
         Tensor w,
         RandomWeight(Shape{out_dim, in_dim}, in_dim, &rng, tracker));

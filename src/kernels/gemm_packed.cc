@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/aligned_alloc.h"
+#include "kernels/kernels.h"
 #include "kernels/micro_kernel.h"
 
 namespace relserve {
@@ -73,20 +74,53 @@ inline int64_t RoundUp(int64_t v, int64_t to) {
   return (v + to - 1) / to * to;
 }
 
+// Start of the (jc, pc) B block in a deploy-packed panel: every
+// earlier jc block is a full kNc (a multiple of nr) wide and k deep.
+inline int64_t PanelBlockOffset(int64_t jc, int64_t pc, int64_t nc,
+                                int64_t k, int64_t nr) {
+  return jc * k + RoundUp(nc, nr) * pc;
+}
+
 }  // namespace
+
+Result<PackedWeight> PackWeightTransB(const Tensor& w, int64_t nr,
+                                      MemoryTracker* tracker) {
+  if (w.shape().ndim() != 2) {
+    return Status::InvalidArgument("PackWeightTransB expects a matrix");
+  }
+  PackedWeight packed;
+  packed.n = w.shape().dim(0);
+  packed.k = w.shape().dim(1);
+  packed.nr = nr;
+  RELSERVE_ASSIGN_OR_RETURN(
+      packed.panel,
+      Tensor::Create(Shape{RoundUp(packed.n, nr), packed.k}, tracker));
+  for (int64_t jc = 0; jc < packed.n; jc += kNc) {
+    const int64_t nc = std::min(kNc, packed.n - jc);
+    for (int64_t pc = 0; pc < packed.k; pc += kKc) {
+      const int64_t kc = std::min(kKc, packed.k - pc);
+      PackB(w.data(), packed.k, /*trans_b=*/true, pc, jc, kc, nc, nr,
+            packed.panel.data() +
+                PanelBlockOffset(jc, pc, nc, packed.k, nr));
+    }
+  }
+  return packed;
+}
 
 Status GemmPacked(int64_t m, int64_t n, int64_t k, const float* a,
                   int64_t lda, bool trans_a, const float* b, int64_t ldb,
                   bool trans_b, float* c, int64_t ldc, bool accumulate,
-                  ThreadPool* pool) {
+                  ThreadPool* pool, const PackedWeight* packed_b) {
   return GemmPacked(GetKernelBackend(ActiveSimdLevel()), m, n, k, a, lda,
-                    trans_a, b, ldb, trans_b, c, ldc, accumulate, pool);
+                    trans_a, b, ldb, trans_b, c, ldc, accumulate, pool,
+                    packed_b);
 }
 
 Status GemmPacked(const KernelBackend* backend, int64_t m, int64_t n,
                   int64_t k, const float* a, int64_t lda, bool trans_a,
                   const float* b, int64_t ldb, bool trans_b, float* c,
-                  int64_t ldc, bool accumulate, ThreadPool* pool) {
+                  int64_t ldc, bool accumulate, ThreadPool* pool,
+                  const PackedWeight* packed_b) {
   if (m <= 0 || n <= 0) return Status::OK();
   if (k <= 0) {
     // An empty contraction still defines the output.
@@ -98,14 +132,22 @@ Status GemmPacked(const KernelBackend* backend, int64_t m, int64_t n,
     return Status::OK();
   }
   const int64_t nr = backend->nr;
+  // A deploy-time panel serves only the sliver width it was packed
+  // for; any other backend packs B per call.
+  const bool prepacked = packed_b != nullptr && packed_b->nr == nr;
 
   // One shared B panel, packed by the calling thread per (jc, pc) and
   // read-only during the parallel macro-tile sweep.
-  AlignedBuffer b_packed(RoundUp(std::min(n, kNc), nr) *
-                         std::min(k, kKc));
-  if (!b_packed.ok()) {
-    return Status::OutOfMemory("GEMM B packing panel");
+  AlignedBuffer b_packed;
+  if (!prepacked) {
+    b_packed = AlignedBuffer(RoundUp(std::min(n, kNc), nr) *
+                             std::min(k, kKc));
+    if (!b_packed.ok()) {
+      return Status::OutOfMemory("GEMM B packing panel");
+    }
   }
+  // Each worker's A panel holds at most one macro-tile of rows.
+  const int64_t a_rows = std::min(kMc, RoundUp(m, kMr));
 
   for (int64_t jc = 0; jc < n; jc += kNc) {
     const int64_t nc = std::min(kNc, n - jc);
@@ -115,13 +157,21 @@ Status GemmPacked(const KernelBackend* backend, int64_t m, int64_t n,
       // caller's accumulation; later blocks always accumulate the
       // partials already stored in C.
       const bool acc_block = accumulate || pc > 0;
-      PackB(b, ldb, trans_b, pc, jc, kc, nc, nr, b_packed.data());
+      const float* b_block;
+      if (prepacked) {
+        b_block = packed_b->panel.data() +
+                  PanelBlockOffset(jc, pc, nc, k, nr);
+      } else {
+        PackB(b, ldb, trans_b, pc, jc, kc, nc, nr, b_packed.data());
+        b_block = b_packed.data();
+      }
 
       const int64_t num_tiles = (m + kMc - 1) / kMc;
       std::atomic<bool> panel_oom{false};
       auto run_tiles = [&](int64_t t_lo, int64_t t_hi) {
-        // Each worker owns one A panel (kMc x kc floats, ~72 KiB).
-        AlignedBuffer a_packed(kMc * kc);
+        // Each worker owns one A panel (at most kMc x kc floats,
+        // ~72 KiB).
+        AlignedBuffer a_packed(a_rows * kc);
         if (!a_packed.ok()) {
           panel_oom.store(true, std::memory_order_relaxed);
           return;
@@ -132,7 +182,7 @@ Status GemmPacked(const KernelBackend* backend, int64_t m, int64_t n,
           PackA(a, lda, trans_a, ic, pc, mc, kc, a_packed.data());
           for (int64_t jr = 0; jr < nc; jr += nr) {
             const int64_t n_r = std::min(nr, nc - jr);
-            const float* b_sliver = b_packed.data() + (jr / nr) * kc * nr;
+            const float* b_sliver = b_block + (jr / nr) * kc * nr;
             for (int64_t ir = 0; ir < mc; ir += kMr) {
               const int64_t m_r = std::min(kMr, mc - ir);
               const float* a_sliver =

@@ -16,33 +16,54 @@
 // rows and the kc blocks advance sequentially, so every output element
 // keeps one fixed ascending-k accumulation chain: results are
 // identical no matter how morsels land on threads.
+//
+// A weight packed at deploy (PackedWeight, kernels.h) holds every
+// (jc, pc) B block this driver would pack, jc-major: the block of
+// (jc, pc) starts at float jc * k + RoundUp(nc, nr) * pc. When its
+// sliver width matches the backend's nr the driver reads each block
+// from it instead of packing one; otherwise it packs B per call as
+// usual. The panel bytes are the ones PackB writes, so the product is
+// bit-identical either way.
 
 #ifndef RELSERVE_KERNELS_GEMM_PACKED_H_
 #define RELSERVE_KERNELS_GEMM_PACKED_H_
 
 #include <cstdint>
 
-#include "common/status.h"
+#include "common/result.h"
 #include "kernels/micro_kernel.h"
 #include "resource/thread_pool.h"
+#include "tensor/tensor.h"
 
 namespace relserve {
 namespace kernels {
+
+struct PackedWeight;
+
 namespace internal {
 
 // Fails only when a packing panel cannot be allocated (OutOfMemory).
-// Runs on the backend of the active SIMD level.
+// Runs on the backend of the active SIMD level. `packed_b` (nullable)
+// is B = the [n, k] weight `b` (trans_b) packed at deploy; `b` is read
+// only when the panel's nr differs from the backend's.
 Status GemmPacked(int64_t m, int64_t n, int64_t k, const float* a,
                   int64_t lda, bool trans_a, const float* b, int64_t ldb,
                   bool trans_b, float* c, int64_t ldc, bool accumulate,
-                  ThreadPool* pool);
+                  ThreadPool* pool,
+                  const PackedWeight* packed_b = nullptr);
 
 // Same product on an explicit backend — lets tests compare two
 // backends that share one dispatch level.
 Status GemmPacked(const KernelBackend* backend, int64_t m, int64_t n,
                   int64_t k, const float* a, int64_t lda, bool trans_a,
                   const float* b, int64_t ldb, bool trans_b, float* c,
-                  int64_t ldc, bool accumulate, ThreadPool* pool);
+                  int64_t ldc, bool accumulate, ThreadPool* pool,
+                  const PackedWeight* packed_b = nullptr);
+
+// Packs the [n, k] weight `w` into B panels of sliver width `nr`
+// (kernels::PackWeightTransB picks the active backend's).
+Result<PackedWeight> PackWeightTransB(const Tensor& w, int64_t nr,
+                                      MemoryTracker* tracker);
 
 }  // namespace internal
 }  // namespace kernels

@@ -22,8 +22,14 @@ const internal::KernelBackend* Backend() {
 
 }  // namespace
 
+Result<PackedWeight> PackWeightTransB(const Tensor& w,
+                                      MemoryTracker* tracker) {
+  return internal::PackWeightTransB(w, Backend()->nr, tracker);
+}
+
 Status GemmInto(const Tensor& a, const Tensor& b, bool transpose_b,
-                bool accumulate, Tensor* out, ThreadPool* pool) {
+                bool accumulate, Tensor* out, ThreadPool* pool,
+                const PackedWeight* packed_b) {
   if (a.shape().ndim() != 2 || b.shape().ndim() != 2 ||
       out->shape().ndim() != 2) {
     return Status::InvalidArgument("GemmInto expects matrices");
@@ -44,16 +50,22 @@ Status GemmInto(const Tensor& a, const Tensor& b, bool transpose_b,
                                    std::to_string(m) + ", " +
                                    std::to_string(n) + "]");
   }
+  if (packed_b != nullptr &&
+      (!transpose_b || packed_b->n != n || packed_b->k != k)) {
+    return Status::InvalidArgument(
+        "GemmInto packed weight is not b's transposed panel");
+  }
   // b's leading dimension in storage: [k, n] row-major or [n, k] when
   // the caller hands the transposed (weight) layout.
   const int64_t ldb = transpose_b ? k : n;
   return internal::GemmPacked(m, n, k, a.data(), k, /*trans_a=*/false,
                               b.data(), ldb, transpose_b, out->data(), n,
-                              accumulate, pool);
+                              accumulate, pool, packed_b);
 }
 
 Result<Tensor> MatMul(const Tensor& a, const Tensor& b, bool transpose_b,
-                      MemoryTracker* tracker, ThreadPool* pool) {
+                      MemoryTracker* tracker, ThreadPool* pool,
+                      const PackedWeight* packed_b) {
   if (a.shape().ndim() != 2 || b.shape().ndim() != 2) {
     return Status::InvalidArgument("MatMul expects matrices");
   }
@@ -62,7 +74,8 @@ Result<Tensor> MatMul(const Tensor& a, const Tensor& b, bool transpose_b,
   RELSERVE_ASSIGN_OR_RETURN(Tensor out,
                             Tensor::Create(Shape{m, n}, tracker));
   RELSERVE_RETURN_NOT_OK(
-      GemmInto(a, b, transpose_b, /*accumulate=*/false, &out, pool));
+      GemmInto(a, b, transpose_b, /*accumulate=*/false, &out, pool,
+               packed_b));
   return out;
 }
 

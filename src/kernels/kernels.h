@@ -34,17 +34,40 @@
 namespace relserve {
 namespace kernels {
 
+// A [n, k] matmul weight (the x * W^T layout) packed once, at deploy,
+// into the GEMM's B-panel layout: every (jc, pc) block the packed
+// driver would otherwise pack per call, jc-major, in nr-wide column
+// slivers zero-padded past n. `panel` is [RoundUp(n, nr), k] floats
+// on a 64-byte boundary, so it exceeds the weight by at most
+// (nr - 1) * k floats.
+struct PackedWeight {
+  int64_t n = 0;
+  int64_t k = 0;
+  int64_t nr = 0;  // sliver width of the backend it was packed for
+  Tensor panel;
+};
+
+// Packs `w` ([n, k]) for the active backend's sliver width, charging
+// the panel to `tracker`.
+Result<PackedWeight> PackWeightTransB(const Tensor& w,
+                                      MemoryTracker* tracker = nullptr);
+
 // out[m,n] = a[m,k] * b[k,n]   (transpose_b=false, b is [k,n])
 // out[m,n] = a[m,k] * b[n,k]^T (transpose_b=true,  b is [n,k])
 // If `accumulate` is true, adds into `out` instead of overwriting.
-// `pool` may be null (serial execution).
+// `pool` may be null (serial execution). `packed_b` (nullable,
+// transpose_b only) is `b` packed by PackWeightTransB: the product
+// reads B from it instead of packing `b` per call, unless the active
+// backend's nr differs from the panel's. The bits are the same.
 Status GemmInto(const Tensor& a, const Tensor& b, bool transpose_b,
-                bool accumulate, Tensor* out, ThreadPool* pool = nullptr);
+                bool accumulate, Tensor* out, ThreadPool* pool = nullptr,
+                const PackedWeight* packed_b = nullptr);
 
 // Allocating matmul; `out = a * b(^T)`.
 Result<Tensor> MatMul(const Tensor& a, const Tensor& b, bool transpose_b,
                       MemoryTracker* tracker = nullptr,
-                      ThreadPool* pool = nullptr);
+                      ThreadPool* pool = nullptr,
+                      const PackedWeight* packed_b = nullptr);
 
 // out[m, k] = a[n, m]^T * b[n, k] — the weight-gradient contraction of
 // backpropagation (dW = dZ^T * A). If `accumulate`, adds into `out`.

@@ -16,11 +16,14 @@
 //   A panel  (kMr-tall row slivers):  a_panel[p * kMr + i] = A[i, p]
 //   B panel  (nr-wide column slivers): b_panel[p * nr + j] = B[p, j]
 //
-// with i < kMr, j < nr zero-padded past the matrix edge, p < kc. A
-// micro-kernel call computes the full kMr x nr register tile
+// with i < kMr, j < nr zero-padded past the matrix edge, p < kc. The
+// B panel of a weight can be packed once at deploy (PackedWeight in
+// kernels.h) in this same layout. A micro-kernel call computes the
+// full kMr x nr register tile
 //   C[i, j] ⊕= Σ_p a_panel[p*kMr+i] * b_panel[p*nr+j]
 // accumulating directly into C in ascending-p order (⊕ is += when
-// `accumulate`, otherwise the chain starts from 0). Keeping the
+// `accumulate`, otherwise the chain starts from 0); an edge call
+// computes only the live rows and columns, each by the same chain. Keeping the
 // per-element accumulation a single ascending-k chain makes the
 // scalar backend bit-identical to the historical triple-loop kernel;
 // the AVX2 backend differs only by FMA rounding within the chain. The
@@ -69,8 +72,9 @@ struct KernelBackend {
                     const float* b_panel, float* c, int64_t ldc,
                     bool accumulate);
   // Edge tile: only rows [0, m_r) and columns [0, n_r) of the tile
-  // are written (panels are zero-padded, so reading the full sliver
-  // is always safe).
+  // are read and written, straight in C (the vector backends mask
+  // the columns and run one of six row-count kernels); panels are
+  // zero-padded, so reading the full sliver is always safe.
   void (*gemm_tile_edge)(int64_t kc, const float* a_panel,
                          const float* b_panel, float* c, int64_t ldc,
                          bool accumulate, int64_t m_r, int64_t n_r);

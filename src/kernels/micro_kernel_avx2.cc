@@ -20,10 +20,6 @@
 
 #include <immintrin.h>
 
-#include <cstring>
-
-#include "common/aligned_alloc.h"
-
 namespace relserve {
 namespace kernels {
 namespace internal {
@@ -90,25 +86,70 @@ void Avx2Tile(int64_t kc, const float* a_panel, const float* b_panel,
   _mm256_storeu_ps(c + 5 * ldc + 8, acc5b);
 }
 
-// Edge tiles run the full-width kernel on an aligned scratch tile
-// (the panels are zero-padded to kMr x kNr, so the extra lanes compute
-// harmless zeros) and copy the valid region back to C. When
-// accumulating, the scratch starts from C's partials, so every element
-// sees the same FMA chain as in a full tile: a row's bits never depend
-// on where the batch's tile edges fall.
+// Edge rows: the first M rows of the tile, read from and written to C
+// directly, with the columns past n_r masked off (vmaskmov). Each live
+// element runs the full tile's FMA chain (from C's partial or from
+// zero, ascending p), so a row's bits never depend on where the
+// batch's tile edges fall. kHi is false when n_r <= 8: the upper ymm
+// half holds no live column and is skipped.
+template <int M, bool kHi>
+void Avx2TileRows(int64_t kc, const float* a_panel, const float* b_panel,
+                  float* c, int64_t ldc, bool accumulate, __m256i lo_mask,
+                  __m256i hi_mask) {
+  __m256 lo[M];
+  __m256 hi[M];
+#pragma GCC unroll 6
+  for (int i = 0; i < M; ++i) {
+    lo[i] = accumulate ? _mm256_maskload_ps(c + i * ldc, lo_mask)
+                       : _mm256_setzero_ps();
+    if constexpr (kHi) {
+      hi[i] = accumulate ? _mm256_maskload_ps(c + i * ldc + 8, hi_mask)
+                         : _mm256_setzero_ps();
+    }
+  }
+  for (int64_t p = 0; p < kc; ++p) {
+    const float* a = a_panel + p * kMr;
+    const __m256 b0 = _mm256_load_ps(b_panel + p * kNr);
+    __m256 b1;
+    if constexpr (kHi) b1 = _mm256_load_ps(b_panel + p * kNr + 8);
+#pragma GCC unroll 6
+    for (int i = 0; i < M; ++i) {
+      const __m256 ai = _mm256_broadcast_ss(a + i);
+      lo[i] = _mm256_fmadd_ps(ai, b0, lo[i]);
+      if constexpr (kHi) hi[i] = _mm256_fmadd_ps(ai, b1, hi[i]);
+    }
+  }
+#pragma GCC unroll 6
+  for (int i = 0; i < M; ++i) {
+    _mm256_maskstore_ps(c + i * ldc, lo_mask, lo[i]);
+    if constexpr (kHi) _mm256_maskstore_ps(c + i * ldc + 8, hi_mask, hi[i]);
+  }
+}
+
+using EdgeRowsFn = void (*)(int64_t, const float*, const float*, float*,
+                            int64_t, bool, __m256i, __m256i);
+
+// [kHi][M - 1]
+constexpr EdgeRowsFn kEdgeRows[2][kMr] = {
+    {Avx2TileRows<1, false>, Avx2TileRows<2, false>,
+     Avx2TileRows<3, false>, Avx2TileRows<4, false>,
+     Avx2TileRows<5, false>, Avx2TileRows<6, false>},
+    {Avx2TileRows<1, true>, Avx2TileRows<2, true>, Avx2TileRows<3, true>,
+     Avx2TileRows<4, true>, Avx2TileRows<5, true>, Avx2TileRows<6, true>},
+};
+
+// Lane mask (all-ones lanes) of the first `cols` columns of one
+// 8-float half.
+inline __m256i LiveLanes(int64_t cols) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(cols)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
 void Avx2TileEdge(int64_t kc, const float* a_panel, const float* b_panel,
                   float* c, int64_t ldc, bool accumulate, int64_t m_r,
                   int64_t n_r) {
-  alignas(kCacheLineBytes) float tile[kMr * kNr] = {};
-  if (accumulate) {
-    for (int64_t i = 0; i < m_r; ++i) {
-      std::memcpy(tile + i * kNr, c + i * ldc, n_r * sizeof(float));
-    }
-  }
-  Avx2Tile(kc, a_panel, b_panel, tile, kNr, accumulate);
-  for (int64_t i = 0; i < m_r; ++i) {
-    std::memcpy(c + i * ldc, tile + i * kNr, n_r * sizeof(float));
-  }
+  kEdgeRows[n_r > 8][m_r - 1](kc, a_panel, b_panel, c, ldc, accumulate,
+                              LiveLanes(n_r), LiveLanes(n_r - 8));
 }
 
 void Avx2Relu(float* x, int64_t n) {

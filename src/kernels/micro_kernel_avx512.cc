@@ -8,10 +8,10 @@
 // starting from C's partials (or zero) exactly as in the AVX2 tile:
 // the vector width only decides how many independent chains sit side
 // by side, never the order or the rounding of any one chain. Edge
-// tiles run the full tile on a zero-padded local buffer, as the AVX2 edge
-// does. So the results are bit-identical to the AVX2 backend, not
-// just within tolerance, and this backend slots under the kAvx2
-// dispatch level.
+// tiles compute only their live rows, straight in C, under column
+// masks, as the AVX2 edge does. So the results are bit-identical to
+// the AVX2 backend, not just within tolerance, and this backend slots
+// under the kAvx2 dispatch level.
 //
 // The elementwise strips are the AVX2 backend's: they are bound by
 // memory, not by vector width, and sharing them keeps the whole kAvx2
@@ -26,10 +26,6 @@
 #if defined(__AVX512F__) && defined(__FMA__)
 
 #include <immintrin.h>
-
-#include <cstring>
-
-#include "common/aligned_alloc.h"
 
 namespace relserve {
 namespace kernels {
@@ -101,22 +97,75 @@ void Avx512Tile(int64_t kc, const float* a_panel, const float* b_panel,
   _mm512_storeu_ps(c + 5 * ldc + 16, acc5b);
 }
 
-// Edge tiles run the full tile on an aligned, zero-padded local buffer and
-// copy the valid region back, as Avx2TileEdge does: every element sees
-// the same FMA chain as in a full tile.
+// Edge rows: the first M rows of the tile, read from and written to C
+// directly, with the columns past n_r masked off. Each live element
+// runs the full tile's FMA chain (from C's partial or from zero,
+// ascending p), so an edge element has the bits it would have in a
+// full tile. kHi is false when n_r <= 16: the upper zmm half holds no
+// live column and is skipped.
+template <int M, bool kHi>
+void Avx512TileRows(int64_t kc, const float* a_panel,
+                    const float* b_panel, float* c, int64_t ldc,
+                    bool accumulate, __mmask16 lo_mask,
+                    __mmask16 hi_mask) {
+  __m512 lo[M];
+  __m512 hi[M];
+#pragma GCC unroll 6
+  for (int i = 0; i < M; ++i) {
+    lo[i] = accumulate ? _mm512_maskz_loadu_ps(lo_mask, c + i * ldc)
+                       : _mm512_setzero_ps();
+    if constexpr (kHi) {
+      hi[i] = accumulate
+                  ? _mm512_maskz_loadu_ps(hi_mask, c + i * ldc + 16)
+                  : _mm512_setzero_ps();
+    }
+  }
+  for (int64_t p = 0; p < kc; ++p) {
+    const float* a = a_panel + p * kMr;
+    const __m512 b0 = _mm512_load_ps(b_panel + p * kNrZmm);
+    __m512 b1;
+    if constexpr (kHi) b1 = _mm512_load_ps(b_panel + p * kNrZmm + 16);
+#pragma GCC unroll 6
+    for (int i = 0; i < M; ++i) {
+      const __m512 ai = _mm512_set1_ps(a[i]);
+      lo[i] = _mm512_fmadd_ps(ai, b0, lo[i]);
+      if constexpr (kHi) hi[i] = _mm512_fmadd_ps(ai, b1, hi[i]);
+    }
+  }
+#pragma GCC unroll 6
+  for (int i = 0; i < M; ++i) {
+    _mm512_mask_storeu_ps(c + i * ldc, lo_mask, lo[i]);
+    if constexpr (kHi) {
+      _mm512_mask_storeu_ps(c + i * ldc + 16, hi_mask, hi[i]);
+    }
+  }
+}
+
+using EdgeRowsFn = void (*)(int64_t, const float*, const float*, float*,
+                            int64_t, bool, __mmask16, __mmask16);
+
+// [kHi][M - 1]
+constexpr EdgeRowsFn kEdgeRows[2][kMr] = {
+    {Avx512TileRows<1, false>, Avx512TileRows<2, false>,
+     Avx512TileRows<3, false>, Avx512TileRows<4, false>,
+     Avx512TileRows<5, false>, Avx512TileRows<6, false>},
+    {Avx512TileRows<1, true>, Avx512TileRows<2, true>,
+     Avx512TileRows<3, true>, Avx512TileRows<4, true>,
+     Avx512TileRows<5, true>, Avx512TileRows<6, true>},
+};
+
+// Lane mask of the first `cols` columns of one 16-float half.
+inline __mmask16 LiveLanes(int64_t cols) {
+  if (cols <= 0) return 0;
+  if (cols >= 16) return 0xFFFF;
+  return static_cast<__mmask16>((1u << cols) - 1);
+}
+
 void Avx512TileEdge(int64_t kc, const float* a_panel,
                     const float* b_panel, float* c, int64_t ldc,
                     bool accumulate, int64_t m_r, int64_t n_r) {
-  alignas(kCacheLineBytes) float tile[kMr * kNrZmm] = {};
-  if (accumulate) {
-    for (int64_t i = 0; i < m_r; ++i) {
-      std::memcpy(tile + i * kNrZmm, c + i * ldc, n_r * sizeof(float));
-    }
-  }
-  Avx512Tile(kc, a_panel, b_panel, tile, kNrZmm, accumulate);
-  for (int64_t i = 0; i < m_r; ++i) {
-    std::memcpy(c + i * ldc, tile + i * kNrZmm, n_r * sizeof(float));
-  }
+  kEdgeRows[n_r > 16][m_r - 1](kc, a_panel, b_panel, c, ldc, accumulate,
+                               LiveLanes(n_r), LiveLanes(n_r - 16));
 }
 
 }  // namespace

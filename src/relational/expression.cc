@@ -110,35 +110,40 @@ Result<bool> Expression::EvaluateBool(const Row& row) const {
 }
 
 std::string Expression::ToString() const {
+  // "(lhs op rhs)", built by appending: GCC 12 reports a false
+  // -Wrestrict on a chained operator+ that starts from a literal.
+  auto binary = [this](const char* op) {
+    std::string out = "(";
+    out += children_[0]->ToString();
+    out += op;
+    out += children_[1]->ToString();
+    out += ")";
+    return out;
+  };
   switch (kind_) {
-    case ExprKind::kColumn:
-      return "$" + std::to_string(column_index_);
+    case ExprKind::kColumn: {
+      std::string out = "$";
+      out += std::to_string(column_index_);
+      return out;
+    }
     case ExprKind::kLiteral:
       return literal_.ToString();
     case ExprKind::kAdd:
-      return "(" + children_[0]->ToString() + " + " +
-             children_[1]->ToString() + ")";
+      return binary(" + ");
     case ExprKind::kSub:
-      return "(" + children_[0]->ToString() + " - " +
-             children_[1]->ToString() + ")";
+      return binary(" - ");
     case ExprKind::kMul:
-      return "(" + children_[0]->ToString() + " * " +
-             children_[1]->ToString() + ")";
+      return binary(" * ");
     case ExprKind::kEq:
-      return "(" + children_[0]->ToString() + " = " +
-             children_[1]->ToString() + ")";
+      return binary(" = ");
     case ExprKind::kLt:
-      return "(" + children_[0]->ToString() + " < " +
-             children_[1]->ToString() + ")";
+      return binary(" < ");
     case ExprKind::kLe:
-      return "(" + children_[0]->ToString() + " <= " +
-             children_[1]->ToString() + ")";
+      return binary(" <= ");
     case ExprKind::kAnd:
-      return "(" + children_[0]->ToString() + " AND " +
-             children_[1]->ToString() + ")";
+      return binary(" AND ");
     case ExprKind::kOr:
-      return "(" + children_[0]->ToString() + " OR " +
-             children_[1]->ToString() + ")";
+      return binary(" OR ");
     case ExprKind::kNot:
       return "(NOT " + children_[0]->ToString() + ")";
     case ExprKind::kAbsDiffLe:

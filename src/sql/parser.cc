@@ -260,7 +260,7 @@ class Parser {
         if (item.agg != AggregateFunc::kCount) {
           return Status::InvalidArgument(upper + "(*) is not valid");
         }
-        item.column = "*";
+        item.column += '*';
       } else {
         RELSERVE_ASSIGN_OR_RETURN(item.column, ExpectIdentifier());
       }

@@ -143,8 +143,7 @@ Status DiskManager::ReadAttempt(PageId page_id, char* out) {
   RELSERVE_RETURN_NOT_OK(io::PreadFull(fd_, header_bytes, kPageHeaderSize,
                                   slot, "disk.read.eintr",
                                   "disk.read.short", &header_done));
-  PageHeader header;
-  std::memset(&header, 0, sizeof(header));
+  PageHeader header{};
   std::memcpy(&header, header_bytes,
               static_cast<size_t>(header_done));
 

@@ -332,6 +332,53 @@ TEST(ServingDedupTest, SecondVariantIsFullyShared) {
   EXPECT_EQ(deployed[1].shared_blocks, deployed[1].total_blocks);
 }
 
+// UDF-centric deploys pack their fp32 matmul weights into B panels;
+// packing is deterministic, so byte-identical variants pack
+// byte-identical panels and the second one holds none of its own.
+TEST(ServingDedupTest, SecondUdfVariantSharesItsPackedPanels) {
+  ServingSession session{ServingConfig{}};
+  for (const char* name : {"va", "vb"}) {
+    auto model = BuildFFNN(name, {16, 32, 4}, /*seed=*/3);
+    ASSERT_TRUE(model.ok());
+    ASSERT_TRUE(session.RegisterModel(std::move(*model)).ok());
+    ASSERT_TRUE(session.Deploy(name, ServingMode::kForceUdf, 8).ok());
+  }
+
+  const auto deployed = session.ListDeployedModels();
+  ASSERT_EQ(deployed.size(), 2u);
+  EXPECT_EQ(deployed[1].name, "vb");
+  EXPECT_GT(deployed[1].logical_weight_bytes, 0);
+  EXPECT_EQ(deployed[1].physical_weight_bytes, 0);
+  EXPECT_EQ(deployed[1].shared_blocks, deployed[1].total_blocks);
+
+  // Both plans bind the same panel buffers, and the footprint books
+  // the panels (w0 [32, 16], w1 [4, 32], padded to whole slivers) plus
+  // the two biases.
+  auto plan_a = session.DeployedPhysicalPlan("va");
+  auto plan_b = session.DeployedPhysicalPlan("vb");
+  ASSERT_TRUE(plan_a.ok() && plan_b.ok());
+  const auto& stages_a = (*plan_a)->stages();
+  const auto& stages_b = (*plan_b)->stages();
+  ASSERT_EQ(stages_a.size(), stages_b.size());
+  int64_t panel_bytes = 0;
+  for (size_t i = 0; i < stages_a.size(); ++i) {
+    const kernels::PackedWeight* packed = stages_a[i]->packed_weight;
+    if (packed == nullptr) continue;
+    ASSERT_NE(stages_b[i]->packed_weight, nullptr);
+    EXPECT_EQ(stages_b[i]->packed_weight->panel.data(),
+              packed->panel.data());
+    const int64_t padded_n = (packed->n + packed->nr - 1) /
+                             packed->nr * packed->nr;
+    EXPECT_EQ(packed->panel.ByteSize(),
+              padded_n * packed->k * static_cast<int64_t>(sizeof(float)));
+    panel_bytes += packed->panel.ByteSize();
+  }
+  EXPECT_EQ(deployed[0].logical_weight_bytes,
+            panel_bytes + (32 + 4) * static_cast<int64_t>(sizeof(float)));
+  EXPECT_EQ(deployed[0].physical_weight_bytes,
+            deployed[0].logical_weight_bytes);
+}
+
 TEST(ServingDedupTest, DedupOutputsAreBitIdentical) {
   auto input = workloads::GenBatch(8, Shape{16}, 77);
   ASSERT_TRUE(input.ok());

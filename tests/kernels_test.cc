@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "kernels/cpu_features.h"
@@ -378,6 +380,121 @@ TEST(GemmMicroKernelTest, Avx512BitIdenticalToAvx2AcrossTails) {
                       /*trans_a=*/false, b.data(), 100, /*trans_b=*/false,
                       out->data(), 100, /*accumulate=*/false, &pool);
   });
+}
+
+// A weight packed once at deploy gives the bytes per-call packing
+// gives: the panel holds exactly the blocks the driver would pack. On
+// every backend this host runs, over short and full tiles (m up to one
+// macro-tile and past it), k past one kc block and n past one nc
+// block. The prepacked product is handed no B pointer, so reading the
+// weight instead of the panel would fault.
+TEST(GemmPrepackedTest, BitIdenticalToPerCallPacking) {
+  using kernels::internal::GemmPacked;
+  using kernels::internal::KernelBackend;
+  std::vector<const KernelBackend*> backends = {
+      kernels::internal::GetScalarBackend()};
+  if (kernels::DetectSimdLevel() == SimdLevel::kAvx2) {
+    for (const KernelBackend* backend :
+         {kernels::internal::GetAvx2Backend(),
+          kernels::internal::GetAvx512Backend()}) {
+      if (backend != nullptr) backends.push_back(backend);
+    }
+  }
+  std::vector<int64_t> ns(std::begin(kTailDims), std::end(kTailDims));
+  ns.push_back(1025);
+  std::vector<int64_t> ks(std::begin(kTailDims), std::end(kTailDims));
+  ks.push_back(300);
+  ks.push_back(513);
+  const int64_t ms[] = {1, 2, 3, 4, 5, 6, 7, 72, 73};
+  for (const int64_t n : ns) {
+    for (const int64_t k : ks) {
+      const Tensor w = DeterministicTensor(Shape{n, k}, 0.9f);
+      for (const KernelBackend* backend : backends) {
+        auto packed =
+            kernels::internal::PackWeightTransB(w, backend->nr, nullptr);
+        ASSERT_TRUE(packed.ok()) << packed.status();
+        for (const int64_t m : ms) {
+          SCOPED_TRACE(testing::Message()
+                       << backend->name << " m=" << m << " n=" << n
+                       << " k=" << k);
+          const Tensor a = DeterministicTensor(Shape{m, k}, 0.1f);
+          // Odd batches overwrite C, even ones accumulate into it.
+          const bool accumulate = m % 2 == 0;
+          const Tensor seed = DeterministicTensor(Shape{m, n}, 2.3f);
+          auto want = seed.Clone();
+          auto got = seed.Clone();
+          ASSERT_TRUE(want.ok() && got.ok());
+          ASSERT_TRUE(GemmPacked(backend, m, n, k, a.data(), k,
+                                 /*trans_a=*/false, w.data(), k,
+                                 /*trans_b=*/true, want->data(), n,
+                                 accumulate, /*pool=*/nullptr)
+                          .ok());
+          ASSERT_TRUE(GemmPacked(backend, m, n, k, a.data(), k,
+                                 /*trans_a=*/false, /*b=*/nullptr, k,
+                                 /*trans_b=*/true, got->data(), n,
+                                 accumulate, /*pool=*/nullptr, &*packed)
+                          .ok());
+          ASSERT_EQ(0, std::memcmp(want->data(), got->data(),
+                                   static_cast<size_t>(want->ByteSize())));
+        }
+      }
+      // The public entry point on the active backend.
+      auto packed = kernels::PackWeightTransB(w);
+      ASSERT_TRUE(packed.ok()) << packed.status();
+      const Tensor a = DeterministicTensor(Shape{7, k}, 0.1f);
+      auto want = kernels::MatMul(a, w, /*transpose_b=*/true);
+      auto got = kernels::MatMul(a, w, /*transpose_b=*/true, nullptr,
+                                 nullptr, &*packed);
+      ASSERT_TRUE(want.ok() && got.ok());
+      ASSERT_EQ(0, std::memcmp(want->data(), got->data(),
+                               static_cast<size_t>(want->ByteSize())))
+          << "n=" << n << " k=" << k;
+    }
+  }
+}
+
+// A panel packed at one sliver width and run at another (the SIMD
+// level switched after deploy) is not read: the product packs the
+// weight per call and keeps GemmInto's bits at the running level.
+TEST(GemmPrepackedTest, NrMismatchPacksPerCall) {
+  if (kernels::DetectSimdLevel() != SimdLevel::kAvx2 ||
+      kernels::internal::GetAvx512Backend() == nullptr) {
+    GTEST_SKIP() << "needs the 32-wide AVX-512 tile next to the 16-wide "
+                    "scalar one";
+  }
+  const Tensor w = DeterministicTensor(Shape{100, 300}, 0.9f);
+  const Tensor a = DeterministicTensor(Shape{7, 300}, 0.1f);
+  for (const auto& [pack_level, run_level] :
+       {std::pair{SimdLevel::kAvx2, SimdLevel::kScalar},
+        std::pair{SimdLevel::kScalar, SimdLevel::kAvx2}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "packed at " << kernels::SimdLevelName(pack_level)
+                 << ", run at " << kernels::SimdLevelName(run_level));
+    auto packed = [&, pack_level = pack_level] {
+      ScopedSimdLevel scoped(pack_level);
+      return kernels::PackWeightTransB(w);
+    }();
+    ASSERT_TRUE(packed.ok()) << packed.status();
+    ScopedSimdLevel scoped(run_level);
+    ASSERT_NE(packed->nr,
+              kernels::internal::GetKernelBackend(run_level)->nr);
+    auto want = kernels::MatMul(a, w, /*transpose_b=*/true);
+    auto got = kernels::MatMul(a, w, /*transpose_b=*/true, nullptr,
+                               nullptr, &*packed);
+    ASSERT_TRUE(want.ok() && got.ok());
+    ASSERT_EQ(0, std::memcmp(want->data(), got->data(),
+                             static_cast<size_t>(want->ByteSize())));
+  }
+  // A panel of another weight's shape is refused.
+  auto other = kernels::PackWeightTransB(
+      DeterministicTensor(Shape{100, 299}, 0.9f));
+  ASSERT_TRUE(other.ok());
+  auto out = Tensor::Create(Shape{7, 100});
+  ASSERT_TRUE(out.ok());
+  EXPECT_TRUE(kernels::GemmInto(a, w, /*transpose_b=*/true,
+                                /*accumulate=*/false, &*out, nullptr,
+                                &*other)
+                  .IsInvalidArgument());
 }
 
 // k > kKc exercises the sequential kc-block accumulation into C.

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "engine/external_runtime.h"
 #include "graph/model.h"
+#include "kernels/kernels.h"
 #include "relational/operator.h"
 #include "relational/vectorized.h"
 #include "serving/model_versions.h"
@@ -599,6 +601,87 @@ TEST_F(ServingTest, QuantizedVersionOfWideFfnnTakesUnderThirtyPercent) {
   EXPECT_EQ(int8.weight_bytes, 512 * (256 + 12) + 16 * (512 + 12));
   EXPECT_LE(int8.weight_bytes * 10, base.weight_bytes * 3);
   EXPECT_GT(int8.max_output_error, 0.0f);
+}
+
+// fp32 UDF-centric matmuls run on B panels packed at deploy, which
+// replace the resident fp32 copy; the int8 version's matmuls run its
+// int8 packs instead. Prepacking keeps every output bit: each batch
+// size (short tiles, a full tile and past it) equals a reference that
+// walks the graph with kernels::MatMul on the model's weights and the
+// same epilogue kernels.
+TEST_F(ServingTest, FpMatMulStagesRunOnPrepackedWeights) {
+  LoadFraudSetup();
+  ASSERT_TRUE(CreateQuantizedVersion(&session_, "fraud", 32, 7).ok());
+  ASSERT_TRUE(session_.Deploy("fraud", ServingMode::kForceUdf, 8).ok());
+  ASSERT_TRUE(
+      session_.Deploy("fraud@int8", ServingMode::kForceUdf, 8).ok());
+  const Model* model = *session_.GetModel("fraud");
+  auto plan = session_.DeployedPhysicalPlan("fraud");
+  ASSERT_TRUE(plan.ok());
+  int packed_stages = 0;
+  for (const auto& stage : (*plan)->stages()) {
+    if (stage->kind != StageKind::kMatMul) continue;
+    ASSERT_NE(stage->packed_weight, nullptr) << stage->label;
+    auto weight =
+        model->GetWeight(model->nodes()[stage->node_id].weight_name);
+    ASSERT_TRUE(weight.ok());
+    // The stage reads the model's own tensor only to repack per call.
+    EXPECT_EQ(stage->weight, *weight);
+    EXPECT_EQ(stage->packed_weight->n, (*weight)->shape().dim(0));
+    EXPECT_EQ(stage->packed_weight->k, (*weight)->shape().dim(1));
+    packed_stages += 1;
+  }
+  EXPECT_EQ(packed_stages, 2);
+  auto int8_plan = session_.DeployedPhysicalPlan("fraud@int8");
+  ASSERT_TRUE(int8_plan.ok());
+  for (const auto& stage : (*int8_plan)->stages()) {
+    if (stage->kind != StageKind::kMatMul) continue;
+    EXPECT_EQ(stage->packed_weight, nullptr) << stage->label;
+    EXPECT_NE(stage->int8_weight, nullptr) << stage->label;
+  }
+
+  for (const int64_t rows : {1, 5, 7, 64}) {
+    SCOPED_TRACE(testing::Message() << "batch " << rows);
+    auto batch = workloads::GenBatch(rows, Shape{28}, 13);
+    ASSERT_TRUE(batch.ok());
+    auto out = session_.PredictBatch("fraud", *batch);
+    ASSERT_TRUE(out.ok()) << out.status();
+    auto got = out->ToTensor(session_.exec_context());
+    ASSERT_TRUE(got.ok());
+    auto want = batch->Clone();
+    ASSERT_TRUE(want.ok());
+    for (const Node& node : model->nodes()) {
+      const Tensor* weight = nullptr;
+      if (!node.weight_name.empty()) {
+        weight = *model->GetWeight(node.weight_name);
+      }
+      switch (node.kind) {
+        case OpKind::kInput:
+          break;
+        case OpKind::kMatMul: {
+          auto product = kernels::MatMul(*want, *weight,
+                                         /*transpose_b=*/true);
+          ASSERT_TRUE(product.ok());
+          want = std::move(product);
+          break;
+        }
+        case OpKind::kBiasAdd:
+          ASSERT_TRUE(kernels::BiasAddInPlace(&*want, *weight).ok());
+          break;
+        case OpKind::kRelu:
+          kernels::ReluInPlace(&*want);
+          break;
+        case OpKind::kSoftmax:
+          ASSERT_TRUE(kernels::SoftmaxRowsInPlace(&*want).ok());
+          break;
+        default:
+          FAIL() << "unexpected node in an FFNN";
+      }
+    }
+    ASSERT_EQ(got->shape(), want->shape());
+    EXPECT_EQ(0, std::memcmp(got->data(), want->data(),
+                             static_cast<size_t>(got->ByteSize())));
+  }
 }
 
 TEST_F(ServingTest, RedeployReleasesOldResidentWeights) {
