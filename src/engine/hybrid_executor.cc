@@ -269,7 +269,8 @@ Status RunStage(const PhysicalStage& stage, int64_t batch,
                                      ctx->tracker));
       RELSERVE_RETURN_NOT_OK(kernels::MatMulTopKInto(
           act->tensor, stage.weight, stage.int8_weight,
-          stage.sparse_weight, opts, &out, ctx->pool));
+          stage.sparse_weight, opts, &out, ctx->pool,
+          stage.packed_weight));
       act->tensor = std::move(out);
       act->owned = true;
       return Status::OK();

@@ -100,11 +100,21 @@ std::string SampleString(const std::vector<int64_t>& sample) {
 }
 
 // May `node` (an elementwise op with representation `rel`) ride
-// `open`'s epilogue? Requires a representation match, a stage kind
-// that produces a freshly writable activation, and — for softmax —
-// matrix-shaped output (row normalization needs rank-2).
+// `open`'s epilogue? Requires a stage kind that produces a freshly
+// writable activation, for softmax matrix-shaped output (row
+// normalization needs rank-2), and a representation match — except
+// on a CPU block stage, whose per-block epilogue applies a bias or
+// relu with the same per-element ops either representation would: the
+// activation then stays blocked into the next join instead of taking
+// a to-whole / to-blocked round trip.
 bool CanAttach(const PhysicalStage& open, OpKind op, bool rel) {
-  if (rel != (open.repr == Repr::kRelational)) return false;
+  const bool cpu_block_stage =
+      (open.kind == StageKind::kBlockMatMul ||
+       open.kind == StageKind::kBlockElementwise) &&
+      open.device == DeviceKind::kCpu;
+  if (rel != (open.repr == Repr::kRelational) && !cpu_block_stage) {
+    return false;
+  }
   switch (open.kind) {
     case StageKind::kMatMul:
     case StageKind::kConv2D:
@@ -247,9 +257,10 @@ Result<std::unique_ptr<PhysicalPlan>> PhysicalPlan::Compile(
       pp->footprint_.physical_bytes += csr.ByteSize();
       pp->footprint_.total_blocks += 1;
       pp->sparse_weights_.emplace(node.weight_name, std::move(csr));
-    } else if (node.kind == OpKind::kMatMul && nd.topk == 0) {
+    } else if (node.kind == OpKind::kMatMul) {
       // Pack once at deploy for the active backend; the panel replaces
-      // the fp32 resident copy and spares every request the B packing.
+      // the fp32 resident copy and spares every request the B packing
+      // (a top-k head reads one channel block's slice of it at a time).
       // Packing is deterministic, so identical variants share a panel.
       if (pp->packed_.count(node.weight_name) > 0) continue;
       RELSERVE_ASSIGN_OR_RETURN(
@@ -262,8 +273,7 @@ Result<std::unique_ptr<PhysicalPlan>> PhysicalPlan::Compile(
       if (pp->resident_.count(node.weight_name) > 0) continue;
       // Conv2D kernels are small even for the paper's large conv
       // workloads (the feature maps explode, not the kernels), so
-      // they stay resident in both representations; biases and
-      // top-k heads likewise.
+      // they stay resident in both representations; biases likewise.
       RELSERVE_ASSIGN_OR_RETURN(Tensor resident,
                                 hold(*weight, ctx->tracker));
       pp->resident_.emplace(node.weight_name, std::move(resident));
@@ -369,13 +379,9 @@ Result<std::unique_ptr<PhysicalPlan>> PhysicalPlan::Compile(
           s->label =
               "sparse-matmul(" + node.weight_name + "," + dens + ")";
         } else {
-          if (topk_head) {
-            s->weight = &pp->resident_.at(node.weight_name);
-          } else {
-            s->packed_weight = &pp->packed_.at(node.weight_name);
-            RELSERVE_ASSIGN_OR_RETURN(s->weight,
-                                      model->GetWeight(node.weight_name));
-          }
+          s->packed_weight = &pp->packed_.at(node.weight_name);
+          RELSERVE_ASSIGN_OR_RETURN(s->weight,
+                                    model->GetWeight(node.weight_name));
           s->label = "matmul(" + node.weight_name + ")";
         }
         if (topk_head) {

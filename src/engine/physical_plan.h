@@ -114,12 +114,11 @@ struct PhysicalStage {
 
   // Pre-bound operands; pointers into the owning plan's weight maps.
   // Matmul stages bind exactly one of packed_weight / blocked_weight /
-  // int8_weight / sparse_weight — the optimizer's kernel arm, frozen —
-  // except top-k heads, which bind the resident `weight`. An fp32
-  // kMatMul stage runs on its deploy-packed B panel; its `weight` is
-  // then the model's own tensor, packed per call only when the active
-  // backend's nr differs from the panel's (a SIMD level switched after
-  // deploy).
+  // int8_weight / sparse_weight — the optimizer's kernel arm, frozen.
+  // An fp32 kMatMul or kMatMulTopK stage runs on its deploy-packed B
+  // panel; its `weight` is then the model's own tensor, packed per
+  // call only when the active backend's nr differs from the panel's (a
+  // SIMD level switched after deploy).
   const Tensor* weight = nullptr;
   const kernels::PackedWeight* packed_weight = nullptr;
   const BlockStore* blocked_weight = nullptr;
@@ -254,7 +253,7 @@ class PhysicalPlan {
   int num_fused_ops_ = 0;
   std::vector<int64_t> output_sample_;
   // Weight residency (moved here from PreparedModel): whole tensors
-  // for conv kernels, biases and top-k heads, block relations for
+  // for conv kernels and biases, block relations of B panels for
   // relation-centric matmuls. Node-based maps: stage pointers stay
   // valid across moves.
   std::map<std::string, Tensor> resident_;

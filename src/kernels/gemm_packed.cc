@@ -83,6 +83,11 @@ inline int64_t PanelBlockOffset(int64_t jc, int64_t pc, int64_t nc,
 
 }  // namespace
 
+PackedPanel PanelOf(const PackedWeight* w) {
+  if (w == nullptr) return {};
+  return {w->panel.data(), w->nr};
+}
+
 Result<PackedWeight> PackWeightTransB(const Tensor& w, int64_t nr,
                                       MemoryTracker* tracker) {
   if (w.shape().ndim() != 2) {
@@ -110,7 +115,7 @@ Result<PackedWeight> PackWeightTransB(const Tensor& w, int64_t nr,
 Status GemmPacked(int64_t m, int64_t n, int64_t k, const float* a,
                   int64_t lda, bool trans_a, const float* b, int64_t ldb,
                   bool trans_b, float* c, int64_t ldc, bool accumulate,
-                  ThreadPool* pool, const PackedWeight* packed_b) {
+                  ThreadPool* pool, PackedPanel packed_b) {
   return GemmPacked(GetKernelBackend(ActiveSimdLevel()), m, n, k, a, lda,
                     trans_a, b, ldb, trans_b, c, ldc, accumulate, pool,
                     packed_b);
@@ -120,7 +125,7 @@ Status GemmPacked(const KernelBackend* backend, int64_t m, int64_t n,
                   int64_t k, const float* a, int64_t lda, bool trans_a,
                   const float* b, int64_t ldb, bool trans_b, float* c,
                   int64_t ldc, bool accumulate, ThreadPool* pool,
-                  const PackedWeight* packed_b) {
+                  PackedPanel packed_b) {
   if (m <= 0 || n <= 0) return Status::OK();
   if (k <= 0) {
     // An empty contraction still defines the output.
@@ -134,7 +139,7 @@ Status GemmPacked(const KernelBackend* backend, int64_t m, int64_t n,
   const int64_t nr = backend->nr;
   // A deploy-time panel serves only the sliver width it was packed
   // for; any other backend packs B per call.
-  const bool prepacked = packed_b != nullptr && packed_b->nr == nr;
+  const bool prepacked = packed_b.data != nullptr && packed_b.nr == nr;
 
   // One shared B panel, packed by the calling thread per (jc, pc) and
   // read-only during the parallel macro-tile sweep.
@@ -159,8 +164,7 @@ Status GemmPacked(const KernelBackend* backend, int64_t m, int64_t n,
       const bool acc_block = accumulate || pc > 0;
       const float* b_block;
       if (prepacked) {
-        b_block = packed_b->panel.data() +
-                  PanelBlockOffset(jc, pc, nc, k, nr);
+        b_block = packed_b.data + PanelBlockOffset(jc, pc, nc, k, nr);
       } else {
         PackB(b, ldb, trans_b, pc, jc, kc, nc, nr, b_packed.data());
         b_block = b_packed.data();
@@ -218,5 +222,31 @@ Status GemmPacked(const KernelBackend* backend, int64_t m, int64_t n,
 }
 
 }  // namespace internal
+
+Result<Tensor> UnpackWeightTransB(const PackedWeight& packed,
+                                  MemoryTracker* tracker) {
+  const int64_t n = packed.n;
+  const int64_t k = packed.k;
+  const int64_t nr = packed.nr;
+  RELSERVE_ASSIGN_OR_RETURN(Tensor w,
+                            Tensor::Create(Shape{n, k}, tracker));
+  // The inverse of PackB over every (jc, pc) block: w[jc + j, pc + p]
+  // sits at sliver j / nr, float p * nr + j % nr, of its block.
+  for (int64_t jc = 0; jc < n; jc += internal::kNc) {
+    const int64_t nc = std::min(internal::kNc, n - jc);
+    for (int64_t pc = 0; pc < k; pc += internal::kKc) {
+      const int64_t kc = std::min(internal::kKc, k - pc);
+      const float* block = packed.panel.data() +
+                           internal::PanelBlockOffset(jc, pc, nc, k, nr);
+      for (int64_t j = 0; j < nc; ++j) {
+        const float* src = block + (j / nr) * kc * nr + j % nr;
+        float* dst = w.data() + (jc + j) * k + pc;
+        for (int64_t p = 0; p < kc; ++p) dst[p] = src[p * nr];
+      }
+    }
+  }
+  return w;
+}
+
 }  // namespace kernels
 }  // namespace relserve

@@ -23,7 +23,10 @@
 // sliver width matches the backend's nr the driver reads each block
 // from it instead of packing one; otherwise it packs B per call as
 // usual. The panel bytes are the ones PackB writes, so the product is
-// bit-identical either way.
+// bit-identical either way. Because every jc block but the last is a
+// full kNc wide, the rows [c0, c0 + n') of a panel with c0 a multiple
+// of kNc start at float c0 * k and form the panel of those rows alone
+// — how the top-k head hands out one channel block at a time.
 
 #ifndef RELSERVE_KERNELS_GEMM_PACKED_H_
 #define RELSERVE_KERNELS_GEMM_PACKED_H_
@@ -42,15 +45,24 @@ struct PackedWeight;
 
 namespace internal {
 
+// B of one product already in panel layout: a PackedWeight's panel,
+// or a kNc-aligned row slice of one. `data == nullptr` = none.
+struct PackedPanel {
+  const float* data = nullptr;
+  int64_t nr = 0;  // sliver width it was packed at
+};
+
+// The panel of `w` (nullable).
+PackedPanel PanelOf(const PackedWeight* w);
+
 // Fails only when a packing panel cannot be allocated (OutOfMemory).
-// Runs on the backend of the active SIMD level. `packed_b` (nullable)
+// Runs on the backend of the active SIMD level. `packed_b` (optional)
 // is B = the [n, k] weight `b` (trans_b) packed at deploy; `b` is read
 // only when the panel's nr differs from the backend's.
 Status GemmPacked(int64_t m, int64_t n, int64_t k, const float* a,
                   int64_t lda, bool trans_a, const float* b, int64_t ldb,
                   bool trans_b, float* c, int64_t ldc, bool accumulate,
-                  ThreadPool* pool,
-                  const PackedWeight* packed_b = nullptr);
+                  ThreadPool* pool, PackedPanel packed_b = {});
 
 // Same product on an explicit backend — lets tests compare two
 // backends that share one dispatch level.
@@ -58,7 +70,7 @@ Status GemmPacked(const KernelBackend* backend, int64_t m, int64_t n,
                   int64_t k, const float* a, int64_t lda, bool trans_a,
                   const float* b, int64_t ldb, bool trans_b, float* c,
                   int64_t ldc, bool accumulate, ThreadPool* pool,
-                  const PackedWeight* packed_b = nullptr);
+                  PackedPanel packed_b = {});
 
 // Packs the [n, k] weight `w` into B panels of sliver width `nr`
 // (kernels::PackWeightTransB picks the active backend's).

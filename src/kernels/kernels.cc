@@ -27,6 +27,8 @@ Result<PackedWeight> PackWeightTransB(const Tensor& w,
   return internal::PackWeightTransB(w, Backend()->nr, tracker);
 }
 
+int64_t ActivePanelNr() { return Backend()->nr; }
+
 Status GemmInto(const Tensor& a, const Tensor& b, bool transpose_b,
                 bool accumulate, Tensor* out, ThreadPool* pool,
                 const PackedWeight* packed_b) {
@@ -60,7 +62,8 @@ Status GemmInto(const Tensor& a, const Tensor& b, bool transpose_b,
   const int64_t ldb = transpose_b ? k : n;
   return internal::GemmPacked(m, n, k, a.data(), k, /*trans_a=*/false,
                               b.data(), ldb, transpose_b, out->data(), n,
-                              accumulate, pool, packed_b);
+                              accumulate, pool,
+                              internal::PanelOf(packed_b));
 }
 
 Result<Tensor> MatMul(const Tensor& a, const Tensor& b, bool transpose_b,

@@ -52,6 +52,15 @@ struct PackedWeight {
 Result<PackedWeight> PackWeightTransB(const Tensor& w,
                                       MemoryTracker* tracker = nullptr);
 
+// The [n, k] weight back from its panel — an exact permutation, so
+// packing the result again gives the same panel bytes.
+Result<Tensor> UnpackWeightTransB(const PackedWeight& packed,
+                                  MemoryTracker* tracker = nullptr);
+
+// Sliver width of the active backend's B panels: the nr that
+// PackWeightTransB packs at and that a product reads a panel at.
+int64_t ActivePanelNr();
+
 // out[m,n] = a[m,k] * b[k,n]   (transpose_b=false, b is [k,n])
 // out[m,n] = a[m,k] * b[n,k]^T (transpose_b=true,  b is [n,k])
 // If `accumulate` is true, adds into `out` instead of overwriting.

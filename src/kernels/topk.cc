@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "kernels/gemm_packed.h"
+#include "kernels/micro_kernel.h"
 
 namespace relserve {
 namespace kernels {
@@ -18,6 +19,10 @@ namespace {
 // 64 KiB) and the full output matrix is never materialized.
 constexpr int64_t kChannelBlock = 2048;
 constexpr int64_t kRowChunk = 8;
+// Channel blocks then start on a jc block of a packed panel, so each
+// block's slice of the panel is the panel of its channels alone.
+static_assert(kChannelBlock % internal::kNc == 0,
+              "channel blocks must align with packed panel blocks");
 
 struct Candidate {
   float value;
@@ -95,7 +100,7 @@ Status MatMulTopKInto(const Tensor& a, const Tensor* dense_w,
                       const Int8Weight* int8_w,
                       const CsrWeight* sparse_w,
                       const TopKOptions& opts, Tensor* out,
-                      ThreadPool* pool) {
+                      ThreadPool* pool, const PackedWeight* dense_packed) {
   const int arms = (dense_w != nullptr) + (int8_w != nullptr) +
                    (sparse_w != nullptr);
   if (arms != 1) {
@@ -113,6 +118,10 @@ Status MatMulTopKInto(const Tensor& a, const Tensor* dense_w,
       return Status::InvalidArgument("top-k dense weight mismatch");
     }
     channels = dense_w->shape().dim(0);
+    if (dense_packed != nullptr &&
+        (dense_packed->n != channels || dense_packed->k != k)) {
+      return Status::InvalidArgument("top-k packed weight mismatch");
+    }
   } else if (int8_w != nullptr) {
     if (int8_w->in != k) {
       return Status::InvalidArgument("top-k int8 weight mismatch");
@@ -176,11 +185,16 @@ Status MatMulTopKInto(const Tensor& a, const Tensor* dense_w,
         const int64_t bw = std::min(kChannelBlock, channels - c0);
         // --- produce block logits [rows, bw] ----------------------
         if (dense_w != nullptr) {
+          internal::PackedPanel slice;
+          if (dense_packed != nullptr) {
+            slice = {dense_packed->panel.data() + c0 * k,
+                     dense_packed->nr};
+          }
           const Status s = internal::GemmPacked(
               rows, bw, k, src + r0 * k, /*lda=*/k, /*trans_a=*/false,
               dense_w->data() + c0 * k, /*ldb=*/k, /*trans_b=*/true,
               block.data(), /*ldc=*/kChannelBlock,
-              /*accumulate=*/false, /*pool=*/nullptr);
+              /*accumulate=*/false, /*pool=*/nullptr, slice);
           if (!s.ok()) {
             std::lock_guard<std::mutex> lock(error_mu);
             if (first_error.ok()) first_error = s;

@@ -26,6 +26,7 @@
 
 #include "common/result.h"
 #include "kernels/int8_gemm.h"
+#include "kernels/kernels.h"
 #include "kernels/sparse_gemm.h"
 #include "resource/thread_pool.h"
 #include "tensor/tensor.h"
@@ -46,11 +47,15 @@ struct TopKOptions {
 // logits = a * w^T (+bias, relu); out = top-k per row, [m, 2k].
 // Exactly one of `dense_w` ([n, k] fp32), `int8_w`, `sparse_w` must be
 // non-null. `out` must be preallocated [m, 2 * opts.k]; `pool` may be
-// null.
+// null. `dense_packed` (nullable, dense arm only) is `dense_w` packed
+// by PackWeightTransB: each channel block's product reads its slice of
+// the panel instead of packing the weight per row chunk, unless the
+// active backend's nr differs from the panel's. The bits are the same.
 Status MatMulTopKInto(const Tensor& a, const Tensor* dense_w,
                       const Int8Weight* int8_w, const CsrWeight* sparse_w,
                       const TopKOptions& opts, Tensor* out,
-                      ThreadPool* pool = nullptr);
+                      ThreadPool* pool = nullptr,
+                      const PackedWeight* dense_packed = nullptr);
 
 }  // namespace kernels
 }  // namespace relserve

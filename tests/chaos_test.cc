@@ -26,6 +26,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <random>
 #include <string>
 #include <thread>
@@ -248,6 +249,46 @@ TEST_F(ChaosTest, RandomizedFaultSchedulesNeverBreakTheTypedContract) {
                                   tally.ok_identical.load());
   ::testing::Test::RecordProperty("typed_failures",
                                   tally.typed_failures.load());
+}
+
+// A storage failure inside a join over the packed weight relation
+// re-runs the stage UDF-centric on the unpacked panels and still
+// returns the relation-centric bits. The model's blocks are ragged
+// (20 rows, 4-row edges), so the panels carry zero padding.
+TEST_F(ChaosTest, PackedWeightFallbackKeepsRelationalBits) {
+  auto deploy = [](ServingSession* session) {
+    auto model = BuildFFNN("m", {16, 20, 4}, 3);
+    ASSERT_TRUE(model.ok());
+    ASSERT_TRUE(session->RegisterModel(std::move(*model)).ok());
+    ASSERT_TRUE(
+        session->Deploy("m", ServingMode::kForceRelational, 8).ok());
+  };
+  auto input = workloads::GenBatch(8, Shape{16}, 42);
+  ASSERT_TRUE(input.ok());
+
+  ServingSession clean(ChaosServingConfig());
+  deploy(&clean);
+  auto truth_out = clean.PredictBatch("m", *input);
+  ASSERT_TRUE(truth_out.ok());
+  auto truth = truth_out->ToTensor(clean.exec_context());
+  ASSERT_TRUE(truth.ok());
+
+  // The pool exactly fits the four weight panels, so chunking the
+  // input must evict, and every eviction write-back fails.
+  ServingConfig config = ChaosServingConfig();
+  config.buffer_pool_pages = 4;
+  ServingSession session(config);
+  deploy(&session);
+  failpoint::Enable("bufferpool.evict", Spec::Error(StatusCode::kIOError));
+  auto out = session.PredictBatch("m", *input);
+  failpoint::DisableAll();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  auto tensor = out->ToTensor(session.exec_context());
+  ASSERT_TRUE(tensor.ok());
+  EXPECT_GT(session.exec_context()->stats.repr_fallbacks.load(), 0);
+  ASSERT_EQ(tensor->NumElements(), truth->NumElements());
+  EXPECT_EQ(0, std::memcmp(tensor->data(), truth->data(),
+                           static_cast<size_t>(truth->ByteSize())));
 }
 
 // Corruption injected on the read path must be *detected* — counted by

@@ -432,7 +432,8 @@ TEST(GemmPrepackedTest, BitIdenticalToPerCallPacking) {
           ASSERT_TRUE(GemmPacked(backend, m, n, k, a.data(), k,
                                  /*trans_a=*/false, /*b=*/nullptr, k,
                                  /*trans_b=*/true, got->data(), n,
-                                 accumulate, /*pool=*/nullptr, &*packed)
+                                 accumulate, /*pool=*/nullptr,
+                                 kernels::internal::PanelOf(&*packed))
                           .ok());
           ASSERT_EQ(0, std::memcmp(want->data(), got->data(),
                                    static_cast<size_t>(want->ByteSize())));

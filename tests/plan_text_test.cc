@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "engine/hybrid_executor.h"
 #include "engine/physical_plan.h"
 #include "engine/prepared_model.h"
@@ -107,6 +109,55 @@ TEST_F(PlanTextTest, MixedPhysicalGoldenWithTransition) {
             "  [2] to-whole udf out=[batch, 3] est=12B flops=0\n"
             "  [3] matmul(w1)+bias+softmax udf out=[batch, 2]"
             " est=0B flops=0\n");
+}
+
+// A bias and relu the optimizer left UDF-centric between two
+// relational matmuls ride the first join's per-block epilogue: the
+// activation stays blocked into the second join, with no to-whole /
+// to-blocked round trip, and the output keeps the unfused plan's bits.
+TEST_F(PlanTextTest, UdfBiasReluFusesIntoBlockJoin) {
+  auto model = BuildFFNN("m", {20, 19, 13, 2}, 7);
+  ASSERT_TRUE(model.ok());
+  InferencePlan mixed = MakeForcedPlan(*model, Repr::kRelational, 11);
+  for (int id = 5; id <= 6; ++id) {  // b1, relu after w1
+    ASSERT_TRUE(model->nodes()[id].kind == OpKind::kBiasAdd ||
+                model->nodes()[id].kind == OpKind::kRelu);
+    mixed.decisions[id].repr = Repr::kUdf;
+  }
+  auto fused = Compile(*model, mixed);
+  ASSERT_TRUE(fused.ok());
+  EXPECT_EQ((*fused)->ToString(),
+            "PhysicalPlan m: 5 stages, 5 fused ops\n"
+            "  [0] input-chunk relational out=[batch, 20]"
+            " est=0B flops=0\n"
+            "  [1] block-matmul(w0)+bias+relu relational"
+            " out=[batch, 19] est=0B flops=0\n"
+            "  [2] block-matmul(w1)+bias+relu relational"
+            " out=[batch, 13] est=0B flops=0\n"
+            "  [3] block-matmul(w2)+bias relational out=[batch, 2]"
+            " est=0B flops=0\n"
+            "  [4] block-softmax relational out=[batch, 2]"
+            " est=0B flops=0\n");
+  // The optimizer's decisions are untouched.
+  EXPECT_EQ((*fused)->logical_plan().decisions[5].repr, Repr::kUdf);
+
+  auto unfused = Compile(*model, mixed, /*fuse=*/false);
+  ASSERT_TRUE(unfused.ok());
+  EXPECT_NE((*unfused)->ToString().find("to-whole"), std::string::npos);
+  auto input = workloads::GenBatch(11, Shape{20}, 3);
+  ASSERT_TRUE(input.ok());
+  auto run = [&](const PhysicalPlan& plan) {
+    auto out = HybridExecutor::Run(plan, *input, &ctx_);
+    EXPECT_TRUE(out.ok());
+    auto t = out->ToTensor(&ctx_);
+    EXPECT_TRUE(t.ok());
+    return *t;
+  };
+  const Tensor want = run(**unfused);
+  const Tensor got = run(**fused);
+  ASSERT_EQ(want.NumElements(), got.NumElements());
+  EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                           static_cast<size_t>(want.ByteSize())));
 }
 
 TEST_F(PlanTextTest, UnfusedPhysicalGolden) {

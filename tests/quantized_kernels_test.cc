@@ -297,6 +297,64 @@ TEST(TopKTest, DenseArmMatchesFullMatMulSelection) {
   }
 }
 
+// A head packed at deploy gives the per-call path's bits: each
+// channel block reads its slice of the panel. Covers several channel
+// blocks with a ragged last one, short and multi-chunk batches, and a
+// fused epilogue, on every fp32 level this host runs, and a panel of
+// another sliver width (the level switched after deploy), which packs
+// per call instead.
+TEST(TopKTest, PackedHeadBitIdenticalToPerCallPacking) {
+  const int64_t n = 4500, k = 70, kk = 5;
+  Tensor w = RandomTensor(Shape{n, k}, 51);
+  Tensor bias = RandomTensor(Shape{n}, 52);
+  kernels::TopKOptions opts;
+  opts.k = kk;
+  opts.bias = &bias;
+  opts.relu = true;
+  opts.softmax = true;
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (kernels::DetectSimdLevel() != SimdLevel::kScalar) {
+    levels.push_back(kernels::DetectSimdLevel());
+  }
+  for (const SimdLevel pack_level : levels) {
+    auto packed = [&] {
+      ScopedSimdLevel pin(pack_level);
+      return kernels::PackWeightTransB(w);
+    }();
+    ASSERT_TRUE(packed.ok());
+    for (const SimdLevel run_level : levels) {
+      ScopedSimdLevel pin(run_level);
+      for (const int64_t m : {1, 9, 20}) {
+        SCOPED_TRACE(testing::Message()
+                     << "packed at " << kernels::SimdLevelName(pack_level)
+                     << ", run at " << kernels::SimdLevelName(run_level)
+                     << " m=" << m);
+        Tensor a = RandomTensor(Shape{m, k}, 50 + m);
+        auto want = Tensor::Create(Shape{m, 2 * kk});
+        auto got = Tensor::Create(Shape{m, 2 * kk});
+        ASSERT_TRUE(want.ok() && got.ok());
+        ASSERT_TRUE(kernels::MatMulTopKInto(a, &w, nullptr, nullptr, opts,
+                                            &*want)
+                        .ok());
+        ASSERT_TRUE(kernels::MatMulTopKInto(a, &w, nullptr, nullptr, opts,
+                                            &*got, nullptr, &*packed)
+                        .ok());
+        EXPECT_EQ(0, std::memcmp(want->data(), got->data(),
+                                 static_cast<size_t>(want->ByteSize())));
+      }
+    }
+  }
+  // A panel of another weight's shape is refused.
+  auto other = kernels::PackWeightTransB(RandomTensor(Shape{n, k + 1}, 53));
+  ASSERT_TRUE(other.ok());
+  Tensor a = RandomTensor(Shape{1, k}, 54);
+  auto out = Tensor::Create(Shape{1, 2 * kk});
+  ASSERT_TRUE(out.ok());
+  EXPECT_TRUE(kernels::MatMulTopKInto(a, &w, nullptr, nullptr, opts, &*out,
+                                      nullptr, &*other)
+                  .IsInvalidArgument());
+}
+
 TEST(TopKTest, TiesAndDuplicatesDeterministicAtAnyThreadCount) {
   // Values drawn from a tiny set force massive duplication: every
   // selection boundary is a tie, decided only by the (value desc,
@@ -425,6 +483,28 @@ TEST(KernelArmPlanTest, OptimizerPicksArmsAndRendersThem) {
     EXPECT_EQ(d.arm, KernelArm::kDense);
     EXPECT_EQ(d.topk, 0);
   }
+}
+
+// A dense top-k head runs on its deploy-packed panel; the plan keeps
+// no resident fp32 copy for it.
+TEST(KernelArmServingTest, DenseTopKHeadRunsOnDeployPackedPanel) {
+  OptimizerTuning tuning;
+  tuning.topk = 5;
+  ServingSession session((ServingConfig()));
+  auto model = BuildFFNN("xc", {32, 64, 200}, /*seed=*/7);
+  ASSERT_TRUE(model.ok());
+  ASSERT_TRUE(session.RegisterModel(*std::move(model), tuning).ok());
+  ASSERT_TRUE(session.Deploy("xc", ServingMode::kAdaptive, 16).ok());
+  auto pp = session.DeployedPhysicalPlan("xc");
+  ASSERT_TRUE(pp.ok());
+  const PhysicalStage& head = *(*pp)->stages().back();
+  ASSERT_EQ(head.kind, StageKind::kMatMulTopK);
+  ASSERT_NE(head.packed_weight, nullptr);
+  EXPECT_EQ(head.packed_weight->n, 200);
+  EXPECT_EQ(head.packed_weight->nr, kernels::ActivePanelNr());
+  auto out = session.PredictBatch("xc", RandomTensor(Shape{16, 32}, 9));
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(out->tensor.shape(), (Shape{16, 10}));
 }
 
 // The acceptance invariant: a deployed top-k head emits [batch, 2k]
