@@ -7,7 +7,7 @@
 //   LandCover      1       ...     OOM           ...        OOM
 //                  2       ...     OOM           OOM        OOM
 //
-// Geometry is scaled (RELSERVE_SCALE, default 0.02) and every arena is
+// Geometry is scaled (RELSERVE_SCALE, default 0.01) and every arena is
 // derived from the scaled model's measured footprints so each row
 // reproduces the paper's feasibility pattern:
 //   footprint(small batch)  <  arena  <  footprint(large batch).

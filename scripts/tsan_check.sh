@@ -72,8 +72,8 @@ ASAN_DIR="${3:-build-asan}"
 # once over one weight relation of B panels (each morsel owns its
 # accumulators; the panels and X blocks are read-only) under
 # TSan, and the join's panel arithmetic over zero-padded panels of
-# ragged blocks, plus the unpack of panels packed at another nr,
-# under UBSan. quantized_kernels_test also runs the dense top-k head
+# ragged blocks, plus panels packed at another SIMD level, under
+# UBSan. quantized_kernels_test also runs the dense top-k head
 # on kNc-aligned slices of one deploy-packed panel.
 # common_test races four threads on one relaxed Counter, the field
 # type of every concurrently bumped stats struct (exact Add sums and

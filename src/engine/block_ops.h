@@ -39,10 +39,10 @@ namespace blockops {
 // Chunks an in-memory matrix into a new buffer-pool-backed store with
 // the context's block geometry, using O(block) scratch memory. With
 // `share_weights` set — the deploy-time weight path — each [out, in]
-// block is stored as its PackWeightTransB panel for the active
-// backend, and with a block index on the context the panels resolve
-// through the content-addressed index so identical blocks across
-// deployed models share pages. Activation chunking leaves it false:
+// block is stored as its PackWeightTransB panel, and with a block
+// index on the context the panels resolve through the
+// content-addressed index so identical blocks across deployed models
+// share pages. Activation chunking leaves it false:
 // transient stores are row-major, write-once/drop, and dedup there is
 // pure hashing overhead.
 Result<std::unique_ptr<BlockStore>> ChunkMatrix(

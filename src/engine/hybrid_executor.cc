@@ -136,7 +136,7 @@ blockops::BlockFn MakeBlockEpilogue(const std::vector<EpilogueOp>& ops,
 // produced.
 Status RelationalConv(const PhysicalStage& stage, int64_t batch,
                       Activation* act, ExecContext* ctx) {
-  const Tensor* kernel = stage.weight;
+  const Tensor* kernel = stage.kernel;
   const Shape in_shape = stage.InShape(batch);
   const Shape out_shape = stage.OutShape(batch);
   const int64_t h = in_shape.dim(1);
@@ -216,29 +216,9 @@ Status RunStage(const PhysicalStage& stage, int64_t batch,
     case StageKind::kMatMul: {
       RELSERVE_RETURN_NOT_OK(
           EnsureWhole(act, stage.InShape(batch), ctx));
-      if (stage.int8_weight != nullptr) {
-        RELSERVE_ASSIGN_OR_RETURN(
-            Tensor out,
-            Tensor::Create(Shape{batch, stage.int8_weight->out},
-                           ctx->tracker));
-        RELSERVE_RETURN_NOT_OK(kernels::Int8GemmTransBInto(
-            act->tensor, *stage.int8_weight, &out, ctx->pool));
-        act->tensor = std::move(out);
-      } else if (stage.sparse_weight != nullptr) {
-        RELSERVE_ASSIGN_OR_RETURN(
-            Tensor out,
-            Tensor::Create(Shape{batch, stage.sparse_weight->out},
-                           ctx->tracker));
-        RELSERVE_RETURN_NOT_OK(kernels::SparseGemmTransBInto(
-            act->tensor, *stage.sparse_weight, &out, ctx->pool));
-        act->tensor = std::move(out);
-      } else {
-        RELSERVE_ASSIGN_OR_RETURN(
-            act->tensor,
-            kernels::MatMul(act->tensor, *stage.weight,
-                            /*transpose_b=*/true, ctx->tracker,
-                            ctx->pool, stage.packed_weight));
-      }
+      RELSERVE_ASSIGN_OR_RETURN(
+          act->tensor, kernels::MatMul(act->tensor, *stage.weight,
+                                       ctx->tracker, ctx->pool));
       act->owned = true;
       return ApplyWholeEpilogue(stage.epilogue, act, ctx);
     }
@@ -268,9 +248,7 @@ Status RunStage(const PhysicalStage& stage, int64_t batch,
           Tensor out, Tensor::Create(Shape{batch, 2 * stage.topk},
                                      ctx->tracker));
       RELSERVE_RETURN_NOT_OK(kernels::MatMulTopKInto(
-          act->tensor, stage.weight, stage.int8_weight,
-          stage.sparse_weight, opts, &out, ctx->pool,
-          stage.packed_weight));
+          act->tensor, *stage.weight, opts, &out, ctx->pool));
       act->tensor = std::move(out);
       act->owned = true;
       return Status::OK();
@@ -306,7 +284,7 @@ Status RunStage(const PhysicalStage& stage, int64_t batch,
           EnsureWhole(act, stage.InShape(batch), ctx));
       RELSERVE_ASSIGN_OR_RETURN(
           act->tensor,
-          kernels::Conv2D(act->tensor, *stage.weight, stage.stride,
+          kernels::Conv2D(act->tensor, *stage.kernel, stage.stride,
                           ctx->tracker, ctx->pool));
       act->owned = true;
       return ApplyWholeEpilogue(stage.epilogue, act, ctx);
@@ -389,7 +367,7 @@ Status RunStageUdfFallback(const PhysicalStage& stage, int64_t batch,
           EnsureWhole(act, stage.InShape(batch), ctx));
       RELSERVE_ASSIGN_OR_RETURN(
           act->tensor,
-          kernels::Conv2D(act->tensor, *stage.weight, stage.stride,
+          kernels::Conv2D(act->tensor, *stage.kernel, stage.stride,
                           ctx->tracker, ctx->pool));
       act->owned = true;
       return ApplyWholeEpilogue(stage.epilogue, act, ctx);

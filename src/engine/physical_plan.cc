@@ -141,6 +141,28 @@ bool CanAttach(const PhysicalStage& open, OpKind op, bool rel) {
   }
 }
 
+// The deploy-time operand of one UDF-centric matmul weight in the
+// kernel arm the optimizer froze.
+Result<kernels::Weight> BuildWeight(const Tensor& w, KernelArm arm,
+                                    MemoryTracker* tracker) {
+  switch (arm) {
+    case KernelArm::kInt8: {
+      // 0.26-0.37x the fp32 bytes on the zoo FFNNs.
+      RELSERVE_ASSIGN_OR_RETURN(kernels::Int8Weight q,
+                                kernels::QuantizeWeightPerChannel(w));
+      return kernels::Weight(std::move(q));
+    }
+    case KernelArm::kSparse: {
+      RELSERVE_ASSIGN_OR_RETURN(kernels::CsrWeight csr,
+                                kernels::BuildCsrWeight(w));
+      return kernels::Weight(std::move(csr));
+    }
+    case KernelArm::kDense:
+      break;
+  }
+  return kernels::PackWeightTransB(w, tracker);
+}
+
 }  // namespace
 
 Shape PhysicalStage::InShape(int64_t batch) const {
@@ -235,40 +257,24 @@ Result<std::unique_ptr<PhysicalPlan>> PhysicalPlan::Compile(
       pp->footprint_.total_blocks +=
           static_cast<int64_t>(store->entries().size());
       pp->blocked_.emplace(node.weight_name, std::move(store));
-    } else if (node.kind == OpKind::kMatMul &&
-               nd.arm == KernelArm::kInt8) {
-      // Quantize once at deploy time; the int8 pack + scales replace
-      // the fp32 resident copy for this consumer (0.26-0.37x its bytes
-      // on the zoo FFNNs).
-      if (pp->int8_weights_.count(node.weight_name) > 0) continue;
-      RELSERVE_ASSIGN_OR_RETURN(
-          kernels::Int8Weight qw,
-          kernels::QuantizeWeightPerChannel(*weight));
-      pp->footprint_.logical_bytes += qw.ByteSize();
-      pp->footprint_.physical_bytes += qw.ByteSize();
-      pp->footprint_.total_blocks += 1;
-      pp->int8_weights_.emplace(node.weight_name, std::move(qw));
-    } else if (node.kind == OpKind::kMatMul &&
-               nd.arm == KernelArm::kSparse) {
-      if (pp->sparse_weights_.count(node.weight_name) > 0) continue;
-      RELSERVE_ASSIGN_OR_RETURN(kernels::CsrWeight csr,
-                                kernels::BuildCsrWeight(*weight));
-      pp->footprint_.logical_bytes += csr.ByteSize();
-      pp->footprint_.physical_bytes += csr.ByteSize();
-      pp->footprint_.total_blocks += 1;
-      pp->sparse_weights_.emplace(node.weight_name, std::move(csr));
     } else if (node.kind == OpKind::kMatMul) {
-      // Pack once at deploy for the active backend; the panel replaces
-      // the fp32 resident copy and spares every request the B packing
-      // (a top-k head reads one channel block's slice of it at a time).
-      // Packing is deterministic, so identical variants share a panel.
-      if (pp->packed_.count(node.weight_name) > 0) continue;
-      RELSERVE_ASSIGN_OR_RETURN(
-          kernels::PackedWeight packed,
-          kernels::PackWeightTransB(*weight, ctx->tracker));
-      RELSERVE_ASSIGN_OR_RETURN(packed.panel,
-                                hold(packed.panel, /*clone_into=*/nullptr));
-      pp->packed_.emplace(node.weight_name, std::move(packed));
+      // One operand per weight, built once at deploy in the stage's
+      // kernel arm; it replaces the fp32 resident copy. A panel spares
+      // every request the B packing (a top-k head reads one channel
+      // block's slice of it at a time); packing is deterministic, so
+      // identical variants share a panel through the block index.
+      if (pp->weights_.count(node.weight_name) > 0) continue;
+      RELSERVE_ASSIGN_OR_RETURN(kernels::Weight built,
+                                BuildWeight(*weight, nd.arm, ctx->tracker));
+      if (Tensor* panel = std::get_if<Tensor>(&built.payload)) {
+        RELSERVE_ASSIGN_OR_RETURN(*panel,
+                                  hold(*panel, /*clone_into=*/nullptr));
+      } else {
+        pp->footprint_.logical_bytes += built.ByteSize();
+        pp->footprint_.physical_bytes += built.ByteSize();
+        pp->footprint_.total_blocks += 1;
+      }
+      pp->weights_.emplace(node.weight_name, std::move(built));
     } else {
       if (pp->resident_.count(node.weight_name) > 0) continue;
       // Conv2D kernels are small even for the paper's large conv
@@ -367,11 +373,8 @@ Result<std::unique_ptr<PhysicalPlan>> PhysicalPlan::Compile(
         if (rel) {
           s->blocked_weight = pp->blocked_.at(node.weight_name).get();
           s->label = "block-matmul(" + node.weight_name + ")";
-        } else if (d.arm == KernelArm::kInt8) {
-          s->int8_weight = &pp->int8_weights_.at(node.weight_name);
-          s->label = "int8-matmul(" + node.weight_name + ")";
         } else if (d.arm == KernelArm::kSparse) {
-          s->sparse_weight = &pp->sparse_weights_.at(node.weight_name);
+          s->weight = &pp->weights_.at(node.weight_name);
           s->weight_density = d.weight_density;
           char dens[32];
           std::snprintf(dens, sizeof(dens), "d=%.3f",
@@ -379,10 +382,10 @@ Result<std::unique_ptr<PhysicalPlan>> PhysicalPlan::Compile(
           s->label =
               "sparse-matmul(" + node.weight_name + "," + dens + ")";
         } else {
-          s->packed_weight = &pp->packed_.at(node.weight_name);
-          RELSERVE_ASSIGN_OR_RETURN(s->weight,
-                                    model->GetWeight(node.weight_name));
-          s->label = "matmul(" + node.weight_name + ")";
+          s->weight = &pp->weights_.at(node.weight_name);
+          s->label = (d.arm == KernelArm::kInt8 ? "int8-matmul("
+                                                 : "matmul(") +
+                     node.weight_name + ")";
         }
         if (topk_head) {
           // The stage emits the packed [k values, k indices] row, not
@@ -409,7 +412,7 @@ Result<std::unique_ptr<PhysicalPlan>> PhysicalPlan::Compile(
         PhysicalStage* s = new_stage(
             rel ? StageKind::kRelationalConv : StageKind::kConv2D, node,
             d.repr);
-        s->weight = &pp->resident_.at(node.weight_name);
+        s->kernel = &pp->resident_.at(node.weight_name);
         s->label = (rel ? "rel-conv(" : "conv2d(") + node.weight_name +
                    ")";
         cur = rel ? Form::kBlocked : Form::kWhole;

@@ -45,9 +45,7 @@
 #include "common/result.h"
 #include "engine/exec_context.h"
 #include "graph/model.h"
-#include "kernels/int8_gemm.h"
 #include "kernels/kernels.h"
-#include "kernels/sparse_gemm.h"
 #include "optimizer/plan.h"
 #include "relational/column_batch.h"
 #include "storage/block_store.h"
@@ -113,17 +111,12 @@ struct PhysicalStage {
   std::string label;
 
   // Pre-bound operands; pointers into the owning plan's weight maps.
-  // Matmul stages bind exactly one of packed_weight / blocked_weight /
-  // int8_weight / sparse_weight — the optimizer's kernel arm, frozen.
-  // An fp32 kMatMul or kMatMulTopK stage runs on its deploy-packed B
-  // panel; its `weight` is then the model's own tensor, packed per
-  // call only when the active backend's nr differs from the panel's (a
-  // SIMD level switched after deploy).
-  const Tensor* weight = nullptr;
-  const kernels::PackedWeight* packed_weight = nullptr;
+  // A kMatMul or kMatMulTopK stage binds `weight`, whose payload is
+  // the optimizer's kernel arm, frozen; a kBlockMatMul stage binds
+  // `blocked_weight`; a conv stage binds its resident `kernel`.
+  const kernels::Weight* weight = nullptr;
   const BlockStore* blocked_weight = nullptr;
-  const kernels::Int8Weight* int8_weight = nullptr;
-  const kernels::CsrWeight* sparse_weight = nullptr;
+  const Tensor* kernel = nullptr;
   int64_t stride = 1;
   // kMatMulTopK: classes kept per row; out_sample is [2 * topk].
   int64_t topk = 0;
@@ -254,17 +247,14 @@ class PhysicalPlan {
   std::vector<int64_t> output_sample_;
   // Weight residency (moved here from PreparedModel): whole tensors
   // for conv kernels and biases, block relations of B panels for
-  // relation-centric matmuls. Node-based maps: stage pointers stay
+  // relation-centric matmuls, and one deploy-time kernels::Weight per
+  // UDF-centric matmul weight (its panel, int8 pack or CSR form
+  // replaces the fp32 copy; panels are shared through the block index
+  // like any resident weight). Node-based maps: stage pointers stay
   // valid across moves.
   std::map<std::string, Tensor> resident_;
   std::map<std::string, std::unique_ptr<BlockStore>> blocked_;
-  // Deploy-time-packed and -compressed weight arms (the fp32 copy is
-  // NOT kept for these consumers — the B panel, the quantized or the
-  // sparse form replaces it). Panels are shared through the block
-  // index like any resident weight.
-  std::map<std::string, kernels::PackedWeight> packed_;
-  std::map<std::string, kernels::Int8Weight> int8_weights_;
-  std::map<std::string, kernels::CsrWeight> sparse_weights_;
+  std::map<std::string, kernels::Weight> weights_;
   // Ref-counted handles on shared resident weights (the index the
   // session owns outlives every plan compiled against it).
   PhysicalBlockIndex* block_index_ = nullptr;

@@ -17,16 +17,16 @@
 // keeps one fixed ascending-k accumulation chain: results are
 // identical no matter how morsels land on threads.
 //
-// A weight packed at deploy (PackedWeight, kernels.h) holds every
+// A weight packed at deploy (kernels::Weight's fp32 panel) holds every
 // (jc, pc) B block this driver would pack, jc-major: the block of
-// (jc, pc) starts at float jc * k + RoundUp(nc, nr) * pc. When its
-// sliver width matches the backend's nr the driver reads each block
-// from it instead of packing one; otherwise it packs B per call as
-// usual. The panel bytes are the ones PackB writes, so the product is
+// (jc, pc) starts at float jc * k + RoundUp(nc, nr) * pc. Handed one,
+// the driver reads each block from it instead of packing one. The
+// panel bytes are the ones PackB writes, so the product is
 // bit-identical either way. Because every jc block but the last is a
 // full kNc wide, the rows [c0, c0 + n') of a panel with c0 a multiple
 // of kNc start at float c0 * k and form the panel of those rows alone
-// — how the top-k head hands out one channel block at a time.
+// — how the top-k head hands out one channel block at a time. A
+// relation-centric join's weight block is such a panel too.
 
 #ifndef RELSERVE_KERNELS_GEMM_PACKED_H_
 #define RELSERVE_KERNELS_GEMM_PACKED_H_
@@ -41,28 +41,17 @@
 namespace relserve {
 namespace kernels {
 
-struct PackedWeight;
-
 namespace internal {
 
-// B of one product already in panel layout: a PackedWeight's panel,
-// or a kNc-aligned row slice of one. `data == nullptr` = none.
-struct PackedPanel {
-  const float* data = nullptr;
-  int64_t nr = 0;  // sliver width it was packed at
-};
-
-// The panel of `w` (nullable).
-PackedPanel PanelOf(const PackedWeight* w);
-
 // Fails only when a packing panel cannot be allocated (OutOfMemory).
-// Runs on the backend of the active SIMD level. `packed_b` (optional)
-// is B = the [n, k] weight `b` (trans_b) packed at deploy; `b` is read
-// only when the panel's nr differs from the backend's.
+// Runs on the backend of the active SIMD level. `packed_b` (nullable)
+// is the panel of B = the [n, k] weight (trans_b) at the backend's nr
+// (a Weight's panel, a slice of one, or a weight block): the product
+// reads it instead of packing `b`, which it then never touches.
 Status GemmPacked(int64_t m, int64_t n, int64_t k, const float* a,
                   int64_t lda, bool trans_a, const float* b, int64_t ldb,
                   bool trans_b, float* c, int64_t ldc, bool accumulate,
-                  ThreadPool* pool, PackedPanel packed_b = {});
+                  ThreadPool* pool, const float* packed_b = nullptr);
 
 // Same product on an explicit backend — lets tests compare two
 // backends that share one dispatch level.
@@ -70,12 +59,12 @@ Status GemmPacked(const KernelBackend* backend, int64_t m, int64_t n,
                   int64_t k, const float* a, int64_t lda, bool trans_a,
                   const float* b, int64_t ldb, bool trans_b, float* c,
                   int64_t ldc, bool accumulate, ThreadPool* pool,
-                  PackedPanel packed_b = {});
+                  const float* packed_b = nullptr);
 
 // Packs the [n, k] weight `w` into B panels of sliver width `nr`
-// (kernels::PackWeightTransB picks the active backend's).
-Result<PackedWeight> PackWeightTransB(const Tensor& w, int64_t nr,
-                                      MemoryTracker* tracker);
+// (kernels::PackWeightTransB packs at ActivePanelNr()).
+Result<Tensor> PackPanel(const Tensor& w, int64_t nr,
+                         MemoryTracker* tracker);
 
 }  // namespace internal
 }  // namespace kernels

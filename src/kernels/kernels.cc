@@ -22,16 +22,25 @@ const internal::KernelBackend* Backend() {
 
 }  // namespace
 
-Result<PackedWeight> PackWeightTransB(const Tensor& w,
-                                      MemoryTracker* tracker) {
-  return internal::PackWeightTransB(w, Backend()->nr, tracker);
+int64_t Weight::ByteSize() const {
+  if (const Int8Weight* q = int8()) return q->ByteSize();
+  if (const CsrWeight* s = csr()) return s->ByteSize();
+  return panel()->ByteSize();
 }
 
-int64_t ActivePanelNr() { return Backend()->nr; }
+Result<Weight> PackWeightTransB(const Tensor& w, MemoryTracker* tracker) {
+  RELSERVE_ASSIGN_OR_RETURN(
+      Tensor panel, internal::PackPanel(w, ActivePanelNr(), tracker));
+  return Weight(w.shape().dim(0), w.shape().dim(1), std::move(panel));
+}
+
+int64_t ActivePanelNr() {
+  return internal::GetAvx512Backend() != nullptr ? internal::kWideNr
+                                                 : internal::kNr;
+}
 
 Status GemmInto(const Tensor& a, const Tensor& b, bool transpose_b,
-                bool accumulate, Tensor* out, ThreadPool* pool,
-                const PackedWeight* packed_b) {
+                bool accumulate, Tensor* out, ThreadPool* pool) {
   if (a.shape().ndim() != 2 || b.shape().ndim() != 2 ||
       out->shape().ndim() != 2) {
     return Status::InvalidArgument("GemmInto expects matrices");
@@ -52,23 +61,16 @@ Status GemmInto(const Tensor& a, const Tensor& b, bool transpose_b,
                                    std::to_string(m) + ", " +
                                    std::to_string(n) + "]");
   }
-  if (packed_b != nullptr &&
-      (!transpose_b || packed_b->n != n || packed_b->k != k)) {
-    return Status::InvalidArgument(
-        "GemmInto packed weight is not b's transposed panel");
-  }
   // b's leading dimension in storage: [k, n] row-major or [n, k] when
   // the caller hands the transposed (weight) layout.
   const int64_t ldb = transpose_b ? k : n;
   return internal::GemmPacked(m, n, k, a.data(), k, /*trans_a=*/false,
                               b.data(), ldb, transpose_b, out->data(), n,
-                              accumulate, pool,
-                              internal::PanelOf(packed_b));
+                              accumulate, pool);
 }
 
 Result<Tensor> MatMul(const Tensor& a, const Tensor& b, bool transpose_b,
-                      MemoryTracker* tracker, ThreadPool* pool,
-                      const PackedWeight* packed_b) {
+                      MemoryTracker* tracker, ThreadPool* pool) {
   if (a.shape().ndim() != 2 || b.shape().ndim() != 2) {
     return Status::InvalidArgument("MatMul expects matrices");
   }
@@ -77,8 +79,30 @@ Result<Tensor> MatMul(const Tensor& a, const Tensor& b, bool transpose_b,
   RELSERVE_ASSIGN_OR_RETURN(Tensor out,
                             Tensor::Create(Shape{m, n}, tracker));
   RELSERVE_RETURN_NOT_OK(
-      GemmInto(a, b, transpose_b, /*accumulate=*/false, &out, pool,
-               packed_b));
+      GemmInto(a, b, transpose_b, /*accumulate=*/false, &out, pool));
+  return out;
+}
+
+Result<Tensor> MatMul(const Tensor& a, const Weight& w,
+                      MemoryTracker* tracker, ThreadPool* pool) {
+  if (a.shape().ndim() != 2 || a.shape().dim(1) != w.k) {
+    return Status::InvalidArgument("MatMul input " + a.shape().ToString() +
+                                   " does not match a weight of width " +
+                                   std::to_string(w.k));
+  }
+  const int64_t m = a.shape().dim(0);
+  RELSERVE_ASSIGN_OR_RETURN(Tensor out,
+                            Tensor::Create(Shape{m, w.n}, tracker));
+  if (const Int8Weight* q = w.int8()) {
+    RELSERVE_RETURN_NOT_OK(Int8GemmTransBInto(a, *q, &out, pool));
+  } else if (const CsrWeight* s = w.csr()) {
+    RELSERVE_RETURN_NOT_OK(SparseGemmTransBInto(a, *s, &out, pool));
+  } else {
+    RELSERVE_RETURN_NOT_OK(internal::GemmPacked(
+        m, w.n, w.k, a.data(), w.k, /*trans_a=*/false, /*b=*/nullptr,
+        w.k, /*trans_b=*/true, out.data(), w.n, /*accumulate=*/false,
+        pool, w.panel()->data()));
+  }
   return out;
 }
 

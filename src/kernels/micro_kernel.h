@@ -17,8 +17,11 @@
 //   B panel  (nr-wide column slivers): b_panel[p * nr + j] = B[p, j]
 //
 // with i < kMr, j < nr zero-padded past the matrix edge, p < kc. The
-// B panel of a weight can be packed once at deploy (PackedWeight in
-// kernels.h) in this same layout. A micro-kernel call computes the
+// width is a property of the host, not of the SIMD level: the scalar
+// tile runs at the host vector tile's width (ActivePanelNr() in
+// kernels.h), so every backend the dispatcher picks reads one panel
+// layout, and a B panel packed once at deploy (kernels::Weight) runs
+// at any level. A micro-kernel call computes the
 // full kMr x nr register tile
 //   C[i, j] ⊕= Σ_p a_panel[p*kMr+i] * b_panel[p*nr+j]
 // accumulating directly into C in ascending-p order (⊕ is += when
@@ -45,10 +48,11 @@ namespace internal {
 // Register tile height, shared by every backend. The width is the
 // backend's `nr`: kNr = 16 (two 8-float ymm vectors; 12 ymm
 // accumulators + 2 B loads + 1 A broadcast = 15 of 16 ymm regs) for
-// the scalar and AVX2 backends, 32 (two 16-float zmm vectors) for
-// AVX-512.
+// AVX2, kWideNr = 32 (two 16-float zmm vectors) for AVX-512, and the
+// host's vector width for the scalar tile.
 inline constexpr int64_t kMr = 6;
 inline constexpr int64_t kNr = 16;
+inline constexpr int64_t kWideNr = 32;
 
 // Cache blocking. kKc * nr floats (one B micro-panel: 16 KiB at
 // nr = 16, 32 KiB at nr = 32) is the L1 working set; kMc * kKc floats
@@ -59,6 +63,7 @@ inline constexpr int64_t kKc = 256;
 inline constexpr int64_t kMc = 72;
 inline constexpr int64_t kNc = 1024;
 static_assert(kMc % kMr == 0, "macro tile must hold whole row slivers");
+static_assert(kNc % kWideNr == 0, "B macro-panel must hold whole slivers");
 
 // One ISA's kernel set. Function pointers are resolved once per call
 // into the packed driver (the table itself is immutable static data).
@@ -87,8 +92,11 @@ struct KernelBackend {
   float (*row_max)(const float* x, int64_t n);           // max, n >= 1
 };
 
-// Always available.
+// Always available, at the host's panel width (ActivePanelNr()).
 const KernelBackend* GetScalarBackend();
+// The same tile at sliver width `nr` (kNr or kWideNr) — lets tests run
+// the layout another host would.
+const KernelBackend* GetScalarBackend(int64_t nr);
 
 // Returns nullptr when this build (or platform) has no AVX2 backend;
 // callers must then use the scalar backend regardless of cpuid.

@@ -32,10 +32,7 @@ namespace kernels {
 namespace internal {
 namespace {
 
-// Register-tile width: two 16-float zmm vectors.
-constexpr int64_t kNrZmm = 32;
-static_assert(kNc % kNrZmm == 0, "B macro-panel must hold whole slivers");
-
+// The register tile is kWideNr = two 16-float zmm vectors wide.
 void Avx512Tile(int64_t kc, const float* a_panel, const float* b_panel,
                 float* c, int64_t ldc, bool accumulate) {
   __m512 acc0a, acc0b, acc1a, acc1b, acc2a, acc2b;
@@ -60,9 +57,9 @@ void Avx512Tile(int64_t kc, const float* a_panel, const float* b_panel,
   for (int64_t p = 0; p < kc; ++p) {
     const float* a = a_panel + p * kMr;
     // Packed panels start on a 64-byte boundary and every B sliver is
-    // kNrZmm floats, so these 64-byte loads are always aligned.
-    const __m512 b0 = _mm512_load_ps(b_panel + p * kNrZmm);
-    const __m512 b1 = _mm512_load_ps(b_panel + p * kNrZmm + 16);
+    // kWideNr floats, so these 64-byte loads are always aligned.
+    const __m512 b0 = _mm512_load_ps(b_panel + p * kWideNr);
+    const __m512 b1 = _mm512_load_ps(b_panel + p * kWideNr + 16);
     __m512 ai;
     ai = _mm512_set1_ps(a[0]);
     acc0a = _mm512_fmadd_ps(ai, b0, acc0a);
@@ -122,9 +119,9 @@ void Avx512TileRows(int64_t kc, const float* a_panel,
   }
   for (int64_t p = 0; p < kc; ++p) {
     const float* a = a_panel + p * kMr;
-    const __m512 b0 = _mm512_load_ps(b_panel + p * kNrZmm);
+    const __m512 b0 = _mm512_load_ps(b_panel + p * kWideNr);
     __m512 b1;
-    if constexpr (kHi) b1 = _mm512_load_ps(b_panel + p * kNrZmm + 16);
+    if constexpr (kHi) b1 = _mm512_load_ps(b_panel + p * kWideNr + 16);
 #pragma GCC unroll 6
     for (int i = 0; i < M; ++i) {
       const __m512 ai = _mm512_set1_ps(a[i]);
@@ -179,7 +176,7 @@ const KernelBackend* GetAvx512Backend() {
       return nullptr;
     }
     static const KernelBackend table = {
-        SimdLevel::kAvx2, "avx512-fma", kNrZmm,     Avx512Tile,
+        SimdLevel::kAvx2, "avx512-fma", kWideNr,    Avx512Tile,
         Avx512TileEdge,   avx2->relu,   avx2->add,  avx2->scale,
         avx2->row_max,
     };

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "kernels/kernels.h"
 #include "kernels/micro_kernel.h"
 
 namespace relserve {
@@ -14,26 +15,30 @@ namespace kernels {
 namespace internal {
 namespace {
 
-// Generic tile: rows [0, m_r) x cols [0, n_r), m_r <= kMr, n_r <= kNr.
+// The tile runs at either vector width (NR = kNr or kWideNr): every
+// element keeps its own chain, so the width changes no bit.
+//
+// Generic tile: rows [0, m_r) x cols [0, n_r), m_r <= kMr, n_r <= NR.
 // Accumulates directly from the existing C values (or from zero), so
 // the per-element float chain is exactly the historical
 //   c = ((c0 + a0*b0) + a1*b1) + ...
 // no matter how many kc blocks the driver splits k into.
+template <int64_t NR>
 void ScalarTileEdge(int64_t kc, const float* a_panel,
                     const float* b_panel, float* c, int64_t ldc,
                     bool accumulate, int64_t m_r, int64_t n_r) {
-  // One accumulator row at a time (kNr floats fit the baseline vector
+  // One accumulator row at a time (NR floats fit the baseline vector
   // registers, so the j-loop auto-vectorizes without spilling; a full
   // kMr x kNr accumulator block would not).
   for (int64_t i = 0; i < m_r; ++i) {
-    float acc[kNr];
+    float acc[NR];
     float* c_row = c + i * ldc;
     for (int64_t j = 0; j < n_r; ++j) {
       acc[j] = accumulate ? c_row[j] : 0.0f;
     }
     for (int64_t p = 0; p < kc; ++p) {
       const float a_ip = a_panel[p * kMr + i];
-      const float* b = b_panel + p * kNr;
+      const float* b = b_panel + p * NR;
       for (int64_t j = 0; j < n_r; ++j) {
         acc[j] += a_ip * b[j];
       }
@@ -43,24 +48,25 @@ void ScalarTileEdge(int64_t kc, const float* a_panel,
 }
 
 // Full tile: same row-at-a-time shape with compile-time bounds.
+template <int64_t NR>
 void ScalarTile(int64_t kc, const float* a_panel, const float* b_panel,
                 float* c, int64_t ldc, bool accumulate) {
   for (int64_t i = 0; i < kMr; ++i) {
-    float acc[kNr];
+    float acc[NR];
     float* c_row = c + i * ldc;
     if (accumulate) {
-      for (int64_t j = 0; j < kNr; ++j) acc[j] = c_row[j];
+      for (int64_t j = 0; j < NR; ++j) acc[j] = c_row[j];
     } else {
-      for (int64_t j = 0; j < kNr; ++j) acc[j] = 0.0f;
+      for (int64_t j = 0; j < NR; ++j) acc[j] = 0.0f;
     }
     for (int64_t p = 0; p < kc; ++p) {
       const float a_ip = a_panel[p * kMr + i];
-      const float* b = b_panel + p * kNr;
-      for (int64_t j = 0; j < kNr; ++j) {
+      const float* b = b_panel + p * NR;
+      for (int64_t j = 0; j < NR; ++j) {
         acc[j] += a_ip * b[j];
       }
     }
-    for (int64_t j = 0; j < kNr; ++j) c_row[j] = acc[j];
+    for (int64_t j = 0; j < NR; ++j) c_row[j] = acc[j];
   }
 }
 
@@ -83,14 +89,25 @@ float ScalarRowMax(const float* x, int64_t n) {
 }
 
 constexpr KernelBackend kScalarBackend = {
-    SimdLevel::kScalar, "scalar",    kNr,          ScalarTile,
-    ScalarTileEdge,     ScalarRelu,  ScalarAdd,    ScalarScale,
+    SimdLevel::kScalar,  "scalar",   kNr,       ScalarTile<kNr>,
+    ScalarTileEdge<kNr>, ScalarRelu, ScalarAdd, ScalarScale,
+    ScalarRowMax,
+};
+constexpr KernelBackend kWideScalarBackend = {
+    SimdLevel::kScalar,      "scalar",   kWideNr,   ScalarTile<kWideNr>,
+    ScalarTileEdge<kWideNr>, ScalarRelu, ScalarAdd, ScalarScale,
     ScalarRowMax,
 };
 
 }  // namespace
 
-const KernelBackend* GetScalarBackend() { return &kScalarBackend; }
+const KernelBackend* GetScalarBackend(int64_t nr) {
+  return nr == kWideNr ? &kWideScalarBackend : &kScalarBackend;
+}
+
+const KernelBackend* GetScalarBackend() {
+  return GetScalarBackend(ActivePanelNr());
+}
 
 }  // namespace internal
 }  // namespace kernels

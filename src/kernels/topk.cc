@@ -96,43 +96,18 @@ class TopKSelector {
 
 }  // namespace
 
-Status MatMulTopKInto(const Tensor& a, const Tensor* dense_w,
-                      const Int8Weight* int8_w,
-                      const CsrWeight* sparse_w,
+Status MatMulTopKInto(const Tensor& a, const Weight& w,
                       const TopKOptions& opts, Tensor* out,
-                      ThreadPool* pool, const PackedWeight* dense_packed) {
-  const int arms = (dense_w != nullptr) + (int8_w != nullptr) +
-                   (sparse_w != nullptr);
-  if (arms != 1) {
-    return Status::InvalidArgument(
-        "top-k matmul needs exactly one weight arm");
-  }
-  if (a.shape().ndim() != 2) {
-    return Status::InvalidArgument("top-k matmul expects a matrix");
+                      ThreadPool* pool) {
+  if (a.shape().ndim() != 2 || a.shape().dim(1) != w.k) {
+    return Status::InvalidArgument("top-k weight mismatch");
   }
   const int64_t m = a.shape().dim(0);
-  const int64_t k = a.shape().dim(1);
-  int64_t channels;
-  if (dense_w != nullptr) {
-    if (dense_w->shape().ndim() != 2 || dense_w->shape().dim(1) != k) {
-      return Status::InvalidArgument("top-k dense weight mismatch");
-    }
-    channels = dense_w->shape().dim(0);
-    if (dense_packed != nullptr &&
-        (dense_packed->n != channels || dense_packed->k != k)) {
-      return Status::InvalidArgument("top-k packed weight mismatch");
-    }
-  } else if (int8_w != nullptr) {
-    if (int8_w->in != k) {
-      return Status::InvalidArgument("top-k int8 weight mismatch");
-    }
-    channels = int8_w->out;
-  } else {
-    if (sparse_w->in != k) {
-      return Status::InvalidArgument("top-k sparse weight mismatch");
-    }
-    channels = sparse_w->out;
-  }
+  const int64_t k = w.k;
+  const int64_t channels = w.n;
+  const Tensor* panel = w.panel();
+  const Int8Weight* int8_w = w.int8();
+  const CsrWeight* sparse_w = w.csr();
   const int64_t kk = opts.k;
   if (kk <= 0 || kk > channels) {
     return Status::InvalidArgument("top-k k out of range");
@@ -184,17 +159,12 @@ Status MatMulTopKInto(const Tensor& a, const Tensor* dense_w,
       for (int64_t c0 = 0; c0 < channels; c0 += kChannelBlock) {
         const int64_t bw = std::min(kChannelBlock, channels - c0);
         // --- produce block logits [rows, bw] ----------------------
-        if (dense_w != nullptr) {
-          internal::PackedPanel slice;
-          if (dense_packed != nullptr) {
-            slice = {dense_packed->panel.data() + c0 * k,
-                     dense_packed->nr};
-          }
+        if (panel != nullptr) {
           const Status s = internal::GemmPacked(
               rows, bw, k, src + r0 * k, /*lda=*/k, /*trans_a=*/false,
-              dense_w->data() + c0 * k, /*ldb=*/k, /*trans_b=*/true,
-              block.data(), /*ldc=*/kChannelBlock,
-              /*accumulate=*/false, /*pool=*/nullptr, slice);
+              /*b=*/nullptr, /*ldb=*/k, /*trans_b=*/true, block.data(),
+              /*ldc=*/kChannelBlock, /*accumulate=*/false,
+              /*pool=*/nullptr, panel->data() + c0 * k);
           if (!s.ok()) {
             std::lock_guard<std::mutex> lock(error_mu);
             if (first_error.ok()) first_error = s;

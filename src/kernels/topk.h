@@ -14,7 +14,7 @@
 // SET under this order is unique whatever the scan or thread order,
 // and the output is sorted by the same order — so ties and duplicated
 // logits produce identical results at any thread count and with any
-// of the three weight arms.
+// of the three weight payloads.
 //
 // Output layout: [m, 2k] rows of k values followed by k indices
 // (stored as floats; class counts < 2^24 are exact).
@@ -25,9 +25,7 @@
 #include <cstdint>
 
 #include "common/result.h"
-#include "kernels/int8_gemm.h"
 #include "kernels/kernels.h"
-#include "kernels/sparse_gemm.h"
 #include "resource/thread_pool.h"
 #include "tensor/tensor.h"
 
@@ -44,18 +42,13 @@ struct TopKOptions {
   bool softmax = false;
 };
 
-// logits = a * w^T (+bias, relu); out = top-k per row, [m, 2k].
-// Exactly one of `dense_w` ([n, k] fp32), `int8_w`, `sparse_w` must be
-// non-null. `out` must be preallocated [m, 2 * opts.k]; `pool` may be
-// null. `dense_packed` (nullable, dense arm only) is `dense_w` packed
-// by PackWeightTransB: each channel block's product reads its slice of
-// the panel instead of packing the weight per row chunk, unless the
-// active backend's nr differs from the panel's. The bits are the same.
-Status MatMulTopKInto(const Tensor& a, const Tensor* dense_w,
-                      const Int8Weight* int8_w, const CsrWeight* sparse_w,
+// logits = a * w^T (+bias, relu); out = top-k per row, [m, 2k], in
+// the arm of `w`'s payload. An fp32 panel hands each channel block its
+// kNc-aligned slice. `out` must be preallocated [m, 2 * opts.k];
+// `pool` may be null.
+Status MatMulTopKInto(const Tensor& a, const Weight& w,
                       const TopKOptions& opts, Tensor* out,
-                      ThreadPool* pool = nullptr,
-                      const PackedWeight* dense_packed = nullptr);
+                      ThreadPool* pool = nullptr);
 
 }  // namespace kernels
 }  // namespace relserve

@@ -32,11 +32,11 @@ Result<ProbeResult> ProbeRun(ServingSession* session,
       PreparedModel prepared,
       PreparedModel::Prepare(model, std::move(plan), ctx));
   ProbeResult result;
-  std::set<const kernels::Int8Weight*> packs;
+  std::set<const kernels::Weight*> packs;
   for (const auto& stage : prepared.physical().stages()) {
-    if (stage->int8_weight != nullptr &&
-        packs.insert(stage->int8_weight).second) {
-      result.int8_bytes += stage->int8_weight->ByteSize();
+    const kernels::Weight* w = stage->weight;
+    if (w != nullptr && w->int8() != nullptr && packs.insert(w).second) {
+      result.int8_bytes += w->ByteSize();
     }
   }
   RELSERVE_ASSIGN_OR_RETURN(ExecOutput out,

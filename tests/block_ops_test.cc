@@ -399,7 +399,7 @@ TEST_F(BlockOpsTest, PackedWeightJoinBitIdenticalToGemmInto) {
       auto x_store = blockops::ChunkMatrix(x, &ctx_);
       auto w_store = blockops::ChunkMatrix(w, &ctx_, /*share_weights=*/true);
       ASSERT_TRUE(want.ok() && x_store.ok() && w_store.ok());
-      EXPECT_EQ((*w_store)->packed_nr(), kernels::ActivePanelNr());
+      EXPECT_TRUE((*w_store)->holds_panels());
       auto c_store = blockops::BlockMatMul(**x_store, **w_store, &ctx_);
       ASSERT_TRUE(c_store.ok()) << c_store.status();
       auto got = blockops::Assemble(**c_store, &ctx_);
@@ -413,15 +413,10 @@ TEST_F(BlockOpsTest, PackedWeightJoinBitIdenticalToGemmInto) {
   }
 }
 
-// Panels packed at one sliver width and joined under a backend with
-// another (the SIMD level switched after deploy): each step unpacks
-// its block and packs it per call, keeping the running level's bits.
-TEST_F(BlockOpsTest, PackedWeightJoinUnderAnotherNrPacksPerCall) {
-  if (kernels::DetectSimdLevel() == SimdLevel::kScalar ||
-      kernels::internal::GetKernelBackend(kernels::DetectSimdLevel())
-              ->nr == kernels::internal::GetScalarBackend()->nr) {
-    GTEST_SKIP() << "needs a tile wider than the scalar backend's";
-  }
+// Panels packed at one SIMD level and joined at another: the panel
+// width is the host's, so each step reads its block as it is and
+// keeps the running level's bits.
+TEST_F(BlockOpsTest, PackedWeightJoinPackedAtAnotherLevel) {
   const JoinShape js = kJoinShapes[0];
   ctx_.block_rows = js.block_rows;
   ctx_.block_cols = js.block_cols;
@@ -439,7 +434,6 @@ TEST_F(BlockOpsTest, PackedWeightJoinUnderAnotherNrPacksPerCall) {
     }();
     ASSERT_TRUE(w_store.ok());
     ScopedSimdLevel scoped(run_level);
-    ASSERT_NE((*w_store)->packed_nr(), kernels::ActivePanelNr());
     auto want = kernels::MatMul(x, w, /*transpose_b=*/true);
     auto x_store = blockops::ChunkMatrix(x, &ctx_);
     ASSERT_TRUE(want.ok() && x_store.ok());

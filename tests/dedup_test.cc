@@ -362,16 +362,16 @@ TEST(ServingDedupTest, SecondUdfVariantSharesItsPackedPanels) {
   ASSERT_EQ(stages_a.size(), stages_b.size());
   int64_t panel_bytes = 0;
   for (size_t i = 0; i < stages_a.size(); ++i) {
-    const kernels::PackedWeight* packed = stages_a[i]->packed_weight;
+    const kernels::Weight* packed = stages_a[i]->weight;
     if (packed == nullptr) continue;
-    ASSERT_NE(stages_b[i]->packed_weight, nullptr);
-    EXPECT_EQ(stages_b[i]->packed_weight->panel.data(),
-              packed->panel.data());
-    const int64_t padded_n = (packed->n + packed->nr - 1) /
-                             packed->nr * packed->nr;
-    EXPECT_EQ(packed->panel.ByteSize(),
+    ASSERT_NE(stages_b[i]->weight, nullptr);
+    EXPECT_EQ(stages_b[i]->weight->panel()->data(),
+              packed->panel()->data());
+    const int64_t nr = kernels::ActivePanelNr();
+    const int64_t padded_n = (packed->n + nr - 1) / nr * nr;
+    EXPECT_EQ(packed->ByteSize(),
               padded_n * packed->k * static_cast<int64_t>(sizeof(float)));
-    panel_bytes += packed->panel.ByteSize();
+    panel_bytes += packed->ByteSize();
   }
   EXPECT_EQ(deployed[0].logical_weight_bytes,
             panel_bytes + (32 + 4) * static_cast<int64_t>(sizeof(float)));

@@ -154,16 +154,21 @@ Tensor DeterministicTensor(Shape shape, float phase) {
 const int64_t kTailDims[] = {1, 3, 7, 15, 17, 31, 33, 64, 65, 100, 129};
 
 // Dispatched-vs-reference agreement over the full tail-shape matrix
-// (all transpose/accumulate variants) for both the scalar backend and
-// whatever the hardware dispatches. The SIMD path may differ from the
-// reference by FMA/reassociation rounding only: tolerance 1e-4
-// relative. The scalar backend must match the legacy kernel
-// *bit-for-bit* wherever the legacy accumulation was itself the
-// single ascending-k chain the micro-kernel uses (everything except
-// transposed-b with accumulate, whose legacy form added a separately
-// rounded dot product at the end).
+// (all transpose/accumulate variants) for the scalar tile at both
+// panel widths a host may run it at (16 and 32) and whatever the
+// hardware dispatches. The SIMD path may differ from the reference by
+// FMA/reassociation rounding only: tolerance 1e-4 relative. The
+// scalar tile must match the legacy kernel *bit-for-bit* wherever the
+// legacy accumulation was itself the single ascending-k chain the
+// micro-kernel uses (everything except transposed-b with accumulate,
+// whose legacy form added a separately rounded dot product at the
+// end).
 TEST(GemmMicroKernelTest, TailShapeMatrixAgainstLegacyReference) {
-  const SimdLevel detected = kernels::DetectSimdLevel();
+  using kernels::internal::KernelBackend;
+  const KernelBackend* backends[] = {
+      kernels::internal::GetScalarBackend(kernels::internal::kNr),
+      kernels::internal::GetScalarBackend(kernels::internal::kWideNr),
+      kernels::internal::GetKernelBackend(kernels::DetectSimdLevel())};
   for (const int64_t m : kTailDims) {
     for (const int64_t n : kTailDims) {
       for (const int64_t k : kTailDims) {
@@ -178,32 +183,31 @@ TEST(GemmMicroKernelTest, TailShapeMatrixAgainstLegacyReference) {
             auto expected = seed.Clone();
             ASSERT_TRUE(expected.ok());
             LegacyGemm(a, b, transpose_b, accumulate, &*expected);
-            for (const SimdLevel level :
-                 {SimdLevel::kScalar, detected}) {
-              ScopedSimdLevel scoped(level);
+            for (const KernelBackend* backend : backends) {
               auto out = seed.Clone();
               ASSERT_TRUE(out.ok());
-              ASSERT_TRUE(kernels::GemmInto(a, b, transpose_b,
-                                            accumulate, &*out)
+              ASSERT_TRUE(kernels::internal::GemmPacked(
+                              backend, m, n, k, a.data(), k, false,
+                              b.data(), transpose_b ? k : n, transpose_b,
+                              out->data(), n, accumulate, nullptr)
                               .ok());
-              const bool exact =
-                  level == SimdLevel::kScalar &&
-                  !(transpose_b && accumulate);
+              const bool exact = backend->level == SimdLevel::kScalar &&
+                                 !(transpose_b && accumulate);
               for (int64_t i = 0; i < m * n; ++i) {
                 const float want = expected->data()[i];
                 const float got = out->data()[i];
                 if (exact) {
                   ASSERT_EQ(want, got)
-                      << "scalar path diverged at " << i << " for m="
-                      << m << " n=" << n << " k=" << k
+                      << "scalar nr=" << backend->nr << " diverged at "
+                      << i << " for m=" << m << " n=" << n << " k=" << k
                       << " transpose_b=" << transpose_b
                       << " accumulate=" << accumulate;
                 } else {
                   const float tol =
                       1e-4f * std::max(1.0f, std::fabs(want));
                   ASSERT_NEAR(want, got, tol)
-                      << "isa=" << kernels::SimdLevelName(level)
-                      << " m=" << m << " n=" << n << " k=" << k
+                      << "isa=" << backend->name << " m=" << m
+                      << " n=" << n << " k=" << k
                       << " transpose_b=" << transpose_b
                       << " accumulate=" << accumulate;
                 }
@@ -410,8 +414,7 @@ TEST(GemmPrepackedTest, BitIdenticalToPerCallPacking) {
     for (const int64_t k : ks) {
       const Tensor w = DeterministicTensor(Shape{n, k}, 0.9f);
       for (const KernelBackend* backend : backends) {
-        auto packed =
-            kernels::internal::PackWeightTransB(w, backend->nr, nullptr);
+        auto packed = kernels::internal::PackPanel(w, backend->nr, nullptr);
         ASSERT_TRUE(packed.ok()) << packed.status();
         for (const int64_t m : ms) {
           SCOPED_TRACE(testing::Message()
@@ -433,7 +436,7 @@ TEST(GemmPrepackedTest, BitIdenticalToPerCallPacking) {
                                  /*trans_a=*/false, /*b=*/nullptr, k,
                                  /*trans_b=*/true, got->data(), n,
                                  accumulate, /*pool=*/nullptr,
-                                 kernels::internal::PanelOf(&*packed))
+                                 packed->data())
                           .ok());
           ASSERT_EQ(0, std::memcmp(want->data(), got->data(),
                                    static_cast<size_t>(want->ByteSize())));
@@ -444,8 +447,7 @@ TEST(GemmPrepackedTest, BitIdenticalToPerCallPacking) {
       ASSERT_TRUE(packed.ok()) << packed.status();
       const Tensor a = DeterministicTensor(Shape{7, k}, 0.1f);
       auto want = kernels::MatMul(a, w, /*transpose_b=*/true);
-      auto got = kernels::MatMul(a, w, /*transpose_b=*/true, nullptr,
-                                 nullptr, &*packed);
+      auto got = kernels::MatMul(a, *packed);
       ASSERT_TRUE(want.ok() && got.ok());
       ASSERT_EQ(0, std::memcmp(want->data(), got->data(),
                                static_cast<size_t>(want->ByteSize())))
@@ -454,20 +456,16 @@ TEST(GemmPrepackedTest, BitIdenticalToPerCallPacking) {
   }
 }
 
-// A panel packed at one sliver width and run at another (the SIMD
-// level switched after deploy) is not read: the product packs the
-// weight per call and keeps GemmInto's bits at the running level.
-TEST(GemmPrepackedTest, NrMismatchPacksPerCall) {
-  if (kernels::DetectSimdLevel() != SimdLevel::kAvx2 ||
-      kernels::internal::GetAvx512Backend() == nullptr) {
-    GTEST_SKIP() << "needs the 32-wide AVX-512 tile next to the 16-wide "
-                    "scalar one";
-  }
+// The panel width is the host's, not the level's: a panel packed at
+// one SIMD level runs at any other and keeps GemmInto's bits there.
+TEST(GemmPrepackedTest, PanelPackedAtOneLevelRunsAtAnother) {
+  const SimdLevel detected = kernels::DetectSimdLevel();
+  const int64_t host_nr = kernels::ActivePanelNr();
   const Tensor w = DeterministicTensor(Shape{100, 300}, 0.9f);
   const Tensor a = DeterministicTensor(Shape{7, 300}, 0.1f);
   for (const auto& [pack_level, run_level] :
-       {std::pair{SimdLevel::kAvx2, SimdLevel::kScalar},
-        std::pair{SimdLevel::kScalar, SimdLevel::kAvx2}}) {
+       {std::pair{detected, SimdLevel::kScalar},
+        std::pair{SimdLevel::kScalar, detected}}) {
     SCOPED_TRACE(testing::Message()
                  << "packed at " << kernels::SimdLevelName(pack_level)
                  << ", run at " << kernels::SimdLevelName(run_level));
@@ -477,11 +475,9 @@ TEST(GemmPrepackedTest, NrMismatchPacksPerCall) {
     }();
     ASSERT_TRUE(packed.ok()) << packed.status();
     ScopedSimdLevel scoped(run_level);
-    ASSERT_NE(packed->nr,
-              kernels::internal::GetKernelBackend(run_level)->nr);
+    ASSERT_EQ(kernels::ActivePanelNr(), host_nr);
     auto want = kernels::MatMul(a, w, /*transpose_b=*/true);
-    auto got = kernels::MatMul(a, w, /*transpose_b=*/true, nullptr,
-                               nullptr, &*packed);
+    auto got = kernels::MatMul(a, *packed);
     ASSERT_TRUE(want.ok() && got.ok());
     ASSERT_EQ(0, std::memcmp(want->data(), got->data(),
                              static_cast<size_t>(want->ByteSize())));
@@ -490,12 +486,7 @@ TEST(GemmPrepackedTest, NrMismatchPacksPerCall) {
   auto other = kernels::PackWeightTransB(
       DeterministicTensor(Shape{100, 299}, 0.9f));
   ASSERT_TRUE(other.ok());
-  auto out = Tensor::Create(Shape{7, 100});
-  ASSERT_TRUE(out.ok());
-  EXPECT_TRUE(kernels::GemmInto(a, w, /*transpose_b=*/true,
-                                /*accumulate=*/false, &*out, nullptr,
-                                &*other)
-                  .IsInvalidArgument());
+  EXPECT_TRUE(kernels::MatMul(a, *other).status().IsInvalidArgument());
 }
 
 // k > kKc exercises the sequential kc-block accumulation into C.

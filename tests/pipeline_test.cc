@@ -162,7 +162,7 @@ TEST_F(PipelineTest, KernelArmsPipelineBitIdentically) {
   bool has_int8 = false;
   bool has_topk = false;
   for (const auto& stage : prepared->physical().stages()) {
-    has_int8 |= stage->int8_weight != nullptr;
+    has_int8 |= stage->weight != nullptr && stage->weight->int8();
     has_topk |= stage->kind == StageKind::kMatMulTopK;
   }
   EXPECT_TRUE(has_int8);

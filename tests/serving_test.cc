@@ -470,13 +470,13 @@ struct Int8Packs {
 
 Int8Packs CountInt8Packs(const PhysicalPlan& plan) {
   Int8Packs packs;
-  std::set<const kernels::Int8Weight*> seen;
+  std::set<const kernels::Weight*> seen;
   for (const auto& stage : plan.stages()) {
-    if (stage->int8_weight == nullptr) continue;
+    if (stage->weight == nullptr || !stage->weight->int8()) continue;
     EXPECT_EQ(stage->label.rfind("int8-matmul", 0), 0u) << stage->label;
     packs.stages += 1;
-    if (seen.insert(stage->int8_weight).second) {
-      packs.bytes += stage->int8_weight->ByteSize();
+    if (seen.insert(stage->weight).second) {
+      packs.bytes += stage->weight->ByteSize();
     }
   }
   return packs;
@@ -621,14 +621,12 @@ TEST_F(ServingTest, FpMatMulStagesRunOnPrepackedWeights) {
   int packed_stages = 0;
   for (const auto& stage : (*plan)->stages()) {
     if (stage->kind != StageKind::kMatMul) continue;
-    ASSERT_NE(stage->packed_weight, nullptr) << stage->label;
+    ASSERT_NE(stage->weight->panel(), nullptr) << stage->label;
     auto weight =
         model->GetWeight(model->nodes()[stage->node_id].weight_name);
     ASSERT_TRUE(weight.ok());
-    // The stage reads the model's own tensor only to repack per call.
-    EXPECT_EQ(stage->weight, *weight);
-    EXPECT_EQ(stage->packed_weight->n, (*weight)->shape().dim(0));
-    EXPECT_EQ(stage->packed_weight->k, (*weight)->shape().dim(1));
+    EXPECT_EQ(stage->weight->n, (*weight)->shape().dim(0));
+    EXPECT_EQ(stage->weight->k, (*weight)->shape().dim(1));
     packed_stages += 1;
   }
   EXPECT_EQ(packed_stages, 2);
@@ -636,8 +634,8 @@ TEST_F(ServingTest, FpMatMulStagesRunOnPrepackedWeights) {
   ASSERT_TRUE(int8_plan.ok());
   for (const auto& stage : (*int8_plan)->stages()) {
     if (stage->kind != StageKind::kMatMul) continue;
-    EXPECT_EQ(stage->packed_weight, nullptr) << stage->label;
-    EXPECT_NE(stage->int8_weight, nullptr) << stage->label;
+    EXPECT_EQ(stage->weight->panel(), nullptr) << stage->label;
+    EXPECT_NE(stage->weight->int8(), nullptr) << stage->label;
   }
 
   for (const int64_t rows : {1, 5, 7, 64}) {

@@ -139,6 +139,10 @@ TEST(BlockStoreTest, BlocksLargerThanOnePage) {
   auto block = store.Get(store.entries()[0]);
   ASSERT_TRUE(block.ok());
   EXPECT_FLOAT_EQ(block->data.MaxAbsDiff(*m), 0.0f);
+  // ToMatrix copies straight from the pages; a page ends mid-row.
+  auto back = store.ToMatrix();
+  ASSERT_TRUE(back.ok());
+  EXPECT_FLOAT_EQ(back->MaxAbsDiff(*m), 0.0f);
 }
 
 TEST(BlockStoreTest, SurvivesPoolPressure) {
