@@ -7,7 +7,11 @@
 # parallel block operators, and the packed GEMM layer (whose
 # macro-tile ParallelFor shares one read-only B panel and per-worker A
 # panels across pool threads). Any data race makes the binaries exit
-# non-zero (halt_on_error=1), failing this script.
+# non-zero (halt_on_error=1), failing this script. The scheduler and
+# network server tests run three times each, so their repeats also
+# cover the spin-to-park transitions of the scheduler worker and the
+# event loop (a push or Shutdown landing while a thread spins or just
+# after it parks).
 #
 # Leg 2 (UndefinedBehaviorSanitizer): rebuilds with
 # -DRELSERVE_SANITIZE=undefined into build-ubsan/ and runs the kernel

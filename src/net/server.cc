@@ -14,6 +14,7 @@
 
 #include "common/completion_scope.h"
 #include "common/failpoint.h"
+#include "common/idle_spin.h"
 #include "common/io_util.h"
 
 namespace relserve {
@@ -562,6 +563,7 @@ void NetServer::LoopThread(EventLoop* loop) {
   epoll_event events[kMaxEvents];
   int64_t drain_deadline_ms = 0;
   bool accepting = true;
+  IdleSpin idle;
 
   while (true) {
     const bool stopping = stopping_.load(std::memory_order_acquire);
@@ -589,12 +591,26 @@ void NetServer::LoopThread(EventLoop* loop) {
       break;
     }
 
-    const int timeout_ms =
-        stopping ? 10 : (config_.idle_timeout_ms > 0 ? 20 : 200);
-    const int n = static_cast<int>(io::RetryEintr([&] {
-      return ::epoll_wait(loop->epoll_fd, events, kMaxEvents,
-                          timeout_ms);
-    }));
+    // Spin, then park (common/idle_spin.h): poll without blocking for
+    // up to the spin budget, so a request that follows its
+    // predecessor closely costs no epoll wake-up. The drain does not
+    // spin; it polls on its own timer.
+    const auto wait = [&](int timeout_ms) {
+      return static_cast<int>(io::RetryEintr([&] {
+        return ::epoll_wait(loop->epoll_fd, events, kMaxEvents,
+                            timeout_ms);
+      }));
+    };
+    int n = 0;
+    if (!stopping) {
+      idle.Begin();
+      idle.Spin([&] { return (n = wait(0)) > 0; });
+    }
+    if (n <= 0) {
+      stats_.loop_parks.Add();
+      n = wait(stopping ? 10 : (config_.idle_timeout_ms > 0 ? 20 : 200));
+    }
+    if (n > 0) idle.End(IdleSpin::Clock::now());
     for (int i = 0; i < n; ++i) {
       const uint64_t tag = events[i].data.u64;
       if (tag == 0) {

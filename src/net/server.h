@@ -107,6 +107,7 @@ struct NetServerStats {
   Counter connections_refused;  // accepts refused at max_connections
   Counter memory_closed;  // closed for exceeding max_conn_memory_bytes
   Counter write_calls;    // successful socket writes of reply bytes
+  Counter loop_parks;     // blocking epoll_waits (the spin found nothing)
 
   template <typename F>
   void ForEachField(F&& f) const {
@@ -121,6 +122,7 @@ struct NetServerStats {
     f("connections_refused", connections_refused);
     f("memory_closed", memory_closed);
     f("write_calls", write_calls);
+    f("loop_parks", loop_parks);
   }
 };
 

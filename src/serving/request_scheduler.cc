@@ -84,17 +84,18 @@ void RequestScheduler::Submit(
       shed = Status::Unavailable(
           "admission queue full: serving front-end overloaded");
     } else {
-      // Wake a worker only when this push changes what it waits for:
-      // a first request starts a batching window, and a full batch
-      // ends one. Otherwise every worker is busy or already timing
-      // the queue's front.
+      // Wake a parked worker only when this push changes what it
+      // waits for: a first request starts a batching window, and a
+      // full batch ends one. Otherwise every worker is busy, spinning
+      // (it sees queue_len_), or already timing the queue's front.
       const bool wake =
           queue_.empty() ||
           (queued_rows_ < config_.max_batch_rows &&
            queued_rows_ + request.rows >= config_.max_batch_rows);
       queued_rows_ += request.rows;
       queue_.push_back(std::move(request));
-      if (wake) cv_.notify_one();
+      queue_len_.store(queue_.size(), std::memory_order_release);
+      if (wake && parked_ > 0) cv_.notify_one();
       return;
     }
   }
@@ -115,25 +116,50 @@ std::string RequestScheduler::CoalesceKey(const Request& request) {
   return key;
 }
 
-std::vector<RequestScheduler::Request> RequestScheduler::TakeBatch() {
+void RequestScheduler::Park(
+    std::unique_lock<std::mutex>& lock,
+    const std::chrono::steady_clock::time_point* due) {
+  ++parked_;
+  stats_.worker_parks.Add();
+  if (due == nullptr) {
+    cv_.wait(lock);
+  } else {
+    cv_.wait_until(lock, *due);
+  }
+  --parked_;
+}
+
+std::vector<RequestScheduler::Request> RequestScheduler::TakeBatch(
+    IdleSpin* idle) {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     if (queue_.empty()) {
       if (stopped_) return {};
-      cv_.wait(lock);
+      // Spin, then park: a push or Shutdown within the budget is seen
+      // here without a wake-up. The re-check under `mu_` pairs with
+      // Submit's parked_ test, so a push after it always notifies.
+      idle->Begin();
+      lock.unlock();
+      const bool ready = idle->Spin([this] {
+        return queue_len_.load(std::memory_order_acquire) > 0 ||
+               stopped_.load(std::memory_order_acquire);
+      });
+      lock.lock();
+      if (!ready && queue_.empty() && !stopped_) Park(lock);
       continue;
     }
+    idle->End(queue_.front().admitted);
     // Shutdown drains without waiting out the window.
     if (stopped_) break;
     if (paused_) {
-      cv_.wait(lock);
+      Park(lock);
       continue;
     }
     if (queued_rows_ >= config_.max_batch_rows) break;
     const auto due = queue_.front().admitted +
                      std::chrono::microseconds(config_.max_delay_us);
     if (std::chrono::steady_clock::now() >= due) break;
-    cv_.wait_until(lock, due);
+    Park(lock, &due);
   }
   // The oldest request, then every later one sharing its key, in
   // order. What is left keeps its FIFO order for the next taker.
@@ -156,14 +182,16 @@ std::vector<RequestScheduler::Request> RequestScheduler::TakeBatch() {
     queue_.erase(keep, it);
   }
   queued_rows_ -= rows;
+  queue_len_.store(queue_.size(), std::memory_order_release);
   // Another idle worker may take what this batch left behind.
-  if (!queue_.empty()) cv_.notify_one();
+  if (!queue_.empty() && parked_ > 0) cv_.notify_one();
   return batch;
 }
 
 void RequestScheduler::WorkerLoop() {
+  IdleSpin idle;
   while (true) {
-    std::vector<Request> batch = TakeBatch();
+    std::vector<Request> batch = TakeBatch(&idle);
     if (batch.empty()) return;
     ExecuteBatch(std::move(batch));
   }

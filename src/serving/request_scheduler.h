@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "common/counter.h"
+#include "common/idle_spin.h"
 #include "common/result.h"
 #include "common/retry.h"
 #include "serving/circuit_breaker.h"
@@ -95,6 +96,9 @@ struct SchedulerStats {
   Counter coalesced_requests;  // requests merged into a shared batch
   Counter total_rows;          // rows through the engine
   Counter max_batch_rows_seen;
+  // Times a worker blocked on the scheduler's condition variable: idle
+  // past the spin budget, paused, or timing a batching window.
+  Counter worker_parks;
 
   double MeanBatchRows() const {
     return batches == 0 ? 0.0
@@ -114,6 +118,7 @@ struct SchedulerStats {
     f("total_rows", total_rows);
     f("max_batch_rows_seen", max_batch_rows_seen);
     f("mean_batch_rows", MeanBatchRows());
+    f("worker_parks", worker_parks);
   }
 };
 
@@ -212,9 +217,14 @@ class RequestScheduler {
   static std::string CoalesceKey(const Request& request);
 
   void WorkerLoop();
-  // Waits until a batch is due and takes it, in one hold of `mu_`;
-  // empty once the scheduler is shut down and drained.
-  std::vector<Request> TakeBatch();
+  // Waits until a batch is due and takes it; empty once the scheduler
+  // is shut down and drained. An empty queue is first polled without
+  // `mu_` for the spin budget (`idle` is the worker's own), then the
+  // worker parks.
+  std::vector<Request> TakeBatch(IdleSpin* idle);
+  // Blocks on `cv_` (until `due`, when given), counted in `parked_`.
+  void Park(std::unique_lock<std::mutex>& lock,
+            const std::chrono::steady_clock::time_point* due = nullptr);
   void ExecuteBatch(std::vector<Request> batch);
 
   // Wraps one engine execution for `model` in the resilience stack:
@@ -231,13 +241,19 @@ class RequestScheduler {
   SchedulerStats stats_;
 
   // `mu_` guards the admission queue and the control flags; `cv_`
-  // wakes workers when a batch may have become due.
+  // wakes parked workers when a batch may have become due. Submits
+  // notify only while `parked_` > 0: a spinning worker sees a push
+  // through `queue_len_` and costs no futex wake. `queue_len_` and
+  // `stopped_` are written under `mu_` and read without it by that
+  // spin.
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<Request> queue_;
+  std::atomic<size_t> queue_len_{0};
   int64_t queued_rows_ = 0;
+  int parked_ = 0;
   bool paused_ = false;
-  bool stopped_ = false;
+  std::atomic<bool> stopped_{false};
 
   std::mutex breakers_mu_;
   std::unordered_map<std::string, std::unique_ptr<CircuitBreaker>>

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/idle_spin.h"
 #include "common/io_util.h"
 #include "graph/model.h"
 #include "net/client.h"
@@ -287,9 +288,11 @@ TEST_F(NetServingTest, DeployAndStatsOverTheWire) {
   // Every field of every stats struct rides the frame once, with the
   // value a stats() snapshot reads. The frame is rendered before its
   // own reply is queued and written.
-  ExpectRendered(*stats, "scheduler", scheduler_->stats());
+  // The park counters move whenever a thread goes idle.
+  ExpectRendered(*stats, "scheduler", scheduler_->stats(),
+                 {"worker_parks"});
   ExpectRendered(*stats, "server", server_->stats(),
-                 {"frames_out", "bytes_out", "write_calls"});
+                 {"frames_out", "bytes_out", "write_calls", "loop_parks"});
   ExpectRendered(*stats, "dedup", session_.block_index()->stats());
   ExpectRendered(*stats, "exec", session_.exec_context()->stats);
   ExpectRendered(*stats, "buffer_pool", pool->stats());
@@ -301,7 +304,7 @@ TEST_F(NetServingTest, DeployAndStatsOverTheWire) {
         "connections_closed", "frames_in", "frames_out", "bytes_in",
         "bytes_out", "protocol_errors", "idle_closed",
         "connections_refused", "memory_closed", "write_calls",
-        "unique_blocks",
+        "worker_parks", "loop_parks", "unique_blocks",
         "logical_refs", "physical_bytes", "logical_bytes", "dedup_hits",
         "freed_blocks"}) {
     EXPECT_NE(stats->find(std::string("\"") + key + "\":"),
@@ -312,6 +315,41 @@ TEST_F(NetServingTest, DeployAndStatsOverTheWire) {
   // block matmul, so the dedup and exec counters are nonzero.
   EXPECT_GT(StatsObject(*stats, "dedup").at("unique_blocks").at(0), 0);
   EXPECT_GT(StatsObject(*stats, "exec").at("blocks_read").at(0), 0);
+}
+
+// An idle server parks: its event loop stops polling once the spin
+// budget has passed (DESIGN.md "Network serving front-end"), so a
+// server with no traffic burns no CPU; both park counters ride the
+// stats frame.
+TEST_F(NetServingTest, IdleServerParks) {
+  StartServer();
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+  auto row = workloads::GenBatch(1, Shape{16}, 16);
+  ASSERT_TRUE(row.ok());
+  ASSERT_TRUE(client->Predict("m", *row).ok());
+  const int64_t before = server_->stats().loop_parks.load();
+  std::this_thread::sleep_for(20 * kIdleSpinBudget);
+  // Sanitizer builds may not schedule the loop at once; an idle loop
+  // also re-parks after each epoll timeout, so a park always follows.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->stats().loop_parks.load() <= before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const int64_t parked = server_->stats().loop_parks.load();
+  EXPECT_GT(parked, before);
+
+  auto stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_GE(StatsObject(*stats, "server").at("loop_parks").at(0), parked);
+  // The predict's worker parked at least once: timing its batching
+  // window, or idle afterwards.
+  EXPECT_GT(StatsObject(*stats, "scheduler").at("worker_parks").at(0), 0);
+  // The loop still serves after parking.
+  auto again = client->Predict("m", *row);
+  ASSERT_TRUE(again.ok()) << again.status();
 }
 
 TEST_F(NetServingTest, PipelinedRequestsMatchByRequestId) {

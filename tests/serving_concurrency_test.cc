@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <future>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "common/completion_scope.h"
+#include "common/idle_spin.h"
 #include "engine/external_runtime.h"
 #include "engine/physical_plan.h"
 #include "graph/model.h"
@@ -652,6 +654,136 @@ TEST_F(ServingConcurrencyTest, ShutdownRacingSubmitsCompletesEachOnce) {
   for (const std::atomic<int>& c : calls) fired += c.load();
   EXPECT_EQ(fired, submitted.load());
   EXPECT_EQ(scheduler.stats().shed_queue_full.load(), 0);
+}
+
+// An idle worker spins for at most the spin budget, then parks
+// (DESIGN.md "Serving front-end"): worker_parks rises after an idle
+// spell of 20 budgets, stays put while nothing arrives, and the next
+// request still wakes the worker.
+TEST_F(ServingConcurrencyTest, IdleWorkerParksAndWakesForTheNextRequest) {
+  LoadModel();
+  SchedulerConfig config;
+  config.num_workers = 1;
+  config.max_delay_us = 0;
+  RequestScheduler scheduler(&session_, config);
+  auto row = workloads::GenBatch(1, Shape{16}, 31);
+  ASSERT_TRUE(row.ok());
+  auto expected = DirectRow("m", *row);
+  ASSERT_TRUE(expected.ok());
+
+  // Read on the worker inside the callback, before it goes idle.
+  std::atomic<int64_t> parks_before{-1};
+  Completion first;
+  scheduler.SubmitBatchCallback(
+      "m", *row, 0,
+      [&, callback = first.Callback()](Result<Tensor> result) {
+        parks_before = scheduler.stats().worker_parks.load();
+        callback(std::move(result));
+      });
+  ASSERT_TRUE(first.Wait());
+  std::this_thread::sleep_for(20 * kIdleSpinBudget);
+  // Sanitizer builds may not schedule the worker at once; the park
+  // itself needs no traffic.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (scheduler.stats().worker_parks.load() <= parks_before.load() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const int64_t parked = scheduler.stats().worker_parks.load();
+  EXPECT_GT(parked, parks_before.load());
+  // Parked is asleep: with no traffic nothing wakes the worker again.
+  std::this_thread::sleep_for(20 * kIdleSpinBudget);
+  EXPECT_EQ(scheduler.stats().worker_parks.load(), parked);
+
+  auto again = scheduler.PredictBatch("m", *row);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again->MaxAbsDiff(*expected), 0.0f);
+}
+
+// Single-request round trips whose gaps fall below the spin budget
+// (the worker is still spinning when the next request lands, and no
+// notify is sent) and above it (the worker has parked, and Submit must
+// wake it): every on_done fires exactly once with the right rows.
+TEST_F(ServingConcurrencyTest, RoundTripsAcrossTheSpinBudgetCompleteOnce) {
+  LoadModel();
+  SchedulerConfig config;
+  config.num_workers = 1;
+  config.max_delay_us = 0;
+  RequestScheduler scheduler(&session_, config);
+  constexpr int kRows = 8;
+  std::vector<Tensor> rows;
+  std::vector<Tensor> expected;
+  for (int i = 0; i < kRows; ++i) {
+    auto row = workloads::GenBatch(1, Shape{16}, 900 + i);
+    ASSERT_TRUE(row.ok());
+    auto truth = DirectRow("m", *row);
+    ASSERT_TRUE(truth.ok());
+    rows.push_back(std::move(*row));
+    expected.push_back(std::move(*truth));
+  }
+
+  constexpr int kTrips = 10000;
+  std::vector<Completion> done(kTrips);
+  for (int i = 0; i < kTrips; ++i) {
+    // Every fourth gap outlasts the budget; the rest are back to back.
+    if (i % 4 == 3) std::this_thread::sleep_for(2 * kIdleSpinBudget);
+    scheduler.SubmitBatchCallback("m", rows[i % kRows], 0,
+                                  done[i].Callback());
+    ASSERT_TRUE(done[i].Wait()) << "trip " << i;
+    std::lock_guard<std::mutex> lock(done[i].mu);
+    ASSERT_TRUE(done[i].result.ok()) << done[i].result.status();
+    ASSERT_EQ(done[i].result->MaxAbsDiff(expected[i % kRows]), 0.0f)
+        << "trip " << i;
+  }
+  scheduler.Shutdown();
+  int extra_calls = 0;
+  for (Completion& c : done) {
+    std::lock_guard<std::mutex> lock(c.mu);
+    extra_calls += c.calls - 1;
+  }
+  EXPECT_EQ(extra_calls, 0);
+  const SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.submitted.load(), kTrips);
+  EXPECT_EQ(stats.batches.load(), kTrips);
+  // A gap of two budgets cannot be spun through.
+  EXPECT_GT(stats.worker_parks.load(), 0);
+}
+
+// Shutdown landing while the worker spins ends the spin and still
+// drains what was admitted; it never waits on a wake-up that will not
+// come.
+TEST_F(ServingConcurrencyTest, ShutdownDuringSpinDrainsPromptly) {
+  LoadModel();
+  auto row = workloads::GenBatch(1, Shape{16}, 32);
+  ASSERT_TRUE(row.ok());
+  auto expected = DirectRow("m", *row);
+  ASSERT_TRUE(expected.ok());
+  for (int round = 0; round < 50; ++round) {
+    SchedulerConfig config;
+    config.num_workers = 1;
+    config.max_delay_us = 0;
+    RequestScheduler scheduler(&session_, config);
+    // A round trip leaves the worker spinning for its next request.
+    ASSERT_TRUE(scheduler.PredictBatch("m", *row).ok());
+    // Odd rounds stop an empty scheduler; even rounds admit four
+    // requests first.
+    std::vector<Completion> admitted(round % 2 == 0 ? 4 : 0);
+    for (Completion& c : admitted) {
+      scheduler.SubmitBatchCallback("m", *row, 0, c.Callback());
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    scheduler.Shutdown();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(1))
+        << "round " << round;
+    for (Completion& c : admitted) {
+      std::lock_guard<std::mutex> lock(c.mu);
+      EXPECT_EQ(c.calls, 1);
+      ASSERT_TRUE(c.result.ok()) << c.result.status();
+      EXPECT_EQ(c.result->MaxAbsDiff(*expected), 0.0f);
+    }
+  }
 }
 
 TEST_F(ServingConcurrencyTest, ConcurrentCacheTrafficIsSafe) {
