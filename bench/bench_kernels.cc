@@ -3,9 +3,9 @@
 // skinny shapes, comparing the portable scalar micro-kernel against
 // the runtime-dispatched SIMD path at 1/4/8 pool threads.
 //
-// This bench cross-checks the optimizer's runtime-probed CPU
-// throughput (resource/device_model.h: CalibratedCpuGemmFlops()) and
-// is the before/after record in EXPERIMENTS.md. It also measures the
+// This bench is the kernels' before/after record in EXPERIMENTS.md
+// and the measured rates a calibrated latency estimate would start
+// from (no planning decision reads them yet). It also measures the
 // int8 quantized GEMM arm against the fp32 weight-layout GEMM at the
 // same shapes. Each measurement also emits a BENCH_JSON line
 // (grep ^BENCH_JSON) like bench_parallel_scaling. On hardware without

@@ -1,8 +1,9 @@
 // AnnIndex: the approximate-nearest-neighbor interface behind the
 // inference result cache. The paper (Sec. 5(1)) lists HNSW, IVF, LSH,
 // and product quantization as candidate in-RDBMS indexes; relserve
-// implements HNSW (hnsw_index.h), IVF-Flat (ivf_index.h) and E2LSH
-// (lsh_index.h) behind this interface.
+// implements one, HNSW (hnsw_index.h), the index of the paper's
+// Sec. 7.2.2 cache. The interface stays on purpose so that another
+// index can come back behind ApproxResultCache without touching it.
 
 #ifndef RELSERVE_CACHE_ANN_INDEX_H_
 #define RELSERVE_CACHE_ANN_INDEX_H_

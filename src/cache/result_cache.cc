@@ -7,19 +7,8 @@
 namespace relserve {
 
 ApproxResultCache::ApproxResultCache(int dim, Config config)
-    : config_(config) {
-  switch (config.index_kind) {
-    case IndexKind::kHnsw:
-      index_ = std::make_unique<HnswIndex>(dim, config.hnsw);
-      break;
-    case IndexKind::kIvf:
-      index_ = std::make_unique<IvfIndex>(dim, config.ivf);
-      break;
-    case IndexKind::kLsh:
-      index_ = std::make_unique<LshIndex>(dim, config.lsh);
-      break;
-  }
-}
+    : config_(config),
+      index_(std::make_unique<HnswIndex>(dim, config.hnsw)) {}
 
 std::string ExactResultCache::Key(const std::vector<float>& features) {
   return std::string(reinterpret_cast<const char*>(features.data()),

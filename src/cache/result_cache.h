@@ -3,7 +3,8 @@
 // Two flavors:
 //  - ExactResultCache: hash of the exact feature bytes -> prediction;
 //    zero accuracy loss, only helps on exact repeats.
-//  - ApproxResultCache: HNSW over request features; a query within
+//  - ApproxResultCache: an HNSW index (hnsw_index.h, behind the
+//    AnnIndex interface) over request features; a query within
 //    `max_distance` of a cached request reuses its prediction,
 //    trading accuracy for latency.
 // MonteCarloCachePolicy estimates the accuracy cost on a sample and
@@ -24,8 +25,6 @@
 
 #include "cache/ann_index.h"
 #include "cache/hnsw_index.h"
-#include "cache/ivf_index.h"
-#include "cache/lsh_index.h"
 #include "common/counter.h"
 #include "common/result.h"
 #include "tensor/tensor.h"
@@ -107,23 +106,14 @@ class ExactResultCache {
 
 class ApproxResultCache {
  public:
-  enum class IndexKind { kHnsw, kIvf, kLsh };
-
   struct Config {
     // A lookup hits iff the nearest cached request is within this L2
     // distance.
     float max_distance = 1.0f;
-    IndexKind index_kind = IndexKind::kHnsw;
     HnswIndex::Config hnsw;
-    IvfIndex::Config ivf;
-    LshIndex::Config lsh;
   };
 
   ApproxResultCache(int dim, Config config);
-
-  // Bring-your-own index (any AnnIndex implementation).
-  ApproxResultCache(Config config, std::unique_ptr<AnnIndex> index)
-      : config_(config), index_(std::move(index)) {}
 
   Status Insert(const std::vector<float>& features,
                 std::vector<float> prediction);

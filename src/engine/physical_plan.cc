@@ -103,16 +103,14 @@ std::string SampleString(const std::vector<int64_t>& sample) {
 // `open`'s epilogue? Requires a stage kind that produces a freshly
 // writable activation, for softmax matrix-shaped output (row
 // normalization needs rank-2), and a representation match — except
-// on a CPU block stage, whose per-block epilogue applies a bias or
+// on a block stage, whose per-block epilogue applies a bias or
 // relu with the same per-element ops either representation would: the
 // activation then stays blocked into the next join instead of taking
 // a to-whole / to-blocked round trip.
 bool CanAttach(const PhysicalStage& open, OpKind op, bool rel) {
-  const bool cpu_block_stage =
-      (open.kind == StageKind::kBlockMatMul ||
-       open.kind == StageKind::kBlockElementwise) &&
-      open.device == DeviceKind::kCpu;
-  if (rel != (open.repr == Repr::kRelational) && !cpu_block_stage) {
+  const bool block_stage = open.kind == StageKind::kBlockMatMul ||
+                           open.kind == StageKind::kBlockElementwise;
+  if (rel != (open.repr == Repr::kRelational) && !block_stage) {
     return false;
   }
   switch (open.kind) {
@@ -302,7 +300,6 @@ Result<std::unique_ptr<PhysicalPlan>> PhysicalPlan::Compile(
     const NodeDecision& d = pp->plan_.decisions[node_id];
     s->estimated_bytes = d.estimated_bytes;
     s->estimated_flops = d.estimated_flops;
-    s->device = d.device;
   };
   auto new_stage = [&](StageKind kind, const Node& node,
                        Repr repr) -> PhysicalStage* {
@@ -534,10 +531,6 @@ std::string PhysicalPlan::ToString(bool analyze) const {
            ReprName(s.repr) + " out=" + SampleString(s.out_sample) +
            " est=" + std::to_string(s.estimated_bytes) + "B flops=" +
            flops;
-    if (s.device != DeviceKind::kCpu) {
-      out += " @";
-      out += DeviceKindName(s.device);
-    }
     if (analyze) AppendStageStats(s.stats, &out);
     out += "\n";
   }

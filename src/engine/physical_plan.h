@@ -133,7 +133,6 @@ struct PhysicalStage {
   // Optimizer annotations (summed over fused nodes).
   int64_t estimated_bytes = 0;
   double estimated_flops = 0;
-  DeviceKind device = DeviceKind::kCpu;
 
   mutable StageStats stats;
 

@@ -38,10 +38,6 @@ std::string InferencePlan::ToString(const Model& model) const {
            OpKindName(node.kind) + " est=" +
            std::to_string(d.estimated_bytes) + "B -> " +
            ReprName(d.repr);
-    if (d.device != DeviceKind::kCpu) {
-      out += " @";
-      out += DeviceKindName(d.device);
-    }
     // Kernel-arm annotations render only when non-default so plans
     // without the quantized/sparse arms keep their historical text.
     if (d.arm == KernelArm::kInt8) {
@@ -98,8 +94,7 @@ Status AssignKernelArms(const Model& model, const OptimizerTuning& tuning,
   for (NodeDecision& decision : plan->decisions) {
     const Node& node = model.node(decision.node_id);
     if (node.kind != OpKind::kMatMul || node.weight_name.empty() ||
-        decision.repr != Repr::kUdf ||
-        decision.device != DeviceKind::kCpu) {
+        decision.repr != Repr::kUdf) {
       continue;
     }
     if (tuning.enable_sparse) {
@@ -117,12 +112,12 @@ Status AssignKernelArms(const Model& model, const OptimizerTuning& tuning,
   }
   if (tuning.topk > 0) {
     // The fused top-k epilogue targets the classification head: the
-    // LAST matmul of the graph, provided it runs UDF-centric on the
-    // CPU (whole-tensor stages are where the fusion hooks live).
+    // LAST matmul of the graph, provided it runs UDF-centric
+    // (whole-tensor stages are where the fusion hooks live).
     for (auto it = plan->decisions.rbegin(); it != plan->decisions.rend();
          ++it) {
       if (model.node(it->node_id).kind != OpKind::kMatMul) continue;
-      if (it->repr == Repr::kUdf && it->device == DeviceKind::kCpu) {
+      if (it->repr == Repr::kUdf) {
         it->topk = tuning.topk;
       }
       break;
@@ -150,19 +145,6 @@ Result<InferencePlan> RuleBasedOptimizer::Optimize(
       RELSERVE_ASSIGN_OR_RETURN(
           decision.estimated_flops,
           model.EstimateNodeFlops(node.id, batch_size));
-    }
-    if (devices_ != nullptr && decision.repr == Repr::kUdf &&
-        node.kind != OpKind::kInput) {
-      RELSERVE_ASSIGN_OR_RETURN(
-          std::vector<Shape> shapes, model.InferShapes(batch_size));
-      OperatorProfile profile;
-      profile.flops = decision.estimated_flops;
-      profile.input_bytes =
-          node.input >= 0
-              ? shapes[node.input].NumElements() * 4
-              : 0;
-      profile.output_bytes = shapes[node.id].NumElements() * 4;
-      decision.device = devices_->Choose(profile).kind;
     }
     plan.decisions.push_back(decision);
   }

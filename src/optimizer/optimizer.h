@@ -27,7 +27,7 @@ Result<int64_t> EstimateNodeBytes(const Model& model, int node_id,
 // existing deployments (and golden plan texts) are unchanged; a model
 // opts in when it is registered (ServingSession::RegisterModel).
 struct OptimizerTuning {
-  // Consider the deploy-time int8 quantized arm for UDF-centric CPU
+  // Consider the deploy-time int8 quantized arm for UDF-centric
   // matmuls.
   bool enable_int8 = false;
   // Consider the CSR sparse arm when the measured weight density falls
@@ -44,25 +44,17 @@ struct OptimizerTuning {
 };
 
 // Assigns `tuning`'s kernel arms to `plan`: the sparse or int8 arm to
-// every UDF-centric CPU matmul, and the fused top-k epilogue to the
-// last matmul when that one runs UDF-centric on the CPU. Relational
-// nodes keep the dense arm whatever built the plan.
+// every UDF-centric matmul, and the fused top-k epilogue to the last
+// matmul when that one runs UDF-centric. Relational nodes keep the
+// dense arm whatever built the plan.
 Status AssignKernelArms(const Model& model, const OptimizerTuning& tuning,
                         InferencePlan* plan);
 
 class RuleBasedOptimizer {
  public:
   // `memory_threshold_bytes` mirrors the paper's 2 GB constant.
-  // `devices` (optional, not owned) enables per-operator device
-  // placement via the producer-transfer-consumer latency estimate
-  // (Sec. 3(2)): an operator goes to the accelerator only when the
-  // compute saving beats the host<->device transfer of its inputs and
-  // outputs. Only UDF-centric operators are eligible — tensor blocks
-  // flowing through the buffer pool stay on the CPU.
-  explicit RuleBasedOptimizer(int64_t memory_threshold_bytes,
-                              const DeviceAllocator* devices = nullptr)
-      : memory_threshold_bytes_(memory_threshold_bytes),
-        devices_(devices) {}
+  explicit RuleBasedOptimizer(int64_t memory_threshold_bytes)
+      : memory_threshold_bytes_(memory_threshold_bytes) {}
 
   // Chooses a representation per node. Input nodes follow their own
   // footprint (a batch too large to materialize is chunked on entry).
@@ -76,7 +68,6 @@ class RuleBasedOptimizer {
 
  private:
   int64_t memory_threshold_bytes_;
-  const DeviceAllocator* devices_;
 };
 
 }  // namespace relserve

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "graph/model.h"
-#include "resource/device_model.h"
 
 namespace relserve {
 
@@ -41,10 +40,6 @@ struct NodeDecision {
   // Arithmetic cost estimate; physical-plan compilation sums this over
   // fused stages so EXPLAIN can show per-stage work.
   double estimated_flops = 0;
-  // Device placement from the producer-transfer-consumer cost model
-  // (paper Sec. 3(2)); annotated when the optimizer is given a
-  // DeviceAllocator, advisory otherwise.
-  DeviceKind device = DeviceKind::kCpu;
   // Kernel backend for matmul nodes (dense fp32 unless the optimizer
   // picked the quantized or sparse arm).
   KernelArm arm = KernelArm::kDense;

@@ -676,8 +676,18 @@ Status ServingSession::EnableApproxCache(
     const std::string& model_name, int64_t dim,
     ApproxResultCache::Config config) {
   std::unique_lock<std::shared_mutex> lock(registry_mu_);
-  if (models_.count(model_name) == 0) {
+  auto it = models_.find(model_name);
+  if (it == models_.end()) {
     return Status::NotFound("model '" + model_name + "'");
+  }
+  // The cache keys on whole request rows: any other width would abort
+  // in the index, truncate in the narrowing below, or miss on every
+  // lookup and then fail every insert.
+  const int64_t width = it->second.model.sample_shape().NumElements();
+  if (dim != width) {
+    return Status::InvalidArgument(
+        "approx cache dim " + std::to_string(dim) + " != model '" +
+        model_name + "' sample width " + std::to_string(width));
   }
   caches_[model_name] = std::make_shared<ApproxResultCache>(
       static_cast<int>(dim), config);

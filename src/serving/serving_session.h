@@ -311,8 +311,9 @@ class ServingSession {
 
   // --- Inference result caching --------------------------------------
 
-  // Creates an approximate result cache for the model (input must be
-  // rank-1 flattenable features of `dim`).
+  // Creates an approximate result cache for the model over request
+  // rows of `dim` features. InvalidArgument unless `dim` equals the
+  // model's flattened sample width.
   Status EnableApproxCache(const std::string& model_name, int64_t dim,
                            ApproxResultCache::Config config);
 

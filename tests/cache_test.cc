@@ -113,169 +113,6 @@ TEST(HnswTest, NeighborsSortedByDistance) {
   }
 }
 
-TEST(IvfTest, ExactBeforeTraining) {
-  IvfIndex::Config config;
-  config.train_threshold = 1000;  // never trains in this test
-  IvfIndex index(4, config);
-  Rng rng(1);
-  std::vector<std::vector<float>> vectors;
-  for (int i = 0; i < 50; ++i) {
-    vectors.push_back(RandVec(&rng, 4));
-    ASSERT_TRUE(index.Add(vectors.back()).ok());
-  }
-  EXPECT_FALSE(index.trained());
-  // Untrained search is a brute-force scan: exact.
-  for (int i = 0; i < 50; i += 7) {
-    auto result = index.Search(vectors[i], 1);
-    ASSERT_TRUE(result.ok());
-    ASSERT_FALSE(result->empty());
-    EXPECT_EQ((*result)[0].id, i);
-  }
-}
-
-TEST(IvfTest, TrainsAtThresholdAndStaysAccurate) {
-  IvfIndex::Config config;
-  config.num_lists = 8;
-  config.num_probes = 3;
-  config.train_threshold = 100;
-  IvfIndex index(8, config);
-  Rng rng(2);
-  std::vector<std::vector<float>> vectors;
-  for (int i = 0; i < 400; ++i) {
-    vectors.push_back(RandVec(&rng, 8));
-    ASSERT_TRUE(index.Add(vectors.back()).ok());
-  }
-  EXPECT_TRUE(index.trained());
-  // Self-queries must find themselves (the query's own list is always
-  // the closest probe).
-  int hits = 0;
-  for (int i = 0; i < 400; i += 13) {
-    auto result = index.Search(vectors[i], 1);
-    ASSERT_TRUE(result.ok());
-    if (!result->empty() && (*result)[0].id == i) ++hits;
-  }
-  EXPECT_GE(hits, 28);  // 31 queries; IVF recall is high on self-hits
-}
-
-TEST(IvfTest, RecallAgainstBruteForce) {
-  IvfIndex::Config config;
-  config.num_lists = 8;
-  config.num_probes = 4;
-  config.train_threshold = 64;
-  IvfIndex index(8, config);
-  Rng rng(3);
-  const int n = 500;
-  std::vector<std::vector<float>> vectors;
-  for (int i = 0; i < n; ++i) {
-    vectors.push_back(RandVec(&rng, 8));
-    ASSERT_TRUE(index.Add(vectors.back()).ok());
-  }
-  int hits = 0;
-  const int queries = 50;
-  for (int q = 0; q < queries; ++q) {
-    const std::vector<float> query = RandVec(&rng, 8);
-    int best = 0;
-    float best_dist = L2(query, vectors[0]);
-    for (int i = 1; i < n; ++i) {
-      const float d = L2(query, vectors[i]);
-      if (d < best_dist) {
-        best_dist = d;
-        best = i;
-      }
-    }
-    auto result = index.Search(query, 1);
-    ASSERT_TRUE(result.ok());
-    if (!result->empty() && (*result)[0].id == best) ++hits;
-  }
-  EXPECT_GE(hits, queries * 6 / 10);  // half the lists probed
-}
-
-TEST(IvfTest, RejectsDimMismatch) {
-  IvfIndex index(3);
-  EXPECT_TRUE(index.Add({1.0f}).status().IsInvalidArgument());
-  ASSERT_TRUE(index.Add({1, 2, 3}).ok());
-  EXPECT_TRUE(index.Search({1.0f}, 1).status().IsInvalidArgument());
-}
-
-TEST(ApproxCacheTest, WorksWithIvfBackend) {
-  ApproxResultCache::Config config;
-  config.max_distance = 0.5f;
-  config.index_kind = ApproxResultCache::IndexKind::kIvf;
-  config.ivf.train_threshold = 8;
-  ApproxResultCache cache(2, config);
-  for (int i = 0; i < 20; ++i) {
-    const float x = static_cast<float>(i);
-    ASSERT_TRUE(cache.Insert({x, x}, {x * 10}).ok());
-  }
-  auto hit = cache.Lookup({5.1f, 5.0f});
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_FLOAT_EQ((*hit)[0], 50.0f);
-  EXPECT_FALSE(cache.Lookup({100.0f, 100.0f}).has_value());
-}
-
-TEST(LshTest, SelfQueriesHitTheirBuckets) {
-  LshIndex::Config config;
-  config.bucket_width = 2.0f;
-  LshIndex index(8, config);
-  Rng rng(4);
-  std::vector<std::vector<float>> vectors;
-  for (int i = 0; i < 200; ++i) {
-    vectors.push_back(RandVec(&rng, 8));
-    ASSERT_TRUE(index.Add(vectors.back()).ok());
-  }
-  for (int i = 0; i < 200; i += 11) {
-    auto result = index.Search(vectors[i], 1);
-    ASSERT_TRUE(result.ok());
-    ASSERT_FALSE(result->empty());
-    EXPECT_EQ((*result)[0].id, i);
-    EXPECT_NEAR((*result)[0].distance, 0.0f, 1e-5f);
-  }
-}
-
-TEST(LshTest, NearbyQueriesUsuallyFindNeighbors) {
-  LshIndex::Config config;
-  config.num_tables = 12;
-  config.bucket_width = 1.5f;
-  LshIndex index(8, config);
-  Rng rng(5);
-  std::vector<std::vector<float>> vectors;
-  for (int i = 0; i < 300; ++i) {
-    vectors.push_back(RandVec(&rng, 8));
-    ASSERT_TRUE(index.Add(vectors.back()).ok());
-  }
-  int found = 0;
-  for (int i = 0; i < 300; i += 10) {
-    std::vector<float> query = vectors[i];
-    for (float& v : query) v += rng.Normal(0.0f, 0.01f);
-    auto result = index.Search(query, 1);
-    ASSERT_TRUE(result.ok());
-    if (!result->empty() && (*result)[0].id == i) ++found;
-  }
-  EXPECT_GE(found, 24);  // 30 queries, LSH recall is probabilistic
-}
-
-TEST(LshTest, RejectsDimMismatch) {
-  LshIndex index(3);
-  EXPECT_TRUE(index.Add({1.0f}).status().IsInvalidArgument());
-  ASSERT_TRUE(index.Add({1, 2, 3}).ok());
-  EXPECT_TRUE(index.Search({1.0f}, 1).status().IsInvalidArgument());
-}
-
-TEST(ApproxCacheTest, WorksWithLshBackend) {
-  ApproxResultCache::Config config;
-  config.max_distance = 0.5f;
-  config.index_kind = ApproxResultCache::IndexKind::kLsh;
-  config.lsh.bucket_width = 3.0f;
-  ApproxResultCache cache(2, config);
-  for (int i = 0; i < 20; ++i) {
-    const float x = static_cast<float>(i);
-    ASSERT_TRUE(cache.Insert({x, x}, {x * 10}).ok());
-  }
-  auto hit = cache.Lookup({5.05f, 5.0f});
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_FLOAT_EQ((*hit)[0], 50.0f);
-}
-
 TEST(ExactCacheTest, HitsOnlyOnExactBytes) {
   ExactResultCache cache;
   cache.Insert({1.0f, 2.0f}, {0.9f, 0.1f});

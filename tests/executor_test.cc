@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <vector>
 
 #include "engine/block_ops.h"
 #include "engine/hybrid_executor.h"
@@ -337,6 +339,52 @@ TEST_F(ExecutorTest, StageStatsAccumulateAcrossRuns) {
     EXPECT_EQ(stage->stats.invocations.load(), 3);
     EXPECT_EQ(stage->stats.rows.load(), 6);
   }
+}
+
+// Two relation-centric joins of one shape (the sql_spill benchmark's
+// 768x768 pair, scaled down) read equal times because they do equal
+// work, not because one stage's time is counted twice: one call
+// records each stage once, and the stage times fit in the call.
+TEST_F(ExecutorTest, EqualJoinsAreEachTimedOncePerCall) {
+  auto model = BuildFFNN("m", {8, 64, 64, 64, 4}, 5);
+  ASSERT_TRUE(model.ok());
+  constexpr int64_t kBatch = 16;
+  // Only the two 64x64 matmuls (24 KiB each) pass the 16 KiB threshold.
+  auto plan = RuleBasedOptimizer(16 << 10).Optimize(*model, kBatch);
+  ASSERT_TRUE(plan.ok());
+  auto prepared = PreparedModel::Prepare(&*model, *plan, &ctx_);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  const auto& stages = prepared->physical().stages();
+  std::vector<const PhysicalStage*> joins;
+  for (const auto& stage : stages) {
+    if (stage->kind == StageKind::kBlockMatMul) joins.push_back(stage.get());
+  }
+  ASSERT_EQ(joins.size(), 2u) << prepared->physical().ToString();
+  EXPECT_EQ(joins[0]->in_sample, joins[1]->in_sample);
+  EXPECT_EQ(joins[0]->out_sample, joins[1]->out_sample);
+
+  auto input = workloads::GenBatch(kBatch, Shape{8}, 3);
+  ASSERT_TRUE(input.ok());
+  ASSERT_TRUE(HybridExecutor::Run(*prepared, *input, &ctx_).ok());
+  std::vector<int64_t> calls_before;
+  int64_t nanos_before = 0;
+  for (const auto& stage : stages) {
+    calls_before.push_back(stage->stats.invocations.load());
+    nanos_before += stage->stats.nanos.load();
+  }
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(HybridExecutor::Run(*prepared, *input, &ctx_).ok());
+  const int64_t wall_nanos =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  int64_t nanos_after = 0;
+  for (size_t i = 0; i < stages.size(); ++i) {
+    EXPECT_EQ(stages[i]->stats.invocations.load(), calls_before[i] + 1)
+        << stages[i]->label;
+    nanos_after += stages[i]->stats.nanos.load();
+  }
+  EXPECT_LE(nanos_after - nanos_before, wall_nanos);
 }
 
 }  // namespace

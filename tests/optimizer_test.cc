@@ -98,52 +98,6 @@ TEST(OptimizerTest, PlanExplainIsReadable) {
   EXPECT_NE(text.find("udf"), std::string::npos);
 }
 
-TEST(DeviceAwareOptimizerTest, PlacesBigOpsOnAcceleratorOnly) {
-  DeviceAllocator devices({
-      DeviceSpec{DeviceKind::kCpu, "cpu", 10e9, 0.0, 0.0},
-      DeviceSpec{DeviceKind::kAccelerator, "gpu", 1000e9, 10e9, 1e-4},
-  });
-  auto model = BuildFFNN("m", {2048, 2048, 4}, 1);
-  ASSERT_TRUE(model.ok());
-  RuleBasedOptimizer opt(1LL << 40, &devices);  // everything UDF
-  auto plan = opt.Optimize(*model, 512);
-  ASSERT_TRUE(plan.ok());
-  // The big first matmul (512x2048x2048, ~4.3 GFLOP) beats its
-  // transfer cost; the tiny elementwise ops do not.
-  EXPECT_EQ(plan->decisions[1].repr, Repr::kUdf);
-  EXPECT_EQ(plan->decisions[1].device, DeviceKind::kAccelerator);
-  EXPECT_EQ(plan->decisions[3].device, DeviceKind::kCpu);  // relu
-  EXPECT_EQ(plan->decisions[0].device, DeviceKind::kCpu);  // input
-  // The annotation shows in EXPLAIN.
-  EXPECT_NE(plan->ToString(*model).find("@accelerator"),
-            std::string::npos);
-}
-
-TEST(DeviceAwareOptimizerTest, NoAllocatorMeansCpuEverywhere) {
-  auto model = BuildFFNN("m", {2048, 2048, 4}, 1);
-  ASSERT_TRUE(model.ok());
-  RuleBasedOptimizer opt(1LL << 40);
-  auto plan = opt.Optimize(*model, 512);
-  ASSERT_TRUE(plan.ok());
-  for (const auto& d : plan->decisions) {
-    EXPECT_EQ(d.device, DeviceKind::kCpu);
-  }
-}
-
-TEST(DeviceAwareOptimizerTest, RelationalOpsStayOnCpu) {
-  DeviceAllocator devices({
-      DeviceSpec{DeviceKind::kCpu, "cpu", 10e9, 0.0, 0.0},
-      DeviceSpec{DeviceKind::kAccelerator, "gpu", 1000e9, 10e9, 1e-4},
-  });
-  auto model = BuildFFNN("m", {2048, 2048, 4}, 1);
-  ASSERT_TRUE(model.ok());
-  RuleBasedOptimizer opt(1, &devices);  // everything relational
-  auto plan = opt.Optimize(*model, 512);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->decisions[1].repr, Repr::kRelational);
-  EXPECT_EQ(plan->decisions[1].device, DeviceKind::kCpu);
-}
-
 TEST(DecompositionTest, ApplicabilityCheck) {
   auto reducing = BuildFFNN("m", {968, 256, 2}, 1);
   ASSERT_TRUE(reducing.ok());

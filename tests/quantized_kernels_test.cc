@@ -19,7 +19,6 @@
 #include "kernels/sparse_gemm.h"
 #include "kernels/topk.h"
 #include "optimizer/optimizer.h"
-#include "resource/device_model.h"
 #include "resource/thread_pool.h"
 #include "serving/serving_session.h"
 
@@ -630,19 +629,6 @@ TEST(KernelArmServingTest, Int8ArmServesCloseToFp32) {
   const auto pp = quant.DeployedPhysicalPlan("q");
   ASSERT_TRUE(pp.ok());
   EXPECT_NE((*pp)->ToString().find("int8-matmul"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Runtime GEMM calibration
-// ---------------------------------------------------------------------
-
-TEST(DeviceCalibrationTest, ProbeIsPositiveAndCached) {
-  const double first = CalibratedCpuGemmFlops();
-  EXPECT_GT(first, 1e8);   // any real CPU beats 0.1 GFLOP/s
-  EXPECT_LT(first, 1e13);  // and no CPU sustains 10 TFLOP/s scalar
-  EXPECT_EQ(CalibratedCpuGemmFlops(), first);  // one-shot, cached
-  DeviceSpec spec;
-  EXPECT_EQ(spec.flops_per_second, first);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <thread>
 #include <vector>
 
-#include "resource/device_model.h"
 #include "resource/memory_tracker.h"
 #include "resource/thread_pool.h"
 
@@ -197,33 +196,6 @@ TEST(ThreadPoolTest, ConcurrentParallelForCallsStayIsolated) {
   }
   for (auto& t : callers) t.join();
   EXPECT_EQ(failures.load(), 0);
-}
-
-TEST(DeviceModelTest, LatencyIncludesTransferAndCompute) {
-  DeviceSpec gpu{DeviceKind::kAccelerator, "gpu", 1e9, 1e6, 0.001};
-  OperatorProfile op{2e6, 1000000, 0};
-  // 0.001 launch + 1.0 transfer + 0.002 compute
-  EXPECT_NEAR(EstimateLatencySeconds(op, gpu), 1.003, 1e-9);
-}
-
-TEST(DeviceModelTest, CpuHasNoTransferTerm) {
-  DeviceSpec cpu{DeviceKind::kCpu, "cpu", 1e9, 0.0, 0.0};
-  OperatorProfile op{3e9, 1 << 30, 1 << 20};
-  EXPECT_NEAR(EstimateLatencySeconds(op, cpu), 3.0, 1e-9);
-}
-
-TEST(DeviceModelTest, SmallOpStaysOnCpuLargeOpGoesToAccelerator) {
-  // Matches the paper's decision-forest observation: transfer
-  // overheads dominate for small inputs.
-  DeviceAllocator alloc({
-      DeviceSpec{DeviceKind::kCpu, "cpu", 50e9, 0.0, 0.0},
-      DeviceSpec{DeviceKind::kAccelerator, "gpu", 5000e9, 10e9, 1e-4},
-  });
-  OperatorProfile small{/*flops=*/1e6, /*in=*/4096, /*out=*/1024};
-  EXPECT_EQ(alloc.Choose(small).kind, DeviceKind::kCpu);
-  OperatorProfile large{/*flops=*/5e12, /*in=*/100 << 20,
-                        /*out=*/10 << 20};
-  EXPECT_EQ(alloc.Choose(large).kind, DeviceKind::kAccelerator);
 }
 
 }  // namespace

@@ -262,6 +262,26 @@ TEST_F(ServingTest, CacheServesRepeatsAndMatchesModel) {
   EXPECT_EQ(cached_empty->shape(), direct_empty->tensor.shape());
 }
 
+TEST_F(ServingTest, ApproxCacheRejectsDimOtherThanSampleWidth) {
+  LoadFraudSetup();
+  ApproxResultCache::Config config;
+  // Non-positive (the index would abort), 2^32 + 16 (an int narrowing
+  // would make a 16-wide cache) and width + 1 (every insert would
+  // fail): each is a typed failure that leaves no cache behind.
+  for (const int64_t dim : {int64_t{0}, int64_t{-1},
+                            (int64_t{1} << 32) + 16, int64_t{29}}) {
+    EXPECT_TRUE(session_.EnableApproxCache("fraud", dim, config)
+                    .IsInvalidArgument())
+        << dim;
+  }
+  EXPECT_TRUE(session_.GetApproxCache("fraud").status().IsNotFound());
+  EXPECT_TRUE(session_.EnableApproxCache("nope", 28, config).IsNotFound());
+  ASSERT_TRUE(session_.EnableApproxCache("fraud", 28, config).ok());
+  auto cache = session_.GetApproxCache("fraud");
+  ASSERT_TRUE(cache.ok());
+  EXPECT_EQ((*cache)->index().dim(), 28);
+}
+
 TEST_F(ServingTest, ExactCacheTierHasNoAccuracyCost) {
   LoadFraudSetup();
   ASSERT_TRUE(session_.Deploy("fraud", ServingMode::kForceUdf, 8).ok());
