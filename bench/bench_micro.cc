@@ -65,7 +65,7 @@ void BM_BlockMatMul(benchmark::State& state) {
   auto x = workloads::GenBatch(n, Shape{n}, 1);
   auto w = workloads::GenBatch(n, Shape{n}, 2);
   auto xs = blockops::ChunkMatrix(*x, &ctx);
-  auto ws = blockops::ChunkMatrix(*w, &ctx);
+  auto ws = blockops::ChunkMatrix(*w, &ctx, /*share_weights=*/true);
   for (auto _ : state) {
     auto c = blockops::BlockMatMul(**xs, **ws, &ctx);
     benchmark::DoNotOptimize(c);

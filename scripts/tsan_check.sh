@@ -73,11 +73,13 @@ ASAN_DIR="${3:-build-asan}"
 # batches, under UBSan.
 # block_ops_test runs the relation-centric join's row strips, and the
 # output-block ranges of a single strip, on several pool workers at
-# once over one weight relation of B panels (each morsel owns its
-# accumulators; the panels and X blocks are read-only) under
-# TSan, and the join's panel arithmetic over zero-padded panels of
-# ragged blocks, plus panels packed at another SIMD level, under
-# UBSan. quantized_kernels_test also runs the dense top-k head
+# once over one weight relation of B panels read in place from pinned
+# frames (each morsel owns its accumulator and packed X blocks; the
+# pages are read-only) under TSan, and the join's panel arithmetic
+# over zero-padded panels of ragged blocks, slivers straddling two
+# pages, and panels packed at another SIMD level, under UBSan.
+# storage_test runs the pinned page view's per-page pointer
+# arithmetic and the aligned frames under UBSan. quantized_kernels_test also runs the dense top-k head
 # on kNc-aligned slices of one deploy-packed panel.
 # common_test races four threads on one relaxed Counter, the field
 # type of every concurrently bumped stats struct (exact Add sums and
@@ -87,8 +89,8 @@ TSAN_TESTS=(common_test resource_test storage_test dedup_test
             serving_concurrency_test chaos_test columnar_test
             quantized_kernels_test net_serving_test mvcc_test
             wal_recovery_test pipeline_test)
-UBSAN_TESTS=(kernels_test tensor_test block_ops_test executor_test
-            plan_text_test chaos_test columnar_test dedup_test
+UBSAN_TESTS=(kernels_test tensor_test block_ops_test storage_test
+            executor_test plan_text_test chaos_test columnar_test dedup_test
             quantized_kernels_test net_serving_test wal_recovery_test
             serving_test)
 # Every registered test, so a test added later is covered without an

@@ -34,10 +34,11 @@ inline void FreeAlignedFloats(float* ptr) {
   ::operator delete(ptr, std::align_val_t{kCacheLineBytes});
 }
 
-// RAII scratch buffer for kernel-internal packing panels. Not charged
-// to a MemoryTracker: panel sizes are bounded compile-time constants
-// (see kernels/micro_kernel.h), the same O(block) scratch class as the
-// stack temporaries the kernels already use.
+// RAII float buffer for kernel-internal packing panels and buffer-pool
+// frames. Not charged to a MemoryTracker: panel sizes are bounded
+// compile-time constants (see kernels/micro_kernel.h), the same
+// O(block) scratch class as the stack temporaries the kernels already
+// use, and frames are bounded by the pool's capacity.
 class AlignedBuffer {
  public:
   AlignedBuffer() = default;

@@ -130,7 +130,11 @@ Result<Tensor> Assemble(const BlockStore& store, ExecContext* ctx) {
   const BlockedShape& g = store.geometry();
   RELSERVE_ASSIGN_OR_RETURN(
       Tensor out, Tensor::Zeros(Shape{g.rows, g.cols}, ctx->tracker));
-  for (const BlockStore::BlockEntry& entry : store.entries()) {
+  const std::vector<BlockStore::BlockEntry>& entries = store.entries();
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const BlockStore::BlockEntry& entry = entries[i];
+    // The next panel's pages load while this one unpacks.
+    if (i + 1 < entries.size()) store.PrefetchEntry(entries[i + 1]);
     // A panel's payload rows are padded to whole slivers; the block's
     // own rows come from the geometry.
     RELSERVE_ASSIGN_OR_RETURN(TensorBlock panel, store.Get(entry));
@@ -161,6 +165,11 @@ Result<std::unique_ptr<BlockStore>> BlockMatMul(
   }
   if (x.holds_panels()) {
     return Status::InvalidArgument("BlockMatMul x must be row-major");
+  }
+  if (!w.holds_panels()) {
+    return Status::InvalidArgument(
+        "BlockMatMul w must be a panel store (ChunkMatrix with "
+        "share_weights)");
   }
   BlockedShape cg{xg.rows, wg.rows, xg.block_rows, wg.block_rows};
   RELSERVE_ASSIGN_OR_RETURN(std::unique_ptr<BlockStore> c,
@@ -198,17 +207,19 @@ Result<std::unique_ptr<BlockStore>> BlockMatMul(
   // element's accumulation order.
   ThreadPool* inner_pool =
       (ctx->pool != nullptr && morsels < threads) ? ctx->pool : nullptr;
-  // A morsel holds its strip's X blocks (block_rows x K floats) across
-  // its output blocks, fetching each once instead of once per jb, only
-  // while the strips of all concurrent morsels fit 1/kStripCacheShare
-  // of the working-memory limit. Otherwise — a wide K — it fetches X
-  // blocks per join step, and a worker holds one X block, one weight
-  // block and one accumulator.
+  // A morsel packs each X block it joins into the micro-kernel's A
+  // panels straight from its pages. It keeps its strip's packed blocks
+  // (RoundUp(block_rows, kMr) x K floats) across its output blocks,
+  // packing each once instead of once per jb, only while the strips
+  // of all concurrent morsels fit 1/kStripCacheShare of the
+  // working-memory limit. Otherwise — a wide K — it packs the X block
+  // of every join step into one panel.
   const int64_t limit = ctx->tracker != nullptr
                             ? ctx->tracker->limit_bytes()
                             : MemoryTracker::kUnlimited;
   const int64_t strip_bytes =
-      xg.block_rows * xg.cols * static_cast<int64_t>(sizeof(float));
+      kernels::internal::PackedASize(xg.block_rows, xg.cols) *
+      static_cast<int64_t>(sizeof(float));
   const bool cache_strip =
       jb_span > 1 && strip_bytes <= limit / kStripCacheShare /
                                         std::min(morsels, threads);
@@ -219,30 +230,28 @@ Result<std::unique_ptr<BlockStore>> BlockMatMul(
     const int64_t jb_hi = std::min(num_jb, jb_lo + jb_span);
     const int64_t m = xg.RowsInBlock(rb);
     // Start the first weight block's pages loading under the first X
-    // fetch.
+    // pack.
     if (const auto* first = find(w_index, w, jb_lo, 0)) {
       w.PrefetchEntry(*first);
     }
-    std::vector<Tensor> strip;  // invalid = absent block
-    if (cache_strip) {
-      strip.resize(inner_blocks);
-      for (int64_t kb = 0; kb < inner_blocks; ++kb) {
-        const BlockStore::BlockEntry* xe = find(x_index, x, rb, kb);
-        if (xe == nullptr) continue;
-        if (kb + 1 < inner_blocks) {
-          if (const auto* next = find(x_index, x, rb, kb + 1)) {
-            x.PrefetchEntry(*next);
-          }
-        }
-        RELSERVE_ASSIGN_OR_RETURN(TensorBlock xb, x.Get(*xe, ctx->tracker));
-        ctx->stats.blocks_read.Add();
-        strip[kb] = std::move(xb.data);
-      }
-    }
+    // Packed X blocks, the strip's (slot kb) or one reused per step
+    // (slot 0), each packed from its pages; packed_kb[slot] is the
+    // block a slot holds.
+    std::vector<Tensor> x_panels(cache_strip ? inner_blocks : 1);
+    std::vector<int64_t> packed_kb(x_panels.size(), -1);
+    // A weight sliver split across two pages is gathered here.
+    RELSERVE_ASSIGN_OR_RETURN(
+        Tensor straddle,
+        Tensor::Create(
+            Shape{kernels::internal::PanelSliverFloats(xg.block_cols)},
+            ctx->tracker));
+    Tensor acc;  // the morsel's; a ragged last jb gets its own shape
     for (int64_t jb = jb_lo; jb < jb_hi; ++jb) {
       const int64_t n = cg.ColsInBlock(jb);
-      RELSERVE_ASSIGN_OR_RETURN(
-          Tensor acc, Tensor::Create(Shape{m, n}, ctx->tracker));
+      if (!acc.is_valid() || acc.shape().dim(1) != n) {
+        RELSERVE_ASSIGN_OR_RETURN(
+            acc, Tensor::Create(Shape{m, n}, ctx->tracker));
+      }
       // The first partial writes the accumulator, later ones add to
       // it: a chain started from a stored +0.0 would give the same
       // bits.
@@ -254,16 +263,25 @@ Result<std::unique_ptr<BlockStore>> BlockMatMul(
         if (xe == nullptr || we == nullptr) {
           continue;  // absent block == all-zero contribution
         }
-        Tensor x_fetched;
-        if (!cache_strip) {
-          RELSERVE_ASSIGN_OR_RETURN(TensorBlock xb,
-                                    x.Get(*xe, ctx->tracker));
+        const int64_t slot = cache_strip ? kb : 0;
+        Tensor& x_panel = x_panels[slot];
+        if (packed_kb[slot] != kb) {
+          if (!x_panel.is_valid()) {
+            RELSERVE_ASSIGN_OR_RETURN(
+                x_panel, Tensor::Create(
+                             Shape{kernels::internal::PackedASize(
+                                 m, cache_strip ? xe->cols : xg.block_cols)},
+                             ctx->tracker));
+          }
+          RELSERVE_RETURN_NOT_OK(x.VisitPages(
+              *xe, [&](int64_t pos, const float* src, int64_t count) {
+                kernels::internal::PackARun(src, pos, count, m, xe->cols,
+                                            x_panel.data());
+                return Status::OK();
+              }));
+          packed_kb[slot] = kb;
           ctx->stats.blocks_read.Add();
-          x_fetched = std::move(xb.data);
         }
-        const Tensor& xb = cache_strip ? strip[kb] : x_fetched;
-        RELSERVE_ASSIGN_OR_RETURN(TensorBlock wb, w.Get(*we, ctx->tracker));
-        ctx->stats.blocks_read.Add();
         // Overlap I/O with compute: the next join step's pages load
         // while this partial product runs.
         const bool last_kb = kb + 1 == inner_blocks;
@@ -273,28 +291,30 @@ Result<std::unique_ptr<BlockStore>> BlockMatMul(
           if (const auto* wn = find(w_index, w, next_jb, next_kb)) {
             w.PrefetchEntry(*wn);
           }
-          if (!cache_strip) {
+          if (!cache_strip || next_jb == jb_lo) {
             if (const auto* xn = find(x_index, x, rb, next_kb)) {
               x.PrefetchEntry(*xn);
             }
           }
         }
         const int64_t k = xg.ColsInBlock(kb);
-        // A panel block is the weight's view the product reads; `b`
-        // then stays null, so no path can read it as a row-major block.
-        const float* panel = w.holds_panels() ? wb.data.data() : nullptr;
-        RELSERVE_RETURN_NOT_OK(kernels::internal::GemmPacked(
-            m, n, k, xb.data(), /*lda=*/k, /*trans_a=*/false,
-            panel == nullptr ? wb.data.data() : nullptr, /*ldb=*/k,
-            /*trans_b=*/true, acc.data(), /*ldc=*/n,
-            /*accumulate=*/written, inner_pool, panel));
+        // The weight block's panel, read in place one pinned page at
+        // a time.
+        ctx->stats.blocks_read.Add();
+        RELSERVE_RETURN_NOT_OK(w.VisitPages(
+            *we, [&](int64_t pos, const float* run, int64_t count) {
+              return kernels::internal::GemmPanelRun(
+                  m, n, k, x_panel.data(), pos, run, count, acc.data(),
+                  /*ldc=*/n, /*accumulate=*/written, inner_pool,
+                  straddle.data());
+            }));
         written = true;
       }
       if (!written) std::memset(acc.data(), 0, acc.ByteSize());
       if (epilogue != nullptr) {
         RELSERVE_RETURN_NOT_OK((*epilogue)(rb, jb, &acc));
       }
-      RELSERVE_RETURN_NOT_OK(c->Put(TensorBlock{rb, jb, std::move(acc)}));
+      RELSERVE_RETURN_NOT_OK(c->Put(TensorBlock{rb, jb, acc}));
       ctx->stats.blocks_written.Add();
     }
     return Status::OK();
@@ -329,40 +349,6 @@ Result<std::unique_ptr<BlockStore>> MapBlocks(
   return out;
 }
 
-Result<std::unique_ptr<BlockStore>> BlockBiasAdd(const BlockStore& input,
-                                                 const Tensor& bias,
-                                                 ExecContext* ctx) {
-  if (bias.shape().ndim() != 1 ||
-      bias.shape().dim(0) != input.geometry().cols) {
-    return Status::InvalidArgument("BlockBiasAdd bias width mismatch");
-  }
-  const int64_t block_cols = input.geometry().block_cols;
-  return MapBlocks(
-      input,
-      [&bias, block_cols](int64_t, int64_t cb, Tensor* payload) {
-        const int64_t col0 = cb * block_cols;
-        const int64_t width = payload->shape().dim(1);
-        // Slice of the bias covering this column block.
-        RELSERVE_ASSIGN_OR_RETURN(Tensor slice,
-                                  Tensor::Create(Shape{width}, nullptr));
-        std::memcpy(slice.data(), bias.data() + col0,
-                    width * sizeof(float));
-        return kernels::BiasAddInPlace(payload, slice);
-      },
-      ctx);
-}
-
-Result<std::unique_ptr<BlockStore>> BlockRelu(const BlockStore& input,
-                                              ExecContext* ctx) {
-  return MapBlocks(
-      input,
-      [](int64_t, int64_t, Tensor* payload) {
-        kernels::ReluInPlace(payload);
-        return Status::OK();
-      },
-      ctx);
-}
-
 Result<std::unique_ptr<BlockStore>> BlockSoftmaxRows(
     const BlockStore& input, ExecContext* ctx) {
   const BlockedShape& g = input.geometry();
@@ -381,22 +367,16 @@ Result<std::unique_ptr<BlockStore>> BlockSoftmaxRows(
     for (int64_t cb = 0; cb < num_cb; ++cb) {
       const auto it = index.find(rb * num_cb + cb);
       if (it == index.end()) continue;
-      RELSERVE_ASSIGN_OR_RETURN(
-          TensorBlock block,
-          input.Get(input.entries()[it->second], ctx->tracker));
-      ctx->stats.blocks_read.Add();
       if (cb + 1 < num_cb) {
         const auto next = index.find(rb * num_cb + cb + 1);
         if (next != index.end()) {
           input.PrefetchEntry(input.entries()[next->second]);
         }
       }
-      const int64_t col0 = cb * g.block_cols;
-      const int64_t bc = block.data.shape().dim(1);
-      for (int64_t r = 0; r < br; ++r) {
-        std::memcpy(strip.data() + r * g.cols + col0,
-                    block.data.data() + r * bc, bc * sizeof(float));
-      }
+      RELSERVE_RETURN_NOT_OK(input.ReadInto(input.entries()[it->second],
+                                            strip.data() + cb * g.block_cols,
+                                            g.cols));
+      ctx->stats.blocks_read.Add();
     }
     RELSERVE_RETURN_NOT_OK(kernels::SoftmaxRowsInPlace(&strip));
     for (int64_t cb = 0; cb < num_cb; ++cb) {

@@ -9,11 +9,15 @@
 // join driven by row strips of X, each output block's partials
 // aggregating in one accumulator before a single write. The weight
 // relation stores every block as its GEMM B panel (packed at deploy),
-// so a join step is a bare micro-kernel sweep. Resident per worker:
-// one X block, one weight block and one accumulator — plus the rest of
-// its X strip (block_rows x K floats), fetched once for all output
-// blocks, when the strips of all workers fit 1/8 of the
-// working-memory limit.
+// and a join step sweeps the micro-kernel over it where the buffer
+// pool holds it, one pinned page at a time; X blocks are packed into
+// A panels straight from their pages. Resident per worker: one packed
+// X block (or, when the strips of all workers fit 1/8 of the
+// working-memory limit, its packed strip of block_rows x K floats),
+// one accumulator, one B sliver of scratch and one pinned page — so a
+// join completes on (pool threads + 2) frames: a page per morsel
+// runner (the workers and the calling thread) and one the prefetcher
+// may be loading.
 //
 // Execution is morsel-parallel over ctx->pool (serial when null): one
 // morsel per row strip (joins — split into output-block ranges when
@@ -63,7 +67,8 @@ using BlockFn = std::function<Status(int64_t, int64_t, Tensor*)>;
 
 // C = X * W^T as block join + aggregation.
 //   x: [rows, inner] blocked row-major; w: [out, inner] blocked
-//   (weight layout), row-major or a ChunkMatrix panel store.
+//   (weight layout), a ChunkMatrix panel store (share_weights) — any
+//   other is InvalidArgument.
 // Result store has shape [rows, out]; every output bit equals GemmInto
 // over the same blocks. When `epilogue` is non-null it is applied to
 // each output block's accumulator before the single write —
@@ -81,15 +86,6 @@ Result<std::unique_ptr<BlockStore>> MapBlocks(
     const BlockStore& input,
     const std::function<Status(int64_t, int64_t, Tensor*)>& fn,
     ExecContext* ctx);
-
-// x[r, c] += bias[c], blockwise (bias sliced per column block).
-Result<std::unique_ptr<BlockStore>> BlockBiasAdd(const BlockStore& input,
-                                                 const Tensor& bias,
-                                                 ExecContext* ctx);
-
-// Elementwise relu, blockwise.
-Result<std::unique_ptr<BlockStore>> BlockRelu(const BlockStore& input,
-                                              ExecContext* ctx);
 
 // Row-wise softmax. Needs whole rows, so it assembles one row-block
 // strip (block_rows x total_cols) at a time.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 
 #include "engine/block_ops.h"
 #include "kernels/kernels.h"
@@ -95,28 +94,18 @@ Status ApplyWholeEpilogue(const std::vector<EpilogueOp>& ops,
   return Status::OK();
 }
 
-// The blockwise counterpart: a per-block pass applying the chain to
-// one output block. `nominal_block_cols` is the producing store's
-// column blocking, needed to slice the bias. Each element sees the
-// same operations in the same order as a separate blockwise pass.
+}  // namespace
+
 blockops::BlockFn MakeBlockEpilogue(const std::vector<EpilogueOp>& ops,
                                     int64_t nominal_block_cols) {
   return [&ops, nominal_block_cols](int64_t, int64_t cb,
                                     Tensor* payload) -> Status {
     for (const EpilogueOp& op : ops) {
       switch (op.op) {
-        case OpKind::kBiasAdd: {
-          const int64_t col0 = cb * nominal_block_cols;
-          const int64_t width = payload->shape().dim(1);
-          // Slice of the bias covering this column block.
-          RELSERVE_ASSIGN_OR_RETURN(
-              Tensor slice, Tensor::Create(Shape{width}, nullptr));
-          std::memcpy(slice.data(), op.bias->data() + col0,
-                      width * sizeof(float));
-          RELSERVE_RETURN_NOT_OK(
-              kernels::BiasAddInPlace(payload, slice));
+        case OpKind::kBiasAdd:
+          kernels::BiasAddInPlace(
+              payload, op.bias->data() + cb * nominal_block_cols);
           break;
-        }
         case OpKind::kRelu:
           kernels::ReluInPlace(payload);
           break;
@@ -127,6 +116,8 @@ blockops::BlockFn MakeBlockEpilogue(const std::vector<EpilogueOp>& ops,
     return Status::OK();
   };
 }
+
+namespace {
 
 // Relation-centric convolution: streams each image through the
 // im2col ("spatial rewriting") relation and a broadcast join with the

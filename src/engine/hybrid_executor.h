@@ -27,6 +27,7 @@
 #include <memory>
 
 #include "common/result.h"
+#include "engine/block_ops.h"
 #include "engine/exec_context.h"
 #include "engine/physical_plan.h"
 #include "engine/prepared_model.h"
@@ -78,6 +79,12 @@ class HybridExecutor {
       const PhysicalPlan& plan, std::unique_ptr<BlockStore> input_store,
       ExecContext* ctx);
 };
+
+// A stage's fused bias/relu chain as a per-block pass (the epilogue of
+// BlockMatMul or MapBlocks): block cb adds the bias slice from column
+// cb * nominal_block_cols, read in place. `ops` must outlive it.
+blockops::BlockFn MakeBlockEpilogue(const std::vector<EpilogueOp>& ops,
+                                    int64_t nominal_block_cols);
 
 }  // namespace relserve
 

@@ -106,17 +106,18 @@ Result<Tensor> PackPanel(const Tensor& w, int64_t nr,
 Status GemmPacked(int64_t m, int64_t n, int64_t k, const float* a,
                   int64_t lda, bool trans_a, const float* b, int64_t ldb,
                   bool trans_b, float* c, int64_t ldc, bool accumulate,
-                  ThreadPool* pool, const float* packed_b) {
+                  ThreadPool* pool, const float* packed_b,
+                  const float* packed_a) {
   return GemmPacked(GetKernelBackend(ActiveSimdLevel()), m, n, k, a, lda,
                     trans_a, b, ldb, trans_b, c, ldc, accumulate, pool,
-                    packed_b);
+                    packed_b, packed_a);
 }
 
 Status GemmPacked(const KernelBackend* backend, int64_t m, int64_t n,
                   int64_t k, const float* a, int64_t lda, bool trans_a,
                   const float* b, int64_t ldb, bool trans_b, float* c,
                   int64_t ldc, bool accumulate, ThreadPool* pool,
-                  const float* packed_b) {
+                  const float* packed_b, const float* packed_a) {
   if (m <= 0 || n <= 0) return Status::OK();
   if (k <= 0) {
     // An empty contraction still defines the output.
@@ -141,6 +142,7 @@ Status GemmPacked(const KernelBackend* backend, int64_t m, int64_t n,
   }
   // Each worker's A panel holds at most one macro-tile of rows.
   const int64_t a_rows = std::min(kMc, RoundUp(m, kMr));
+  const int64_t a_block = RoundUp(m, kMr);  // packed-A floats per kc
 
   for (int64_t jc = 0; jc < n; jc += kNc) {
     const int64_t nc = std::min(kNc, n - jc);
@@ -162,23 +164,28 @@ Status GemmPacked(const KernelBackend* backend, int64_t m, int64_t n,
       std::atomic<bool> panel_oom{false};
       auto run_tiles = [&](int64_t t_lo, int64_t t_hi) {
         // Each worker owns one A panel (at most kMc x kc floats,
-        // ~72 KiB).
-        AlignedBuffer a_packed(a_rows * kc);
-        if (!a_packed.ok()) {
+        // ~72 KiB) unless A comes packed.
+        AlignedBuffer a_packed;
+        if (packed_a == nullptr &&
+            !(a_packed = AlignedBuffer(a_rows * kc)).ok()) {
           panel_oom.store(true, std::memory_order_relaxed);
           return;
         }
         for (int64_t t = t_lo; t < t_hi; ++t) {
           const int64_t ic = t * kMc;
           const int64_t mc = std::min(kMc, m - ic);
-          PackA(a, lda, trans_a, ic, pc, mc, kc, a_packed.data());
+          const float* a_tile = packed_a != nullptr
+                                    ? packed_a + a_block * pc + ic * kc
+                                    : a_packed.data();
+          if (packed_a == nullptr) {
+            PackA(a, lda, trans_a, ic, pc, mc, kc, a_packed.data());
+          }
           for (int64_t jr = 0; jr < nc; jr += nr) {
             const int64_t n_r = std::min(nr, nc - jr);
             const float* b_sliver = b_block + (jr / nr) * kc * nr;
             for (int64_t ir = 0; ir < mc; ir += kMr) {
               const int64_t m_r = std::min(kMr, mc - ir);
-              const float* a_sliver =
-                  a_packed.data() + (ir / kMr) * kc * kMr;
+              const float* a_sliver = a_tile + (ir / kMr) * kc * kMr;
               float* c_tile = c + (ic + ir) * ldc + jc + jr;
               if (m_r == kMr && n_r == nr) {
                 backend->gemm_tile(kc, a_sliver, b_sliver, c_tile, ldc,
@@ -203,6 +210,79 @@ Status GemmPacked(const KernelBackend* backend, int64_t m, int64_t n,
       }
       if (panel_oom.load(std::memory_order_relaxed)) {
         return Status::OutOfMemory("GEMM A packing panel");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+int64_t PackedASize(int64_t m, int64_t k) { return RoundUp(m, kMr) * k; }
+
+void PackARun(const float* src, int64_t pos, int64_t count, int64_t m,
+              int64_t k, float* dst) {
+  for (const int64_t end = pos + count; pos < end;) {
+    const int64_t r = pos / k;
+    const int64_t p_end = std::min(k, pos % k + end - pos);
+    // Row m - 1 also zeroes the pad rows of its sliver.
+    const int64_t pad = r == m - 1 ? kMr - 1 - r % kMr : 0;
+    for (int64_t p = pos % k; p < p_end;) {
+      const int64_t pc = p / kKc * kKc;
+      const int64_t kc = std::min(kKc, k - pc);
+      const int64_t seg_end = std::min(p_end, pc + kc);
+      float* out = dst + RoundUp(m, kMr) * pc + (r / kMr) * kc * kMr +
+                   (p - pc) * kMr + r % kMr;
+      for (; p < seg_end; ++p, out += kMr) {
+        *out = *src++;
+        for (int64_t i = 1; i <= pad; ++i) out[i] = 0.0f;
+      }
+    }
+    pos = r * k + p_end;
+  }
+}
+
+int64_t PanelSliverFloats(int64_t k) {
+  return std::min(k, kKc) * ActivePanelNr();
+}
+
+Status GemmPanelRun(int64_t m, int64_t n, int64_t k, const float* packed_a,
+                    int64_t pos, const float* run, int64_t count,
+                    float* c, int64_t ldc, bool accumulate,
+                    ThreadPool* pool, float* straddle) {
+  const KernelBackend* backend = GetKernelBackend(ActiveSimdLevel());
+  const int64_t nr = backend->nr;
+  const int64_t end = pos + count;
+  for (int64_t jc = 0; jc < n; jc += kNc) {
+    const int64_t nc = std::min(kNc, n - jc);
+    for (int64_t pc = 0; pc < k; pc += kKc) {
+      const int64_t kc = std::min(kKc, k - pc);
+      const int64_t block = PanelBlockOffset(jc, pc, nc, k, nr);
+      // Slivers [s0, s1) of the (jc, pc) block at `b` are the panel of
+      // their columns alone: one single-block GemmPacked.
+      auto sweep = [&](int64_t s0, int64_t s1, const float* b) {
+        return GemmPacked(backend, m, std::min(nc, s1 * nr) - s0 * nr, kc,
+                          nullptr, 0, false, nullptr, 0, true,
+                          c + jc + s0 * nr, ldc, accumulate || pc > 0,
+                          pool, b, packed_a + RoundUp(m, kMr) * pc);
+      };
+      int64_t whole_lo = -1;
+      int64_t whole_hi = -1;
+      for (int64_t s = 0; s * nr < nc; ++s) {
+        const int64_t start = block + s * kc * nr;
+        const int64_t stop = start + kc * nr;
+        if (stop <= pos || start >= end) continue;
+        if (start >= pos && stop <= end) {
+          if (whole_lo < 0) whole_lo = s;
+          whole_hi = s + 1;
+          continue;
+        }
+        const int64_t from = std::max(start, pos);
+        std::memcpy(straddle + (from - start), run + (from - pos),
+                    (std::min(stop, end) - from) * sizeof(float));
+        if (stop <= end) RELSERVE_RETURN_NOT_OK(sweep(s, s + 1, straddle));
+      }
+      if (whole_lo >= 0) {
+        RELSERVE_RETURN_NOT_OK(sweep(
+            whole_lo, whole_hi, run + (block + whole_lo * kc * nr - pos)));
       }
     }
   }

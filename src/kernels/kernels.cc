@@ -159,14 +159,18 @@ Status BiasAddInPlace(Tensor* x, const Tensor& bias) {
         "bias length " + std::to_string(bias.shape().dim(0)) +
         " vs last dim " + std::to_string(width));
   }
+  BiasAddInPlace(x, bias.data());
+  return Status::OK();
+}
+
+void BiasAddInPlace(Tensor* x, const float* bias) {
+  const int64_t width = x->shape().dim(x->shape().ndim() - 1);
   float* data = x->data();
-  const float* b = bias.data();
   const int64_t rows = x->NumElements() / width;
   const internal::KernelBackend* be = Backend();
   for (int64_t r = 0; r < rows; ++r) {
-    be->add(data + r * width, b, width);
+    be->add(data + r * width, bias, width);
   }
-  return Status::OK();
 }
 
 Status SoftmaxRowsInPlace(Tensor* x) {

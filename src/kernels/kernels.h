@@ -49,8 +49,8 @@ namespace kernels {
 //   - an Int8Weight (int8_gemm.h), or
 //   - a CsrWeight (sparse_gemm.h).
 // MatMul and MatMulTopKInto (topk.h) run any payload. The
-// relation-centric join stores each weight block as a panel and hands
-// the fetched block to the GEMM driver as is (gemm_packed.h).
+// relation-centric join stores each weight block as a panel and the
+// GEMM driver reads it in place, page by page (gemm_packed.h).
 struct Weight {
   Weight(int64_t n, int64_t k, Tensor panel)
       : n(n), k(k), payload(std::move(panel)) {}
@@ -116,6 +116,10 @@ void ReluInPlace(Tensor* x);
 // x[r, c] += bias[c] for every row r. `bias` must be rank-1 with
 // bias.dim(0) == x.dim(last).
 Status BiasAddInPlace(Tensor* x, const Tensor& bias);
+
+// The same with bias[0, x.dim(last)) read from `bias` — a column
+// block's slice of a longer bias, added where it lies.
+void BiasAddInPlace(Tensor* x, const float* bias);
 
 // Row-wise numerically-stable softmax over the last dimension of a
 // matrix.

@@ -84,33 +84,26 @@ Status BlockStore::PutMatrix(const Tensor& m, MemoryTracker* scratch) {
   return Status::OK();
 }
 
-Status BlockStore::CopyEntry(const BlockEntry& entry, float* dst,
-                             int64_t ld) const {
+Status BlockStore::ReadInto(const BlockEntry& entry, float* dst,
+                            int64_t ld) const {
   // Payload float `pos` is row pos / width, column pos % width, of the
   // destination; each page's run of it is copied row segment by
   // segment. A contiguous destination is one row of the whole payload.
-  const int64_t total = entry.rows * entry.cols;
-  const int64_t width = ld == entry.cols ? total : entry.cols;
-  constexpr int64_t kPageFloats = kPageSize / sizeof(float);
-  int64_t pos = 0;
-  for (const PageId page_id : entry.pages) {
-    RELSERVE_ASSIGN_OR_RETURN(char* page, pool_->FetchPage(page_id));
-    const char* src = page;
-    const int64_t end = std::min(total, pos + kPageFloats);
+  const int64_t width =
+      ld == entry.cols ? entry.rows * entry.cols : entry.cols;
+  return VisitPages(entry, [&](int64_t pos, const float* src,
+                               int64_t count) {
+    const int64_t end = pos + count;
     while (pos < end) {
       const int64_t col = pos % width;
       const int64_t len = std::min(width - col, end - pos);
-      const size_t bytes = static_cast<size_t>(len) * sizeof(float);
-      std::memcpy(dst + pos / width * ld + col, src, bytes);
-      src += bytes;
+      std::memcpy(dst + pos / width * ld + col, src,
+                  static_cast<size_t>(len) * sizeof(float));
+      src += len;
       pos += len;
     }
-    RELSERVE_RETURN_NOT_OK(pool_->UnpinPage(page_id, /*dirty=*/false));
-  }
-  if (pos != total) {
-    return Status::Internal("block entry page list too short");
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Result<TensorBlock> BlockStore::Get(const BlockEntry& entry,
@@ -118,7 +111,7 @@ Result<TensorBlock> BlockStore::Get(const BlockEntry& entry,
   RELSERVE_ASSIGN_OR_RETURN(
       Tensor payload,
       Tensor::Create(Shape{entry.rows, entry.cols}, tracker));
-  RELSERVE_RETURN_NOT_OK(CopyEntry(entry, payload.data(), entry.cols));
+  RELSERVE_RETURN_NOT_OK(ReadInto(entry, payload.data(), entry.cols));
   return TensorBlock{entry.row_block, entry.col_block,
                      std::move(payload)};
 }
@@ -141,8 +134,10 @@ Result<Tensor> BlockStore::ToMatrix(MemoryTracker* tracker) const {
       Tensor out,
       tiled ? Tensor::Create(shape, tracker) : Tensor::Zeros(shape, tracker));
   const int64_t stride = geometry_.cols;
-  for (const BlockEntry& entry : entries_) {
-    RELSERVE_RETURN_NOT_OK(CopyEntry(
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    const BlockEntry& entry = entries_[i];
+    if (i + 1 < entries_.size()) PrefetchEntry(entries_[i + 1]);
+    RELSERVE_RETURN_NOT_OK(ReadInto(
         entry,
         out.data() + entry.row_block * geometry_.block_rows * stride +
             entry.col_block * geometry_.block_cols,

@@ -23,10 +23,12 @@
 // panel ready for the micro-kernel). The store only records that it
 // holds panels; an entry's shape is the stored payload's, and the
 // layout and its sliver width are the kernel layer's business.
+// VisitPages reads a block in place instead of through a Get copy.
 
 #ifndef RELSERVE_STORAGE_BLOCK_STORE_H_
 #define RELSERVE_STORAGE_BLOCK_STORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -82,17 +84,6 @@ class BlockStore {
 
   BlockStore(const BlockStore&) = delete;
   BlockStore& operator=(const BlockStore&) = delete;
-  BlockStore(BlockStore&& other) noexcept
-      : pool_(other.pool_),
-        geometry_(other.geometry_),
-        holds_panels_(other.holds_panels_),
-        index_(other.index_),
-        tolerance_(other.tolerance_),
-        shared_blocks_(other.shared_blocks_),
-        shared_bytes_(other.shared_bytes_),
-        entries_(std::move(other.entries_)) {
-    other.entries_.clear();
-  }
 
   // Writes one block's payload to fresh pages and records its entry.
   // Thread-safe against concurrent Put (ParallelFor morsels emit
@@ -107,6 +98,32 @@ class BlockStore {
   // `scratch`, may be null).
   Status PutMatrix(const Tensor& m, MemoryTracker* scratch = nullptr);
 
+  // Calls fn(pos, data, count) -> Status for each page of `entry` in
+  // order, `data` holding payload floats [pos, pos + count) in the
+  // page's (cache-line-aligned) frame, pinned for that call only.
+  // Stops at fn's first error.
+  template <typename Fn>
+  Status VisitPages(const BlockEntry& entry, Fn&& fn) const {
+    const int64_t total = entry.rows * entry.cols;
+    constexpr int64_t kPageFloats = kPageSize / sizeof(float);
+    int64_t pos = 0;
+    for (const PageId page_id : entry.pages) {
+      RELSERVE_ASSIGN_OR_RETURN(char* page, pool_->FetchPage(page_id));
+      const PageGuard guard(pool_, page_id);
+      const int64_t count = std::min(total - pos, kPageFloats);
+      RELSERVE_RETURN_NOT_OK(
+          fn(pos, reinterpret_cast<const float*>(page), count));
+      pos += count;
+    }
+    return pos == total
+               ? Status::OK()
+               : Status::Internal("block entry page list too short");
+  }
+
+  // Copies `entry`'s payload into `dst`, one block row every `ld`
+  // floats, fetching each of its pages once.
+  Status ReadInto(const BlockEntry& entry, float* dst, int64_t ld) const;
+
   // Reads a stored block back into a Tensor charged to `tracker`.
   Result<TensorBlock> Get(const BlockEntry& entry,
                           MemoryTracker* tracker = nullptr) const;
@@ -118,8 +135,9 @@ class BlockStore {
   void PrefetchEntry(const BlockEntry& entry) const;
 
   // Reassembles the full matrix (requires it to fit in `tracker`),
-  // copying each entry's page bytes straight into the output rows.
-  // Row-major stores only; blockops::Assemble unpacks panel stores.
+  // copying each entry's page bytes straight into the output rows
+  // while the next entry's pages load. Row-major stores only;
+  // blockops::Assemble unpacks panel stores.
   Result<Tensor> ToMatrix(MemoryTracker* tracker = nullptr) const;
 
   const std::vector<BlockEntry>& entries() const { return entries_; }
@@ -141,10 +159,6 @@ class BlockStore {
   int64_t shared_bytes() const { return shared_bytes_; }
 
  private:
-  // Copies `entry`'s payload into `dst`, one block row every `ld`
-  // floats, fetching each of its pages once.
-  Status CopyEntry(const BlockEntry& entry, float* dst, int64_t ld) const;
-
   BufferPool* pool_;
   BlockedShape geometry_;
   bool holds_panels_ = false;

@@ -1,5 +1,6 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -35,8 +36,11 @@ Result<int64_t> BufferPool::ReserveFrame(
     for (int64_t i = 0; i < capacity_pages_; ++i) {
       if (frames_[i].page_id == kInvalidPageId &&
           !frames_[i].io_pending) {
-        if (frames_[i].data == nullptr) {
-          frames_[i].data = std::make_unique<char[]>(kPageSize);
+        if (!frames_[i].data.ok()) {
+          frames_[i].data = AlignedBuffer(kPageSize / sizeof(float));
+          if (!frames_[i].data.ok()) {
+            return Status::OutOfMemory("buffer pool: frame allocation");
+          }
         }
         frames_[i].io_pending = true;
         return i;
@@ -79,7 +83,7 @@ Result<int64_t> BufferPool::ReserveFrame(
       const PageId victim_page = frame.page_id;
       lock.unlock();
       Status s = failpoint::InjectedStatus("bufferpool.evict");
-      if (s.ok()) s = disk_->WritePage(victim_page, frame.data.get());
+      if (s.ok()) s = disk_->WritePage(victim_page, frame.bytes());
       lock.lock();
       if (!s.ok()) {
         // Keep the victim dirty and resident — its bytes are still
@@ -99,6 +103,12 @@ Result<int64_t> BufferPool::ReserveFrame(
     frame.prefetched = false;
     ++stats_.evictions;
     return victim;
+  }
+}
+
+void BufferPool::PinLocked(Frame& frame) {
+  if (frame.pin_count++ == 0) {
+    stats_.pinned_peak = std::max(stats_.pinned_peak, ++pinned_frames_);
   }
 }
 
@@ -125,10 +135,10 @@ Result<char*> BufferPool::FetchPage(PageId page_id) {
         frame.prefetched = false;
         ++stats_.prefetch_useful;
       }
-      ++frame.pin_count;
+      PinLocked(frame);
       frame.last_used = ++clock_;
       ++stats_.hits;
-      return frame.data.get();
+      return frame.bytes();
     }
     RELSERVE_ASSIGN_OR_RETURN(int64_t idx, ReserveFrame(lock));
     // ReserveFrame may have dropped the lock for a write-back; another
@@ -141,7 +151,7 @@ Result<char*> BufferPool::FetchPage(PageId page_id) {
     Frame& frame = frames_[idx];
     ++stats_.misses;
     frame.page_id = page_id;
-    frame.pin_count = 1;
+    PinLocked(frame);
     frame.dirty = false;
     frame.prefetched = false;
     frame.last_used = ++clock_;
@@ -149,7 +159,7 @@ Result<char*> BufferPool::FetchPage(PageId page_id) {
     // Load outside the mutex: concurrent fetches of other pages
     // proceed, and fetches of this page wait on the latch.
     lock.unlock();
-    Status s = disk_->ReadPage(page_id, frame.data.get());
+    Status s = disk_->ReadPage(page_id, frame.bytes());
     lock.lock();
     frame.io_pending = false;
     io_cv_.notify_all();
@@ -157,9 +167,10 @@ Result<char*> BufferPool::FetchPage(PageId page_id) {
       page_table_.erase(page_id);
       frame.page_id = kInvalidPageId;
       frame.pin_count = 0;
+      --pinned_frames_;
       return s;
     }
-    return frame.data.get();
+    return frame.bytes();
   }
 }
 
@@ -185,18 +196,18 @@ Result<char*> BufferPool::NewPage(PageId* out_id) {
   }
   Frame& frame = frames_[idx];
   frame.page_id = page_id;
-  frame.pin_count = 1;
+  PinLocked(frame);
   frame.dirty = true;  // must reach disk even if never rewritten
   frame.prefetched = false;
   frame.last_used = ++clock_;
   page_table_[page_id] = idx;
   lock.unlock();
-  std::memset(frame.data.get(), 0, kPageSize);
+  std::memset(frame.bytes(), 0, kPageSize);
   lock.lock();
   frame.io_pending = false;
   io_cv_.notify_all();
   *out_id = page_id;
-  return frame.data.get();
+  return frame.bytes();
 }
 
 Status BufferPool::UnpinPage(PageId page_id, bool dirty) {
@@ -211,7 +222,7 @@ Status BufferPool::UnpinPage(PageId page_id, bool dirty) {
     return Status::Internal("unpin of unpinned page " +
                             std::to_string(page_id));
   }
-  --frame.pin_count;
+  if (--frame.pin_count == 0) --pinned_frames_;
   frame.dirty = frame.dirty || dirty;
   return Status::OK();
 }
@@ -225,7 +236,7 @@ Status BufferPool::FlushAll() {
     frame.io_pending = true;
     const PageId page_id = frame.page_id;
     lock.unlock();
-    Status s = disk_->WritePage(page_id, frame.data.get());
+    Status s = disk_->WritePage(page_id, frame.bytes());
     lock.lock();
     frame.io_pending = false;
     io_cv_.notify_all();
@@ -340,7 +351,7 @@ void BufferPool::PrefetchLoop() {
     frame.last_used = ++clock_;
     page_table_[page_id] = *idx;
     lock.unlock();
-    Status s = disk_->ReadPage(page_id, frame.data.get());
+    Status s = disk_->ReadPage(page_id, frame.bytes());
     lock.lock();
     frame.io_pending = false;
     io_cv_.notify_all();

@@ -33,6 +33,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/aligned_alloc.h"
 #include "common/result.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
@@ -56,6 +57,8 @@ struct BufferPoolStats {
   // write-backs that failed (the pool retried an alternate victim).
   int64_t prefetch_failed = 0;
   int64_t writeback_failures = 0;
+  // Most frames pinned at once (a frame pinned twice counts once).
+  int64_t pinned_peak = 0;
 
   template <typename F>
   void ForEachField(F&& f) const {
@@ -67,6 +70,7 @@ struct BufferPoolStats {
     f("prefetch_useful", prefetch_useful);
     f("prefetch_failed", prefetch_failed);
     f("writeback_failures", writeback_failures);
+    f("pinned_peak", pinned_peak);
   }
 };
 
@@ -82,7 +86,8 @@ class BufferPool {
   // Stops the background prefetcher (if it ever started) and joins it.
   ~BufferPool();
 
-  // Pins an existing page and returns its frame data. The caller must
+  // Pins an existing page and returns its frame data, which starts on
+  // a kCacheLineBytes boundary, as NewPage's does. The caller must
   // Unpin with the same id exactly once per fetch. Safe to call from
   // many threads; concurrent fetches of distinct pages overlap their
   // disk reads, and concurrent fetches of the same page perform one
@@ -123,7 +128,7 @@ class BufferPool {
  private:
   struct Frame {
     PageId page_id = kInvalidPageId;
-    std::unique_ptr<char[]> data;
+    AlignedBuffer data;  // kPageSize bytes, allocated on first use
     int pin_count = 0;
     bool dirty = false;
     // Per-frame latch: the frame is reserved for I/O (load, zeroing,
@@ -135,7 +140,12 @@ class BufferPool {
     // counts it as a useful prefetch and clears the flag.
     bool prefetched = false;
     uint64_t last_used = 0;  // LRU clock
+
+    char* bytes() { return reinterpret_cast<char*>(data.data()); }
   };
+
+  // Adds a pin to `frame`, keeping pinned_peak. Called with mu_ held.
+  void PinLocked(Frame& frame);
 
   // Reserves a frame for the caller (io_pending set), evicting an
   // unpinned unlatched page if needed. Called with `lock` held; drops
@@ -172,6 +182,7 @@ class BufferPool {
   std::unordered_map<PageId, int64_t> page_table_;  // page -> frame idx
   uint64_t clock_ = 0;
   BufferPoolStats stats_;
+  int64_t pinned_frames_ = 0;  // frames with pin_count > 0
 
   // Prefetch machinery, all guarded by mu_ except the thread handle.
   std::deque<PageId> prefetch_queue_;
@@ -181,37 +192,19 @@ class BufferPool {
   std::thread prefetcher_;
 };
 
-// RAII pin guard: unpins on scope exit.
+// RAII pin guard: unpins a page it read (clean) on scope exit.
 class PageGuard {
  public:
-  PageGuard(BufferPool* pool, PageId page_id, char* data)
-      : pool_(pool), page_id_(page_id), data_(data) {}
-  ~PageGuard() {
-    if (pool_ != nullptr) pool_->UnpinPage(page_id_, dirty_);
-  }
+  PageGuard(BufferPool* pool, PageId page_id)
+      : pool_(pool), page_id_(page_id) {}
+  ~PageGuard() { pool_->UnpinPage(page_id_, /*dirty=*/false); }
 
   PageGuard(const PageGuard&) = delete;
   PageGuard& operator=(const PageGuard&) = delete;
-  PageGuard(PageGuard&& other) noexcept { *this = std::move(other); }
-  PageGuard& operator=(PageGuard&& other) noexcept {
-    pool_ = other.pool_;
-    page_id_ = other.page_id_;
-    data_ = other.data_;
-    dirty_ = other.dirty_;
-    other.pool_ = nullptr;
-    return *this;
-  }
-
-  char* data() { return data_; }
-  const char* data() const { return data_; }
-  PageId page_id() const { return page_id_; }
-  void MarkDirty() { dirty_ = true; }
 
  private:
-  BufferPool* pool_ = nullptr;
-  PageId page_id_ = kInvalidPageId;
-  char* data_ = nullptr;
-  bool dirty_ = false;
+  BufferPool* pool_;
+  PageId page_id_;
 };
 
 }  // namespace relserve

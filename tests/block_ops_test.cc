@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "engine/block_ops.h"
+#include "engine/hybrid_executor.h"
 #include "kernels/cpu_features.h"
 #include "kernels/kernels.h"
 #include "kernels/micro_kernel.h"
@@ -43,6 +44,16 @@ bool SameBits(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
          std::memcmp(a.data(), b.data(),
                      static_cast<size_t>(a.ByteSize())) == 0;
+}
+
+// A stage's fused bias add then relu, as the plan compiles it.
+std::vector<EpilogueOp> BiasRelu(const Tensor* bias) {
+  EpilogueOp add;
+  add.op = OpKind::kBiasAdd;
+  add.bias = bias;
+  EpilogueOp relu;
+  relu.op = OpKind::kRelu;
+  return {add, relu};
 }
 
 class BlockOpsTest : public ::testing::Test {
@@ -98,7 +109,7 @@ TEST_F(BlockOpsTest, BlockMatMulMatchesDenseKernel) {
   ASSERT_TRUE(expected.ok());
 
   auto x_store = blockops::ChunkMatrix(x, &ctx_);
-  auto w_store = blockops::ChunkMatrix(w, &ctx_);
+  auto w_store = blockops::ChunkMatrix(w, &ctx_, /*share_weights=*/true);
   ASSERT_TRUE(x_store.ok() && w_store.ok());
   auto c_store = blockops::BlockMatMul(**x_store, **w_store, &ctx_);
   ASSERT_TRUE(c_store.ok());
@@ -109,8 +120,21 @@ TEST_F(BlockOpsTest, BlockMatMulMatchesDenseKernel) {
 
 TEST_F(BlockOpsTest, BlockMatMulRejectsInnerMismatch) {
   auto x = blockops::ChunkMatrix(RandomMatrix(4, 5), &ctx_);
-  auto w = blockops::ChunkMatrix(RandomMatrix(4, 6), &ctx_);
+  auto w = blockops::ChunkMatrix(RandomMatrix(4, 6), &ctx_,
+                                 /*share_weights=*/true);
   ASSERT_TRUE(x.ok() && w.ok());
+  EXPECT_TRUE(blockops::BlockMatMul(**x, **w, &ctx_)
+                  .status()
+                  .IsInvalidArgument());
+}
+
+// The join reads only panel weight stores, the kind a deployed plan
+// builds; a row-major weight relation is refused, not converted.
+TEST_F(BlockOpsTest, BlockMatMulRejectsRowMajorWeights) {
+  auto x = blockops::ChunkMatrix(RandomMatrix(4, 6), &ctx_);
+  auto w = blockops::ChunkMatrix(RandomMatrix(5, 6), &ctx_);
+  ASSERT_TRUE(x.ok() && w.ok());
+  EXPECT_FALSE((*w)->holds_panels());
   EXPECT_TRUE(blockops::BlockMatMul(**x, **w, &ctx_)
                   .status()
                   .IsInvalidArgument());
@@ -128,22 +152,14 @@ TEST_F(BlockOpsTest, BlockReluAndBiasMatchWholeTensor) {
 
   auto store = blockops::ChunkMatrix(m, &ctx_);
   ASSERT_TRUE(store.ok());
-  auto biased = blockops::BlockBiasAdd(**store, *bias, &ctx_);
-  ASSERT_TRUE(biased.ok());
-  auto relued = blockops::BlockRelu(**biased, &ctx_);
-  ASSERT_TRUE(relued.ok());
-  auto got = blockops::Assemble(**relued, &ctx_);
+  const std::vector<EpilogueOp> ops = BiasRelu(&*bias);
+  const blockops::BlockFn epilogue =
+      MakeBlockEpilogue(ops, ctx_.block_cols);
+  auto mapped = blockops::MapBlocks(**store, epilogue, &ctx_);
+  ASSERT_TRUE(mapped.ok());
+  auto got = blockops::Assemble(**mapped, &ctx_);
   ASSERT_TRUE(got.ok());
-  EXPECT_LT(expected.MaxAbsDiff(*got), 1e-6f);
-}
-
-TEST_F(BlockOpsTest, BlockBiasRejectsWidthMismatch) {
-  auto store = blockops::ChunkMatrix(RandomMatrix(4, 6), &ctx_);
-  ASSERT_TRUE(store.ok());
-  auto bias = Tensor::Zeros(Shape{5});
-  EXPECT_TRUE(blockops::BlockBiasAdd(**store, *bias, &ctx_)
-                  .status()
-                  .IsInvalidArgument());
+  EXPECT_TRUE(SameBits(expected, *got));
 }
 
 TEST_F(BlockOpsTest, BlockSoftmaxMatchesWholeTensor) {
@@ -249,7 +265,7 @@ TEST_F(BlockOpsTest, MatrixStreamJoinsAgainstChunkedWeights) {
     ASSERT_TRUE(writer->AppendRow(x.data() + r * 9).ok());
   }
   auto x_store = writer->Finish();
-  auto w_store = blockops::ChunkMatrix(w, &ctx_);
+  auto w_store = blockops::ChunkMatrix(w, &ctx_, /*share_weights=*/true);
   ASSERT_TRUE(x_store.ok() && w_store.ok());
   auto c_store = blockops::BlockMatMul(**x_store, **w_store, &ctx_);
   ASSERT_TRUE(c_store.ok());
@@ -276,7 +292,7 @@ TEST_F(BlockOpsTest, ParallelBlockMatMulBitIdenticalToSerial) {
 
   auto run = [&](ExecContext* ctx) -> Tensor {
     auto x_store = blockops::ChunkMatrix(x, ctx);
-    auto w_store = blockops::ChunkMatrix(w, ctx);
+    auto w_store = blockops::ChunkMatrix(w, ctx, /*share_weights=*/true);
     EXPECT_TRUE(x_store.ok() && w_store.ok());
     auto c_store = blockops::BlockMatMul(**x_store, **w_store, ctx);
     EXPECT_TRUE(c_store.ok());
@@ -312,12 +328,12 @@ TEST_F(BlockOpsTest, ParallelElementwiseOpsMatchSerial) {
   ASSERT_TRUE(bias.ok());
   for (int i = 0; i < 21; ++i) bias->data()[i] = 0.05f * i - 0.3f;
 
+  const std::vector<EpilogueOp> ops = BiasRelu(&*bias);
   auto run = [&](ExecContext* ctx) -> Tensor {
     auto store = blockops::ChunkMatrix(m, ctx);
     EXPECT_TRUE(store.ok());
-    auto biased = blockops::BlockBiasAdd(**store, *bias, ctx);
-    EXPECT_TRUE(biased.ok());
-    auto relued = blockops::BlockRelu(**biased, ctx);
+    auto relued = blockops::MapBlocks(
+        **store, MakeBlockEpilogue(ops, ctx->block_cols), ctx);
     EXPECT_TRUE(relued.ok());
     auto soft = blockops::BlockSoftmaxRows(**relued, ctx);
     EXPECT_TRUE(soft.ok());
@@ -358,8 +374,10 @@ TEST_F(BlockOpsTest, ParallelExecStatsStayExact) {
   ASSERT_TRUE(store.ok());
   const int64_t written_after_chunk = par_ctx.stats.blocks_written.load();
   EXPECT_EQ(written_after_chunk, 16);  // 4x4 geometry -> 16 blocks
-  auto doubled = blockops::BlockRelu(**store, &par_ctx);
-  ASSERT_TRUE(doubled.ok());
+  const std::vector<EpilogueOp> ops = {EpilogueOp{OpKind::kRelu}};
+  auto relued = blockops::MapBlocks(
+      **store, MakeBlockEpilogue(ops, par_ctx.block_cols), &par_ctx);
+  ASSERT_TRUE(relued.ok());
   EXPECT_EQ(par_ctx.stats.blocks_read.load(), 16);
   EXPECT_EQ(par_ctx.stats.blocks_written.load(),
             written_after_chunk + 16);
@@ -575,6 +593,74 @@ TEST_F(BlockOpsTest, SingleStripJoinSplitsOutputBlocksAcrossThreads) {
                                                          << round;
     EXPECT_EQ(reads, 3 * 3 + 6 * 3);
   }
+}
+
+// The join reads each weight panel where its frames hold it. With
+// 100-deep inner blocks a sliver is 100 x nr floats (12,800 bytes at
+// nr = 32), so slivers straddle the 64 KiB pages of a 256-row weight
+// block and are gathered alone. Each pool keeps GemmInto's bits on
+// every level the host runs: the 64-frame default; the documented
+// minimum of a serial join, 2 frames; and a 4-thread pool at its
+// minimum, 6 frames, where the one row strip splits its ragged jb
+// range into 3 morsels and the GEMM its rows into macro-tiles.
+TEST_F(BlockOpsTest, InPlaceJoinBitIdenticalOnSmallPools) {
+  ctx_.block_rows = 256;
+  ctx_.block_cols = 100;
+  Tensor x = RandomMatrix(200, 250, 1);  // one strip, K ragged at 50
+  Tensor w = RandomMatrix(600, 250, 2);  // jb blocks 256, 256, 88
+  ThreadPool threads(4);
+  struct Run {
+    int64_t frames;
+    ThreadPool* pool;
+  };
+  for (const SimdLevel level : HostLevels()) {
+    ScopedSimdLevel scoped(level);
+    auto want = kernels::MatMul(x, w, /*transpose_b=*/true);
+    ASSERT_TRUE(want.ok());
+    for (const Run& run : {Run{64, nullptr}, Run{2, nullptr},
+                           Run{6, &threads}}) {
+      SCOPED_TRACE(testing::Message()
+                   << kernels::SimdLevelName(level) << ", " << run.frames
+                   << " frames, " << (run.pool != nullptr ? 4 : 0)
+                   << " pool threads");
+      DiskManager disk;
+      BufferPool pages(&disk, run.frames);
+      ExecContext ctx;
+      ctx.tracker = &tracker_;
+      ctx.buffer_pool = &pages;
+      ctx.pool = run.pool;
+      ctx.block_rows = ctx_.block_rows;
+      ctx.block_cols = ctx_.block_cols;
+      auto x_store = blockops::ChunkMatrix(x, &ctx);
+      auto w_store = blockops::ChunkMatrix(w, &ctx, /*share_weights=*/true);
+      ASSERT_TRUE(x_store.ok() && w_store.ok());
+      auto c_store = blockops::BlockMatMul(**x_store, **w_store, &ctx);
+      ASSERT_TRUE(c_store.ok()) << c_store.status();
+      auto got = blockops::Assemble(**c_store, &ctx);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(SameBits(*want, *got));
+    }
+  }
+}
+
+// A serial join pins at most one weight block's pages plus one X
+// block's pages at once — in fact one page at a time.
+TEST_F(BlockOpsTest, SerialJoinPinsAtMostOneBlockPair) {
+  ctx_.block_rows = 256;
+  ctx_.block_cols = 256;
+  DiskManager disk;
+  BufferPool pages(&disk, 8);
+  ctx_.buffer_pool = &pages;
+  auto x_store = blockops::ChunkMatrix(RandomMatrix(300, 512, 1), &ctx_);
+  auto w_store = blockops::ChunkMatrix(RandomMatrix(300, 512, 2), &ctx_,
+                                       /*share_weights=*/true);
+  ASSERT_TRUE(x_store.ok() && w_store.ok());
+  ASSERT_TRUE(blockops::BlockMatMul(**x_store, **w_store, &ctx_).ok());
+  const int64_t block_pages =
+      static_cast<int64_t>((*w_store)->entries()[0].pages.size() +
+                           (*x_store)->entries()[0].pages.size());
+  EXPECT_GT(pages.stats().pinned_peak, 0);
+  EXPECT_LE(pages.stats().pinned_peak, block_pages);
 }
 
 TEST_F(BlockOpsTest, RequiresBufferPool) {

@@ -306,7 +306,7 @@ TEST_F(NetServingTest, DeployAndStatsOverTheWire) {
         "connections_refused", "memory_closed", "write_calls",
         "worker_parks", "loop_parks", "unique_blocks",
         "logical_refs", "physical_bytes", "logical_bytes", "dedup_hits",
-        "freed_blocks"}) {
+        "freed_blocks", "pinned_peak"}) {
     EXPECT_NE(stats->find(std::string("\"") + key + "\":"),
               std::string::npos)
         << key;

@@ -109,6 +109,96 @@ TEST(BufferPoolTest, HitsAndMissesAreCounted) {
   EXPECT_EQ(pool.stats().hits, 1);
 }
 
+// Every frame starts on a cache line: a relation-centric join hands
+// page addresses to SIMD tiles whose B loads are aligned. Frames are
+// reused across evictions, so both fresh and reloaded pages count.
+TEST(BufferPoolTest, FramesAreCacheLineAligned) {
+  DiskManager disk;
+  BufferPool pool(&disk, 3);
+  auto aligned = [](const char* p) {
+    return reinterpret_cast<uintptr_t>(p) % kCacheLineBytes == 0;
+  };
+  std::vector<PageId> ids(8);
+  for (PageId& id : ids) {
+    auto page = pool.NewPage(&id);
+    ASSERT_TRUE(page.ok());
+    EXPECT_TRUE(aligned(*page));
+    ASSERT_TRUE(pool.UnpinPage(id, /*dirty=*/true).ok());
+  }
+  for (const PageId id : ids) {
+    auto page = pool.FetchPage(id);
+    ASSERT_TRUE(page.ok());
+    EXPECT_TRUE(aligned(*page));
+    ASSERT_TRUE(pool.UnpinPage(id, /*dirty=*/false).ok());
+  }
+}
+
+// pinned_peak is the most frames pinned at once; a page pinned twice
+// is one frame.
+TEST(BufferPoolTest, PinnedPeakCountsFramesAtOnce) {
+  DiskManager disk;
+  BufferPool pool(&disk, 4);
+  PageId a, b;
+  ASSERT_TRUE(pool.NewPage(&a).ok());
+  ASSERT_TRUE(pool.FetchPage(a).ok());  // second pin, same frame
+  EXPECT_EQ(pool.stats().pinned_peak, 1);
+  ASSERT_TRUE(pool.NewPage(&b).ok());
+  EXPECT_EQ(pool.stats().pinned_peak, 2);
+  for (const PageId id : {a, a, b}) {
+    ASSERT_TRUE(pool.UnpinPage(id, /*dirty=*/true).ok());
+  }
+  ASSERT_TRUE(pool.FetchPage(b).ok());
+  ASSERT_TRUE(pool.UnpinPage(b, /*dirty=*/false).ok());
+  EXPECT_EQ(pool.stats().pinned_peak, 2);
+}
+
+// VisitPages hands out each page's run of the payload in its frame,
+// one pinned page at a time, and the runs cover the block in order.
+TEST(BlockStoreTest, VisitPagesWalksThePayloadInPlace) {
+  DiskManager disk;
+  BufferPool pool(&disk, 4);
+  auto m = Tensor::Create(Shape{200, 200});
+  ASSERT_TRUE(m.ok());
+  for (int64_t i = 0; i < m->NumElements(); ++i) {
+    m->data()[i] = static_cast<float>(i % 1000);
+  }
+  BlockStore store(&pool, BlockedShape{200, 200, 200, 200});
+  ASSERT_TRUE(store.PutMatrix(*m).ok());
+  const BlockStore::BlockEntry& entry = store.entries()[0];
+  int64_t next = 0;
+  int64_t runs = 0;
+  ASSERT_TRUE(store
+                  .VisitPages(entry,
+                              [&](int64_t pos, const float* data,
+                                  int64_t count) {
+                                EXPECT_EQ(pos, next);
+                                EXPECT_EQ(reinterpret_cast<uintptr_t>(data) %
+                                              kCacheLineBytes,
+                                          0u);
+                                EXPECT_EQ(std::memcmp(data, m->data() + pos,
+                                                      count * sizeof(float)),
+                                          0);
+                                next = pos + count;
+                                ++runs;
+                                return Status::OK();
+                              })
+                  .ok());
+  EXPECT_EQ(next, m->NumElements());
+  EXPECT_EQ(runs, static_cast<int64_t>(entry.pages.size()));
+  EXPECT_EQ(pool.stats().pinned_peak, 1);
+  // fn's error stops the walk after the first page.
+  runs = 0;
+  EXPECT_EQ(store
+                .VisitPages(entry,
+                            [&](int64_t, const float*, int64_t) {
+                              ++runs;
+                              return Status::Internal("stop");
+                            })
+                .code(),
+            StatusCode::kInternal);
+  EXPECT_EQ(runs, 1);
+}
+
 TEST(BlockStoreTest, PutGetRoundTrip) {
   DiskManager disk;
   BufferPool pool(&disk, 16);
