@@ -15,14 +15,6 @@
 namespace relserve {
 namespace {
 
-InferencePlan AllUdf(const Model& model) {
-  InferencePlan plan;
-  for (const Node& node : model.nodes()) {
-    plan.decisions.push_back(NodeDecision{node.id, Repr::kUdf, 0});
-  }
-  return plan;
-}
-
 int Run() {
   const int repeats = bench::RepeatsFromEnv();
   const int64_t batch = 4096;
@@ -32,8 +24,9 @@ int Run() {
 
   auto model = BuildFFNN("m", {256, 1024, 1024, 16}, 1);
   if (!model.ok()) return 1;
-  auto prepared = PreparedModel::Prepare(&*model, AllUdf(*model), &ctx);
-  if (!prepared.ok()) return 1;
+  auto compiled = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kUdf, 0), &ctx);
+  if (!compiled.ok()) return 1;
   auto input = workloads::GenBatch(batch, Shape{256}, 7);
   if (!input.ok()) return 1;
 
@@ -46,7 +39,7 @@ int Run() {
   tracker.ResetPeak();
   auto whole = bench::TimeBest(repeats, [&]() -> Status {
     RELSERVE_ASSIGN_OR_RETURN(ExecOutput out,
-                              HybridExecutor::Run(*prepared, *input,
+                              HybridExecutor::Run(**compiled, *input,
                                                   &ctx));
     (void)out;
     return Status::OK();
@@ -61,7 +54,7 @@ int Run() {
     auto piped = bench::TimeBest(repeats, [&]() -> Status {
       RELSERVE_ASSIGN_OR_RETURN(
           Tensor out,
-          PipelineExecutor::Run(*prepared, *input, &ctx, config));
+          PipelineExecutor::Run(**compiled, *input, &ctx, config));
       (void)out;
       return Status::OK();
     });

@@ -18,7 +18,6 @@
 #include "common/timer.h"
 #include "engine/hybrid_executor.h"
 #include "engine/physical_plan.h"
-#include "engine/prepared_model.h"
 #include "graph/model.h"
 #include "kernels/kernels.h"
 #include "optimizer/optimizer.h"
@@ -125,25 +124,25 @@ Status RunSmallBatch(int repeats) {
     PhysicalPlan::Options unfused_opts;
     unfused_opts.fuse_elementwise = false;
     RELSERVE_ASSIGN_OR_RETURN(
-        PreparedModel unfused,
-        PreparedModel::Prepare(&model,
-                               MakeForcedPlan(model, Repr::kUdf, batch),
-                               &h.ctx, unfused_opts));
+        std::unique_ptr<PhysicalPlan> unfused,
+        PhysicalPlan::Compile(&model,
+                              MakeForcedPlan(model, Repr::kUdf, batch),
+                              &h.ctx, unfused_opts));
     RELSERVE_ASSIGN_OR_RETURN(
         double plain, TimeRequests(repeats, iters, [&]() -> Status {
-          return HybridExecutor::Run(unfused, input, &h.ctx).status();
+          return HybridExecutor::Run(*unfused, input, &h.ctx).status();
         }));
 
     Timer compile_timer;
     RELSERVE_ASSIGN_OR_RETURN(
-        PreparedModel prepared,
-        PreparedModel::Prepare(&model,
-                               MakeForcedPlan(model, Repr::kUdf, batch),
-                               &h.ctx));
+        std::unique_ptr<PhysicalPlan> compiled,
+        PhysicalPlan::Compile(&model,
+                              MakeForcedPlan(model, Repr::kUdf, batch),
+                              &h.ctx));
     const double compile_us = compile_timer.ElapsedSeconds() * 1e6;
     RELSERVE_ASSIGN_OR_RETURN(
         double fused, TimeRequests(repeats, iters, [&]() -> Status {
-          return HybridExecutor::Run(prepared, input, &h.ctx).status();
+          return HybridExecutor::Run(*compiled, input, &h.ctx).status();
         }));
 
     char interp_s[32], plain_s[32], fused_s[32], speedup[32];
@@ -162,9 +161,9 @@ Status RunSmallBatch(int repeats) {
          {"compiled_fused_us", bench::JsonNum(fused * 1e6)},
          {"compile_once_us", bench::JsonNum(compile_us)},
          {"fused_stages",
-          std::to_string(prepared.physical().stages().size())},
+          std::to_string(compiled->stages().size())},
          {"fused_ops",
-          std::to_string(prepared.physical().num_fused_ops())}});
+          std::to_string(compiled->num_fused_ops())}});
   }
   return Status::OK();
 }
@@ -188,13 +187,13 @@ Status RunLargeBatchRelational(int repeats) {
     PhysicalPlan::Options options;
     options.fuse_elementwise = fused == 1;
     RELSERVE_ASSIGN_OR_RETURN(
-        PreparedModel prepared,
-        PreparedModel::Prepare(
+        std::unique_ptr<PhysicalPlan> compiled,
+        PhysicalPlan::Compile(
             &model, MakeForcedPlan(model, Repr::kRelational, batch),
             &h.ctx, options));
     RELSERVE_ASSIGN_OR_RETURN(
         times[fused], TimeRequests(repeats, 3, [&]() -> Status {
-          return HybridExecutor::Run(prepared, input, &h.ctx).status();
+          return HybridExecutor::Run(*compiled, input, &h.ctx).status();
         }));
     char ms[32];
     std::snprintf(ms, sizeof(ms), "%.3f", times[fused] * 1e3);

@@ -65,7 +65,8 @@ ASAN_DIR="${3:-build-asan}"
 # refcounting, shared BlockStores, multi-tenant deploy/undeploy
 # lifecycle) under TSan, and its CRC-then-memcmp byte comparison over
 # raw page payloads under UBSan; serving_concurrency_test's churn case
-# races Deploy/Undeploy against in-flight Predicts over shared blocks.
+# races Deploy/DeployAot/Undeploy against in-flight Predicts over
+# shared blocks.
 # pipeline_test runs the pipelined schedule: one worker thread per
 # compiled stage, all bumping the plan's shared StageStats counters.
 # serving_test drives compiled plans whose fp32 matmul stages run on
@@ -81,6 +82,8 @@ ASAN_DIR="${3:-build-asan}"
 # storage_test runs the pinned page view's per-page pointer
 # arithmetic and the aligned frames under UBSan. quantized_kernels_test also runs the dense top-k head
 # on kNc-aligned slices of one deploy-packed panel.
+# optimizer_test runs the checked int64 arithmetic of the plan's byte
+# estimates at batch sizes that overflow it, under UBSan.
 # common_test races four threads on one relaxed Counter, the field
 # type of every concurrently bumped stats struct (exact Add sums and
 # the StoreMax high-water mark).
@@ -92,7 +95,7 @@ TSAN_TESTS=(common_test resource_test storage_test dedup_test
 UBSAN_TESTS=(kernels_test tensor_test block_ops_test storage_test
             executor_test plan_text_test chaos_test columnar_test dedup_test
             quantized_kernels_test net_serving_test wal_recovery_test
-            serving_test)
+            serving_test optimizer_test)
 # Every registered test, so a test added later is covered without an
 # edit here.
 mapfile -t ASAN_TESTS < <(sed -n 's/^relserve_add_test(\(.*\))$/\1/p' \

@@ -5,23 +5,6 @@
 
 namespace relserve {
 
-namespace {
-
-// Every node whole-tensor: the only mode a decoupled framework has
-// here.
-InferencePlan AllUdfPlan(const Model& model) {
-  InferencePlan plan;
-  plan.batch_size = 0;
-  plan.memory_threshold_bytes = 0;
-  plan.decisions.reserve(model.nodes().size());
-  for (const Node& node : model.nodes()) {
-    plan.decisions.push_back(NodeDecision{node.id, Repr::kUdf, 0});
-  }
-  return plan;
-}
-
-}  // namespace
-
 ExternalRuntime::ExternalRuntime(std::string name,
                                  int64_t memory_limit_bytes,
                                  ThreadPool* pool)
@@ -36,13 +19,13 @@ Status ExternalRuntime::RegisterModel(const Model* model) {
     return Status::AlreadyExists("model '" + model->name() +
                                  "' already registered");
   }
-  LoadedModel loaded;
-  loaded.model = model;
+  // Every node whole-tensor: the only mode a decoupled framework has
+  // here.
   RELSERVE_ASSIGN_OR_RETURN(
-      PreparedModel prepared,
-      PreparedModel::Prepare(model, AllUdfPlan(*model), &ctx_));
-  loaded.prepared = std::make_unique<PreparedModel>(std::move(prepared));
-  models_.emplace(model->name(), std::move(loaded));
+      std::unique_ptr<PhysicalPlan> plan,
+      PhysicalPlan::Compile(model, MakeForcedPlan(*model, Repr::kUdf, 0),
+                            &ctx_));
+  models_.emplace(model->name(), std::move(plan));
   return Status::OK();
 }
 
@@ -65,15 +48,14 @@ Result<std::string> ExternalRuntime::Infer(
   RELSERVE_RETURN_NOT_OK(input.status());
 
   // A framework feeds the model in the sample shape it expects.
-  const Model& model = *it->second.model;
+  const PhysicalPlan& plan = *it->second;
   std::vector<int64_t> dims = {input->shape().dim(0)};
-  for (int64_t d : model.sample_shape().dims()) dims.push_back(d);
+  for (int64_t d : plan.model().sample_shape().dims()) dims.push_back(d);
   RELSERVE_ASSIGN_OR_RETURN(Tensor shaped,
                             input->Reshape(Shape(std::move(dims))));
 
-  RELSERVE_ASSIGN_OR_RETURN(
-      ExecOutput out,
-      HybridExecutor::Run(*it->second.prepared, shaped, &ctx_));
+  RELSERVE_ASSIGN_OR_RETURN(ExecOutput out,
+                            HybridExecutor::Run(plan, shaped, &ctx_));
   RELSERVE_ASSIGN_OR_RETURN(Tensor prediction, out.ToTensor(&ctx_));
   RELSERVE_ASSIGN_OR_RETURN(std::string response,
                             Connector::EncodeTensor(prediction));

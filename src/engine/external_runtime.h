@@ -26,7 +26,7 @@
 #include "common/counter.h"
 #include "common/result.h"
 #include "engine/exec_context.h"
-#include "engine/prepared_model.h"
+#include "engine/physical_plan.h"
 #include "graph/model.h"
 #include "resource/memory_tracker.h"
 #include "resource/thread_pool.h"
@@ -64,17 +64,13 @@ class ExternalRuntime {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct LoadedModel {
-    const Model* model = nullptr;
-    std::unique_ptr<PreparedModel> prepared;
-  };
-
   MemoryTracker tracker_;
   ThreadPool* pool_;
   // Whole-tensor execution context over the runtime arena (no buffer
   // pool: a DL framework has no disk spilling).
   ExecContext ctx_;
-  std::map<std::string, LoadedModel> models_;
+  // Model name -> its all-UDF plan (which knows its model).
+  std::map<std::string, std::unique_ptr<PhysicalPlan>> models_;
   Stats stats_;
 };
 

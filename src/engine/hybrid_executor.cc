@@ -455,12 +455,6 @@ Result<ExecOutput> HybridExecutor::Run(const PhysicalPlan& plan,
   return RunPlan(plan, std::move(act), input.shape().dim(0), ctx);
 }
 
-Result<ExecOutput> HybridExecutor::Run(const PreparedModel& prepared,
-                                       const Tensor& input,
-                                       ExecContext* ctx) {
-  return Run(prepared.physical(), input, ctx);
-}
-
 Result<Tensor> HybridExecutor::RunChunk(const PhysicalStage& stage,
                                         Tensor chunk, ExecContext* ctx) {
   if (chunk.shape().ndim() < 1) {
@@ -485,12 +479,6 @@ Result<ExecOutput> HybridExecutor::RunOnStore(
   Activation act;
   act.store = std::move(input_store);
   return RunPlan(plan, std::move(act), batch, ctx);
-}
-
-Result<ExecOutput> HybridExecutor::RunOnStore(
-    const PreparedModel& prepared,
-    std::unique_ptr<BlockStore> input_store, ExecContext* ctx) {
-  return RunOnStore(prepared.physical(), std::move(input_store), ctx);
 }
 
 }  // namespace relserve

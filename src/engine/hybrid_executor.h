@@ -30,7 +30,6 @@
 #include "engine/block_ops.h"
 #include "engine/exec_context.h"
 #include "engine/physical_plan.h"
-#include "engine/prepared_model.h"
 #include "storage/block_store.h"
 #include "tensor/tensor.h"
 
@@ -55,8 +54,6 @@ class HybridExecutor {
  public:
   // `input` is the batched feature tensor, batch on dim 0, sample
   // dims matching the model's sample shape.
-  static Result<ExecOutput> Run(const PreparedModel& prepared,
-                                const Tensor& input, ExecContext* ctx);
   static Result<ExecOutput> Run(const PhysicalPlan& plan,
                                 const Tensor& input, ExecContext* ctx);
 
@@ -72,9 +69,6 @@ class HybridExecutor {
   // ([batch, sample_width]) — used when the batch itself exceeds the
   // working arena and was streamed into the store straight from a
   // table scan, never materialized whole.
-  static Result<ExecOutput> RunOnStore(
-      const PreparedModel& prepared,
-      std::unique_ptr<BlockStore> input_store, ExecContext* ctx);
   static Result<ExecOutput> RunOnStore(
       const PhysicalPlan& plan, std::unique_ptr<BlockStore> input_store,
       ExecContext* ctx);

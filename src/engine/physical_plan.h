@@ -198,10 +198,11 @@ class PhysicalPlan {
   };
 
   // Compiles the annotated logical plan: binds weights (resident /
-  // chunked per the representation decisions — may OOM exactly where
-  // PreparedModel::Prepare used to), lowers nodes to fused stages,
-  // and precomputes shapes and footprints. The model must outlive the
-  // plan.
+  // chunked per the representation decisions; OutOfMemory when even
+  // the resident set does not fit the context's arena), lowers nodes
+  // to fused stages, and precomputes shapes and footprints. The model
+  // must outlive the plan; stages hold pointers into the plan, so it
+  // stays where Compile put it.
   static Result<std::unique_ptr<PhysicalPlan>> Compile(
       const Model* model, InferencePlan plan, ExecContext* ctx,
       Options options);
@@ -244,13 +245,12 @@ class PhysicalPlan {
   Options options_;
   int num_fused_ops_ = 0;
   std::vector<int64_t> output_sample_;
-  // Weight residency (moved here from PreparedModel): whole tensors
-  // for conv kernels and biases, block relations of B panels for
-  // relation-centric matmuls, and one deploy-time kernels::Weight per
-  // UDF-centric matmul weight (its panel, int8 pack or CSR form
-  // replaces the fp32 copy; panels are shared through the block index
-  // like any resident weight). Node-based maps: stage pointers stay
-  // valid across moves.
+  // Weight residency: whole tensors for conv kernels and biases,
+  // block relations of B panels for relation-centric matmuls, and one
+  // deploy-time kernels::Weight per UDF-centric matmul weight (its
+  // panel, int8 pack or CSR form replaces the fp32 copy; panels are
+  // shared through the block index like any resident weight).
+  // Node-based maps: stage pointers stay valid across moves.
   std::map<std::string, Tensor> resident_;
   std::map<std::string, std::unique_ptr<BlockStore>> blocked_;
   std::map<std::string, kernels::Weight> weights_;

@@ -40,23 +40,20 @@ class ErrorSlot {
 
 }  // namespace
 
-Result<Tensor> PipelineExecutor::Run(const PreparedModel& prepared,
+Result<Tensor> PipelineExecutor::Run(const PhysicalPlan& plan,
                                      const Tensor& input,
                                      ExecContext* ctx,
                                      PipelineConfig config) {
-  const PhysicalPlan& plan = prepared.physical();
   if (input.shape().ndim() < 1) {
     return Status::InvalidArgument("input must have a batch dimension");
   }
   if (config.micro_batch_rows <= 0 || config.queue_capacity <= 0) {
     return Status::InvalidArgument("bad pipeline configuration");
   }
-  for (const NodeDecision& d : prepared.plan().decisions) {
-    if (d.repr != Repr::kUdf) {
-      return Status::InvalidArgument(
-          "pipeline stages execute whole micro-batches; prepare the "
-          "model with the UDF representation");
-    }
+  if (!plan.logical_plan().AllUdf()) {
+    return Status::InvalidArgument(
+        "pipeline stages execute whole micro-batches; compile the "
+        "model with the UDF representation");
   }
   const int num_stages = static_cast<int>(plan.stages().size());
   if (num_stages < 1) {

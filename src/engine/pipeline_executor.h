@@ -1,6 +1,6 @@
 // PipelineExecutor: the paper's Sec. 5(2) — DL-style pipelining inside
 // the RDBMS, as a second schedule over the same compiled plan the
-// stage runner executes. Each PhysicalStage of the prepared plan gets
+// stage runner executes. Each PhysicalStage of the plan gets
 // one worker; workers are connected by bounded queues of micro-batches
 // and run every chunk through HybridExecutor::RunChunk, so pipelined
 // runs get the same fused epilogues, kernel arms (int8, sparse, fused
@@ -21,7 +21,7 @@
 
 #include "common/result.h"
 #include "engine/exec_context.h"
-#include "engine/prepared_model.h"
+#include "engine/physical_plan.h"
 #include "tensor/tensor.h"
 
 namespace relserve {
@@ -35,11 +35,11 @@ struct PipelineConfig {
 
 class PipelineExecutor {
  public:
-  // Runs the prepared plan as a stage-per-worker stream pipeline over
-  // `input` ([batch, sample...]). Every node must have been prepared
+  // Runs the compiled plan as a stage-per-worker stream pipeline over
+  // `input` ([batch, sample...]). Every node must have been compiled
   // with the UDF representation (stages execute whole micro-batch
   // tensors). Returns the assembled [batch, out...] prediction.
-  static Result<Tensor> Run(const PreparedModel& prepared,
+  static Result<Tensor> Run(const PhysicalPlan& plan,
                             const Tensor& input, ExecContext* ctx,
                             PipelineConfig config = PipelineConfig());
 };

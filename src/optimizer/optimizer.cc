@@ -71,20 +71,39 @@ InferencePlan MakeForcedPlan(const Model& model, Repr repr,
   return plan;
 }
 
+namespace {
+
+// Adds the float32 bytes of `shape` to `*total`; false when the
+// product or the sum overflows int64.
+bool AddFloatBytes(const Shape& shape, int64_t* total) {
+  int64_t bytes = sizeof(float);
+  for (int64_t d : shape.dims()) {
+    if (__builtin_mul_overflow(bytes, d, &bytes)) return false;
+  }
+  return !__builtin_add_overflow(*total, bytes, total);
+}
+
+}  // namespace
+
 Result<int64_t> EstimateNodeBytes(const Model& model, int node_id,
                                   int64_t batch_size) {
   RELSERVE_ASSIGN_OR_RETURN(std::vector<Shape> shapes,
                             model.InferShapes(batch_size));
   const Node& node = model.node(node_id);
-  constexpr int64_t kFloat = sizeof(float);
-  int64_t bytes = shapes[node_id].NumElements() * kFloat;  // output
-  if (node.input >= 0) {
-    bytes += shapes[node.input].NumElements() * kFloat;  // input
+  int64_t bytes = 0;
+  bool fits = AddFloatBytes(shapes[node_id], &bytes);  // output
+  if (fits && node.input >= 0) {
+    fits = AddFloatBytes(shapes[node.input], &bytes);  // input
   }
-  if (!node.weight_name.empty()) {
+  if (fits && !node.weight_name.empty()) {
     RELSERVE_ASSIGN_OR_RETURN(const Tensor* w,
                               model.GetWeight(node.weight_name));
-    bytes += w->ByteSize();
+    fits = !__builtin_add_overflow(bytes, w->ByteSize(), &bytes);
+  }
+  if (!fits) {
+    return Status::InvalidArgument(
+        "batch size " + std::to_string(batch_size) +
+        " overflows the byte estimate of node #" + std::to_string(node_id));
   }
   return bytes;
 }
@@ -102,7 +121,7 @@ Status AssignKernelArms(const Model& model, const OptimizerTuning& tuning,
                                 model.GetWeight(node.weight_name));
       RELSERVE_ASSIGN_OR_RETURN(decision.weight_density,
                                 kernels::MeasureWeightDensity(*w));
-      if (decision.weight_density < tuning.sparse_density_threshold) {
+      if (decision.weight_density < kSparseDensityThreshold) {
         decision.arm = KernelArm::kSparse;
       }
     }

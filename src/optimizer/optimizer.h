@@ -20,8 +20,16 @@ namespace relserve {
 
 // Estimated working-set bytes of one operator at `batch_size`:
 // input activation + weight + output activation (float32).
+// InvalidArgument when the estimate overflows int64.
 Result<int64_t> EstimateNodeBytes(const Model& model, int node_id,
                                   int64_t batch_size);
+
+// Break-even density of the sparse arm, calibrated from the kernels'
+// measured throughput ratio: the CSR chain sustains roughly 1/4 of
+// the packed fp32 GEMM's effective FLOP rate (indexed gathers vs
+// contiguous FMA), so sparse wins once >75% of the multiplies are
+// skippable.
+inline constexpr double kSparseDensityThreshold = 0.25;
 
 // Kernel-arm knobs for the optimizer. Defaults leave every arm off so
 // existing deployments (and golden plan texts) are unchanged; a model
@@ -31,13 +39,8 @@ struct OptimizerTuning {
   // matmuls.
   bool enable_int8 = false;
   // Consider the CSR sparse arm when the measured weight density falls
-  // below `sparse_density_threshold`.
+  // below kSparseDensityThreshold.
   bool enable_sparse = false;
-  // Break-even density calibrated from the kernels' measured
-  // throughput ratio: the CSR chain sustains roughly 1/4 of the packed
-  // fp32 GEMM's effective FLOP rate (indexed gathers vs contiguous
-  // FMA), so sparse wins once >75% of the multiplies are skippable.
-  double sparse_density_threshold = 0.25;
   // > 0 fuses a top-k epilogue into the model's final matmul (the
   // classification head) so the full logits row is never materialized.
   int64_t topk = 0;

@@ -40,20 +40,17 @@ std::unique_ptr<ColumnarRowScan> SnapshotScan(const TableInfo& table,
   return scan;
 }
 
-// Runs a prepared all-UDF model on an in-memory batch.
+// Runs the model all-UDF on an in-memory batch.
 Result<Tensor> RunWholeModel(ServingSession* session, const Model& model,
                              const Tensor& input) {
-  InferencePlan plan;
-  plan.batch_size = input.shape().dim(0);
-  for (const Node& node : model.nodes()) {
-    plan.decisions.push_back(NodeDecision{node.id, Repr::kUdf, 0});
-  }
   ExecContext* ctx = session->exec_context();
   RELSERVE_ASSIGN_OR_RETURN(
-      PreparedModel prepared,
-      PreparedModel::Prepare(&model, std::move(plan), ctx));
+      std::unique_ptr<PhysicalPlan> plan,
+      PhysicalPlan::Compile(
+          &model, MakeForcedPlan(model, Repr::kUdf, input.shape().dim(0)),
+          ctx));
   RELSERVE_ASSIGN_OR_RETURN(ExecOutput out,
-                            HybridExecutor::Run(prepared, input, ctx));
+                            HybridExecutor::Run(*plan, input, ctx));
   return out.ToTensor(ctx);
 }
 

@@ -3,7 +3,6 @@
 #include <set>
 
 #include "engine/hybrid_executor.h"
-#include "engine/prepared_model.h"
 #include "workloads/datasets.h"
 
 namespace relserve {
@@ -24,23 +23,23 @@ Result<ProbeResult> ProbeRun(ServingSession* session,
   RELSERVE_ASSIGN_OR_RETURN(const Model* model,
                             session->GetModel(model_name));
   RELSERVE_ASSIGN_OR_RETURN(
-      InferencePlan plan,
+      InferencePlan logical,
       session->Plan(model_name, ServingMode::kForceUdf,
                     input.shape().dim(0)));
   ExecContext* ctx = session->exec_context();
   RELSERVE_ASSIGN_OR_RETURN(
-      PreparedModel prepared,
-      PreparedModel::Prepare(model, std::move(plan), ctx));
+      std::unique_ptr<PhysicalPlan> plan,
+      PhysicalPlan::Compile(model, std::move(logical), ctx));
   ProbeResult result;
   std::set<const kernels::Weight*> packs;
-  for (const auto& stage : prepared.physical().stages()) {
+  for (const auto& stage : plan->stages()) {
     const kernels::Weight* w = stage->weight;
     if (w != nullptr && w->int8() != nullptr && packs.insert(w).second) {
       result.int8_bytes += w->ByteSize();
     }
   }
   RELSERVE_ASSIGN_OR_RETURN(ExecOutput out,
-                            HybridExecutor::Run(prepared, input, ctx));
+                            HybridExecutor::Run(*plan, input, ctx));
   RELSERVE_ASSIGN_OR_RETURN(result.output, out.ToTensor(ctx));
   return result;
 }

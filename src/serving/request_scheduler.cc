@@ -213,9 +213,8 @@ Result<Tensor> RequestScheduler::RunResilient(
     const std::string& model,
     const std::function<Result<Tensor>()>& fn, bool* breaker_shed) {
   *breaker_shed = false;
-  CircuitBreaker* model_breaker =
-      config_.enable_circuit_breaker ? breaker(model) : nullptr;
-  if (model_breaker != nullptr && !model_breaker->Allow()) {
+  CircuitBreaker* model_breaker = breaker(model);
+  if (!model_breaker->Allow()) {
     *breaker_shed = true;
     return Status::Unavailable(
         "circuit breaker open for model '" + model +
@@ -243,25 +242,23 @@ Result<Tensor> RequestScheduler::RunResilient(
   if (retries > 0) {
     stats_.retries.Add(retries);
   }
-  if (model_breaker != nullptr) {
-    const Status status = result.status();
-    if (status.IsIOError() || status.IsUnavailable() ||
-        status.IsDataLoss()) {
-      model_breaker->RecordFailure();
-    } else {
-      // OK — or a client-level error (InvalidArgument, NotFound): the
-      // backend is reachable, which is what the breaker measures.
-      model_breaker->RecordSuccess();
-    }
+  const Status status = result.status();
+  if (status.IsIOError() || status.IsUnavailable() ||
+      status.IsDataLoss()) {
+    model_breaker->RecordFailure();
+  } else {
+    // OK — or a client-level error (InvalidArgument, NotFound): the
+    // backend is reachable, which is what the breaker measures.
+    model_breaker->RecordSuccess();
   }
-  if (!result.ok() && result.status().IsIOError()) {
+  if (status.IsIOError()) {
     // The engine exhausted its retry budget on a transient fault. To
     // the client this is still "try again later", not "your data is
     // gone": surface it as Unavailable, keeping DataLoss the only
     // storage-corruption verdict.
     return Status::Unavailable(
         "transient I/O failure persisted across retries: " +
-        result.status().message());
+        status.message());
   }
   return result;
 }

@@ -81,7 +81,6 @@ struct SchedulerConfig {
   // sustained failure opens a per-model circuit breaker that sheds
   // with Unavailable until the backend recovers.
   RetryPolicy retry;
-  bool enable_circuit_breaker = true;
   CircuitBreakerConfig breaker;
 };
 

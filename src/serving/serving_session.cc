@@ -77,7 +77,6 @@ ServingSession::ServingSession(ServingConfig config)
     WalOptions wal_opts;
     wal_opts.path = wal_path;
     wal_opts.fsync_policy = config_.wal_fsync;
-    wal_opts.group_window_us = config_.wal_group_window_us;
     Result<std::unique_ptr<WriteAheadLog>> wal =
         WriteAheadLog::Open(wal_opts);
     if (!wal.ok()) {
@@ -346,56 +345,58 @@ Result<InferencePlan> ServingSession::Plan(const std::string& model_name,
   return BuildPlan(*entry, mode, batch_size);
 }
 
+Result<std::shared_ptr<const PhysicalPlan>> ServingSession::CompilePlan(
+    const RegisteredModel& entry, ServingMode mode, int64_t batch_size,
+    PlanVariants* variants) {
+  RELSERVE_ASSIGN_OR_RETURN(InferencePlan logical,
+                            BuildPlan(entry, mode, batch_size));
+  std::shared_ptr<const PhysicalPlan>* slot = nullptr;
+  if (variants != nullptr) {
+    slot = &(*variants)[PlanSignature(logical)];
+    if (*slot != nullptr) return *slot;
+  }
+  RELSERVE_ASSIGN_OR_RETURN(
+      std::shared_ptr<const PhysicalPlan> plan,
+      PhysicalPlan::Compile(&entry.model, std::move(logical), &ctx_));
+  if (slot != nullptr) *slot = plan;
+  return plan;
+}
+
 Result<const InferencePlan*> ServingSession::Deploy(
     const std::string& model_name, ServingMode mode,
     int64_t batch_size) {
   RELSERVE_ASSIGN_OR_RETURN(const RegisteredModel* entry,
                             FindModel(model_name));
-  RELSERVE_ASSIGN_OR_RETURN(InferencePlan plan,
-                            BuildPlan(*entry, mode, batch_size));
-  // Prepare outside the registry lock, then swap atomically: queries
-  // in flight keep serving the old deployment (their shared_ptr holds
-  // it and its arena charge alive) and never observe a window with no
-  // deployment at all. The old instance's weights leave the arena
-  // when the last in-flight query drops its reference.
-  RELSERVE_ASSIGN_OR_RETURN(
-      PreparedModel prepared,
-      PreparedModel::Prepare(&entry->model, std::move(plan), &ctx_));
-  auto deployment = std::make_shared<Deployment>();
-  deployment->plan = prepared.plan();
-  deployment->prepared =
-      std::make_unique<PreparedModel>(std::move(prepared));
-  const InferencePlan* installed_plan = &deployment->plan;
+  // Compile outside the registry lock, then swap atomically: queries
+  // in flight keep serving the old plan (their shared_ptr holds it
+  // and its arena charge alive) and never observe a window with no
+  // plan at all. The old plan's weights leave the arena when the
+  // last in-flight query drops its reference.
+  RELSERVE_ASSIGN_OR_RETURN(std::shared_ptr<const PhysicalPlan> plan,
+                            CompilePlan(*entry, mode, batch_size));
+  const InferencePlan* installed_plan = &plan->logical_plan();
   {
     std::unique_lock<std::shared_mutex> lock(registry_mu_);
-    deployments_[model_name] = std::move(deployment);
+    deployments_[model_name].deployed = std::move(plan);
   }
   return installed_plan;
 }
 
 Status ServingSession::Undeploy(const std::string& model_name) {
-  std::shared_ptr<Deployment> dropped;
-  std::map<std::string, std::shared_ptr<Deployment>> dropped_aot;
+  DeployedPlans dropped;
   {
     std::unique_lock<std::shared_mutex> lock(registry_mu_);
     const auto it = deployments_.find(model_name);
-    const auto aot = aot_plans_.find(model_name);
-    if (it == deployments_.end() && aot == aot_plans_.end()) {
+    if (it == deployments_.end()) {
       return Status::NotFound("model '" + model_name +
                               "' has no deployment");
     }
-    if (it != deployments_.end()) {
-      dropped = std::move(it->second);
-      deployments_.erase(it);
-    }
-    if (aot != aot_plans_.end()) {
-      dropped_aot = std::move(aot->second);
-      aot_plans_.erase(aot);
-    }
+    dropped = std::move(it->second);
+    deployments_.erase(it);
   }
   // `dropped` destructs outside the lock: queries that resolved their
-  // deployment before the erase finish on their pinned shared_ptr;
-  // anything resolving after gets a typed NotFound.
+  // plan before the erase finish on their pinned shared_ptr; anything
+  // resolving after gets a typed NotFound.
   return Status::OK();
 }
 
@@ -409,113 +410,83 @@ Result<int> ServingSession::DeployAot(
   }
   // Compile the variants outside the registry lock; in-flight queries
   // keep serving the old generation until the swap below.
-  std::map<std::string, std::shared_ptr<Deployment>> variants;
+  PlanVariants variants;
   for (const int64_t batch : batch_sizes) {
-    RELSERVE_ASSIGN_OR_RETURN(
-        InferencePlan plan,
-        BuildPlan(*entry, ServingMode::kAdaptive, batch));
-    const std::string signature = PlanSignature(plan);
-    if (variants.count(signature) > 0) continue;
-    RELSERVE_ASSIGN_OR_RETURN(
-        PreparedModel prepared,
-        PreparedModel::Prepare(&entry->model, std::move(plan), &ctx_));
-    auto deployment = std::make_shared<Deployment>();
-    deployment->plan = prepared.plan();
-    deployment->prepared =
-        std::make_unique<PreparedModel>(std::move(prepared));
-    variants.emplace(signature, std::move(deployment));
+    RELSERVE_RETURN_NOT_OK(
+        CompilePlan(*entry, ServingMode::kAdaptive, batch, &variants)
+            .status());
   }
   const int compiled = static_cast<int>(variants.size());
   {
     std::unique_lock<std::shared_mutex> lock(registry_mu_);
-    aot_plans_[model_name] = std::move(variants);
+    deployments_[model_name].aot = std::move(variants);
   }
   return compiled;
 }
 
 Result<std::shared_ptr<const PhysicalPlan>>
 ServingSession::DeployedPhysicalPlan(const std::string& model_name) {
-  RELSERVE_ASSIGN_OR_RETURN(std::shared_ptr<Deployment> deployment,
-                            GetDeployment(model_name));
-  return std::shared_ptr<const PhysicalPlan>(
-      deployment, &deployment->prepared->physical());
-}
-
-int ServingSession::NumAotPlans(const std::string& model_name) const {
-  std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  auto it = aot_plans_.find(model_name);
-  return it == aot_plans_.end() ? 0
-                                : static_cast<int>(it->second.size());
+  return GetDeployment(model_name);
 }
 
 std::vector<ServingSession::DeployedModelInfo>
 ServingSession::ListDeployedModels() const {
   std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  // Name -> info, aggregating the default deployment and every AoT
-  // variant (each compiled plan binds its own weight set).
-  std::map<std::string, DeployedModelInfo> by_name;
-  auto fold = [&by_name](const std::string& name,
-                         const Deployment& deployment) {
-    DeployedModelInfo& info = by_name[name];
-    info.name = name;
-    info.num_plans += 1;
-    const WeightFootprint& fp =
-        deployment.prepared->physical().weight_footprint();
-    info.logical_weight_bytes += fp.logical_bytes;
-    info.physical_weight_bytes += fp.physical_bytes;
-    info.shared_blocks += fp.shared_blocks;
-    info.total_blocks += fp.total_blocks;
-  };
-  for (const auto& [name, deployment] : deployments_) {
-    fold(name, *deployment);
-  }
-  for (const auto& [name, variants] : aot_plans_) {
-    for (const auto& [signature, deployment] : variants) {
-      (void)signature;
-      fold(name, *deployment);
-    }
-  }
   std::vector<DeployedModelInfo> out;
-  out.reserve(by_name.size());
-  for (auto& [name, info] : by_name) out.push_back(std::move(info));
+  out.reserve(deployments_.size());
+  for (const auto& [name, plans] : deployments_) {
+    // Each compiled plan (the Deploy()-ed one and every AoT variant)
+    // binds its own weight set.
+    DeployedModelInfo info;
+    info.name = name;
+    auto fold = [&info](const PhysicalPlan& plan) {
+      info.num_plans += 1;
+      const WeightFootprint& fp = plan.weight_footprint();
+      info.logical_weight_bytes += fp.logical_bytes;
+      info.physical_weight_bytes += fp.physical_bytes;
+      info.shared_blocks += fp.shared_blocks;
+      info.total_blocks += fp.total_blocks;
+    };
+    if (plans.deployed != nullptr) fold(*plans.deployed);
+    for (const auto& [signature, plan] : plans.aot) fold(*plan);
+    out.push_back(std::move(info));
+  }
   return out;
 }
 
-Result<std::shared_ptr<ServingSession::Deployment>>
-ServingSession::GetDeployment(const std::string& model_name,
-                              int64_t batch_size) {
+Result<std::shared_ptr<const PhysicalPlan>> ServingSession::GetDeployment(
+    const std::string& model_name, int64_t batch_size) {
   // Runtime plan selection among the AoT-compiled variants: cheap
-  // re-optimization yields the signature; the matching prepared plan
+  // re-optimization yields the signature; the matching compiled plan
   // is reused without re-chunking any weights. The whole resolution
   // runs under the shared registry lock (the optimizer pass touches
   // no registry state), and the returned shared_ptr pins the chosen
-  // deployment across the caller's execution.
+  // plan across the caller's execution.
   std::shared_lock<std::shared_mutex> lock(registry_mu_);
-  auto aot = aot_plans_.find(model_name);
-  bool has_aot = aot != aot_plans_.end() && !aot->second.empty();
-  if (batch_size >= 0 && has_aot) {
-    auto model = models_.find(model_name);
-    if (model != models_.end()) {
-      auto plan = BuildPlan(model->second, ServingMode::kAdaptive,
-                            batch_size);
-      if (plan.ok()) {
-        auto variant = aot->second.find(PlanSignature(*plan));
-        if (variant != aot->second.end()) return variant->second;
-      }
-    }
-  }
-  auto it = deployments_.find(model_name);
+  const auto it = deployments_.find(model_name);
   if (it == deployments_.end()) {
-    if (has_aot) {
-      return Status::NotFound(
-          "no AoT plan variant matches batch " +
-          std::to_string(batch_size) + " for model '" + model_name +
-          "' and the model has no default deployment");
-    }
     return Status::NotFound("model '" + model_name +
                             "' is not deployed");
   }
-  return it->second;
+  const DeployedPlans& plans = it->second;
+  if (batch_size >= 0 && !plans.aot.empty()) {
+    auto model = models_.find(model_name);
+    if (model != models_.end()) {
+      auto logical = BuildPlan(model->second, ServingMode::kAdaptive,
+                               batch_size);
+      if (logical.ok()) {
+        auto variant = plans.aot.find(PlanSignature(*logical));
+        if (variant != plans.aot.end()) return variant->second;
+      }
+    }
+  }
+  if (plans.deployed == nullptr) {
+    return Status::NotFound(
+        "no AoT plan variant matches batch " +
+        std::to_string(batch_size) + " for model '" + model_name +
+        "' and the model has no default deployment");
+  }
+  return plans.deployed;
 }
 
 Result<ExecOutput> ServingSession::Predict(
@@ -571,10 +542,9 @@ Result<ExecOutput> ServingSession::Execute(const std::string& model_name,
   } else {
     return Status::InvalidArgument("feature source has no rows");
   }
-  RELSERVE_ASSIGN_OR_RETURN(std::shared_ptr<Deployment> deployment,
+  RELSERVE_ASSIGN_OR_RETURN(std::shared_ptr<const PhysicalPlan> plan,
                             GetDeployment(model_name, n));
-  const PreparedModel& prepared = *deployment->prepared;
-  const Shape& sample = prepared.model().sample_shape();
+  const Shape& sample = plan->model().sample_shape();
   const int64_t width = sample.NumElements();
 
   // Hands all n feature rows of the scan, checked, to `sink` in whole
@@ -589,7 +559,7 @@ Result<ExecOutput> ServingSession::Execute(const std::string& model_name,
   Tensor input;
   if (source.dense != nullptr) {
     input = *source.dense;
-  } else if (deployment->plan.decisions[0].repr == Repr::kRelational) {
+  } else if (plan->logical_plan().decisions[0].repr == Repr::kRelational) {
     // The batch never exists whole: rows go straight into a block
     // relation through a one-strip staging buffer.
     RELSERVE_ASSIGN_OR_RETURN(
@@ -604,7 +574,7 @@ Result<ExecOutput> ServingSession::Execute(const std::string& model_name,
         }));
     RELSERVE_ASSIGN_OR_RETURN(std::unique_ptr<BlockStore> store,
                               writer.Finish());
-    return HybridExecutor::RunOnStore(prepared, std::move(store), &ctx_);
+    return HybridExecutor::RunOnStore(*plan, std::move(store), &ctx_);
   } else {
     // Whole-batch path: materialize [n, width] in the working arena.
     RELSERVE_ASSIGN_OR_RETURN(
@@ -621,7 +591,7 @@ Result<ExecOutput> ServingSession::Execute(const std::string& model_name,
   std::vector<int64_t> dims = {n};
   dims.insert(dims.end(), sample.dims().begin(), sample.dims().end());
   RELSERVE_ASSIGN_OR_RETURN(input, input.Reshape(Shape(std::move(dims))));
-  return HybridExecutor::Run(prepared, input, &ctx_);
+  return HybridExecutor::Run(*plan, input, &ctx_);
 }
 
 Result<ExecOutput> ServingSession::PredictBatch(
@@ -662,13 +632,12 @@ Result<Tensor> ServingSession::PredictViaRuntime(
   scan.set_visibility(table->visibility.get(), PinSnapshot());
   RELSERVE_ASSIGN_OR_RETURN(std::string encoded,
                             Connector::EncodeFeatureStream(&scan, col));
-  const std::string request =
-      Connector::Transmit(encoded, config_.connector_link);
+  // Both hops pay the simulated link (TransferLink's defaults).
+  const std::string request = Connector::Transmit(encoded, TransferLink{});
   RELSERVE_ASSIGN_OR_RETURN(std::string response,
                             runtime->Infer(model_name, request));
   // Import: copy back -> decode into database memory.
-  const std::string imported =
-      Connector::Transmit(response, config_.connector_link);
+  const std::string imported = Connector::Transmit(response, TransferLink{});
   return Connector::DecodeTensor(imported, &working_memory_);
 }
 

@@ -28,7 +28,6 @@
 #include "engine/external_runtime.h"
 #include "engine/hybrid_executor.h"
 #include "engine/physical_plan.h"
-#include "engine/prepared_model.h"
 #include "graph/model.h"
 #include "optimizer/optimizer.h"
 #include "relational/row.h"
@@ -65,17 +64,12 @@ struct ServingConfig {
   // budget). The default honors RELSERVE_PAGE_CHECKSUMS — the bench
   // ablation switch.
   DiskManagerOptions disk;
-  // Simulated cost of the RDBMS <-> external-runtime hop used by
-  // PredictViaRuntime (see TransferLink in engine/connector.h). Zero
-  // both fields for a free link.
-  TransferLink connector_link;
   // Durability: when non-empty, the session write-ahead-logs every
   // CreateTable/ApplyWrite to <wal_dir>/relserve.wal, replaying it on
   // construction (crash recovery). Empty = in-memory only, exactly the
   // pre-WAL behavior.
   std::string wal_dir;
   WalFsyncPolicy wal_fsync = WalFsyncPolicy::kEveryCommit;
-  int64_t wal_group_window_us = 200;
   // Cross-model weight deduplication: deploy-time weight binding
   // resolves blocks through a content-addressed, ref-counted
   // PhysicalBlockIndex so fine-tuned variants share identical weight
@@ -200,9 +194,9 @@ class ServingSession {
   Result<InferencePlan> Plan(const std::string& model_name,
                              ServingMode mode, int64_t batch_size) const;
 
-  // Optimizes + prepares a model for execution. Re-deploying with a
-  // different mode/batch replaces the prepared instance. Returns the
-  // plan for inspection (EXPLAIN).
+  // Optimizes + compiles a model for execution. Re-deploying with a
+  // different mode/batch replaces the compiled plan. Returns the
+  // logical plan for inspection (EXPLAIN).
   Result<const InferencePlan*> Deploy(const std::string& model_name,
                                       ServingMode mode,
                                       int64_t batch_size);
@@ -216,15 +210,13 @@ class ServingSession {
   Status Undeploy(const std::string& model_name);
 
   // Ahead-of-time compilation (paper Sec. 2): when the model is
-  // loaded, compile one prepared plan per *distinct representation
-  // signature* across the given batch sizes; at query time
-  // PredictBatch/Predict pick the matching plan without re-preparing.
-  // Returns the number of distinct plans compiled.
+  // loaded, compile one plan per *distinct representation signature*
+  // across the given batch sizes; at query time PredictBatch/Predict
+  // pick the matching plan without recompiling. Replaces the model's
+  // earlier AoT variants; its Deploy()-ed plan stays. Returns the
+  // number of distinct plans compiled.
   Result<int> DeployAot(const std::string& model_name,
                         const std::vector<int64_t>& batch_sizes);
-
-  // The number of AoT plan variants held for a model (0 if none).
-  int NumAotPlans(const std::string& model_name) const;
 
   // --- Multi-tenant introspection -----------------------------------
 
@@ -250,10 +242,10 @@ class ServingSession {
     return block_index_.get();
   }
 
-  // The compiled stage pipeline of the current default deployment —
-  // what EXPLAIN ANALYZE renders. The aliasing shared_ptr keeps the
-  // whole deployment (weights included) alive while the caller reads
-  // stage stats, even across a concurrent redeploy.
+  // The compiled stage pipeline of the current Deploy()-ed plan —
+  // what EXPLAIN ANALYZE renders. The shared_ptr keeps the plan
+  // (weights included) alive while the caller reads stage stats, even
+  // across a concurrent redeploy.
   Result<std::shared_ptr<const PhysicalPlan>> DeployedPhysicalPlan(
       const std::string& model_name);
 
@@ -335,11 +327,6 @@ class ServingSession {
                                   const Tensor& input);
 
  private:
-  struct Deployment {
-    InferencePlan plan;
-    std::unique_ptr<PreparedModel> prepared;
-  };
-
   struct RegisteredModel {
     Model model;
     OptimizerTuning tuning;
@@ -357,17 +344,31 @@ class ServingSession {
                                   ServingMode mode,
                                   int64_t batch_size) const;
 
-  // Resolves the deployment serving `model_name` for a query of
+  // Compiled plans by representation signature (the AoT variants).
+  using PlanVariants =
+      std::map<std::string, std::shared_ptr<const PhysicalPlan>>;
+
+  // BuildPlan, then PhysicalPlan::Compile against the session's
+  // context — the one path by which Deploy and DeployAot make a plan.
+  // Runs outside the registry lock, so serving never stalls behind a
+  // slow compile. With `variants`, files the plan there under its
+  // representation signature, and compiles nothing when a plan of
+  // that signature is already filed.
+  Result<std::shared_ptr<const PhysicalPlan>> CompilePlan(
+      const RegisteredModel& entry, ServingMode mode, int64_t batch_size,
+      PlanVariants* variants = nullptr);
+
+  // Resolves the plan serving `model_name` for a query of
   // `batch_size` rows: an AoT variant whose representation signature
   // matches what the optimizer would pick for that batch, else the
-  // single Deploy()-ed instance. `batch_size` < 0 skips AoT matching.
+  // Deploy()-ed plan. `batch_size` < 0 skips AoT matching.
   //
-  // Returns a shared_ptr so an in-flight prediction keeps its
-  // deployment (and the prepared weights inside) alive even if a
-  // concurrent Deploy/DeployAot replaces it mid-query — the
+  // Returns a shared_ptr so an in-flight prediction keeps its plan
+  // (and the weights it binds) alive even if a concurrent
+  // Deploy/DeployAot/Undeploy replaces it mid-query — the
   // use-after-free the serving front-end would otherwise hit. The old
-  // instance's arena charge is released when the last query drops it.
-  Result<std::shared_ptr<Deployment>> GetDeployment(
+  // plan's arena charge is released when the last query drops it.
+  Result<std::shared_ptr<const PhysicalPlan>> GetDeployment(
       const std::string& model_name, int64_t batch_size = -1);
 
   // Fences every cache tier bound to `table_name` at `version` (a
@@ -396,10 +397,14 @@ class ServingSession {
   mutable std::shared_mutex registry_mu_;
 
   std::map<std::string, RegisteredModel> models_;
-  std::map<std::string, std::shared_ptr<Deployment>> deployments_;
-  // AoT variants: model name -> representation signature -> deployment.
-  std::map<std::string, std::map<std::string, std::shared_ptr<Deployment>>>
-      aot_plans_;
+  // Every compiled plan of one model: the Deploy()-ed plan (null when
+  // only DeployAot ran) and the AoT variants by representation
+  // signature. A model has an entry only while it holds a plan.
+  struct DeployedPlans {
+    std::shared_ptr<const PhysicalPlan> deployed;
+    PlanVariants aot;
+  };
+  std::map<std::string, DeployedPlans> deployments_;
   std::map<std::string, ExternalRuntime*> offloaded_;
   std::map<std::string, std::unique_ptr<ColumnarTableStages>>
       columnar_stages_;

@@ -205,8 +205,7 @@ Status DiskManager::ReadPage(PageId page_id, char* out) {
     }
   }
   Status last = Status::OK();
-  for (int attempt = 0;
-       attempt <= options_.checksum_read_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kChecksumReadRetries; ++attempt) {
     if (attempt > 0) {
       num_read_retries_.fetch_add(1, std::memory_order_relaxed);
     }

@@ -34,15 +34,16 @@
 
 namespace relserve {
 
+// Bounded re-reads after a checksum mismatch before the page is
+// quarantined and DataLoss returned.
+inline constexpr int kChecksumReadRetries = 2;
+
 struct DiskManagerOptions {
   // Verify a CRC32C page header on every read (hardware SSE4.2 when
   // the CPU has it, table fallback otherwise). The
   // RELSERVE_PAGE_CHECKSUMS environment variable ("0"/"off" disables)
   // flips the built-in default — the bench ablation knob.
   bool checksum_pages;
-  // Bounded re-reads after a checksum mismatch before the page is
-  // quarantined and DataLoss returned.
-  int checksum_read_retries = 2;
 
   DiskManagerOptions();
 };

@@ -160,13 +160,10 @@ TEST(ExternalRuntimeTest, MatchesInDatabaseExecution) {
   MemoryTracker tracker("db");
   ExecContext ctx;
   ctx.tracker = &tracker;
-  InferencePlan plan;
-  for (const Node& node : model->nodes()) {
-    plan.decisions.push_back(NodeDecision{node.id, Repr::kUdf, 0});
-  }
-  auto prepared = PreparedModel::Prepare(&*model, plan, &ctx);
-  ASSERT_TRUE(prepared.ok());
-  auto out = HybridExecutor::Run(*prepared, *batch, &ctx);
+  auto compiled = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kUdf, 0), &ctx);
+  ASSERT_TRUE(compiled.ok());
+  auto out = HybridExecutor::Run(**compiled, *batch, &ctx);
   ASSERT_TRUE(out.ok());
   auto local = out->ToTensor(&ctx);
   ASSERT_TRUE(local.ok());

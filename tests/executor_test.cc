@@ -6,7 +6,7 @@
 
 #include "engine/block_ops.h"
 #include "engine/hybrid_executor.h"
-#include "engine/prepared_model.h"
+#include "engine/physical_plan.h"
 #include "graph/model.h"
 #include "graph/model_zoo.h"
 #include "kernels/kernels.h"
@@ -16,14 +16,6 @@
 
 namespace relserve {
 namespace {
-
-InferencePlan UniformPlan(const Model& model, Repr repr) {
-  InferencePlan plan;
-  for (const Node& node : model.nodes()) {
-    plan.decisions.push_back(NodeDecision{node.id, repr, 0});
-  }
-  return plan;
-}
 
 class ExecutorTest : public ::testing::Test {
  protected:
@@ -38,10 +30,10 @@ class ExecutorTest : public ::testing::Test {
   Result<Tensor> RunWithPlan(const Model& model, InferencePlan plan,
                              const Tensor& input) {
     RELSERVE_ASSIGN_OR_RETURN(
-        PreparedModel prepared,
-        PreparedModel::Prepare(&model, std::move(plan), &ctx_));
+        std::unique_ptr<PhysicalPlan> compiled,
+        PhysicalPlan::Compile(&model, std::move(plan), &ctx_));
     RELSERVE_ASSIGN_OR_RETURN(
-        ExecOutput out, HybridExecutor::Run(prepared, input, &ctx_));
+        ExecOutput out, HybridExecutor::Run(*compiled, input, &ctx_));
     return out.ToTensor(&ctx_);
   }
 
@@ -50,11 +42,10 @@ class ExecutorTest : public ::testing::Test {
     PhysicalPlan::Options options;
     options.fuse_elementwise = fuse;
     RELSERVE_ASSIGN_OR_RETURN(
-        PreparedModel prepared,
-        PreparedModel::Prepare(&model, std::move(plan), &ctx_,
-                               options));
+        std::unique_ptr<PhysicalPlan> compiled,
+        PhysicalPlan::Compile(&model, std::move(plan), &ctx_, options));
     RELSERVE_ASSIGN_OR_RETURN(
-        ExecOutput out, HybridExecutor::Run(prepared, input, &ctx_));
+        ExecOutput out, HybridExecutor::Run(*compiled, input, &ctx_));
     return out.ToTensor(&ctx_);
   }
 
@@ -70,7 +61,7 @@ TEST_F(ExecutorTest, UdfFfnnMatchesManualComputation) {
   auto input = workloads::GenBatch(2, Shape{3}, 9);
   ASSERT_TRUE(input.ok());
 
-  auto got = RunWithPlan(*model, UniformPlan(*model, Repr::kUdf), *input);
+  auto got = RunWithPlan(*model, MakeForcedPlan(*model, Repr::kUdf, 0), *input);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->shape(), (Shape{2, 2}));
 
@@ -93,8 +84,8 @@ TEST_F(ExecutorTest, RelationalFfnnMatchesUdf) {
   ASSERT_TRUE(model.ok());
   auto input = workloads::GenBatch(17, Shape{20}, 9);
   ASSERT_TRUE(input.ok());
-  auto udf = RunWithPlan(*model, UniformPlan(*model, Repr::kUdf), *input);
-  auto rel = RunWithPlan(*model, UniformPlan(*model, Repr::kRelational),
+  auto udf = RunWithPlan(*model, MakeForcedPlan(*model, Repr::kUdf, 0), *input);
+  auto rel = RunWithPlan(*model, MakeForcedPlan(*model, Repr::kRelational, 0),
                          *input);
   ASSERT_TRUE(udf.ok());
   ASSERT_TRUE(rel.ok());
@@ -108,11 +99,11 @@ TEST_F(ExecutorTest, MixedPlanMatchesUdf) {
   ASSERT_TRUE(input.ok());
   // First layer relational, rest UDF: exercises the blocked->whole
   // transition mid-model.
-  InferencePlan mixed = UniformPlan(*model, Repr::kUdf);
+  InferencePlan mixed = MakeForcedPlan(*model, Repr::kUdf, 0);
   mixed.decisions[0].repr = Repr::kRelational;
   mixed.decisions[1].repr = Repr::kRelational;
   mixed.decisions[2].repr = Repr::kRelational;
-  auto udf = RunWithPlan(*model, UniformPlan(*model, Repr::kUdf), *input);
+  auto udf = RunWithPlan(*model, MakeForcedPlan(*model, Repr::kUdf, 0), *input);
   auto got = RunWithPlan(*model, std::move(mixed), *input);
   ASSERT_TRUE(udf.ok());
   ASSERT_TRUE(got.ok());
@@ -126,8 +117,8 @@ TEST_F(ExecutorTest, UdfCnnMatchesRelationalCnn) {
   ASSERT_TRUE(model.ok());
   auto input = workloads::GenBatch(2, Shape{6, 6, 2}, 11);
   ASSERT_TRUE(input.ok());
-  auto udf = RunWithPlan(*model, UniformPlan(*model, Repr::kUdf), *input);
-  auto rel = RunWithPlan(*model, UniformPlan(*model, Repr::kRelational),
+  auto udf = RunWithPlan(*model, MakeForcedPlan(*model, Repr::kUdf, 0), *input);
+  auto rel = RunWithPlan(*model, MakeForcedPlan(*model, Repr::kRelational, 0),
                          *input);
   ASSERT_TRUE(udf.ok());
   ASSERT_TRUE(rel.ok());
@@ -143,7 +134,7 @@ TEST_F(ExecutorTest, CnnWithPoolAndFcRuns) {
   ASSERT_TRUE(model.ok());
   auto input = workloads::GenBatch(3, Shape{28, 28, 1}, 8);
   ASSERT_TRUE(input.ok());
-  auto out = RunWithPlan(*model, UniformPlan(*model, Repr::kUdf), *input);
+  auto out = RunWithPlan(*model, MakeForcedPlan(*model, Repr::kUdf, 0), *input);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->shape(), (Shape{3, 10}));
   // Softmax rows sum to 1.
@@ -165,13 +156,13 @@ TEST_F(ExecutorTest, UdfOomsWhenArenaTooSmallButRelationalSucceeds) {
   MemoryTracker small("small", 40 * 1024);
   ExecContext tight = ctx_;
   tight.tracker = &small;
-  auto udf_prepared = PreparedModel::Prepare(
-      &*model, UniformPlan(*model, Repr::kUdf), &tight);
+  auto udf_compiled = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kUdf, 0), &tight);
   bool oomed = false;
-  if (!udf_prepared.ok()) {
-    oomed = udf_prepared.status().IsOutOfMemory();
+  if (!udf_compiled.ok()) {
+    oomed = udf_compiled.status().IsOutOfMemory();
   } else {
-    auto out = HybridExecutor::Run(*udf_prepared, *input, &tight);
+    auto out = HybridExecutor::Run(**udf_compiled, *input, &tight);
     oomed = !out.ok() && out.status().IsOutOfMemory();
   }
   EXPECT_TRUE(oomed);
@@ -181,10 +172,10 @@ TEST_F(ExecutorTest, UdfOomsWhenArenaTooSmallButRelationalSucceeds) {
   MemoryTracker small2("small2", 40 * 1024);
   ExecContext tight2 = ctx_;
   tight2.tracker = &small2;
-  auto rel_prepared = PreparedModel::Prepare(
-      &*model, UniformPlan(*model, Repr::kRelational), &tight2);
-  ASSERT_TRUE(rel_prepared.ok()) << rel_prepared.status();
-  auto out = HybridExecutor::Run(*rel_prepared, *input, &tight2);
+  auto rel_compiled = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kRelational, 0), &tight2);
+  ASSERT_TRUE(rel_compiled.ok()) << rel_compiled.status();
+  auto out = HybridExecutor::Run(**rel_compiled, *input, &tight2);
   ASSERT_TRUE(out.ok()) << out.status();
   auto tensor = out->ToTensor(&ctx_);  // assemble via the big arena
   ASSERT_TRUE(tensor.ok());
@@ -196,11 +187,11 @@ TEST_F(ExecutorTest, RunOnStoreMatchesRunOnTensor) {
   ASSERT_TRUE(model.ok());
   auto input = workloads::GenBatch(9, Shape{10}, 2);
   ASSERT_TRUE(input.ok());
-  auto plan = UniformPlan(*model, Repr::kRelational);
-  auto prepared = PreparedModel::Prepare(&*model, plan, &ctx_);
-  ASSERT_TRUE(prepared.ok());
+  auto plan = MakeForcedPlan(*model, Repr::kRelational, 0);
+  auto compiled = PhysicalPlan::Compile(&*model, plan, &ctx_);
+  ASSERT_TRUE(compiled.ok());
 
-  auto from_tensor = HybridExecutor::Run(*prepared, *input, &ctx_);
+  auto from_tensor = HybridExecutor::Run(**compiled, *input, &ctx_);
   ASSERT_TRUE(from_tensor.ok());
   auto expected = from_tensor->ToTensor(&ctx_);
   ASSERT_TRUE(expected.ok());
@@ -213,7 +204,7 @@ TEST_F(ExecutorTest, RunOnStoreMatchesRunOnTensor) {
   auto store = writer->Finish();
   ASSERT_TRUE(store.ok());
   auto from_store =
-      HybridExecutor::RunOnStore(*prepared, std::move(*store), &ctx_);
+      HybridExecutor::RunOnStore(**compiled, std::move(*store), &ctx_);
   ASSERT_TRUE(from_store.ok());
   auto got = from_store->ToTensor(&ctx_);
   ASSERT_TRUE(got.ok());
@@ -228,7 +219,7 @@ TEST_F(ExecutorTest, InputTensorIsNotMutated) {
   auto before = input->Clone();
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(
-      RunWithPlan(*model, UniformPlan(*model, Repr::kUdf), *input).ok());
+      RunWithPlan(*model, MakeForcedPlan(*model, Repr::kUdf, 0), *input).ok());
   EXPECT_FLOAT_EQ(input->MaxAbsDiff(*before), 0.0f);
 }
 
@@ -238,10 +229,10 @@ TEST_F(ExecutorTest, ArenaFullyReleasedAfterQuery) {
   auto input = workloads::GenBatch(4, Shape{8}, 5);
   ASSERT_TRUE(input.ok());
   {
-    auto prepared = PreparedModel::Prepare(
-        &*model, UniformPlan(*model, Repr::kUdf), &ctx_);
-    ASSERT_TRUE(prepared.ok());
-    auto out = HybridExecutor::Run(*prepared, *input, &ctx_);
+    auto compiled = PhysicalPlan::Compile(
+        &*model, MakeForcedPlan(*model, Repr::kUdf, 0), &ctx_);
+    ASSERT_TRUE(compiled.ok());
+    auto out = HybridExecutor::Run(**compiled, *input, &ctx_);
     ASSERT_TRUE(out.ok());
   }
   // Prepared weights and all intermediates are out of scope.
@@ -257,9 +248,9 @@ TEST_F(ExecutorTest, FusedMatchesUnfusedBitIdenticalUdf) {
   ASSERT_TRUE(model.ok());
   auto input = workloads::GenBatch(9, Shape{13}, 21);
   ASSERT_TRUE(input.ok());
-  auto fused = RunWithOptions(*model, UniformPlan(*model, Repr::kUdf),
+  auto fused = RunWithOptions(*model, MakeForcedPlan(*model, Repr::kUdf, 0),
                               *input, /*fuse=*/true);
-  auto plain = RunWithOptions(*model, UniformPlan(*model, Repr::kUdf),
+  auto plain = RunWithOptions(*model, MakeForcedPlan(*model, Repr::kUdf, 0),
                               *input, /*fuse=*/false);
   ASSERT_TRUE(fused.ok());
   ASSERT_TRUE(plain.ok());
@@ -274,10 +265,10 @@ TEST_F(ExecutorTest, FusedMatchesUnfusedBitIdenticalRelational) {
   auto input = workloads::GenBatch(9, Shape{13}, 21);
   ASSERT_TRUE(input.ok());
   auto fused = RunWithOptions(
-      *model, UniformPlan(*model, Repr::kRelational), *input,
+      *model, MakeForcedPlan(*model, Repr::kRelational, 0), *input,
       /*fuse=*/true);
   auto plain = RunWithOptions(
-      *model, UniformPlan(*model, Repr::kRelational), *input,
+      *model, MakeForcedPlan(*model, Repr::kRelational, 0), *input,
       /*fuse=*/false);
   ASSERT_TRUE(fused.ok());
   ASSERT_TRUE(plain.ok());
@@ -291,7 +282,7 @@ TEST_F(ExecutorTest, FusedMatchesUnfusedBitIdenticalMixed) {
   ASSERT_TRUE(input.ok());
   // First layer relational, rest UDF: fusion must stay bit-exact
   // across the repr transition too.
-  InferencePlan mixed = UniformPlan(*model, Repr::kUdf);
+  InferencePlan mixed = MakeForcedPlan(*model, Repr::kUdf, 0);
   mixed.decisions[0].repr = Repr::kRelational;
   mixed.decisions[1].repr = Repr::kRelational;
   mixed.decisions[2].repr = Repr::kRelational;
@@ -314,9 +305,9 @@ TEST_F(ExecutorTest, FusedMatchesUnfusedBitIdenticalConv) {
   auto input = workloads::GenBatch(3, Shape{7, 7, 3}, 13);
   ASSERT_TRUE(input.ok());
   for (Repr repr : {Repr::kUdf, Repr::kRelational}) {
-    auto fused = RunWithOptions(*model, UniformPlan(*model, repr),
+    auto fused = RunWithOptions(*model, MakeForcedPlan(*model, repr, 0),
                                 *input, /*fuse=*/true);
-    auto plain = RunWithOptions(*model, UniformPlan(*model, repr),
+    auto plain = RunWithOptions(*model, MakeForcedPlan(*model, repr, 0),
                                 *input, /*fuse=*/false);
     ASSERT_TRUE(fused.ok()) << fused.status();
     ASSERT_TRUE(plain.ok()) << plain.status();
@@ -329,13 +320,13 @@ TEST_F(ExecutorTest, StageStatsAccumulateAcrossRuns) {
   ASSERT_TRUE(model.ok());
   auto input = workloads::GenBatch(2, Shape{4}, 3);
   ASSERT_TRUE(input.ok());
-  auto prepared = PreparedModel::Prepare(
-      &*model, UniformPlan(*model, Repr::kUdf), &ctx_);
-  ASSERT_TRUE(prepared.ok());
+  auto compiled = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kUdf, 0), &ctx_);
+  ASSERT_TRUE(compiled.ok());
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(HybridExecutor::Run(*prepared, *input, &ctx_).ok());
+    ASSERT_TRUE(HybridExecutor::Run(**compiled, *input, &ctx_).ok());
   }
-  for (const auto& stage : prepared->physical().stages()) {
+  for (const auto& stage : (*compiled)->stages()) {
     EXPECT_EQ(stage->stats.invocations.load(), 3);
     EXPECT_EQ(stage->stats.rows.load(), 6);
   }
@@ -352,20 +343,20 @@ TEST_F(ExecutorTest, EqualJoinsAreEachTimedOncePerCall) {
   // Only the two 64x64 matmuls (24 KiB each) pass the 16 KiB threshold.
   auto plan = RuleBasedOptimizer(16 << 10).Optimize(*model, kBatch);
   ASSERT_TRUE(plan.ok());
-  auto prepared = PreparedModel::Prepare(&*model, *plan, &ctx_);
-  ASSERT_TRUE(prepared.ok()) << prepared.status();
-  const auto& stages = prepared->physical().stages();
+  auto compiled = PhysicalPlan::Compile(&*model, *plan, &ctx_);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  const auto& stages = (*compiled)->stages();
   std::vector<const PhysicalStage*> joins;
   for (const auto& stage : stages) {
     if (stage->kind == StageKind::kBlockMatMul) joins.push_back(stage.get());
   }
-  ASSERT_EQ(joins.size(), 2u) << prepared->physical().ToString();
+  ASSERT_EQ(joins.size(), 2u) << (*compiled)->ToString();
   EXPECT_EQ(joins[0]->in_sample, joins[1]->in_sample);
   EXPECT_EQ(joins[0]->out_sample, joins[1]->out_sample);
 
   auto input = workloads::GenBatch(kBatch, Shape{8}, 3);
   ASSERT_TRUE(input.ok());
-  ASSERT_TRUE(HybridExecutor::Run(*prepared, *input, &ctx_).ok());
+  ASSERT_TRUE(HybridExecutor::Run(**compiled, *input, &ctx_).ok());
   std::vector<int64_t> calls_before;
   int64_t nanos_before = 0;
   for (const auto& stage : stages) {
@@ -373,7 +364,7 @@ TEST_F(ExecutorTest, EqualJoinsAreEachTimedOncePerCall) {
     nanos_before += stage->stats.nanos.load();
   }
   const auto start = std::chrono::steady_clock::now();
-  ASSERT_TRUE(HybridExecutor::Run(*prepared, *input, &ctx_).ok());
+  ASSERT_TRUE(HybridExecutor::Run(**compiled, *input, &ctx_).ok());
   const int64_t wall_nanos =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)

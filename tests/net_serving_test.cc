@@ -317,6 +317,24 @@ TEST_F(NetServingTest, DeployAndStatsOverTheWire) {
   EXPECT_GT(StatsObject(*stats, "exec").at("blocks_read").at(0), 0);
 }
 
+// A deploy batch whose plan estimate overflows int64 gets a typed
+// error reply; the connection stays open and the model keeps serving
+// the plan it had.
+TEST_F(NetServingTest, OverflowingDeployBatchIsATypedError) {
+  StartServer();
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+  EXPECT_TRUE(client->Deploy("m", /*mode=*/0, int64_t{1} << 62)
+                  .IsInvalidArgument());
+  auto row = workloads::GenBatch(1, Shape{16}, 15);
+  ASSERT_TRUE(row.ok());
+  EXPECT_TRUE(client->Predict("m", *row).ok());
+  auto plan = session_.DeployedPhysicalPlan("m");
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ((*plan)->logical_plan().batch_size, 8);
+  EXPECT_EQ(server_->stats().protocol_errors.load(), 0);
+}
+
 // An idle server parks: its event loop stops polling once the spin
 // budget has passed (DESIGN.md "Network serving front-end"), so a
 // server with no traffic burns no CPU; both park counters ride the

@@ -45,6 +45,32 @@ TEST(OptimizerTest, SmallModelIsAllUdf) {
   EXPECT_TRUE(plan->AllUdf());
 }
 
+// A batch size whose byte estimate overflows int64 is a typed
+// InvalidArgument. Unchecked, 2^58 read as negative estimates and
+// 2^62 wrapped to a few KiB per node: an all-UDF plan.
+TEST(OptimizerTest, OverflowingBatchIsInvalidArgument) {
+  auto model = BuildFFNN("fraud", {28, 256, 2}, 1);
+  ASSERT_TRUE(model.ok());
+  RuleBasedOptimizer opt(64LL << 20);
+  for (const int shift : {58, 62}) {
+    const int64_t batch = int64_t{1} << shift;
+    EXPECT_TRUE(opt.Optimize(*model, batch).status().IsInvalidArgument())
+        << "2^" << shift;
+    // The first matmul's input, [batch, 28] floats, no longer fits.
+    EXPECT_TRUE(
+        EstimateNodeBytes(*model, 1, batch).status().IsInvalidArgument())
+        << "2^" << shift;
+  }
+  // A huge batch that still fits int64 plans every node
+  // relation-centric.
+  auto plan = opt.Optimize(*model, int64_t{1} << 40);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  for (const NodeDecision& d : plan->decisions) {
+    EXPECT_GT(d.estimated_bytes, 0);
+    EXPECT_EQ(d.repr, Repr::kRelational) << "node " << d.node_id;
+  }
+}
+
 TEST(OptimizerTest, LargeLayerGoesRelational) {
   // Amazon-14k-FC at 1% scale: the first matmul's weight alone is
   // ~24 MB, far above a 4 MB threshold.

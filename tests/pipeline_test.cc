@@ -70,18 +70,9 @@ class PipelineTest : public ::testing::Test {
  protected:
   PipelineTest() : tracker_("pipeline") { ctx_.tracker = &tracker_; }
 
-  static InferencePlan AllUdf(const Model& model) {
-    InferencePlan plan;
-    for (const Node& node : model.nodes()) {
-      plan.decisions.push_back(NodeDecision{node.id, Repr::kUdf, 0});
-    }
-    return plan;
-  }
-
-  Result<Tensor> RunBatch(const PreparedModel& prepared,
-                          const Tensor& input) {
+  Result<Tensor> RunBatch(const PhysicalPlan& plan, const Tensor& input) {
     RELSERVE_ASSIGN_OR_RETURN(ExecOutput out,
-                              HybridExecutor::Run(prepared, input, &ctx_));
+                              HybridExecutor::Run(plan, input, &ctx_));
     return out.ToTensor(&ctx_);
   }
 
@@ -92,15 +83,16 @@ class PipelineTest : public ::testing::Test {
 TEST_F(PipelineTest, MatchesBatchExecutionFfnn) {
   auto model = BuildFFNN("m", {12, 24, 5}, 3);
   ASSERT_TRUE(model.ok());
-  auto prepared = PreparedModel::Prepare(&*model, AllUdf(*model), &ctx_);
-  ASSERT_TRUE(prepared.ok());
+  auto compiled = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kUdf, 0), &ctx_);
+  ASSERT_TRUE(compiled.ok());
   auto input = workloads::GenBatch(100, Shape{12}, 7);
   ASSERT_TRUE(input.ok());
-  auto batch = RunBatch(*prepared, *input);
+  auto batch = RunBatch(**compiled, *input);
   ASSERT_TRUE(batch.ok());
   PipelineConfig config;
   config.micro_batch_rows = 16;  // ragged tail: 100 = 6*16 + 4
-  auto piped = PipelineExecutor::Run(*prepared, *input, &ctx_, config);
+  auto piped = PipelineExecutor::Run(**compiled, *input, &ctx_, config);
   ASSERT_TRUE(piped.ok()) << piped.status();
   EXPECT_EQ(piped->shape(), batch->shape());
   EXPECT_EQ(batch->MaxAbsDiff(*piped), 0.0f);
@@ -109,15 +101,16 @@ TEST_F(PipelineTest, MatchesBatchExecutionFfnn) {
 TEST_F(PipelineTest, MatchesBatchExecutionCnn) {
   auto model = zoo::BuildCachingCnn(2);
   ASSERT_TRUE(model.ok());
-  auto prepared = PreparedModel::Prepare(&*model, AllUdf(*model), &ctx_);
-  ASSERT_TRUE(prepared.ok());
+  auto compiled = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kUdf, 0), &ctx_);
+  ASSERT_TRUE(compiled.ok());
   auto input = workloads::GenBatch(10, Shape{28, 28, 1}, 5);
   ASSERT_TRUE(input.ok());
-  auto batch = RunBatch(*prepared, *input);
+  auto batch = RunBatch(**compiled, *input);
   ASSERT_TRUE(batch.ok());
   PipelineConfig config;
   config.micro_batch_rows = 3;
-  auto piped = PipelineExecutor::Run(*prepared, *input, &ctx_, config);
+  auto piped = PipelineExecutor::Run(**compiled, *input, &ctx_, config);
   ASSERT_TRUE(piped.ok()) << piped.status();
   EXPECT_EQ(piped->shape(), batch->shape());
   EXPECT_EQ(batch->MaxAbsDiff(*piped), 0.0f);
@@ -130,15 +123,16 @@ class PipelineChunkSweep : public PipelineTest,
 TEST_P(PipelineChunkSweep, AnyMicroBatchSizeIsEquivalent) {
   auto model = BuildFFNN("m", {8, 16, 4}, 9);
   ASSERT_TRUE(model.ok());
-  auto prepared = PreparedModel::Prepare(&*model, AllUdf(*model), &ctx_);
-  ASSERT_TRUE(prepared.ok());
+  auto compiled = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kUdf, 0), &ctx_);
+  ASSERT_TRUE(compiled.ok());
   auto input = workloads::GenBatch(37, Shape{8}, 1);
   ASSERT_TRUE(input.ok());
-  auto batch = RunBatch(*prepared, *input);
+  auto batch = RunBatch(**compiled, *input);
   ASSERT_TRUE(batch.ok());
   PipelineConfig config;
   config.micro_batch_rows = GetParam();
-  auto piped = PipelineExecutor::Run(*prepared, *input, &ctx_, config);
+  auto piped = PipelineExecutor::Run(**compiled, *input, &ctx_, config);
   ASSERT_TRUE(piped.ok());
   EXPECT_EQ(batch->MaxAbsDiff(*piped), 0.0f);
 }
@@ -157,11 +151,11 @@ TEST_F(PipelineTest, KernelArmsPipelineBitIdentically) {
   auto plan = RuleBasedOptimizer(1LL << 40).Optimize(*model, 37);
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(AssignKernelArms(*model, tuning, &*plan).ok());
-  auto prepared = PreparedModel::Prepare(&*model, *plan, &ctx_);
-  ASSERT_TRUE(prepared.ok());
+  auto compiled = PhysicalPlan::Compile(&*model, *plan, &ctx_);
+  ASSERT_TRUE(compiled.ok());
   bool has_int8 = false;
   bool has_topk = false;
-  for (const auto& stage : prepared->physical().stages()) {
+  for (const auto& stage : (*compiled)->stages()) {
     has_int8 |= stage->weight != nullptr && stage->weight->int8();
     has_topk |= stage->kind == StageKind::kMatMulTopK;
   }
@@ -169,12 +163,12 @@ TEST_F(PipelineTest, KernelArmsPipelineBitIdentically) {
   EXPECT_TRUE(has_topk);
   auto input = workloads::GenBatch(37, Shape{32}, 3);
   ASSERT_TRUE(input.ok());
-  auto batch = RunBatch(*prepared, *input);
+  auto batch = RunBatch(**compiled, *input);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->shape(), (Shape{37, 10}));
   PipelineConfig config;
   config.micro_batch_rows = 5;
-  auto piped = PipelineExecutor::Run(*prepared, *input, &ctx_, config);
+  auto piped = PipelineExecutor::Run(**compiled, *input, &ctx_, config);
   ASSERT_TRUE(piped.ok()) << piped.status();
   EXPECT_EQ(piped->shape(), batch->shape());
   EXPECT_EQ(batch->MaxAbsDiff(*piped), 0.0f);
@@ -183,15 +177,16 @@ TEST_F(PipelineTest, KernelArmsPipelineBitIdentically) {
 TEST_F(PipelineTest, EveryStageRunsOncePerMicroBatch) {
   auto model = BuildFFNN("m", {12, 24, 5}, 3);
   ASSERT_TRUE(model.ok());
-  auto prepared = PreparedModel::Prepare(&*model, AllUdf(*model), &ctx_);
-  ASSERT_TRUE(prepared.ok());
+  auto compiled = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kUdf, 0), &ctx_);
+  ASSERT_TRUE(compiled.ok());
   auto input = workloads::GenBatch(100, Shape{12}, 7);
   ASSERT_TRUE(input.ok());
   PipelineConfig config;
   config.micro_batch_rows = 16;  // 7 micro-batches, the last ragged
   ASSERT_TRUE(
-      PipelineExecutor::Run(*prepared, *input, &ctx_, config).ok());
-  const auto& stages = prepared->physical().stages();
+      PipelineExecutor::Run(**compiled, *input, &ctx_, config).ok());
+  const auto& stages = (*compiled)->stages();
   for (const auto& stage : stages) {
     EXPECT_EQ(stage->stats.invocations.load(), 7) << stage->label;
     EXPECT_EQ(stage->stats.rows.load(), 100) << stage->label;
@@ -204,20 +199,21 @@ TEST_F(PipelineTest, BoundedPeakMemory) {
   // whole-batch activations.
   auto model = BuildFFNN("m", {256, 512, 512, 8}, 1);
   ASSERT_TRUE(model.ok());
-  auto prepared = PreparedModel::Prepare(&*model, AllUdf(*model), &ctx_);
-  ASSERT_TRUE(prepared.ok());
+  auto compiled = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kUdf, 0), &ctx_);
+  ASSERT_TRUE(compiled.ok());
   auto input = workloads::GenBatch(2048, Shape{256}, 4);
   ASSERT_TRUE(input.ok());
 
   tracker_.ResetPeak();
-  auto batch = RunBatch(*prepared, *input);
+  auto batch = RunBatch(**compiled, *input);
   ASSERT_TRUE(batch.ok());
   const int64_t batch_peak = tracker_.peak_bytes();
 
   tracker_.ResetPeak();
   PipelineConfig config;
   config.micro_batch_rows = 32;
-  auto piped = PipelineExecutor::Run(*prepared, *input, &ctx_, config);
+  auto piped = PipelineExecutor::Run(**compiled, *input, &ctx_, config);
   ASSERT_TRUE(piped.ok());
   const int64_t pipe_peak = tracker_.peak_bytes();
 
@@ -227,7 +223,7 @@ TEST_F(PipelineTest, BoundedPeakMemory) {
   EXPECT_LT(pipe_peak, batch_peak / 2);
 }
 
-TEST_F(PipelineTest, RejectsRelationalPreparedModels) {
+TEST_F(PipelineTest, RejectsRelationalPlans) {
   auto model = BuildFFNN("m", {8, 8, 2}, 1);
   ASSERT_TRUE(model.ok());
   DiskManager disk;
@@ -239,11 +235,11 @@ TEST_F(PipelineTest, RejectsRelationalPreparedModels) {
     plan.decisions.push_back(
         NodeDecision{node.id, Repr::kRelational, 0});
   }
-  auto prepared = PreparedModel::Prepare(&*model, plan, &rel_ctx);
-  ASSERT_TRUE(prepared.ok());
+  auto compiled = PhysicalPlan::Compile(&*model, plan, &rel_ctx);
+  ASSERT_TRUE(compiled.ok());
   auto input = workloads::GenBatch(4, Shape{8}, 1);
   ASSERT_TRUE(input.ok());
-  EXPECT_TRUE(PipelineExecutor::Run(*prepared, *input, &rel_ctx)
+  EXPECT_TRUE(PipelineExecutor::Run(**compiled, *input, &rel_ctx)
                   .status()
                   .IsInvalidArgument());
 }
@@ -253,8 +249,9 @@ TEST_F(PipelineTest, PropagatesStageOom) {
   ASSERT_TRUE(model.ok());
   // Prepare with an unlimited arena, then execute with a tiny one so
   // the failure happens mid-pipeline.
-  auto prepared = PreparedModel::Prepare(&*model, AllUdf(*model), &ctx_);
-  ASSERT_TRUE(prepared.ok());
+  auto compiled = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kUdf, 0), &ctx_);
+  ASSERT_TRUE(compiled.ok());
   auto input = workloads::GenBatch(512, Shape{64}, 1);
   ASSERT_TRUE(input.ok());
   MemoryTracker tiny("tiny", 64 * 1024);
@@ -262,7 +259,7 @@ TEST_F(PipelineTest, PropagatesStageOom) {
   tight.tracker = &tiny;
   PipelineConfig config;
   config.micro_batch_rows = 128;
-  auto out = PipelineExecutor::Run(*prepared, *input, &tight, config);
+  auto out = PipelineExecutor::Run(**compiled, *input, &tight, config);
   ASSERT_FALSE(out.ok());
   EXPECT_TRUE(out.status().IsOutOfMemory());
   // Nothing leaked even on the failure path.
@@ -272,13 +269,14 @@ TEST_F(PipelineTest, PropagatesStageOom) {
 TEST_F(PipelineTest, RejectsBadConfig) {
   auto model = BuildFFNN("m", {4, 4, 2}, 1);
   ASSERT_TRUE(model.ok());
-  auto prepared = PreparedModel::Prepare(&*model, AllUdf(*model), &ctx_);
-  ASSERT_TRUE(prepared.ok());
+  auto compiled = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kUdf, 0), &ctx_);
+  ASSERT_TRUE(compiled.ok());
   auto input = workloads::GenBatch(4, Shape{4}, 1);
   ASSERT_TRUE(input.ok());
   PipelineConfig config;
   config.micro_batch_rows = 0;
-  EXPECT_TRUE(PipelineExecutor::Run(*prepared, *input, &ctx_, config)
+  EXPECT_TRUE(PipelineExecutor::Run(**compiled, *input, &ctx_, config)
                   .status()
                   .IsInvalidArgument());
 }

@@ -9,7 +9,7 @@
 
 #include "engine/hybrid_executor.h"
 #include "engine/physical_plan.h"
-#include "engine/prepared_model.h"
+#include "engine/physical_plan.h"
 #include "graph/model.h"
 #include "optimizer/optimizer.h"
 #include "storage/buffer_pool.h"
@@ -183,22 +183,22 @@ TEST_F(PlanTextTest, UnfusedPhysicalGolden) {
 TEST_F(PlanTextTest, AnalyzeRenderingCarriesStageStats) {
   auto model = BuildFFNN("m", {4, 3, 2}, 7);
   ASSERT_TRUE(model.ok());
-  auto prepared = PreparedModel::Prepare(
+  auto compiled = PhysicalPlan::Compile(
       &*model, MakeForcedPlan(*model, Repr::kUdf, 2), &ctx_);
-  ASSERT_TRUE(prepared.ok());
+  ASSERT_TRUE(compiled.ok());
   auto input = workloads::GenBatch(2, Shape{4}, 3);
   ASSERT_TRUE(input.ok());
-  auto out = HybridExecutor::Run(*prepared, *input, &ctx_);
+  auto out = HybridExecutor::Run(**compiled, *input, &ctx_);
   ASSERT_TRUE(out.ok());
 
-  const std::string text = prepared->physical().ToString(true);
+  const std::string text = (*compiled)->ToString(true);
   EXPECT_NE(text.find("calls=1"), std::string::npos) << text;
   EXPECT_NE(text.find("rows=2"), std::string::npos) << text;
   EXPECT_NE(text.find("avg_us="), std::string::npos) << text;
   // bytes = batch * out_width * 4 for the final stage.
   EXPECT_NE(text.find("bytes=16"), std::string::npos) << text;
   int64_t invocations = 0;
-  for (const auto& stage : prepared->physical().stages()) {
+  for (const auto& stage : (*compiled)->stages()) {
     invocations += stage->stats.invocations;
   }
   EXPECT_EQ(invocations, 2);

@@ -9,7 +9,7 @@
 #include <tuple>
 
 #include "engine/hybrid_executor.h"
-#include "engine/prepared_model.h"
+#include "engine/physical_plan.h"
 #include "graph/model.h"
 #include "optimizer/optimizer.h"
 #include "storage/buffer_pool.h"
@@ -17,14 +17,6 @@
 
 namespace relserve {
 namespace {
-
-InferencePlan UniformPlan(const Model& model, Repr repr) {
-  InferencePlan plan;
-  for (const Node& node : model.nodes()) {
-    plan.decisions.push_back(NodeDecision{node.id, repr, 0});
-  }
-  return plan;
-}
 
 // --- (1) + (2): representation and blocking invariance ---------------
 
@@ -52,11 +44,11 @@ TEST_P(PlanEquivalenceTest, RelationalMatchesUdfForAllGeometries) {
 
   auto run = [&](Repr repr) -> Result<Tensor> {
     RELSERVE_ASSIGN_OR_RETURN(
-        PreparedModel prepared,
-        PreparedModel::Prepare(&*model, UniformPlan(*model, repr),
+        std::unique_ptr<PhysicalPlan> compiled,
+        PhysicalPlan::Compile(&*model, MakeForcedPlan(*model, repr, 0),
                                &ctx));
     RELSERVE_ASSIGN_OR_RETURN(
-        ExecOutput out, HybridExecutor::Run(prepared, *input, &ctx));
+        ExecOutput out, HybridExecutor::Run(*compiled, *input, &ctx));
     return out.ToTensor(&ctx);
   };
   {
@@ -100,19 +92,19 @@ TEST_P(BlockSizeInvarianceTest, ResultIndependentOfBlockSize) {
   ASSERT_TRUE(model.ok());
   auto input = workloads::GenBatch(19, Shape{23}, 5);
   ASSERT_TRUE(input.ok());
-  auto prepared = PreparedModel::Prepare(
-      &*model, UniformPlan(*model, Repr::kRelational), &ctx);
-  ASSERT_TRUE(prepared.ok());
-  auto out = HybridExecutor::Run(*prepared, *input, &ctx);
+  auto compiled = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kRelational, 0), &ctx);
+  ASSERT_TRUE(compiled.ok());
+  auto out = HybridExecutor::Run(**compiled, *input, &ctx);
   ASSERT_TRUE(out.ok());
   auto got = out->ToTensor(&ctx);
   ASSERT_TRUE(got.ok());
 
   // Reference: plain UDF execution (block-size independent).
-  auto ref_prepared = PreparedModel::Prepare(
-      &*model, UniformPlan(*model, Repr::kUdf), &ctx);
-  ASSERT_TRUE(ref_prepared.ok());
-  auto ref_out = HybridExecutor::Run(*ref_prepared, *input, &ctx);
+  auto ref_compiled = PhysicalPlan::Compile(
+      &*model, MakeForcedPlan(*model, Repr::kUdf, 0), &ctx);
+  ASSERT_TRUE(ref_compiled.ok());
+  auto ref_out = HybridExecutor::Run(**ref_compiled, *input, &ctx);
   ASSERT_TRUE(ref_out.ok());
   auto ref = ref_out->ToTensor(&ctx);
   ASSERT_TRUE(ref.ok());
@@ -176,15 +168,15 @@ TEST_P(OomRecoveryTest, FailedQueriesLeakNothing) {
   auto input = workloads::GenBatch(32, Shape{64}, 2);
   ASSERT_TRUE(input.ok());
   {
-    auto prepared = PreparedModel::Prepare(
-        &*model, UniformPlan(*model, Repr::kUdf), &ctx);
-    if (prepared.ok()) {
-      auto out = HybridExecutor::Run(*prepared, *input, &ctx);
+    auto compiled = PhysicalPlan::Compile(
+        &*model, MakeForcedPlan(*model, Repr::kUdf, 0), &ctx);
+    if (compiled.ok()) {
+      auto out = HybridExecutor::Run(**compiled, *input, &ctx);
       // Whether it succeeded or OOMed is limit-dependent; either way
       // nothing may stay charged after everything leaves scope.
       (void)out;
     } else {
-      EXPECT_TRUE(prepared.status().IsOutOfMemory());
+      EXPECT_TRUE(compiled.status().IsOutOfMemory());
     }
   }
   EXPECT_EQ(tracker.used_bytes(), 0);

@@ -144,7 +144,7 @@ TEST_F(ServingConcurrencyTest, RedeployMidFlightKeepsOldPlanAlive) {
 
   // Hammer Predict and Deploy/DeployAot concurrently: before
   // GetDeployment returned shared_ptrs, the redeploy freed the
-  // prepared weights out from under in-flight queries.
+  // compiled weights out from under in-flight queries.
   std::atomic<bool> stop{false};
   std::atomic<int> bad{0};
   std::vector<std::thread> readers;
@@ -175,7 +175,7 @@ TEST_F(ServingConcurrencyTest, RedeploySwapsCompiledPlanAtomically) {
   // Readers run inference and render EXPLAIN ANALYZE off the deployed
   // PhysicalPlan while a writer swaps compiled plans (alternating
   // reprs, so the stage pipeline genuinely changes shape underneath).
-  // The aliasing shared_ptr returned by DeployedPhysicalPlan must keep
+  // The shared_ptr returned by DeployedPhysicalPlan must keep
   // each snapshot — stages, resident weights, stats — alive through
   // the swap.
   std::atomic<bool> stop{false};
@@ -851,11 +851,12 @@ TEST_F(ServingConcurrencyTest, ConcurrentRuntimeOffloadCountsEveryRequest) {
 TEST_F(ServingConcurrencyTest, DeployUndeployPredictChurn) {
   // Several same-seed variants (identical weights, so every relational
   // deployment shares its blocks through the PhysicalBlockIndex) are
-  // deployed, undeployed, and served concurrently. In-flight requests
-  // hold the plan via shared_ptr, so an Undeploy racing a Predict must
-  // never produce a use-after-free — only a typed NotFound for
-  // requests that resolve after the teardown. TSan covers the index's
-  // internal locking.
+  // deployed (odd rounds add an AoT variant beside the plan, which the
+  // same Undeploy drops), undeployed, and served concurrently.
+  // In-flight requests hold the plan via shared_ptr, so an Undeploy
+  // racing a Predict must never produce a use-after-free — only a
+  // typed NotFound for requests that resolve after the teardown. TSan
+  // covers the index's internal locking.
   constexpr int kChurnVariants = 4;
   // Appending (not `"v" + std::to_string(i)`) keeps GCC 12's
   // -Wrestrict false positive on inlined string concatenation quiet.
@@ -879,6 +880,9 @@ TEST_F(ServingConcurrencyTest, DeployUndeployPredictChurn) {
         auto deployed =
             session_.Deploy(variant(i), ServingMode::kForceRelational, 4);
         if (!deployed.ok()) ++bad_status;
+        if (round % 2 == 1 && !session_.DeployAot(variant(i), {4}).ok()) {
+          ++bad_status;
+        }
       }
       // Tear down in a different order than deployment so the last
       // reference to a shared block moves between variants.

@@ -51,6 +51,14 @@ class ServingTest : public ::testing::Test {
     return *t;
   }
 
+  // The compiled plans SHOW MODELS lists for `model` (0 if unlisted).
+  int NumPlans(const std::string& model) {
+    for (const auto& info : session_.ListDeployedModels()) {
+      if (info.name == model) return info.num_plans;
+    }
+    return 0;
+  }
+
   // Runs one SQL statement that must succeed.
   void Sql(const std::string& statement) {
     auto result = sql::ExecuteStatement(&session_, statement);
@@ -451,7 +459,7 @@ TEST_F(ServingTest, AotCompilesDistinctPlanVariants) {
   ASSERT_TRUE(variants.ok()) << variants.status();
   EXPECT_GE(*variants, 2);
   EXPECT_LT(*variants, 4);
-  EXPECT_EQ(session_.NumAotPlans("sized"), *variants);
+  EXPECT_EQ(NumPlans("sized"), *variants);
 
   // Runtime selection: both batch regimes serve without Deploy().
   auto small = workloads::GenBatch(1, Shape{2000}, 1);
@@ -478,7 +486,7 @@ TEST_F(ServingTest, AotRequiresBatchSizes) {
   LoadFraudSetup();
   EXPECT_TRUE(
       session_.DeployAot("fraud", {}).status().IsInvalidArgument());
-  EXPECT_EQ(session_.NumAotPlans("fraud"), 0);
+  EXPECT_EQ(NumPlans("fraud"), 0);
 }
 
 // The int8 packs a compiled plan stores, and how many of its stages
@@ -586,7 +594,11 @@ TEST_F(ServingTest, QuantizedVersionRunsInt8InEveryUdfMode) {
 
   // AoT compiles the same arm: batches 1 and 32 share one all-UDF int8
   // variant, which binds the int8 packs plus the base's fp32 biases.
+  // With nothing else deployed, the arena holds only the biases
+  // fraud@int8's plans bind (the int8 packs live outside it).
+  ASSERT_TRUE(session_.Undeploy("fraud").ok());
   ASSERT_TRUE(session_.Undeploy("fraud@int8").ok());
+  const int64_t undeployed_bytes = session_.working_memory()->used_bytes();
   auto compiled = session_.DeployAot("fraud@int8", {1, 32});
   ASSERT_TRUE(compiled.ok()) << compiled.status();
   EXPECT_EQ(*compiled, 1);
@@ -606,6 +618,27 @@ TEST_F(ServingTest, QuantizedVersionRunsInt8InEveryUdfMode) {
     ASSERT_TRUE(batch.ok());
     EXPECT_TRUE(session_.PredictBatch("fraud@int8", *batch).ok()) << rows;
   }
+
+  // A Deploy()-ed plan beside the AoT variant: one model, two plans.
+  // One Undeploy drops both: the model leaves SHOW MODELS, the arena
+  // gets every byte of both plans back, and the next predict is a
+  // typed NotFound.
+  ASSERT_TRUE(
+      session_.Deploy("fraud@int8", ServingMode::kForceUdf, 8).ok());
+  EXPECT_EQ(NumPlans("fraud@int8"), 2);
+  EXPECT_GT(session_.working_memory()->used_bytes(), undeployed_bytes);
+  ASSERT_TRUE(session_.Undeploy("fraud@int8").ok());
+  auto shown = sql::ExecuteStatement(&session_, "SHOW MODELS");
+  ASSERT_TRUE(shown.ok()) << shown.status();
+  EXPECT_EQ(shown->query.rows.size(), 0u);
+  EXPECT_EQ(session_.working_memory()->used_bytes(), undeployed_bytes);
+  auto batch = workloads::GenBatch(8, Shape{28}, 11);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_TRUE(
+      session_.PredictBatch("fraud@int8", *batch).status().IsNotFound());
+  EXPECT_TRUE(
+      session_.DeployedPhysicalPlan("fraud@int8").status().IsNotFound());
+  EXPECT_TRUE(session_.Undeploy("fraud@int8").IsNotFound());
 }
 
 TEST_F(ServingTest, QuantizedVersionOfWideFfnnTakesUnderThirtyPercent) {
